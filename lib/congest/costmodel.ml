@@ -1,3 +1,20 @@
+(* Scratch for one tree charge, indexed by the child end [v] of a tree
+   edge [v -> parent v]. An entry is live for the current charge iff
+   [stamp.(v) = cur]; a new charge bumps [cur] instead of clearing.
+   [dist.(v)] memoises v's distance to the root ([-1] while unknown);
+   [touched.(0 .. ntouched-1)] lists the live children, and [path] holds
+   the vertices of the walk in progress. *)
+type scratch = {
+  stamp : int array;
+  mutable cur : int;
+  load : int array;
+  par : int array;
+  dist : int array;
+  touched : int array;
+  mutable ntouched : int;
+  path : int array;
+}
+
 type t = {
   g : Gr.t;
   bandwidth : int;
@@ -5,13 +22,27 @@ type t = {
   trace : Trace.t option;
   round_base : int;
   mutable clock : int;
+  scratch : scratch;
 }
 
 let create ?bandwidth ?trace ?(round_base = 0) g metrics =
   let bandwidth =
     match bandwidth with Some b -> b | None -> Network.default_bandwidth g
   in
-  { g; bandwidth; metrics; trace; round_base; clock = 0 }
+  let n = Gr.n g in
+  let scratch =
+    {
+      stamp = Array.make n 0;
+      cur = 0;
+      load = Array.make n 0;
+      par = Array.make n 0;
+      dist = Array.make n 0;
+      touched = Array.make n 0;
+      ntouched = 0;
+      path = Array.make (n + 1) 0;
+    }
+  in
+  { g; bandwidth; metrics; trace; round_base; clock = 0; scratch }
 
 let bandwidth t = t.bandwidth
 
@@ -64,49 +95,88 @@ let charge_path t path ~bits =
         rest;
       if bits > 0 then t.clock <- t.clock + len + ceil_div bits t.bandwidth - 1
 
+let broken () = invalid_arg "Costmodel: broken tree"
+
+(* Accumulate per-directed-edge (child -> parent) loads into the scratch
+   by walking each member towards the root; returns the depth. Without
+   [combining] every walk runs to the root, adding the member's bits to
+   each edge. With [combining] an edge's load is the largest payload
+   through it, so a walk stops at the first live edge already carrying
+   at least its bits: every edge above it carries at least as much, and
+   the memoised distance completes the depth. The parent and adjacency
+   checks run once per tree edge, when the edge first goes live; a walk
+   longer than n edges (a cycle in [parent]) is a broken tree. *)
 let tree_loads t ~root ~parent ~members ~bits_of ~combining =
-  (* Accumulate per-directed-edge (child -> parent) loads by walking each
-     member to the root; with [combining] a later walk does not re-add
-     bits to an edge already loaded (the fold combines). Returns
-     (loads, depth). *)
-  let loads = Hashtbl.create 64 in
+  let s = t.scratch in
+  s.cur <- s.cur + 1;
+  s.ntouched <- 0;
+  let cur = s.cur and n = Gr.n t.g in
   let depth = ref 0 in
   List.iter
     (fun v0 ->
       let bits = bits_of v0 in
-      let d = ref 0 in
+      let k = ref 0 in
       let v = ref v0 in
-      while !v <> root do
-        let p = parent !v in
-        if p = !v then invalid_arg "Costmodel: broken tree";
-        if not (Gr.mem_edge t.g !v p) then raise Not_found;
-        let key = (!v, p) in
-        let sofar = try Hashtbl.find loads key with Not_found -> 0 in
-        Hashtbl.replace loads key (if combining then max sofar bits else sofar + bits);
-        incr d;
-        v := p
+      let stop = ref false in
+      while (not !stop) && !v <> root do
+        let c = !v in
+        if c >= 0 && c < n && s.stamp.(c) = cur then begin
+          if combining && s.load.(c) >= bits then stop := true
+          else begin
+            s.load.(c) <- (if combining then bits else s.load.(c) + bits);
+            s.path.(!k) <- c;
+            incr k;
+            v := s.par.(c)
+          end
+        end
+        else begin
+          let p = parent c in
+          if p = c then broken ();
+          if not (Gr.mem_edge t.g c p) then raise Not_found;
+          s.stamp.(c) <- cur;
+          s.load.(c) <- bits;
+          s.par.(c) <- p;
+          s.dist.(c) <- -1;
+          s.touched.(s.ntouched) <- c;
+          s.ntouched <- s.ntouched + 1;
+          s.path.(!k) <- c;
+          incr k;
+          v := p
+        end;
+        if !k > n then broken ()
       done;
-      if !d > !depth then depth := !d)
+      let above = if !v = root then 0 else s.dist.(!v) in
+      if above < 0 then broken ();
+      let k = !k in
+      for i = 0 to k - 1 do
+        s.dist.(s.path.(i)) <- above + k - i
+      done;
+      if above + k > !depth then depth := above + k)
     members;
-  (loads, !depth)
+  !depth
 
-let commit_loads t loads =
-  Hashtbl.iter
-    (fun (u, v) l -> Metrics.add_dir_bits t.metrics ~u ~v ~bits:l)
-    loads
+let commit_loads t =
+  let s = t.scratch in
+  let max_load = ref 0 in
+  for i = 0 to s.ntouched - 1 do
+    let c = s.touched.(i) in
+    let l = s.load.(c) in
+    Metrics.add_dir_bits t.metrics ~u:c ~v:s.par.(c) ~bits:l;
+    if l > !max_load then max_load := l
+  done;
+  !max_load
 
 let charge_tree t ~root ~parent ~members ~bits_of =
-  let (loads, depth) = tree_loads t ~root ~parent ~members ~bits_of ~combining:false in
-  let max_load = Hashtbl.fold (fun _ l acc -> max l acc) loads 0 in
-  commit_loads t loads;
+  let depth = tree_loads t ~root ~parent ~members ~bits_of ~combining:false in
+  let max_load = commit_loads t in
   if max_load > 0 || depth > 0 then
     t.clock <- t.clock + depth + ceil_div max_load t.bandwidth
 
 let charge_aggregate t ~root ~parent ~members ~bits =
-  let (loads, depth) =
+  let depth =
     tree_loads t ~root ~parent ~members ~bits_of:(fun _ -> bits) ~combining:true
   in
-  commit_loads t loads;
+  ignore (commit_loads t : int);
   if depth > 0 || bits > 0 then
     t.clock <- t.clock + depth + max 0 (ceil_div bits t.bandwidth - 1)
 

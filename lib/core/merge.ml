@@ -51,14 +51,11 @@ let part t id =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Merge.part: no alive part %d" id)
 
+(* A part's vertex set never changes and [part_of] is written only at
+   install, so the install-time half edges are still the current ones;
+   the filter keeps that an explicit invariant rather than an assumption. *)
 let half_of t id =
-  let p = part t id in
-  List.concat_map
-    (fun v ->
-      List.filter_map
-        (fun w -> if t.part_of.(w) <> id then Some (v, w) else None)
-        (Array.to_list (Gr.neighbors t.g v)))
-    p.Part.vertices
+  List.filter (fun (_, w) -> t.part_of.(w) <> id) (part t id).Part.half
 
 let run_checks t p =
   if t.checks then begin
@@ -79,12 +76,12 @@ let install t ?(anchors = []) vertices =
   t.next_id <- id + 1;
   List.iter (fun v -> t.part_of.(v) <- id) vertices;
   let half =
-    List.concat_map
-      (fun v ->
-        List.filter_map
-          (fun w -> if t.part_of.(w) <> id then Some (v, w) else None)
-          (Array.to_list (Gr.neighbors t.g v)))
-      vertices
+    List.rev
+      (List.fold_left
+         (fun acc v ->
+           Gr.fold_neighbors t.g v ~init:acc ~f:(fun acc w ->
+               if t.part_of.(w) <> id then (v, w) :: acc else acc))
+         [] vertices)
   in
   let classify v = t.part_of.(v) in
   let p = Part.create t.g ~mode:t.mode ~classify ~half ~id ~vertices ~anchors in

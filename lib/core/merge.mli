@@ -43,7 +43,8 @@ val create : Gr.t -> mode:Part.mode -> checks:bool -> cost:Costmodel.t -> t
 val part : t -> int -> Part.t
 
 val half_of : t -> int -> (int * int) list
-(** Current half-embedded edges of a part (recomputed from [part_of]). *)
+(** Current half-embedded edges of a part: its install-time
+    [Part.half], filtered by [part_of]. *)
 
 val fresh_part : t -> ?anchors:int list -> int list -> int
 (** Turn unassigned vertices into a new part; returns its id. *)

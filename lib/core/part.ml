@@ -38,22 +38,38 @@ let cyclic_runs classify = function
 let create g ~mode ~classify ~half ~id ~vertices ~anchors =
   let leader = List.fold_left max (List.hd vertices) vertices in
   (* Spanning tree over the part plus its anchors (the "split-off copies"
-     of P0 coordinators), rooted at the leader. *)
+     of P0 coordinators), rooted at the leader: a BFS over [g] limited to
+     the span set. Span vertices start with parent -1 (unreached). The
+     visiting order matches a BFS of the induced subgraph on the sorted
+     span set, whose CSR slices are [g]'s slices filtered, in order. *)
   let span_set = List.sort_uniq compare (anchors @ vertices) in
-  let (span_g, old_of_new, new_of_old) = Gr.induced g span_set in
-  let bfs = Traverse.bfs span_g (new_of_old leader) in
   let tree_parent = Hashtbl.create (List.length span_set) in
+  List.iter (fun v -> Hashtbl.replace tree_parent v (-1)) span_set;
+  Hashtbl.replace tree_parent leader leader;
+  let rec level frontier d =
+    let next = ref [] in
+    List.iter
+      (fun v ->
+        Gr.iter_neighbors g v (fun w ->
+            match Hashtbl.find tree_parent w with
+            | -1 ->
+                Hashtbl.replace tree_parent w v;
+                next := w :: !next
+            | _ | (exception Not_found) -> ()))
+      frontier;
+    if !next = [] then d else level (List.rev !next) (d + 1)
+  in
+  let depth = level [ leader ] 0 in
   List.iter
     (fun v ->
-      let nv = new_of_old v in
-      if bfs.Traverse.dist.(nv) < 0 then
+      if Hashtbl.find tree_parent v < 0 then
         invalid_arg
-          (Printf.sprintf "Part.create: part %d is not connected (vertex %d)" id v);
-      Hashtbl.replace tree_parent v old_of_new.(bfs.Traverse.parent.(nv)))
+          (Printf.sprintf "Part.create: part %d is not connected (vertex %d)" id v))
     span_set;
-  let depth = Traverse.depth bfs in
-  (* Structure of the induced subgraph proper (without anchors). *)
-  let (sub, _, _) = Gr.induced g vertices in
+  (* The induced subgraph proper (without anchors), built once for the
+     structure and the constrained embedding. *)
+  let induced = Gr.induced g vertices in
+  let (sub, _, _) = induced in
   let trivial = Gr.m sub = List.length vertices - 1 in
   let dec = Bicon.decompose sub in
   let n_bicon = dec.Bicon.n_components in
@@ -61,7 +77,7 @@ let create g ~mode ~classify ~half ~id ~vertices ~anchors =
     match mode with
     | Economy -> None
     | Faithful -> (
-        match Constrained.embed g ~part:vertices ~half with
+        match Constrained.embed_induced g ~part:vertices ~half induced with
         | Some e -> Some e
         | None ->
             raise

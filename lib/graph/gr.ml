@@ -69,32 +69,34 @@ let of_edge_list_owned ~n edge_list =
   { n; xadj; adjncy; dart_uedge; dart_rev; edge_list; adj }
 
 let of_edges ~n edges =
-  let raw =
+  (* Pack each normalized edge (a, b) as the int a·n + b: an int sort
+     with a monomorphic compare yields the same lex order as sorting the
+     pairs, without polymorphic compare on tuples. *)
+  let keys =
     Array.of_list
       (List.map
          (fun (u, v) ->
            check_vertex n u;
            check_vertex n v;
-           normalize_edge u v)
+           let (a, b) = normalize_edge u v in
+           (a * n) + b)
          edges)
   in
-  Array.sort compare raw;
+  Array.sort (fun (a : int) b -> compare a b) keys;
   let m =
     let cnt = ref 0 in
-    Array.iteri
-      (fun i e -> if i = 0 || raw.(i - 1) <> e then incr cnt)
-      raw;
+    Array.iteri (fun i k -> if i = 0 || keys.(i - 1) <> k then incr cnt) keys;
     !cnt
   in
   let edge_list = Array.make m (0, 0) in
   let j = ref 0 in
   Array.iteri
-    (fun i e ->
-      if i = 0 || raw.(i - 1) <> e then begin
-        edge_list.(!j) <- e;
+    (fun i k ->
+      if i = 0 || keys.(i - 1) <> k then begin
+        edge_list.(!j) <- (k / n, k mod n);
         incr j
       end)
-    raw;
+    keys;
   of_edge_list_owned ~n edge_list
 
 let of_normalized_sorted_unchecked ~n edge_list = of_edge_list_owned ~n edge_list

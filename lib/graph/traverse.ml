@@ -57,15 +57,36 @@ let is_connected g =
   Gr.n g = 0 || Array.length (bfs g 0).order = Gr.n g
 
 let components g =
+  (* One pass: a shared [seen] array and one queue array serve every
+     component, so the cost is O(n + m) however many components there
+     are. Component [c] occupies a contiguous stretch of [queue] in BFS
+     order; components come out by smallest vertex. *)
   let n = Gr.n g in
   let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   let comps = ref [] in
   for v = 0 to n - 1 do
     if not seen.(v) then begin
-      let t = bfs g v in
-      let comp = Array.to_list t.order in
-      List.iter (fun w -> seen.(w) <- true) comp;
-      comps := comp :: !comps
+      let start = !tail in
+      seen.(v) <- true;
+      queue.(!tail) <- v;
+      incr tail;
+      let head = ref start in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        Gr.iter_neighbors g u (fun w ->
+            if not seen.(w) then begin
+              seen.(w) <- true;
+              queue.(!tail) <- w;
+              incr tail
+            end)
+      done;
+      let rec collect i acc =
+        if i < start then acc else collect (i - 1) (queue.(i) :: acc)
+      in
+      comps := collect (!tail - 1) [] :: !comps
     end
   done;
   List.rev !comps

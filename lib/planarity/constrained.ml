@@ -6,19 +6,17 @@ type t = {
   outer : (int * int) list;
 }
 
-let embed g ~part ~half =
-  let in_part = Hashtbl.create (List.length part) in
-  List.iter (fun v -> Hashtbl.replace in_part v ()) part;
+let embed_induced g ~part ~half (h, old_of_new, new_of_old) =
+  let in_part v = match new_of_old v with _ -> true | exception Not_found -> false in
   List.iter
     (fun (u, v) ->
       if not (Gr.mem_edge g u v) then
         invalid_arg "Constrained.embed: half edge is not a graph edge";
-      if not (Hashtbl.mem in_part u) then
+      if not (in_part u) then
         invalid_arg "Constrained.embed: half edge inside endpoint not in part";
-      if Hashtbl.mem in_part v then
+      if in_part v then
         invalid_arg "Constrained.embed: half edge outside endpoint in part")
     half;
-  let (h, old_of_new, new_of_old) = Gr.induced g part in
   let p = Gr.n h in
   let k = List.length half in
   let half_arr = Array.of_list half in
@@ -60,6 +58,8 @@ let embed g ~part ~half =
             (Array.map (fun s -> half_arr.(s - p)) (Rotation.rotation r apex))
       in
       Some { part; rot; outer }
+
+let embed g ~part ~half = embed_induced g ~part ~half (Gr.induced g part)
 
 let rotation_of_full t g =
   let n = Gr.n g in

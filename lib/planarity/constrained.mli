@@ -36,6 +36,16 @@ val embed : Gr.t -> part:int list -> half:(int * int) list -> t option
     planar. [half] must list edges of [g] with exactly their inside
     endpoint in [part]; @raise Invalid_argument otherwise. *)
 
+val embed_induced :
+  Gr.t ->
+  part:int list ->
+  half:(int * int) list ->
+  Gr.t * int array * (int -> int) ->
+  t option
+(** [embed_induced g ~part ~half (Gr.induced g part)] is
+    [embed g ~part ~half], for callers that already built the part's
+    induced subgraph ({!embed} is this with the triple built for you). *)
+
 val rotation_of_full : t -> Gr.t -> Rotation.t
 (** When the part covers the whole (connected) graph — so there are no
     half-embedded edges — extract the plain rotation system.

@@ -293,6 +293,186 @@ let test_branch_max () =
   Costmodel.advance c 1;
   check "sequential after" 12 (Costmodel.clock c)
 
+(* Oracle for [charge_tree] / [charge_aggregate]: the original
+   Hashtbl formulation of the tree loads, kept here as the reference.
+   Every member walks to the root; per-directed-edge (child -> parent)
+   loads add up, or combine by max with [combining]. *)
+let reference_tree_loads g ~root ~parent ~members ~bits_of ~combining =
+  let loads = Hashtbl.create 64 in
+  let depth = ref 0 in
+  List.iter
+    (fun v0 ->
+      let bits = bits_of v0 in
+      let d = ref 0 in
+      let v = ref v0 in
+      while !v <> root do
+        let p = parent !v in
+        if p = !v then invalid_arg "Costmodel: broken tree";
+        if not (Gr.mem_edge g !v p) then raise Not_found;
+        let key = (!v, p) in
+        let sofar = try Hashtbl.find loads key with Not_found -> 0 in
+        Hashtbl.replace loads key (if combining then max sofar bits else sofar + bits);
+        incr d;
+        v := p
+      done;
+      if !d > !depth then depth := !d)
+    members;
+  (loads, !depth)
+
+(* Reference clock and per-directed-edge tallies. *)
+type reference = { bandwidth : int; mutable clock : int; dir : (int * int, int) Hashtbl.t }
+
+let ceil_div a b = (a + b - 1) / b
+
+let reference_commit r loads =
+  Hashtbl.iter
+    (fun key l ->
+      let sofar = try Hashtbl.find r.dir key with Not_found -> 0 in
+      Hashtbl.replace r.dir key (sofar + l))
+    loads
+
+let reference_charge_tree r g ~root ~parent ~members ~bits_of =
+  let (loads, depth) =
+    reference_tree_loads g ~root ~parent ~members ~bits_of ~combining:false
+  in
+  let max_load = Hashtbl.fold (fun _ l acc -> max l acc) loads 0 in
+  reference_commit r loads;
+  if max_load > 0 || depth > 0 then
+    r.clock <- r.clock + depth + ceil_div max_load r.bandwidth
+
+let reference_charge_aggregate r g ~root ~parent ~members ~bits =
+  let (loads, depth) =
+    reference_tree_loads g ~root ~parent ~members ~bits_of:(fun _ -> bits)
+      ~combining:true
+  in
+  reference_commit r loads;
+  if depth > 0 || bits > 0 then
+    r.clock <- r.clock + depth + max 0 (ceil_div bits r.bandwidth - 1)
+
+let dir_tallies m =
+  let acc = ref [] in
+  Metrics.iter_dir m (fun ~src ~dst ~bits ~messages:_ ~burst:_ ->
+      if bits > 0 then acc := (src, dst, bits) :: !acc);
+  List.sort compare !acc
+
+let reference_tallies r =
+  List.sort compare
+    (Hashtbl.fold
+       (fun (u, v) b acc -> if b > 0 then (u, v, b) :: acc else acc)
+       r.dir [])
+
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Not_found -> "Not_found"
+  | exception Invalid_argument _ -> "Invalid_argument"
+
+(* One random charge on a random tree of [g]: a BFS tree from a random
+   root, with repeated members, the root sometimes among them, and
+   non-constant payloads (zero included). With [fault] 1 a non-root
+   member's parent is redirected to a non-neighbour (Not_found); with 2
+   it becomes the vertex itself (broken tree). *)
+let random_charge rng g =
+  let n = Gr.n g in
+  let root = Random.State.int rng n in
+  let bt = Traverse.bfs g root in
+  let members =
+    List.init (1 + Random.State.int rng (2 * n)) (fun _ ->
+        if Random.State.int rng 8 = 0 then root else Random.State.int rng n)
+  in
+  let salt = Random.State.int rng 1000 in
+  let bits_of v = ((v * 37) + salt) mod 23 in
+  let parent =
+    let victim =
+      List.find_opt (fun v -> v <> root) members
+      |> Option.value ~default:root
+    in
+    match Random.State.int rng 10 with
+    | 0 when victim <> root ->
+        let far =
+          List.find_opt
+            (fun w -> w <> victim && not (Gr.mem_edge g victim w))
+            (List.init n Fun.id)
+        in
+        (match far with
+        | Some w -> fun v -> if v = victim then w else bt.Traverse.parent.(v)
+        | None -> fun v -> bt.Traverse.parent.(v))
+    | 1 when victim <> root ->
+        fun v -> if v = victim then v else bt.Traverse.parent.(v)
+    | _ -> fun v -> bt.Traverse.parent.(v)
+  in
+  (root, parent, members, bits_of, Random.State.int rng 40)
+
+let prop_costmodel_matches_reference =
+  QCheck.Test.make ~name:"charge_tree/charge_aggregate match the Hashtbl oracle"
+    ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 2 40))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        Gen.random_connected_graph ~seed ~n
+          ~m:(min (n * (n - 1) / 2) (n - 1 + Random.State.int rng n))
+      in
+      let bandwidth = 1 + Random.State.int rng 16 in
+      let m = Metrics.create g in
+      let c = Costmodel.create ~bandwidth g m in
+      let r = { bandwidth; clock = 0; dir = Hashtbl.create 16 } in
+      (* Several charges on one cost model: scratch reuse across charges,
+         and after a failed one, must not leak state. *)
+      List.for_all
+        (fun _ ->
+          let (root, parent, members, bits_of, bits) = random_charge rng g in
+          let (got, want) =
+            if Random.State.bool rng then
+              ( outcome (fun () ->
+                    Costmodel.charge_tree c ~root ~parent ~members ~bits_of),
+                outcome (fun () ->
+                    reference_charge_tree r g ~root ~parent ~members ~bits_of) )
+            else
+              ( outcome (fun () ->
+                    Costmodel.charge_aggregate c ~root ~parent ~members ~bits),
+                outcome (fun () ->
+                    reference_charge_aggregate r g ~root ~parent ~members ~bits)
+              )
+          in
+          got = want
+          && Costmodel.clock c = r.clock
+          && dir_tallies m = reference_tallies r)
+        (List.init 6 Fun.id))
+
+let test_costmodel_error_paths () =
+  let g = Gen.path 5 in
+  let m = Metrics.create g in
+  let c = Costmodel.create ~bandwidth:8 g m in
+  let chain v = v - 1 in
+  Alcotest.check_raises "non-edge" Not_found (fun () ->
+      Costmodel.charge_aggregate c ~root:0
+        ~parent:(fun v -> if v = 3 then 1 else chain v)
+        ~members:[ 4 ] ~bits:8);
+  Alcotest.check_raises "broken tree" (Invalid_argument "Costmodel: broken tree")
+    (fun () ->
+      Costmodel.charge_tree c ~root:0
+        ~parent:(fun v -> if v = 2 then 2 else chain v)
+        ~members:[ 1; 4 ] ~bits_of:(fun _ -> 8));
+  check "failed charges leave the clock" 0 (Costmodel.clock c);
+  check "failed charges leave the tallies" 0 (Metrics.total_bits m);
+  Costmodel.charge_aggregate c ~root:0 ~parent:chain ~members:[ 4; 2 ] ~bits:8;
+  check "usable afterwards" 4 (Costmodel.clock c);
+  check "each edge once" 32 (Metrics.total_bits m);
+  (* A parent cycle that misses the root (along real edges: the triangle
+     1-2-3) is a broken tree too, in both modes, rather than a walk that
+     never ends. *)
+  let g = Gr.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (1, 3) ] in
+  let c = Costmodel.create ~bandwidth:8 g (Metrics.create g) in
+  let cyc = function 1 -> 2 | 2 -> 3 | 3 -> 1 | v -> v in
+  Alcotest.check_raises "cycle (tree)" (Invalid_argument "Costmodel: broken tree")
+    (fun () ->
+      Costmodel.charge_tree c ~root:0 ~parent:cyc ~members:[ 3 ]
+        ~bits_of:(fun _ -> 8));
+  Alcotest.check_raises "cycle (aggregate)"
+    (Invalid_argument "Costmodel: broken tree") (fun () ->
+      Costmodel.charge_aggregate c ~root:0 ~parent:cyc ~members:[ 3 ] ~bits:8)
+
 let () =
   Alcotest.run "congest"
     [
@@ -326,5 +506,7 @@ let () =
           Alcotest.test_case "tree loads" `Quick test_charge_tree_loads_add_up;
           Alcotest.test_case "aggregate" `Quick test_charge_aggregate;
           Alcotest.test_case "branch max" `Quick test_branch_max;
+          QCheck_alcotest.to_alcotest prop_costmodel_matches_reference;
+          Alcotest.test_case "error paths" `Quick test_costmodel_error_paths;
         ] );
     ]

@@ -274,6 +274,101 @@ let test_relabeling_invariance () =
   check_bool "same verdict" true
     ((og.Embedder.rotation <> None) = (oh.Embedder.rotation <> None))
 
+(* Golden outputs: [Embedder.run] at one domain on three fixed inputs,
+   with values recorded from the implementation before the driver's
+   bookkeeping was rewritten (array-backed tree loads, one induced
+   subgraph per part install). Any change to what the driver charges or
+   embeds shows up here. The rotation is pinned by an integer fold over
+   every vertex's rotation array. *)
+
+let rotation_fold r =
+  let g = Rotation.graph r in
+  let h = ref 17 in
+  let mix x = h := ((!h * 1_000_003) + x) land 0x3FFF_FFFF_FFFF in
+  for v = 0 to Gr.n g - 1 do
+    let a = Rotation.rotation r v in
+    mix (Array.length a);
+    Array.iter (fun w -> mix (w + 1)) a
+  done;
+  !h
+
+type golden = {
+  rounds : int;
+  total_bits : int;
+  max_edge_bits : int;
+  iface_bits_shipped : int;
+  merges : int * int * int * int;  (** pairwise, star, vertex, path *)
+  recursion : int * int;  (** depth, calls *)
+  rotation : int;
+  phases : (string * int) list;
+}
+
+let golden_cases =
+  [
+    ( "grid 12x12",
+      (fun () -> Gen.grid 12 12),
+      {
+        rounds = 942;
+        total_bits = 247428;
+        max_edge_bits = 2878;
+        iface_bits_shipped = 4052;
+        merges = (0, 4, 3, 28);
+        recursion = (6, 40);
+        rotation = 66557384905723;
+        phases =
+          [ ("leader-election+bfs", 23); ("count-n", 22); ("recursive-embedding", 897) ];
+      } );
+    ( "outerplanar n=600",
+      (fun () -> Gen.random_outerplanar ~seed:1 ~n:600 ~chord_prob:0.5),
+      {
+        rounds = 886;
+        total_bits = 950402;
+        max_edge_bits = 2414;
+        iface_bits_shipped = 24188;
+        merges = (0, 19, 130, 141);
+        recursion = (6, 430);
+        rotation = 50502308317470;
+        phases =
+          [ ("leader-election+bfs", 14); ("count-n", 13); ("recursive-embedding", 859) ];
+      } );
+    ( "maximal planar n=400",
+      (fun () -> Gen.random_maximal_planar ~seed:1 400),
+      {
+        rounds = 415;
+        total_bits = 1007915;
+        max_edge_bits = 4809;
+        iface_bits_shipped = 34350;
+        merges = (0, 2, 66, 41);
+        recursion = (4, 365);
+        rotation = 32949540848250;
+        phases =
+          [ ("leader-election+bfs", 7); ("count-n", 6); ("recursive-embedding", 402) ];
+      } );
+  ]
+
+let test_golden (name, make, want) () =
+  let config = Network.Config.with_domains 1 Network.Config.default in
+  let o = Embedder.run ~config (make ()) in
+  let r = o.Embedder.report in
+  let c field = check (name ^ ": " ^ field) in
+  c "rounds" want.rounds r.Embedder.rounds;
+  c "total_bits" want.total_bits r.Embedder.total_bits;
+  c "max_edge_bits" want.max_edge_bits r.Embedder.max_edge_bits;
+  c "iface_bits_shipped" want.iface_bits_shipped r.Embedder.iface_bits_shipped;
+  let (pw, st, vx, pa) = want.merges in
+  c "merges_pairwise" pw r.Embedder.merges_pairwise;
+  c "merges_star" st r.Embedder.merges_star;
+  c "merges_vertex" vx r.Embedder.merges_vertex;
+  c "merges_path" pa r.Embedder.merges_path;
+  let (depth, calls) = want.recursion in
+  c "recursion_depth" depth r.Embedder.recursion_depth;
+  c "recursion_calls" calls r.Embedder.recursion_calls;
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": phases") want.phases r.Embedder.phases;
+  match o.Embedder.rotation with
+  | None -> Alcotest.failf "%s: rejected as non-planar" name
+  | Some rot -> c "rotation fold" want.rotation (rotation_fold rot)
+
 let () =
   Alcotest.run "embedder"
     [
@@ -312,4 +407,9 @@ let () =
           Alcotest.test_case "baseline agrees" `Quick test_baseline_agrees;
           QCheck_alcotest.to_alcotest prop_baseline_rounds_linear;
         ] );
+      ( "golden",
+        List.map
+          (fun ((name, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_golden case))
+          golden_cases );
     ]

@@ -189,6 +189,59 @@ let test_components () =
   check_bool "connected" false (Traverse.is_connected g);
   check_bool "path connected" true (Traverse.is_connected (Gen.path 4))
 
+(* Reference: one [Traverse.bfs] per component, the per-component
+   Θ(n)-allocation formulation [components] replaced. *)
+let components_reference g =
+  let n = Gr.n g in
+  let seen = Array.make n false in
+  let comps = ref [] in
+  for v = 0 to n - 1 do
+    if not seen.(v) then begin
+      let comp = Array.to_list (Traverse.bfs g v).Traverse.order in
+      List.iter (fun w -> seen.(w) <- true) comp;
+      comps := comp :: !comps
+    end
+  done;
+  List.rev !comps
+
+let prop_components_match_reference =
+  QCheck.Test.make ~name:"components: same lists, same order as per-component bfs"
+    ~count:100
+    QCheck.(pair (int_range 0 10000) (int_range 0 60))
+    (fun (seed, m) ->
+      let g = Gen.random_graph ~seed ~n:40 ~m in
+      Traverse.components g = components_reference g)
+
+(* Many components: [k] disjoint edges plus [k] isolated vertices. *)
+let many_components k =
+  Gr.of_edges ~n:(3 * k) (List.init k (fun i -> (3 * i, (3 * i) + 1)))
+
+(* Words allocated by [f] on either heap. The runtime folds the major
+   heap's direct allocations into [quick_stat] only at a collection, so
+   a minor collection brackets the call. *)
+let allocated_words f =
+  let total () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = total () in
+  ignore (Sys.opaque_identity (f ()));
+  total () -. before
+
+let test_components_linear () =
+  (* Total allocation, not only minor words: length-n arrays go straight
+     to the major heap, so a per-component O(n) array would not show in
+     the minor count. Allocation is deterministic; wall time is not. *)
+  let k = 2000 in
+  let g1 = many_components k and g4 = many_components (4 * k) in
+  check "components at n" (2 * k) (List.length (Traverse.components g1));
+  let w1 = allocated_words (fun () -> Traverse.components g1) in
+  let w4 = allocated_words (fun () -> Traverse.components g4) in
+  if w4 > 5. *. w1 then
+    Alcotest.failf "components allocation grew %.1fx (%.0f -> %.0f words) at 4n"
+      (w4 /. w1) w1 w4
+
 let test_diameter_cycle () =
   check "even cycle" 4 (Traverse.diameter (Gen.cycle 8));
   check "odd cycle" 4 (Traverse.diameter (Gen.cycle 9));
@@ -619,6 +672,9 @@ let () =
           Alcotest.test_case "dfs deep" `Quick test_dfs_deep_no_overflow;
           QCheck_alcotest.to_alcotest prop_dfs_spans_component;
           Alcotest.test_case "components" `Quick test_components;
+          QCheck_alcotest.to_alcotest prop_components_match_reference;
+          Alcotest.test_case "components linear in n" `Quick
+            test_components_linear;
           Alcotest.test_case "diameter" `Quick test_diameter_cycle;
           Alcotest.test_case "k4 subdivision diameter" `Quick
             test_diameter_k4_subdivision;
