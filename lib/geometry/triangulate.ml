@@ -275,10 +275,7 @@ let finalize st r =
           Array.of_list (List.rev !out)
         end)
   in
-  (* The rings list every neighbor exactly once by construction, and the
-     Euler gate just below re-checks the packaged system — skip [make]'s
-     O(n + m) stamp validation. *)
-  let r' = Rotation.unsafe_of_validated g' rot in
+  let r' = Rotation.make g' rot in
   if not (Rotation.is_planar_embedding r') then
     failwith "Triangulate: internal error: fill edges broke planarity";
   if n >= 3 && Gr.m g' <> (3 * n) - 6 then

@@ -23,6 +23,8 @@ let decompose g =
   let comp_of_edge = Array.make m (-1) in
   let n_components = ref 0 in
   let time = ref 0 in
+  (* Neighbors in increasing order: u's CSR slice. *)
+  let off = Gr.dart_offsets g and src = Gr.dart_sources g in
   let edge_stack = Stack.create () in
   let pop_component u w =
     (* Pop edges down to and including (u, w); they form one component. *)
@@ -45,9 +47,8 @@ let decompose g =
       Stack.push (start, -1, ref 0) frames;
       while not (Stack.is_empty frames) do
         let (u, parent, next) = Stack.top frames in
-        let nbrs = Gr.neighbors g u in
-        if !next < Array.length nbrs then begin
-          let w = nbrs.(!next) in
+        if off.(u) + !next < off.(u + 1) then begin
+          let w = src.(off.(u) + !next) in
           incr next;
           if disc.(w) < 0 then begin
             Stack.push (Gr.normalize_edge u w) edge_stack;

@@ -6,18 +6,18 @@ type edge = int * int
    slot in [adjncy], so the darts pointing {e into} a vertex [v] are the
    contiguous range [xadj.(v) .. xadj.(v+1) - 1], ordered by source id —
    exactly the delivery order the CONGEST engine guarantees.
-   [dart_uedge] maps each dart to the dense index of its undirected edge
-   in [edge_list]. [adj] materializes the per-vertex neighbor arrays for
-   the legacy [neighbors] accessor (owned by the graph, like the CSR
-   arrays). *)
+   [dart_uedge] maps each dart to the dense index of its undirected edge:
+   edge [e] is [(elo.(e), ehi.(e))], normalized and lex-sorted. Two int
+   arrays rather than an array of pairs, so building a graph allocates
+   no per-edge blocks for the minor collector to promote. *)
 type t = {
   n : int;
   xadj : int array;
   adjncy : int array;
   dart_uedge : int array;
   dart_rev : int array;  (* the opposite dart: rev of u -> v is v -> u *)
-  edge_list : edge array;
-  adj : int array array;
+  elo : int array;
+  ehi : int array;
 }
 
 let normalize_edge u v =
@@ -28,15 +28,15 @@ let check_vertex n v =
   if v < 0 || v >= n then
     invalid_arg (Printf.sprintf "Gr: vertex %d out of range [0, %d)" v n)
 
-(* CSR assembly from a lex-sorted, duplicate-free, normalized edge
-   array; the array is kept as [edge_list] (ownership transfers). *)
-let of_edge_list_owned ~n edge_list =
+(* CSR assembly from lex-sorted, duplicate-free, normalized pairs; the
+   two arrays are kept as the edge list (ownership transfers). *)
+let of_sorted_pairs ~n elo ehi =
+  let m = Array.length elo in
   let xadj = Array.make (n + 1) 0 in
-  Array.iter
-    (fun (u, v) ->
-      xadj.(u + 1) <- xadj.(u + 1) + 1;
-      xadj.(v + 1) <- xadj.(v + 1) + 1)
-    edge_list;
+  for e = 0 to m - 1 do
+    xadj.(elo.(e) + 1) <- xadj.(elo.(e) + 1) + 1;
+    xadj.(ehi.(e) + 1) <- xadj.(ehi.(e) + 1) + 1
+  done;
   for v = 0 to n - 1 do
     xadj.(v + 1) <- xadj.(v + 1) + xadj.(v)
   done;
@@ -45,67 +45,88 @@ let of_edge_list_owned ~n edge_list =
   let dart_uedge = Array.make nd 0 in
   let dart_rev = Array.make nd 0 in
   let fill = Array.sub xadj 0 n in
-  (* [edge_list] is lex-sorted, so each slice comes out sorted: vertex
+  (* The pairs are lex-sorted, so each slice comes out sorted: vertex
      [v] first receives its lower neighbors (edges [(u, v)], increasing
      [u]), then its higher neighbors (edges [(v, w)], increasing [w]).
      Slot [su] in [u]'s slice holds neighbor [v], i.e. the dart [v -> u];
      its reversal [u -> v] is the matching slot in [v]'s slice — both are
      known here, so the involution costs nothing extra to record. *)
-  Array.iteri
-    (fun e (u, v) ->
-      let su = fill.(u) and sv = fill.(v) in
-      adjncy.(su) <- v;
-      dart_uedge.(su) <- e;
-      adjncy.(sv) <- u;
-      dart_uedge.(sv) <- e;
-      dart_rev.(su) <- sv;
-      dart_rev.(sv) <- su;
-      fill.(u) <- su + 1;
-      fill.(v) <- sv + 1)
-    edge_list;
-  let adj =
-    Array.init n (fun v -> Array.sub adjncy xadj.(v) (xadj.(v + 1) - xadj.(v)))
-  in
-  { n; xadj; adjncy; dart_uedge; dart_rev; edge_list; adj }
+  for e = 0 to m - 1 do
+    let u = elo.(e) and v = ehi.(e) in
+    let su = fill.(u) and sv = fill.(v) in
+    adjncy.(su) <- v;
+    dart_uedge.(su) <- e;
+    adjncy.(sv) <- u;
+    dart_uedge.(sv) <- e;
+    dart_rev.(su) <- sv;
+    dart_rev.(sv) <- su;
+    fill.(u) <- su + 1;
+    fill.(v) <- sv + 1
+  done;
+  { n; xadj; adjncy; dart_uedge; dart_rev; elo; ehi }
+
+(* One stable counting pass: the pairs (lo, hi) reordered by [key]
+   (their [lo] or [hi] array) into (lo', hi'). *)
+let counting_pass ~n ~key lo hi lo' hi' =
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to Array.length key - 1 do
+    let k = key.(i) + 1 in
+    start.(k) <- start.(k) + 1
+  done;
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  for i = 0 to Array.length key - 1 do
+    let k = key.(i) in
+    let j = start.(k) in
+    lo'.(j) <- lo.(i);
+    hi'.(j) <- hi.(i);
+    start.(k) <- j + 1
+  done
 
 let of_edges ~n edges =
-  (* Pack each normalized edge (a, b) as the int a·n + b: an int sort
-     with a monomorphic compare yields the same lex order as sorting the
-     pairs, without polymorphic compare on tuples. *)
-  let keys =
-    Array.of_list
-      (List.map
-         (fun (u, v) ->
-           check_vertex n u;
-           check_vertex n v;
-           let (a, b) = normalize_edge u v in
-           (a * n) + b)
-         edges)
+  let m0 = List.length edges in
+  let lo = Array.make m0 0 and hi = Array.make m0 0 in
+  let rec normalize i = function
+    | [] -> ()
+    | (u, v) :: rest ->
+        check_vertex n u;
+        check_vertex n v;
+        if u = v then invalid_arg "Gr.normalize_edge: self-loop";
+        if u < v then begin
+          lo.(i) <- u;
+          hi.(i) <- v
+        end
+        else begin
+          lo.(i) <- v;
+          hi.(i) <- u
+        end;
+        normalize (i + 1) rest
   in
-  Array.sort (fun (a : int) b -> compare a b) keys;
-  let m =
-    let cnt = ref 0 in
-    Array.iteri (fun i k -> if i = 0 || keys.(i - 1) <> k then incr cnt) keys;
-    !cnt
-  in
-  let edge_list = Array.make m (0, 0) in
-  let j = ref 0 in
-  Array.iteri
-    (fun i k ->
-      if i = 0 || keys.(i - 1) <> k then begin
-        edge_list.(!j) <- (k / n, k mod n);
-        incr j
-      end)
-    keys;
-  of_edge_list_owned ~n edge_list
-
-let of_normalized_sorted_unchecked ~n edge_list = of_edge_list_owned ~n edge_list
+  normalize 0 edges;
+  (* Lex order in O(n + m): stable by the larger end, then stable by the
+     smaller, so equal smaller ends keep their larger ends ascending. *)
+  let lo1 = Array.make m0 0 and hi1 = Array.make m0 0 in
+  counting_pass ~n ~key:hi lo hi lo1 hi1;
+  counting_pass ~n ~key:lo1 lo1 hi1 lo hi;
+  (* Collapse duplicates in place: keep a pair unless it equals the
+     last one kept. *)
+  let m = ref 0 in
+  for i = 0 to m0 - 1 do
+    if !m = 0 || lo.(!m - 1) <> lo.(i) || hi.(!m - 1) <> hi.(i) then begin
+      lo.(!m) <- lo.(i);
+      hi.(!m) <- hi.(i);
+      incr m
+    end
+  done;
+  let trim a = if !m = m0 then a else Array.sub a 0 !m in
+  of_sorted_pairs ~n (trim lo) (trim hi)
 
 let empty n = of_edges ~n []
 let n t = t.n
-let m t = Array.length t.edge_list
+let m t = Array.length t.elo
 let degree t v = t.xadj.(v + 1) - t.xadj.(v)
-let neighbors t v = t.adj.(v)
+let neighbors t v = Array.sub t.adjncy t.xadj.(v) (degree t v)
 
 let iter_neighbors t v f =
   for i = t.xadj.(v) to t.xadj.(v + 1) - 1 do
@@ -135,8 +156,12 @@ let mem_edge t u v =
   && u >= 0 && v >= 0 && u < t.n && v < t.n
   && slice_find t.adjncy t.xadj.(v) t.xadj.(v + 1) u >= 0
 
-let edges t = Array.to_list t.edge_list
-let iter_edges t f = Array.iter (fun (u, v) -> f u v) t.edge_list
+let edges t = List.init (m t) (fun e -> (t.elo.(e), t.ehi.(e)))
+
+let iter_edges t f =
+  for e = 0 to m t - 1 do
+    f t.elo.(e) t.ehi.(e)
+  done
 
 let fold_vertices t ~init ~f =
   let acc = ref init in
@@ -167,7 +192,7 @@ let edge_index t u v =
   ignore (normalize_edge u v : edge);
   t.dart_uedge.(dart t ~src:u ~dst:v)
 
-let edge_of_index t i = t.edge_list.(i)
+let edge_of_index t i = (t.elo.(i), t.ehi.(i))
 
 let induced t vs =
   let k = List.length vs in
@@ -182,21 +207,19 @@ let induced t vs =
   let sub_edges = ref [] in
   Array.iteri
     (fun i v ->
-      Array.iter
-        (fun w ->
+      iter_neighbors t v (fun w ->
           match Hashtbl.find_opt new_idx w with
           | Some j when i < j -> sub_edges := (i, j) :: !sub_edges
-          | Some _ | None -> ())
-        t.adj.(v))
+          | Some _ | None -> ()))
     old_of_new;
   let h = of_edges ~n:k !sub_edges in
   (h, old_of_new, fun v -> Hashtbl.find new_idx v)
 
 let add_edges t extra =
-  of_edges ~n:t.n (extra @ Array.to_list t.edge_list)
+  of_edges ~n:t.n (extra @ edges t)
 
 let union_vertices t ~more extra =
-  of_edges ~n:(t.n + more) (extra @ Array.to_list t.edge_list)
+  of_edges ~n:(t.n + more) (extra @ edges t)
 
 let relabel t perm =
   if Array.length perm <> t.n then invalid_arg "Gr.relabel: bad permutation";
@@ -208,7 +231,7 @@ let relabel t perm =
       seen.(p) <- true)
     perm;
   of_edges ~n:t.n
-    (Array.to_list (Array.map (fun (u, v) -> (perm.(u), perm.(v))) t.edge_list))
+    (List.init (m t) (fun e -> (perm.(t.elo.(e)), perm.(t.ehi.(e)))))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>graph n=%d m=%d" t.n (m t);

@@ -22,18 +22,9 @@ val normalize_edge : int -> int -> edge
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds the graph with [n] vertices and the given
-    edges. Duplicate edges are collapsed.
+    edges. Duplicate edges are collapsed. O(n + m): the normalized pairs
+    are put in lexicographic order by two stable counting passes.
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
-
-val of_normalized_sorted_unchecked : n:int -> edge array -> t
-(** CSR assembly from an edge array the caller guarantees is already
-    normalized ([u < v]), lexicographically sorted, duplicate-free, and
-    in range — the O(m log m) polymorphic sort and dedup of
-    {!of_edges} are skipped and the array is owned by the graph
-    afterwards. The incremental maintainer's scoped re-runs sit on this
-    path: it rebuilds a scope subgraph per update, where the generic
-    constructor's sort dominated the kernel itself. Violating the
-    contract silently corrupts the dart tables. *)
 
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] vertices. *)
@@ -48,10 +39,11 @@ val m : t -> int
 
 val degree : t -> int -> int
 val neighbors : t -> int -> int array
-(** Neighbors of a vertex in increasing order. The returned array is owned
-    by the graph; callers must not mutate it. Callers that only iterate
-    should prefer {!iter_neighbors} / {!fold_neighbors}, which expose no
-    mutable escape hatch and allocate nothing. *)
+(** Neighbors of a vertex in increasing order, as a fresh array (an
+    O(degree) copy of the vertex's CSR slice; the caller owns it).
+    Callers that only iterate should prefer {!iter_neighbors} /
+    {!fold_neighbors}, which allocate nothing; hot loops that step
+    through a slice index into {!dart_offsets} / {!dart_sources}. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** [iter_neighbors g v f] applies [f] to each neighbor of [v] in

@@ -22,70 +22,41 @@ let make g rot =
   let n = Gr.n g in
   if Array.length rot <> n then invalid_arg "Rotation.make: wrong length";
   let darts = Gr.darts g in
+  let off = Gr.dart_offsets g
+  and srcs = Gr.dart_sources g
+  and rev = Gr.dart_reversals g in
   let pos = Array.make (max 1 darts) (-1) in
-  (* Permutation check with a stamp array: 2v marks "neighbor of v, not
-     yet seen in the rotation", 2v+1 "already seen" (duplicate guard). *)
-  let mark = Array.make (max 1 n) (-1) in
-  for v = 0 to n - 1 do
-    let r = rot.(v) in
-    if Array.length r <> Gr.degree g v then
-      invalid_arg "Rotation.make: rotation size mismatch";
-    Gr.iter_neighbors g v (fun u -> mark.(u) <- 2 * v);
-    Array.iteri
-      (fun i u ->
-        if u < 0 || u >= n || mark.(u) <> 2 * v then
-          invalid_arg "Rotation.make: rotation is not a permutation of neighbors";
-        mark.(u) <- (2 * v) + 1;
-        pos.(Gr.dart g ~src:u ~dst:v) <- i)
-      r
-  done;
   let face_next = Array.make (max 1 darts) (-1) in
+  (* One pass over v's CSR slice fills a stamp array (2v marks "neighbor
+     of v, not yet seen in the rotation", 2v+1 "already seen": the
+     permutation and duplicate guard) and [slot], neighbor u -> the dart
+     u -> v, so every rotation entry resolves to its dart in O(1). *)
+  let mark = Array.make (max 1 n) (-1) in
+  let slot = Array.make (max 1 n) (-1) in
   for v = 0 to n - 1 do
     let r = rot.(v) in
     let deg = Array.length r in
+    if deg <> off.(v + 1) - off.(v) then
+      invalid_arg "Rotation.make: rotation size mismatch";
+    for d = off.(v) to off.(v + 1) - 1 do
+      let u = srcs.(d) in
+      mark.(u) <- 2 * v;
+      slot.(u) <- d
+    done;
     for i = 0 to deg - 1 do
-      let u = r.(i) and w = r.((i + 1) mod deg) in
-      face_next.(Gr.dart g ~src:u ~dst:v) <- Gr.dart g ~src:v ~dst:w
+      let u = r.(i) in
+      if u < 0 || u >= n || mark.(u) <> 2 * v then
+        invalid_arg "Rotation.make: rotation is not a permutation of neighbors";
+      mark.(u) <- (2 * v) + 1;
+      pos.(slot.(u)) <- i
+    done;
+    (* next (u, v) = (v, succ_v u): the out-dart v -> w is the reversal
+       of the in-dart w -> v. *)
+    for i = 0 to deg - 1 do
+      face_next.(slot.(r.(i))) <- rev.(slot.(r.((i + 1) mod deg)))
     done
   done;
   { g; rot = Array.map Array.copy rot; pos; face_next }
-
-(* Hot-path constructor: trusts the caller that [rot.(v)] is a permutation
-   of the neighbors of [v] and takes ownership of the arrays (no defensive
-   copy). One pass per vertex: a single binary-search dart lookup per slot
-   (reusing the precomputed reversal involution for the face successor)
-   instead of [make]'s stamp-validation pass plus two lookups — roughly
-   half the construction cost, which matters to callers that rebuild
-   rotations per update (the incremental maintainer, Triangulate). *)
-let unsafe_of_validated g rot =
-  let n = Gr.n g in
-  if Array.length rot <> n then
-    invalid_arg "Rotation.unsafe_of_validated: wrong length";
-  let darts = Gr.darts g in
-  let pos = Array.make (max 1 darts) (-1) in
-  let face_next = Array.make (max 1 darts) (-1) in
-  let rev = Gr.dart_reversals g in
-  let max_deg = ref 0 in
-  for v = 0 to n - 1 do
-    let d = Array.length rot.(v) in
-    if d > !max_deg then max_deg := d
-  done;
-  let ds = Array.make (max 1 !max_deg) (-1) in
-  for v = 0 to n - 1 do
-    let r = rot.(v) in
-    let deg = Array.length r in
-    for i = 0 to deg - 1 do
-      let d = Gr.dart g ~src:r.(i) ~dst:v in
-      ds.(i) <- d;
-      pos.(d) <- i
-    done;
-    for i = 0 to deg - 1 do
-      (* next (u, v) = (v, succ_v u): the out-dart v -> r.(i+1) is the
-         reversal of the in-dart r.(i+1) -> v computed above. *)
-      face_next.(ds.(i)) <- rev.(ds.((i + 1) mod deg))
-    done
-  done;
-  { g; rot; pos; face_next }
 
 let rotation t v = t.rot.(v)
 let graph t = t.g
@@ -100,7 +71,7 @@ let mirror t =
     (Array.map (fun r -> Array.of_list (List.rev (Array.to_list r))) t.rot)
 
 let of_sorted_adjacency g =
-  make g (Array.init (Gr.n g) (fun v -> Array.copy (Gr.neighbors g v)))
+  make g (Array.init (Gr.n g) (Gr.neighbors g))
 
 (* Iterate the orbits of [face_next]: calls [start d] at the first dart
    of each face and [step d] for every dart (in face order). *)

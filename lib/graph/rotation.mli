@@ -15,23 +15,10 @@ type t
 
 val make : Gr.t -> int array array -> t
 (** [make g rot] validates that [rot.(v)] is a permutation of
-    [Gr.neighbors g v] for every [v] and packages the system.
-    @raise Invalid_argument otherwise. *)
-
-val unsafe_of_validated : Gr.t -> int array array -> t
-(** [unsafe_of_validated g rot] packages a rotation system {e without} the
-    permutation validation of {!make}, and {e takes ownership} of [rot]
-    (no defensive copy — the caller must not mutate the arrays
-    afterwards). Only the array lengths are checked.
-
-    For callers that construct rotations correct by construction — the
-    incremental maintainer's per-update materialization (every ring walk
-    of its half-edge store lists each neighbor exactly once) and
-    [Triangulate]'s fill-edge passes — this halves construction cost:
-    one dart lookup per slot and no stamp pass. Behavior on valid input
-    is identical to {!make} (pinned by the test suite); on input that is
-    {e not} a neighbor permutation the resulting structure is garbage,
-    which is why the name carries [unsafe_]. *)
+    [Gr.neighbors g v] for every [v] and packages the system (a copy of
+    [rot]; the caller keeps its arrays). O(n + m): each rotation entry
+    resolves to its dart through a per-vertex slot map, with no dart
+    search. @raise Invalid_argument otherwise. *)
 
 val rotation : t -> int -> int array
 (** The cyclic neighbor order at a vertex (starting point arbitrary). *)

@@ -123,13 +123,14 @@ let dfs g root =
     incr filled
   in
   visit root root;
+  (* Neighbors in increasing order: v's CSR slice. *)
+  let off = Gr.dart_offsets g and src = Gr.dart_sources g in
   let stack = Stack.create () in
   Stack.push (root, ref 0) stack;
   while not (Stack.is_empty stack) do
     let (v, next) = Stack.top stack in
-    let nbrs = Gr.neighbors g v in
-    if !next < Array.length nbrs then begin
-      let w = nbrs.(!next) in
+    if off.(v) + !next < off.(v + 1) then begin
+      let w = src.(off.(v) + !next) in
       incr next;
       if pre_index.(w) < 0 then begin
         visit w v;

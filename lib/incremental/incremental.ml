@@ -279,9 +279,7 @@ let rotation t =
           out
         end)
   in
-  (* Every ring lists each neighbor exactly once by the store's invariant:
-     skip make's O(n + m) stamp validation (the satellite fast path). *)
-  Rotation.unsafe_of_validated g rot
+  Rotation.make g rot
 
 let validate t = Rotation.is_planar_embedding (rotation t)
 
@@ -326,34 +324,29 @@ let build_local t slots extra =
     end;
     t.vdata.(w)
   in
-  let count =
-    List.length slots + match extra with Some _ -> 1 | None -> 0
+  (* Local ids go to the slots' endpoints first, head before tail, then
+     to the extra pair: the scope graph (and so the kernel's output)
+     depends on this numbering. *)
+  let pairs =
+    List.rev_map
+      (fun sl ->
+        let b = lid t.dst.(2 * sl) in
+        let a = lid t.dst.((2 * sl) + 1) in
+        (a, b))
+      slots
   in
-  let las = Array.make (max 1 count) 0 and lbs = Array.make (max 1 count) 0 in
-  let idx = ref 0 in
-  let push a b =
-    let a, b = if a < b then (a, b) else (b, a) in
-    las.(!idx) <- a;
-    lbs.(!idx) <- b;
-    incr idx
+  let pairs =
+    match extra with
+    | None -> pairs
+    | Some (u, v) ->
+        let b = lid v in
+        let a = lid u in
+        (a, b) :: pairs
   in
-  List.iter
-    (fun sl -> push (lid t.dst.((2 * sl) + 1)) (lid t.dst.(2 * sl)))
-    slots;
-  (match extra with None -> () | Some (u, v) -> push (lid u) (lid v));
   let k = !nloc in
   let old_of_local = Array.make (max 1 k) (-1) in
   List.iteri (fun i w -> old_of_local.(k - 1 - i) <- w) !verts;
-  (* Slots are distinct edges (and the extra pair is absent by the
-     caller's duplicate check), so the packed keys are unique: a
-     monomorphic int sort yields the normalized, lex-sorted,
-     duplicate-free array the unchecked CSR constructor wants —
-     the generic of_edges sort was the hottest non-kernel cost of a
-     scoped re-run. *)
-  let keys = Array.init count (fun i -> (las.(i) * k) + lbs.(i)) in
-  Array.sort (fun (a : int) b -> compare a b) keys;
-  let edge_arr = Array.map (fun key -> (key / k, key mod k)) keys in
-  (Gr.of_normalized_sorted_unchecked ~n:k edge_arr, old_of_local)
+  (Gr.of_edges ~n:k pairs, old_of_local)
 
 (* Re-tighten one stale component record: scoped Tarjan re-decomposition
    of its live slots, fresh exact records, stale root abandoned. *)

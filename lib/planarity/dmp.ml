@@ -28,14 +28,15 @@ let find_cycle g =
   let state = Array.make n 0 in
   (* 0 unvisited, 1 on stack, 2 done *)
   let found = ref None in
+  (* Neighbors in increasing order: u's CSR slice. *)
+  let off = Gr.dart_offsets g and src = Gr.dart_sources g in
   let stack = Stack.create () in
   state.(0) <- 1;
   Stack.push (0, ref 0) stack;
   while !found = None && not (Stack.is_empty stack) do
     let (u, next) = Stack.top stack in
-    let nbrs = Gr.neighbors g u in
-    if !next < Array.length nbrs then begin
-      let w = nbrs.(!next) in
+    if off.(u) + !next < off.(u + 1) then begin
+      let w = src.(off.(u) + !next) in
       incr next;
       if state.(w) = 0 then begin
         parent.(w) <- u;

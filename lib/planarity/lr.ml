@@ -48,6 +48,7 @@ type core = {
   (* orientation of each edge; osrc = -1 means not yet oriented *)
   osrc : int array;
   odst : int array;
+  oslot : int array;  (* source-side slot of each oriented edge v -> w *)
   height : int array;  (* DFS height per vertex; -1 = unvisited *)
   pedge : int array;  (* parent edge id per vertex; -1 = root *)
   lowpt : int array;
@@ -62,6 +63,8 @@ type core = {
   oout : int array;  (* n + 1 offsets *)
   onbr : int array;
   oeid : int array;
+  odart : int array;  (* [oslot] of the edge, in the same order *)
+  stack : int array;  (* the DFS stack shared by the three DFS phases *)
 }
 
 let make_core ~n ~m ~off ~nbr ~eid =
@@ -73,6 +76,7 @@ let make_core ~n ~m ~off ~nbr ~eid =
     eid;
     osrc = Array.make m (-1);
     odst = Array.make m (-1);
+    oslot = Array.make m (-1);
     height = Array.make n (-1);
     pedge = Array.make n (-1);
     lowpt = Array.make m 0;
@@ -86,6 +90,8 @@ let make_core ~n ~m ~off ~nbr ~eid =
     oout = Array.make (n + 1) 0;
     onbr = Array.make m 0;
     oeid = Array.make m 0;
+    odart = Array.make m 0;
+    stack = Array.make (max 1 n) 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -106,16 +112,18 @@ let finish_edge c pe hv e =
     else c.lowpt2.(pe) <- min c.lowpt2.(pe) c.lowpt2.(e)
 
 let orient c =
-  let ind = Array.init c.n (fun v -> c.off.(v)) in
-  let stack = Stack.create () in
+  let ind = Array.sub c.off 0 c.n in
+  let stack = c.stack and sp = ref 0 in
   for r = 0 to c.n - 1 do
     if c.height.(r) = -1 then begin
       (* every unvisited vertex roots a DFS (isolated ones trivially) *)
       c.height.(r) <- 0;
       c.roots <- r :: c.roots;
-      Stack.push r stack;
-      while not (Stack.is_empty stack) do
-        let v = Stack.pop stack in
+      stack.(0) <- r;
+      sp := 1;
+      while !sp > 0 do
+        decr sp;
+        let v = stack.(!sp) in
         let pe = c.pedge.(v) and hv = c.height.(v) in
         let brk = ref false in
         while (not !brk) && ind.(v) < c.off.(v + 1) do
@@ -124,14 +132,16 @@ let orient c =
           if c.osrc.(e) = -1 then begin
             c.osrc.(e) <- v;
             c.odst.(e) <- w;
+            c.oslot.(e) <- s;
             if c.height.(w) = -1 then begin
               (* tree edge: descend, finish on resume *)
               c.lowpt.(e) <- hv;
               c.lowpt2.(e) <- hv;
               c.pedge.(w) <- e;
               c.height.(w) <- hv + 1;
-              Stack.push v stack;
-              Stack.push w stack;
+              stack.(!sp) <- v;
+              stack.(!sp + 1) <- w;
+              sp := !sp + 2;
               brk := true
             end
             else begin
@@ -195,6 +205,7 @@ let order_adjacency c ~lo ~hi =
       let v = c.osrc.(e) in
       c.onbr.(cur.(v)) <- c.odst.(e);
       c.oeid.(cur.(v)) <- e;
+      c.odart.(cur.(v)) <- c.oslot.(e);
       cur.(v) <- cur.(v) + 1)
     sorted
 
@@ -334,12 +345,14 @@ let test_constraints c =
   let s = cstack_create () in
   let ind = Array.sub c.oout 0 c.n in
   let tinit = Array.make c.m false in
-  let stack = Stack.create () in
+  let stack = c.stack and sp = ref 0 in
   List.iter
     (fun root ->
-      Stack.push root stack;
-      while not (Stack.is_empty stack) do
-        let v = Stack.pop stack in
+      stack.(0) <- root;
+      sp := 1;
+      while !sp > 0 do
+        decr sp;
+        let v = stack.(!sp) in
         let pe = c.pedge.(v) and hv = c.height.(v) in
         let skip_final = ref false in
         let brk = ref false in
@@ -351,8 +364,9 @@ let test_constraints c =
                descend; the return-edge integration happens on resume *)
             c.sbottom.(ei) <- s.len;
             tinit.(ei) <- true;
-            Stack.push v stack;
-            Stack.push w stack;
+            stack.(!sp) <- v;
+            stack.(!sp + 1) <- w;
+            sp := !sp + 2;
             skip_final := true;
             brk := true
           end
@@ -408,13 +422,15 @@ let resolve_sides c =
 (* The embedding DFS, on the graph's dart table: [first], [nxt], [prv]
    hold one cyclic doubly linked list of darts per vertex. The half-edge
    "at [v] toward [w]" is the dart [w -> v], which lives in [v]'s own
-   dart slice. *)
+   dart slice; for an oriented edge [v -> w] that is its [odart], and
+   the half-edge at [w] toward [v] is its reversal. [lref]/[rref] hold
+   the insertion-point half-edges of each vertex as darts. *)
 let embed_rotation c g =
   let darts = Gr.darts g in
+  let rev = Gr.dart_reversals g and srcs = Gr.dart_sources g in
   let nxt = Array.make (max 1 darts) (-1) in
   let prv = Array.make (max 1 darts) (-1) in
   let first = Array.make c.n (-1) in
-  let he v w = Gr.dart g ~src:w ~dst:v in
   let insert_after d rd =
     let nx = nxt.(rd) in
     nxt.(rd) <- d;
@@ -422,8 +438,7 @@ let embed_rotation c g =
     nxt.(d) <- nx;
     prv.(nx) <- d
   in
-  let add_first v w =
-    let d = he v w in
+  let add_first v d =
     let f = first.(v) in
     if f = -1 then begin
       first.(v) <- d;
@@ -435,54 +450,53 @@ let embed_rotation c g =
       first.(v) <- d
     end
   in
-  let add_cw v w ~ref_nbr =
-    let d = he v w in
-    insert_after d (he v ref_nbr)
-  in
-  let add_ccw v w ~ref_nbr =
-    let d = he v w in
-    let rd = he v ref_nbr in
+  let add_ccw v d rd =
     insert_after d prv.(rd);
     if first.(v) = rd then first.(v) <- d
   in
   (* initialize each vertex with its outgoing edges in nesting order *)
   for v = 0 to c.n - 1 do
-    let prev = ref (-1) in
     for slot = c.oout.(v) to c.oout.(v + 1) - 1 do
-      let w = c.onbr.(slot) in
-      if !prev = -1 then add_first v w else add_cw v w ~ref_nbr:!prev;
-      prev := w
+      let d = c.odart.(slot) in
+      if slot = c.oout.(v) then add_first v d
+      else insert_after d c.odart.(slot - 1)
     done
   done;
   (* the embedding DFS places the reverse half-edges *)
   let lref = Array.make c.n (-1) in
   let rref = Array.make c.n (-1) in
   let ind = Array.sub c.oout 0 c.n in
-  let stack = Stack.create () in
+  let stack = c.stack and sp = ref 0 in
   List.iter
     (fun root ->
-      Stack.push root stack;
-      while not (Stack.is_empty stack) do
-        let v = Stack.pop stack in
+      stack.(0) <- root;
+      sp := 1;
+      while !sp > 0 do
+        decr sp;
+        let v = stack.(!sp) in
         let brk = ref false in
         while (not !brk) && ind.(v) < c.oout.(v + 1) do
           let slot = ind.(v) in
           let w = c.onbr.(slot) and ei = c.oeid.(slot) in
+          (* the half-edges of v -> w at v (dart w -> v) and at w *)
+          let dv = c.odart.(slot) in
+          let d = rev.(dv) in
           ind.(v) <- slot + 1;
           if c.pedge.(w) = ei then begin
             (* tree edge: w's edge to its parent goes first at w; back
                edges from w's subtree insert next to this tree edge *)
-            add_first w v;
-            lref.(v) <- w;
-            rref.(v) <- w;
-            Stack.push v stack;
-            Stack.push w stack;
+            add_first w d;
+            lref.(v) <- dv;
+            rref.(v) <- dv;
+            stack.(!sp) <- v;
+            stack.(!sp + 1) <- w;
+            sp := !sp + 2;
             brk := true
           end
-          else if c.side.(ei) = 1 then add_cw w v ~ref_nbr:rref.(w)
+          else if c.side.(ei) = 1 then insert_after d rref.(w)
           else begin
-            add_ccw w v ~ref_nbr:lref.(w);
-            lref.(w) <- v
+            add_ccw w d lref.(w);
+            lref.(w) <- d
           end
         done
       done)
@@ -498,7 +512,7 @@ let embed_rotation c g =
         let rot = Array.make deg (-1) in
         let d = ref d0 in
         for i = 0 to deg - 1 do
-          rot.(i) <- Gr.dart_src g !d;
+          rot.(i) <- srcs.(!d);
           d := nxt.(!d)
         done;
         if !d <> d0 then

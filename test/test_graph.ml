@@ -23,6 +23,84 @@ let test_out_of_range_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* Words allocated by [f] on either heap. The runtime folds the major
+   heap's direct allocations into [quick_stat] only at a collection, so
+   a minor collection brackets the call. *)
+let allocated_words f =
+  let total () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = total () in
+  ignore (Sys.opaque_identity (f ()));
+  total () -. before
+
+(* Random edge lists over [0, n) with duplicates and reversed pairs
+   mixed in; [of_edges] must agree with the obvious sort-and-dedup. *)
+let random_edge_list rng n len =
+  List.init len (fun _ ->
+      let u = Random.State.int rng n in
+      let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+      (u, v))
+  |> List.concat_map (fun (u, v) ->
+         match Random.State.int rng 4 with
+         | 0 -> [ (u, v); (v, u) ]
+         | 1 -> [ (u, v); (u, v) ]
+         | _ -> [ (u, v) ])
+
+let prop_of_edges_matches_sort_uniq =
+  QCheck.Test.make ~name:"of_edges: edges = sort_uniq of normalized pairs"
+    ~count:200
+    QCheck.(triple (int_range 0 100000) (int_range 2 40) (int_range 0 120))
+    (fun (seed, n, len) ->
+      let rng = Random.State.make [| seed |] in
+      let l = random_edge_list rng n len in
+      let g = Gr.of_edges ~n l in
+      let want =
+        List.sort_uniq compare (List.map (fun (u, v) -> (min u v, max u v)) l)
+      in
+      Gr.edges g = want && Gr.m g = List.length want)
+
+let prop_of_edges_rejects_bad_pairs =
+  QCheck.Test.make ~name:"of_edges: a bad pair anywhere raises Invalid_argument"
+    ~count:100
+    QCheck.(pair (int_range 0 100000) (int_range 2 30))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let l = random_edge_list rng n 20 in
+      let at = Random.State.int rng (List.length l + 1) in
+      let u = Random.State.int rng n in
+      List.for_all
+        (fun bad ->
+          let l' =
+            List.filteri (fun i _ -> i < at) l
+            @ (bad :: List.filteri (fun i _ -> i >= at) l)
+          in
+          match Gr.of_edges ~n l' with
+          | _ -> false
+          | exception Invalid_argument _ -> true)
+        [ (u, u); (u, n); (n + 3, u); (-1, u); (u, -2) ])
+
+let test_of_edges_linear () =
+  (* O(n + m) construction: the counting passes and the CSR arrays are
+     O(n + m) words, so n -> 4n grows allocation ~4x on both shapes; any
+     temporary growing faster than n + m would blow the 5x bound. *)
+  let k = 5000 in
+  List.iter
+    (fun (name, edges) ->
+      let l1 = edges k and l4 = edges (4 * k) in
+      let w1 = allocated_words (fun () -> Gr.of_edges ~n:k l1) in
+      let w4 = allocated_words (fun () -> Gr.of_edges ~n:(4 * k) l4) in
+      if w4 > 5. *. w1 then
+        Alcotest.failf
+          "of_edges on a %s: allocation grew %.1fx (%.0f -> %.0f words) at 4n"
+          name (w4 /. w1) w1 w4)
+    [
+      ("path", fun n -> List.init (n - 1) (fun i -> (i + 1, i)));
+      ("star", fun n -> List.init (n - 1) (fun i -> (i + 1, 0)));
+    ]
+
 let test_neighbors_sorted () =
   let g = Gr.of_edges ~n:5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   Alcotest.(check (array int)) "sorted" [| 0; 1; 3; 4 |] (Gr.neighbors g 2)
@@ -215,19 +293,6 @@ let prop_components_match_reference =
 (* Many components: [k] disjoint edges plus [k] isolated vertices. *)
 let many_components k =
   Gr.of_edges ~n:(3 * k) (List.init k (fun i -> (3 * i, (3 * i) + 1)))
-
-(* Words allocated by [f] on either heap. The runtime folds the major
-   heap's direct allocations into [quick_stat] only at a collection, so
-   a minor collection brackets the call. *)
-let allocated_words f =
-  let total () =
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  let before = total () in
-  ignore (Sys.opaque_identity (f ()));
-  total () -. before
 
 let test_components_linear () =
   (* Total allocation, not only minor words: length-n arrays go straight
@@ -522,12 +587,49 @@ let prop_genus_label_invariant =
       genus >= 0
       && Gr.n g - Gr.m g + Rotation.face_count r = 2 - (2 * genus))
 
-let prop_unsafe_of_validated_matches_make =
-  (* The unvalidated fast path must package the exact same structure as
-     [make] on every valid input: same cyclic orders, same successors,
-     same faces, same genus. *)
-  QCheck.Test.make ~name:"unsafe_of_validated behaves exactly like make"
-    ~count:60
+(* A test-local rotation structure built the slow way, one [Gr.dart]
+   binary search per lookup: successor and face permutation on dart ids.
+   [make] resolves darts through its slot map instead and must agree. *)
+let reference_rotation g rot =
+  let darts = Gr.darts g in
+  let pos = Array.make (max 1 darts) (-1) in
+  let face_next = Array.make (max 1 darts) (-1) in
+  Array.iteri
+    (fun v r ->
+      let deg = Array.length r in
+      Array.iteri
+        (fun i u ->
+          pos.(Gr.dart g ~src:u ~dst:v) <- i;
+          face_next.(Gr.dart g ~src:u ~dst:v) <-
+            Gr.dart g ~src:v ~dst:r.((i + 1) mod deg))
+        r)
+    rot;
+  let succ v u =
+    let r = rot.(v) in
+    r.((pos.(Gr.dart g ~src:u ~dst:v) + 1) mod Array.length r)
+  in
+  (* Orbits of the face permutation, each from its smallest dart, in
+     increasing order of that dart — the order [Rotation.faces] uses. *)
+  let seen = Array.make (max 1 darts) false in
+  let faces = ref [] in
+  for d0 = 0 to darts - 1 do
+    if not seen.(d0) then begin
+      let face = ref [] and d = ref d0 in
+      let continue = ref true in
+      while !continue do
+        seen.(!d) <- true;
+        let src = Gr.dart_src g !d in
+        face := (src, Gr.dart_src g (Gr.dart_rev g !d)) :: !face;
+        d := face_next.(!d);
+        if !d = d0 then continue := false
+      done;
+      faces := List.rev !face :: !faces
+    end
+  done;
+  (succ, List.rev !faces)
+
+let prop_make_matches_reference =
+  QCheck.Test.make ~name:"make matches a Gr.dart-lookup reference" ~count:60
     QCheck.(int_range 0 10000)
     (fun seed ->
       let g = Gen.random_connected_graph ~seed ~n:14 ~m:22 in
@@ -545,28 +647,35 @@ let prop_unsafe_of_validated_matches_make =
           done)
         rot;
       let a = Rotation.make g rot in
-      let b = Rotation.unsafe_of_validated g (Array.map Array.copy rot) in
-      let ok = ref (Rotation.genus a = Rotation.genus b) in
-      if Rotation.faces a <> Rotation.faces b then ok := false;
+      let succ, faces = reference_rotation g rot in
+      (* Connected: n - m + f = 2 - 2 genus. *)
+      let genus = (2 - Gr.n g + Gr.m g - List.length faces) / 2 in
+      let ok = ref (Rotation.genus a = genus && Rotation.faces a = faces) in
       for v = 0 to Gr.n g - 1 do
-        if Rotation.rotation a v <> Rotation.rotation b v then ok := false;
+        if Rotation.rotation a v <> rot.(v) then ok := false;
         Gr.iter_neighbors g v (fun u ->
-            if Rotation.succ a v u <> Rotation.succ b v u then ok := false)
+            if Rotation.succ a v u <> succ v u then ok := false)
       done;
       !ok)
 
 let test_make_still_validates () =
-  (* The checked constructor must keep rejecting garbage even though the
-     unsafe path exists (pinning the satellite contract). *)
+  (* [make] is the only constructor, so it must reject every malformed
+     rotation: duplicates, wrong sizes, non-neighbors, out-of-range ids. *)
   let g = Gen.cycle 4 in
-  (try
-     ignore (Rotation.make g [| [| 1; 1 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]);
-     Alcotest.fail "duplicate neighbor accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Rotation.make g [| [| 1 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]);
-    Alcotest.fail "short rotation accepted"
-  with Invalid_argument _ -> ()
+  let not_perm =
+    Invalid_argument "Rotation.make: rotation is not a permutation of neighbors"
+  in
+  Alcotest.check_raises "duplicate neighbor" not_perm (fun () ->
+      ignore (Rotation.make g [| [| 1; 1 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]));
+  Alcotest.check_raises "short rotation"
+    (Invalid_argument "Rotation.make: rotation size mismatch") (fun () ->
+      ignore (Rotation.make g [| [| 1 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]));
+  Alcotest.check_raises "non-neighbor" not_perm (fun () ->
+      ignore (Rotation.make g [| [| 1; 2 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]));
+  Alcotest.check_raises "out-of-range neighbor" not_perm (fun () ->
+      ignore (Rotation.make g [| [| 1; 7 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]));
+  Alcotest.check_raises "negative neighbor" not_perm (fun () ->
+      ignore (Rotation.make g [| [| -1; 3 |]; [| 0; 2 |]; [| 1; 3 |]; [| 0; 2 |] |]))
 
 (* ------------------------------------------------------------------ *)
 (* Gen                                                                 *)
@@ -648,6 +757,10 @@ let () =
           Alcotest.test_case "dedup" `Quick test_of_edges_dedup;
           Alcotest.test_case "self-loop" `Quick test_self_loop_rejected;
           Alcotest.test_case "range" `Quick test_out_of_range_rejected;
+          QCheck_alcotest.to_alcotest prop_of_edges_matches_sort_uniq;
+          QCheck_alcotest.to_alcotest prop_of_edges_rejects_bad_pairs;
+          Alcotest.test_case "of_edges allocation is linear" `Quick
+            test_of_edges_linear;
           Alcotest.test_case "sorted" `Quick test_neighbors_sorted;
           Alcotest.test_case "mem_edge" `Quick test_mem_edge;
           Alcotest.test_case "edge_index" `Quick test_edge_index_roundtrip;
@@ -704,7 +817,7 @@ let () =
           Alcotest.test_case "mirror" `Quick test_mirror_roundtrip;
           QCheck_alcotest.to_alcotest prop_mirror_preserves_genus;
           QCheck_alcotest.to_alcotest prop_genus_label_invariant;
-          QCheck_alcotest.to_alcotest prop_unsafe_of_validated_matches_make;
+          QCheck_alcotest.to_alcotest prop_make_matches_reference;
           Alcotest.test_case "make still validates" `Quick test_make_still_validates;
         ] );
       ( "gen",

@@ -380,6 +380,60 @@ let test_relations_payloads () =
   check "set replaces root payload" 100 (Relations.get r c)
 
 (* ------------------------------------------------------------------ *)
+(* Golden replays                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of the maintained rotation after a full replay plus every stats
+   counter: the slow path's scope graph and kernel output must stay
+   bit-identical across construction rewrites, and the counters pin
+   which path each update took. Recorded from the maintainer before the
+   scope graph moved onto the generic edge-list constructor. *)
+let rotation_digest r =
+  let g = Rotation.graph r in
+  let b = Buffer.create 4096 in
+  for v = 0 to Gr.n g - 1 do
+    Array.iter
+      (fun u ->
+        Buffer.add_string b (string_of_int u);
+        Buffer.add_char b ',')
+      (Rotation.rotation r v);
+    Buffer.add_char b ';'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_replays () =
+  List.iter
+    (fun (name, g, want_digest, want_stats) ->
+      let tr = Churn.make ~seed:1 ~updates:3000 ~insert_pct:50 ~hold:0.3 g in
+      let inc = Incremental.create (Churn.initial_graph tr) in
+      Churn.replay inc tr;
+      let s = Incremental.stats inc in
+      Alcotest.(check string) (name ^ ": rotation digest") want_digest
+        (rotation_digest (Incremental.rotation inc));
+      Alcotest.(check (list int))
+        (name ^ ": fast/linked/reembedded/rejected/duplicates/deletes/\
+                 missing/rescopes/kernel_edges/face_steps")
+        want_stats
+        [
+          s.fast; s.linked; s.reembedded; s.rejected; s.duplicates;
+          s.deletes; s.missing; s.rescopes; s.kernel_edges; s.face_steps;
+        ])
+    [
+      ( "grid 12x12",
+        Gen.grid 12 12,
+        "caaedd1c5807dcb16a86c1190466f44d",
+        [ 1256; 59; 189; 0; 0; 1496; 0; 6; 37888; 37602 ] );
+      ( "maxplanar-400",
+        Gen.random_maximal_planar ~seed:1 400,
+        "6a4c94cf1fa57431c27ac664836dab68",
+        [ 951; 57; 478; 0; 0; 1514; 0; 1; 404256; 14470 ] );
+      ( "outerplanar-600",
+        Gen.random_outerplanar ~seed:1 ~n:600 ~chord_prob:0.5,
+        "75692202fb8792423ec0e8a97b3cbc7c",
+        [ 707; 611; 184; 0; 0; 1498; 0; 2; 93318; 41184 ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "incremental"
@@ -407,6 +461,9 @@ let () =
           Alcotest.test_case "of_rotation keeps embedding" `Quick
             test_of_rotation_roundtrip;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "churn replays are bit-identical" `Quick
+            test_golden_replays ] );
       ( "containers",
         [
           Alcotest.test_case "intervalset vs reference" `Quick

@@ -154,6 +154,48 @@ let prop_trees_embed_uniquely_flat =
       | Dmp.Nonplanar -> false
       | Dmp.Planar r -> Rotation.face_count r = 1)
 
+(* ------------------------------------------------------------------ *)
+(* LR golden outputs                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of every rotation, vertex by vertex: pins the LR kernel's exact
+   output, not just its validity, so a construction-path rewrite that
+   reorders a single ring fails here. The expected digests were recorded
+   from the kernel before its rotation build moved onto dart ids. *)
+let rotation_digest r =
+  let g = Rotation.graph r in
+  let b = Buffer.create 4096 in
+  for v = 0 to Gr.n g - 1 do
+    Array.iter
+      (fun u ->
+        Buffer.add_string b (string_of_int u);
+        Buffer.add_char b ',')
+      (Rotation.rotation r v);
+    Buffer.add_char b ';'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_lr_golden () =
+  List.iter
+    (fun (name, g, want) ->
+      match Lr.embed g with
+      | Lr.Nonplanar -> Alcotest.failf "%s: LR rejected a planar graph" name
+      | Lr.Planar r ->
+          Alcotest.(check string) (name ^ ": rotation digest") want
+            (rotation_digest r))
+    [
+      ("grid 12x12", Gen.grid 12 12, "f527857a6b088493efe12dc28b62d1e5");
+      ( "maxplanar-400",
+        Gen.random_maximal_planar ~seed:1 400,
+        "ee975f0c12528c1b09bcecae00d0003a" );
+      ( "outerplanar-600",
+        Gen.random_outerplanar ~seed:1 ~n:600 ~chord_prob:0.5,
+        "96a3587d753d9a25d2f9a454fb4beb7e" );
+      ( "k4-subdivision-80",
+        Gen.k4_subdivision 80,
+        "ba04f43de966cbd3b3148d440eab79b5" );
+    ]
+
 let () =
   Alcotest.run "planarity"
     [
@@ -168,6 +210,7 @@ let () =
             test_maximal_planar_face_count;
           Alcotest.test_case "dense reject" `Quick test_dense_reject_fast;
         ] );
+      ("lr-golden", [ Alcotest.test_case "rotation digests" `Quick test_lr_golden ]);
       ( "dmp-properties",
         List.map QCheck_alcotest.to_alcotest
           [
