@@ -27,7 +27,7 @@ let to_all g v msg =
 
 (* Max-id flood — dense traffic, a fixpoint every node can verify. *)
 let flood =
-  {
+  Network.of_lists {
     Network.init = (fun g v -> (v, to_all g v v));
     round =
       (fun g v best inbox ->

@@ -42,7 +42,7 @@ let to_all g v msg =
   Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, msg) :: acc)
 
 let flood =
-  {
+  Network.of_lists {
     Network.init = (fun g v -> (v, to_all g v v));
     round =
       (fun g v best inbox ->

@@ -63,25 +63,25 @@ let () =
         (Gr.n g);
 
       (* The engine underneath, directly: write a protocol as an
-         init/round/msg_bits triple and hand it to Network.exec. The
-         result carries the final states, the round count and a report;
-         asking for a bounds verdict via the Observe sink makes the run
-         check itself against the paper's inequalities. *)
+         init/round/msg_bits triple and hand it to Network.exec. A node
+         sends by calling [send], reads its mail through an inbox view,
+         and returns its new state. The result carries the final states,
+         the round count and a report; asking for a bounds verdict via
+         the Observe sink makes the run check itself against the
+         paper's inequalities. *)
       let flood_leader =
         {
           Network.init =
-            (fun g v ->
-              (v, Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, v) :: acc)));
+            (fun g v send ->
+              Gr.iter_neighbors g v (fun w -> send w v);
+              v);
           round =
-            (fun g v best inbox ->
+            (fun g v best inbox send ->
               let best' =
-                List.fold_left (fun acc (_, x) -> max acc x) best inbox
+                Network.Inbox.fold (fun acc _src x -> max acc x) best inbox
               in
-              if best' = best then (best, [])
-              else
-                (best',
-                 Gr.fold_neighbors g v ~init:[] ~f:(fun acc w ->
-                     (w, best') :: acc)));
+              if best' > best then Gr.iter_neighbors g v (fun w -> send w best');
+              best');
           msg_bits = (fun _ -> 4);
         }
       in

@@ -299,7 +299,7 @@ let protocol r certs =
     done;
     !b
   in
-  let absorb v st (u, m) =
+  let absorb v st u m =
     let b = ref st.bad in
     if m.m_root <> certs.root.(v) then b := flag !b 1;
     if u = certs.parent.(v) && certs.depth.(v) <> m.m_depth + 1 then
@@ -335,7 +335,7 @@ let protocol r certs =
   in
   {
     Network.init =
-      (fun g v ->
+      (fun g v send ->
         let rot_v = Rotation.rotation r v in
         let deg = Array.length rot_v in
         let st =
@@ -349,8 +349,7 @@ let protocol r certs =
           }
         in
         let st = if deg = 0 then finalize v st else st in
-        let out = ref [] in
-        for i = deg - 1 downto 0 do
+        for i = 0 to deg - 1 do
           let w = rot_v.(i) in
           (* The recipient w holds the in-dart v -> w; its face-orbit
              predecessor is (pred -> v) where pred precedes w in v's
@@ -358,8 +357,7 @@ let protocol r certs =
              its own against. *)
           let pred = rot_v.((i + deg - 1) mod deg) in
           let dp = Gr.dart g ~src:pred ~dst:v in
-          out :=
-            ( w,
+          send w
               {
                 m_root = certs.root.(v);
                 m_parent = certs.parent.(v);
@@ -370,17 +368,15 @@ let protocol r certs =
                 m_lu = certs.leader_u.(dp);
                 m_lv = certs.leader_v.(dp);
                 m_dist = certs.dist.(dp);
-              } )
-            :: !out
+              }
         done;
-        (st, !out));
+        st);
     round =
-      (fun _g v st inbox ->
-        if st.settled || inbox = [] then (st, [])
+      (fun _g v st inbox _send ->
+        if st.settled || Network.Inbox.length inbox = 0 then st
         else begin
-          let st = List.fold_left (fun st im -> absorb v st im) st inbox in
-          let st = if st.waiting = 0 then finalize v st else st in
-          (st, [])
+          let st = Network.Inbox.fold (absorb v) st inbox in
+          if st.waiting = 0 then finalize v st else st
         end);
     msg_bits = (fun _ -> message_bits);
   }

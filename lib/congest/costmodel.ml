@@ -46,10 +46,7 @@ let create ?bandwidth ?trace ?(round_base = 0) g metrics =
 
 let bandwidth t = t.bandwidth
 
-let word t =
-  let n = max 2 (Gr.n t.g) in
-  let rec bits_needed k acc = if k <= 1 then acc else bits_needed (k / 2) (acc + 1) in
-  bits_needed (n - 1) 1
+let word t = Gr.id_bits t.g
 
 let clock t = t.clock
 let now t = t.round_base + t.clock

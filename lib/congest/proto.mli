@@ -67,3 +67,39 @@ val broadcast :
   int array
 (** Push [value] from the root down the tree; returns each node's received
     copy. *)
+
+(** {2 The raw protocols}
+
+    Each entry point above runs one of these on {!Network.exec}. They are
+    exposed so the differential suite can pin them, state for state and
+    event for event, against their list-shaped originals. They take the
+    same arguments and raise the same [Invalid_argument] on bad arrays. *)
+
+type cc_state = {
+  pending : int;  (** children not yet reported. *)
+  acc : int;  (** fold of the node's value and the reports so far. *)
+  done_ : bool;  (** reported to the parent (never set at the root). *)
+}
+(** A node's state in {!convergecast} and {!subtree_sizes}. *)
+
+val leader_bfs_protocol : Gr.t -> (bfs_state, int * int) Network.protocol
+
+val convergecast_protocol :
+  Gr.t ->
+  parent:int array ->
+  root:int ->
+  values:int array ->
+  op:(int -> int -> int) ->
+  value_bits:int ->
+  (cc_state, int) Network.protocol
+
+val subtree_sizes_protocol :
+  Gr.t -> parent:int array -> root:int -> (cc_state, int) Network.protocol
+
+val broadcast_protocol :
+  Gr.t ->
+  parent:int array ->
+  root:int ->
+  value:int ->
+  value_bits:int ->
+  (int option, int) Network.protocol

@@ -34,6 +34,9 @@ let header_bits = 34
 let wrap ?(timeout = 6) ?stats (p : ('s, 'm) Network.protocol) :
     (('s, 'm) state, 'm packet) Network.protocol =
   if timeout < 2 then invalid_arg "Reliable.wrap: timeout must be >= 2";
+  (* The wrapper rewrites the inner traffic, so it drives the inner
+     protocol in list shape and is itself a list protocol. *)
+  let p = Network.to_lists p in
   let count f = match stats with Some c -> f c | None -> () in
   let chan_of v st =
     (* Degrees are small in CONGEST practice; a linear probe beats
@@ -195,7 +198,7 @@ let wrap ?(timeout = 6) ?stats (p : ('s, 'm) Network.protocol) :
     | Data { payload; _ } -> header_bits + p.msg_bits payload
     | Ack _ -> header_bits
   in
-  { Network.init; round; msg_bits }
+  Network.of_lists { Network.init; round; msg_bits }
 
 let exec ?domains ?bandwidth ?max_rounds ?observe ?faults ?timeout ?stats g p =
   let base =

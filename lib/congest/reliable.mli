@@ -9,7 +9,7 @@
     arrivals, discarding duplicates), and senders retransmit the oldest
     unacknowledged packet when its timeout expires. The inner protocol
     therefore sees exactly the inbox contract documented on
-    {!Network.type-protocol} — ascending sender id, per-sender send
+    {!Network.Inbox} — ascending sender id, per-sender send
     order — even in adversarial delivery mode.
 
     Retransmission timers need a clock, which the fault-aware engine

@@ -16,10 +16,7 @@ type t = {
 
 exception Nonplanar_detected of string
 
-let word g =
-  let n = max 2 (Gr.n g) in
-  let rec bits_needed k acc = if k <= 1 then acc else bits_needed (k / 2) (acc + 1) in
-  bits_needed (n - 1) 1
+let word = Gr.id_bits
 
 (* Number of maximal runs in a cyclic sequence after classifying: the
    number of class transitions around the cycle, at least one. *)

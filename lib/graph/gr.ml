@@ -125,6 +125,10 @@ let of_edges ~n edges =
 let empty n = of_edges ~n []
 let n t = t.n
 let m t = Array.length t.elo
+
+let id_bits t =
+  let rec bits k acc = if k <= 1 then acc else bits (k / 2) (acc + 1) in
+  bits (max 2 t.n - 1) 1
 let degree t v = t.xadj.(v + 1) - t.xadj.(v)
 let neighbors t v = Array.sub t.adjncy t.xadj.(v) (degree t v)
 

@@ -37,6 +37,10 @@ val n : t -> int
 val m : t -> int
 (** Number of edges. *)
 
+val id_bits : t -> int
+(** Bits in one vertex id, [ceil(log2 n)] with [n] clamped to at least 2:
+    the CONGEST word size every message coding is measured in. *)
+
 val degree : t -> int -> int
 val neighbors : t -> int -> int array
 (** Neighbors of a vertex in increasing order, as a fresh array (an

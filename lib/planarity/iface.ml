@@ -104,10 +104,6 @@ let of_part g ~part ~half =
   end
 
 let compressed_bits g t =
-  let word =
-    let n = max 2 (Gr.n g) in
-    let rec bits_needed k acc = if k <= 1 then acc else bits_needed (k / 2) (acc + 1) in
-    bits_needed (n - 1) 1
-  in
+  let word = Gr.id_bits g in
   let compressed = Pqtree.compress (fun (_inside, outside) -> outside) t in
   Pqtree.bits ~leaf_bits:(fun (_cls, _count) -> 2 * word) compressed

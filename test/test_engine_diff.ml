@@ -25,7 +25,7 @@ let to_all g v msg =
 
 (* One spontaneous burst, then silence. *)
 let hello =
-  {
+  Network.of_lists {
     Network.init = (fun g v -> (v, to_all g v v));
     round = (fun _g _v st _inbox -> (st, []));
     msg_bits = (fun _ -> 8);
@@ -33,7 +33,7 @@ let hello =
 
 (* Max-id flood: multi-round, quiesces in O(D). *)
 let flood =
-  {
+  Network.of_lists {
     Network.init = (fun g v -> (v, to_all g v v));
     round =
       (fun g v best inbox ->
@@ -47,7 +47,7 @@ let flood =
    divergence in inbox ordering between the engines shows up in the final
    hashes. *)
 let order_hash ttl =
-  {
+  Network.of_lists {
     Network.init = (fun g v -> ((v, ttl), to_all g v v));
     round =
       (fun g v (h, t) inbox ->
@@ -64,7 +64,7 @@ let order_hash ttl =
 (* Several messages per edge per round: exercises per-sender outbox order
    and the cumulative per-edge load accounting. *)
 let double_talk rounds_left =
-  {
+  Network.of_lists {
     Network.init =
       (fun g v ->
         ( rounds_left,
@@ -312,7 +312,7 @@ let test_bandwidth_parity () =
      engines must blame the same edge at the same cumulative count. *)
   let g = Gen.path 2 in
   let proto =
-    {
+    Network.of_lists {
       Network.init = (fun _g v -> ((), [ (1 - v, 0); (1 - v, 1) ]));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 10);
@@ -356,7 +356,7 @@ let test_epoch_oversend_parity () =
   let n = 24 and boom = 10 in
   let g = Gen.path n in
   let proto =
-    {
+    Network.of_lists {
       Network.init = (fun _g v -> ((), if v = 0 then [ (1, 1) ] else []));
       round =
         (fun _g v st inbox ->
@@ -396,7 +396,7 @@ let test_epoch_oversend_parity () =
 let test_non_neighbor_parity () =
   let g = Gr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let proto =
-    {
+    Network.of_lists {
       Network.init = (fun _g v -> ((), if v = 0 then [ (2, 0) ] else []));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 1);
@@ -432,7 +432,7 @@ let test_non_neighbor_parity () =
 let test_sharded_error_observation () =
   let g = Gen.path 4 in
   let proto =
-    {
+    Network.of_lists {
       (* Node 3 (the last shard under any split) over-sends at init;
          nodes 0..2 each send one legal message first. *)
       Network.init =
@@ -532,7 +532,7 @@ let test_livelock_contracts () =
      No_quiescence from the new engine. *)
   let g = Gen.path 2 in
   let proto =
-    {
+    Network.of_lists {
       Network.init = (fun _g v -> ((), [ (1 - v, 0) ]));
       round = (fun _g v st _inbox -> (st, [ (1 - v, 0) ]));
       msg_bits = (fun _ -> 1);
@@ -588,7 +588,7 @@ let token_ring_words ?(config = Network.Config.default) n ttl =
   let g = Gen.cycle n in
   let next v src = if (v + 1) mod n = src then (v + n - 1) mod n else (v + 1) mod n in
   let proto =
-    {
+    Network.of_lists {
       Network.init = (fun _g v -> ((), if v = 0 then [ (1, ttl) ] else []));
       round =
         (fun _g v st inbox ->

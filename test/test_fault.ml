@@ -17,7 +17,7 @@ let to_all g v msg =
    delivery schedule in which every message (or a retransmission of its
    content) eventually arrives. *)
 let flood =
-  {
+  Network.of_lists {
     Network.init = (fun g v -> (v, to_all g v v));
     round =
       (fun g v best inbox ->
@@ -30,7 +30,7 @@ let flood =
    outbox; receivers accumulate (sender, value) in delivery order.
    Exposes exactly-once and per-sender-FIFO violations directly. *)
 let streamer k =
-  {
+  Network.of_lists {
     Network.init =
       (fun g v ->
         let outs =

@@ -210,7 +210,7 @@ let test_quiescence () =
    records its inbox verbatim. The documented guarantee says the inbox
    arrives sorted by sender id. *)
 let collect_inbox_protocol =
-  {
+  Network.of_lists {
     Network.init =
       (fun _g v -> ([], if v = 0 then [] else [ (0, v) ]));
     round = (fun _g _v st inbox -> (st @ inbox, []));
@@ -232,7 +232,7 @@ let test_inbox_sorted_by_sender () =
 let test_same_sender_order () =
   let g = Gen.path 2 in
   let proto =
-    {
+    Network.of_lists {
       Network.init =
         (fun _g v -> ([], if v = 0 then [ (1, 10); (1, 20); (1, 30) ] else []));
       round = (fun _g _v st inbox -> (st @ inbox, []));
@@ -252,7 +252,7 @@ let test_same_sender_order () =
 let test_order_observing_deterministic () =
   let g = Gen.grid 5 5 in
   let proto =
-    {
+    Network.of_lists {
       Network.init =
         (fun g v ->
           (v, List.map (fun u -> (u, v)) (Array.to_list (Gr.neighbors g v))));
