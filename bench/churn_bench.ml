@@ -18,8 +18,8 @@
      dune exec bench/churn_bench.exe -- --out F   # write the JSON to F
 
    Results go to BENCH_churn.json and stdout. Everything here is
-   single-threaded — "cores": 1 is recorded so numbers are comparable
-   across machines. *)
+   single-threaded; the JSON records the host's core count ("cores")
+   and the OCaml version so numbers can be compared across machines. *)
 
 type case = {
   name : string;
@@ -187,12 +187,15 @@ let cases quick =
 
 (* JSON ----------------------------------------------------------------- *)
 
-let json_of_cases cases =
+let json_of_cases ~cores cases =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"incremental-churn\",\n";
   Buffer.add_string b
     "  \"unit\": { \"wall\": \"seconds\", \"throughput\": \"updates/s\" },\n";
-  Buffer.add_string b "  \"cores\": 1,\n";
+  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
+  Buffer.add_string b "  \"threads\": 1,\n";
+  Buffer.add_string b
+    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
   Buffer.add_string b
     "  \"baseline\": \"from-scratch Planarity.embed on sampled snapshots\",\n";
   Buffer.add_string b "  \"cases\": [\n";
@@ -252,8 +255,9 @@ let () =
       (fun (name, family, pct, mk) -> run_case ~samples name family pct mk)
       (cases !quick)
   in
+  let cores = Domain.recommended_domain_count () in
   let oc = open_out !out in
-  output_string oc (json_of_cases results);
+  output_string oc (json_of_cases ~cores results);
   close_out oc;
   Printf.printf "\nwrote %s\n" !out;
   (* Gates: every final state Euler-valid, zero rejections on within-pool
@@ -269,7 +273,6 @@ let () =
      runner both sides contend with everything else on the box and the
      ratio gets noisy — report it there without enforcing, same pattern
      as the scaling bench's skipped wall gates. *)
-  let cores = Domain.recommended_domain_count () in
   let slow =
     if cores >= 2 then
       List.filter

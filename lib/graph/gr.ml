@@ -28,23 +28,19 @@ let check_vertex n v =
   if v < 0 || v >= n then
     invalid_arg (Printf.sprintf "Gr: vertex %d out of range [0, %d)" v n)
 
-(* CSR assembly from lex-sorted, duplicate-free, normalized pairs; the
-   two arrays are kept as the edge list (ownership transfers). *)
-let of_sorted_pairs ~n elo ehi =
-  let m = Array.length elo in
-  let xadj = Array.make (n + 1) 0 in
+(* CSR assembly from the first [m] lex-sorted, duplicate-free, normalized
+   pairs into caller arrays: [xadj] (n + 1), [adjncy], [dart_uedge] and
+   [dart_rev] (2m each); [fill] (n) is scratch. *)
+let csr_into ~n ~m lo hi ~xadj ~adjncy ~dart_uedge ~dart_rev ~fill =
+  Array.fill xadj 0 (n + 1) 0;
   for e = 0 to m - 1 do
-    xadj.(elo.(e) + 1) <- xadj.(elo.(e) + 1) + 1;
-    xadj.(ehi.(e) + 1) <- xadj.(ehi.(e) + 1) + 1
+    xadj.(lo.(e) + 1) <- xadj.(lo.(e) + 1) + 1;
+    xadj.(hi.(e) + 1) <- xadj.(hi.(e) + 1) + 1
   done;
   for v = 0 to n - 1 do
     xadj.(v + 1) <- xadj.(v + 1) + xadj.(v)
   done;
-  let nd = xadj.(n) in
-  let adjncy = Array.make nd 0 in
-  let dart_uedge = Array.make nd 0 in
-  let dart_rev = Array.make nd 0 in
-  let fill = Array.sub xadj 0 n in
+  Array.blit xadj 0 fill 0 n;
   (* The pairs are lex-sorted, so each slice comes out sorted: vertex
      [v] first receives its lower neighbors (edges [(u, v)], increasing
      [u]), then its higher neighbors (edges [(v, w)], increasing [w]).
@@ -52,7 +48,7 @@ let of_sorted_pairs ~n elo ehi =
      its reversal [u -> v] is the matching slot in [v]'s slice — both are
      known here, so the involution costs nothing extra to record. *)
   for e = 0 to m - 1 do
-    let u = elo.(e) and v = ehi.(e) in
+    let u = lo.(e) and v = hi.(e) in
     let su = fill.(u) and sv = fill.(v) in
     adjncy.(su) <- v;
     dart_uedge.(su) <- e;
@@ -62,21 +58,33 @@ let of_sorted_pairs ~n elo ehi =
     dart_rev.(sv) <- su;
     fill.(u) <- su + 1;
     fill.(v) <- sv + 1
-  done;
+  done
+
+(* The graph of lex-sorted, duplicate-free, normalized pairs; the two
+   arrays are kept as the edge list (ownership transfers). *)
+let of_sorted_pairs ~n elo ehi =
+  let m = Array.length elo in
+  let xadj = Array.make (n + 1) 0 in
+  let adjncy = Array.make (2 * m) 0 in
+  let dart_uedge = Array.make (2 * m) 0 in
+  let dart_rev = Array.make (2 * m) 0 in
+  csr_into ~n ~m elo ehi ~xadj ~adjncy ~dart_uedge ~dart_rev
+    ~fill:(Array.make n 0);
   { n; xadj; adjncy; dart_uedge; dart_rev; elo; ehi }
 
-(* One stable counting pass: the pairs (lo, hi) reordered by [key]
-   (their [lo] or [hi] array) into (lo', hi'). *)
-let counting_pass ~n ~key lo hi lo' hi' =
-  let start = Array.make (n + 1) 0 in
-  for i = 0 to Array.length key - 1 do
+(* One stable counting pass: the first [m] pairs (lo, hi) reordered by
+   [key] (their [lo] or [hi] array) into (lo', hi'); [start] (n + 1) is
+   scratch. *)
+let counting_pass ~n ~m ~key ~start lo hi lo' hi' =
+  Array.fill start 0 (n + 1) 0;
+  for i = 0 to m - 1 do
     let k = key.(i) + 1 in
     start.(k) <- start.(k) + 1
   done;
   for k = 1 to n do
     start.(k) <- start.(k) + start.(k - 1)
   done;
-  for i = 0 to Array.length key - 1 do
+  for i = 0 to m - 1 do
     let k = key.(i) in
     let j = start.(k) in
     lo'.(j) <- lo.(i);
@@ -84,42 +92,46 @@ let counting_pass ~n ~key lo hi lo' hi' =
     start.(k) <- j + 1
   done
 
+let sort_pairs_into ~n ~m lo hi ~lo1 ~hi1 ~start =
+  for i = 0 to m - 1 do
+    let u = lo.(i) and v = hi.(i) in
+    check_vertex n u;
+    check_vertex n v;
+    if u = v then invalid_arg "Gr.normalize_edge: self-loop";
+    if u > v then begin
+      lo.(i) <- v;
+      hi.(i) <- u
+    end
+  done;
+  (* Lex order in O(n + m): stable by the larger end, then stable by the
+     smaller, so equal smaller ends keep their larger ends ascending. *)
+  counting_pass ~n ~m ~key:hi ~start lo hi lo1 hi1;
+  counting_pass ~n ~m ~key:lo1 ~start lo1 hi1 lo hi;
+  (* Collapse duplicates in place: keep a pair unless it equals the
+     last one kept. *)
+  let k = ref 0 in
+  for i = 0 to m - 1 do
+    if !k = 0 || lo.(!k - 1) <> lo.(i) || hi.(!k - 1) <> hi.(i) then begin
+      lo.(!k) <- lo.(i);
+      hi.(!k) <- hi.(i);
+      incr k
+    end
+  done;
+  !k
+
 let of_edges ~n edges =
   let m0 = List.length edges in
   let lo = Array.make m0 0 and hi = Array.make m0 0 in
-  let rec normalize i = function
-    | [] -> ()
-    | (u, v) :: rest ->
-        check_vertex n u;
-        check_vertex n v;
-        if u = v then invalid_arg "Gr.normalize_edge: self-loop";
-        if u < v then begin
-          lo.(i) <- u;
-          hi.(i) <- v
-        end
-        else begin
-          lo.(i) <- v;
-          hi.(i) <- u
-        end;
-        normalize (i + 1) rest
+  List.iteri
+    (fun i (u, v) ->
+      lo.(i) <- u;
+      hi.(i) <- v)
+    edges;
+  let m =
+    sort_pairs_into ~n ~m:m0 lo hi ~lo1:(Array.make m0 0)
+      ~hi1:(Array.make m0 0) ~start:(Array.make (n + 1) 0)
   in
-  normalize 0 edges;
-  (* Lex order in O(n + m): stable by the larger end, then stable by the
-     smaller, so equal smaller ends keep their larger ends ascending. *)
-  let lo1 = Array.make m0 0 and hi1 = Array.make m0 0 in
-  counting_pass ~n ~key:hi lo hi lo1 hi1;
-  counting_pass ~n ~key:lo1 lo1 hi1 lo hi;
-  (* Collapse duplicates in place: keep a pair unless it equals the
-     last one kept. *)
-  let m = ref 0 in
-  for i = 0 to m0 - 1 do
-    if !m = 0 || lo.(!m - 1) <> lo.(i) || hi.(!m - 1) <> hi.(i) then begin
-      lo.(!m) <- lo.(i);
-      hi.(!m) <- hi.(i);
-      incr m
-    end
-  done;
-  let trim a = if !m = m0 then a else Array.sub a 0 !m in
+  let trim a = if m = m0 then a else Array.sub a 0 m in
   of_sorted_pairs ~n (trim lo) (trim hi)
 
 let empty n = of_edges ~n []

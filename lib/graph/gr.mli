@@ -29,6 +29,48 @@ val of_edges : n:int -> (int * int) list -> t
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] vertices. *)
 
+(** {2 Construction into caller arrays}
+
+    The two halves of {!of_edges}, for callers that keep their own
+    grow-only buffers (the LR kernel's workspace): the same passes, so
+    the same edge ids and dart slots as the graph {!of_edges} builds. *)
+
+val sort_pairs_into :
+  n:int ->
+  m:int ->
+  int array ->
+  int array ->
+  lo1:int array ->
+  hi1:int array ->
+  start:int array ->
+  int
+(** [sort_pairs_into ~n ~m lo hi ~lo1 ~hi1 ~start] normalizes the first
+    [m] pairs [(lo.(i), hi.(i))], puts them in lexicographic order by two
+    stable counting passes and collapses duplicates, all in place; it
+    returns the number of distinct pairs, which then occupy the prefix.
+    Edge [e] of the graph {!of_edges} would build is the [e]-th of them.
+    [lo1]/[hi1] (at least [m] long) and [start] (at least [n + 1]) are
+    scratch. @raise Invalid_argument on self-loops or out-of-range
+    endpoints. *)
+
+val csr_into :
+  n:int ->
+  m:int ->
+  int array ->
+  int array ->
+  xadj:int array ->
+  adjncy:int array ->
+  dart_uedge:int array ->
+  dart_rev:int array ->
+  fill:int array ->
+  unit
+(** [csr_into ~n ~m lo hi ~xadj ~adjncy ~dart_uedge ~dart_rev ~fill]
+    writes the dart table of the first [m] pairs, which must be the
+    output of {!sort_pairs_into}: afterwards the prefixes of the four
+    arrays equal {!dart_offsets}, {!dart_sources}, {!dart_edges} and
+    {!dart_reversals} of that graph. [xadj] needs [n + 1] entries, the
+    others [2m]; [fill] (at least [n]) is scratch. *)
+
 (** {1 Basic accessors} *)
 
 val n : t -> int

@@ -108,30 +108,56 @@ let face_count t =
   iter_faces t ~start:(fun _ -> incr k) ~step:(fun _ -> ());
   !k
 
-let genus t =
-  (* Euler's formula per connected component: n_c - m_c + f_c = 2 - 2 g_c,
-     where isolated vertices form components with one face each. *)
-  let comps = Traverse.components t.g in
-  let comp_of = Array.make (max 1 (Gr.n t.g)) (-1) in
-  List.iteri (fun i vs -> List.iter (fun v -> comp_of.(v) <- i) vs) comps;
-  let k = List.length comps in
-  let nv = Array.make (max 1 k) 0
-  and ne = Array.make (max 1 k) 0
-  and nf = Array.make (max 1 k) 0 in
-  List.iteri (fun i vs -> nv.(i) <- List.length vs) comps;
-  Gr.iter_edges t.g (fun u _v -> ne.(comp_of.(u)) <- ne.(comp_of.(u)) + 1);
-  iter_faces t
-    ~start:(fun d -> nf.(comp_of.(Gr.dart_src t.g d)) <- nf.(comp_of.(Gr.dart_src t.g d)) + 1)
-    ~step:(fun _ -> ());
-  let total = ref 0 in
-  for i = 0 to k - 1 do
-    let f = if ne.(i) = 0 then 1 else nf.(i) in
-    let chi = nv.(i) - ne.(i) + f in
-    let two_g = 2 - chi in
-    assert (two_g >= 0 && two_g mod 2 = 0);
-    total := !total + (two_g / 2)
+(* Orientable genus by Euler's formula per connected component,
+   n_c - m_c + f_c = 2 - 2 g_c, with an edgeless component counting one
+   face. Summed over the k components (i of them isolated vertices)
+   that is g = (2k - n + m - f - i) / 2, where f counts the orbits of
+   [face_next]; the components come from one BFS over the CSR slices. *)
+let genus_of_faces ~n ~off ~srcs ~face_next ~seen ~queue =
+  let darts = off.(n) in
+  Bytes.fill seen 0 n '\000';
+  let k = ref 0 and isolated = ref 0 in
+  for r = 0 to n - 1 do
+    if Bytes.get seen r = '\000' then begin
+      incr k;
+      if off.(r + 1) = off.(r) then incr isolated;
+      Bytes.set seen r '\001';
+      queue.(0) <- r;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        for d = off.(v) to off.(v + 1) - 1 do
+          let w = srcs.(d) in
+          if Bytes.get seen w = '\000' then begin
+            Bytes.set seen w '\001';
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
+      done
+    end
   done;
-  !total
+  Bytes.fill seen 0 darts '\000';
+  let faces = ref 0 in
+  for d0 = 0 to darts - 1 do
+    if Bytes.get seen d0 = '\000' then begin
+      incr faces;
+      let d = ref d0 in
+      while Bytes.get seen !d = '\000' do
+        Bytes.set seen !d '\001';
+        d := face_next.(!d)
+      done
+    end
+  done;
+  ((2 * !k) - n + (darts / 2) - !faces - !isolated) / 2
+
+let genus t =
+  let n = Gr.n t.g in
+  genus_of_faces ~n ~off:(Gr.dart_offsets t.g) ~srcs:(Gr.dart_sources t.g)
+    ~face_next:t.face_next
+    ~seen:(Bytes.create (max n (Gr.darts t.g)))
+    ~queue:(Array.make n 0)
 
 let is_planar_embedding t = genus t = 0
 

@@ -50,6 +50,23 @@ val genus : t -> int
     [n - m + f = 2 - 2g] per connected component (computed component-wise
     and summed). [genus r = 0] iff the rotation system is planar. *)
 
+val genus_of_faces :
+  n:int ->
+  off:int array ->
+  srcs:int array ->
+  face_next:int array ->
+  seen:Bytes.t ->
+  queue:int array ->
+  int
+(** The face-tracing Euler check behind {!genus}, on a raw dart table:
+    [off]/[srcs] are CSR offsets and dart sources as in
+    {!Gr.dart_offsets}/{!Gr.dart_sources}, and [face_next] maps each
+    dart to its successor on its face. [seen] (at least
+    [max n darts] bytes) and [queue] (at least [n]) are scratch. The
+    result is the genus only if [face_next] is the face permutation of
+    a rotation system of that table; callers that build [face_next]
+    themselves must check that first. Allocates nothing. *)
+
 val is_planar_embedding : t -> bool
 (** [true] iff the rotation system embeds the graph in the plane
     (genus 0). Works for disconnected graphs (each component planar). *)

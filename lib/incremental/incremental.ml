@@ -55,7 +55,6 @@ type update = Fast | Linked | Reembedded of int | Rejected | Duplicate
 
 type t = {
   n : int;
-  kernel : Planarity.kernel;
   mutable cap : int;  (* edge slots allocated *)
   mutable dst : int array;  (* 2*cap: head of each dart; -1 = free slot *)
   mutable rnext : int array;  (* 2*cap: ring successor around the source *)
@@ -76,13 +75,18 @@ type t = {
   vdata : int array;  (* n: BFS parent dart / local vertex id *)
   mutable vstamp : int;
   queue : int array;  (* n *)
+  (* slow-path scratch, reused across re-embeds *)
+  lr : Lr.workspace;  (* the scope's pairs, CSR, kernel state and ring *)
+  roots : (int, unit) Hashtbl.t;  (* component roots along the u-v path *)
+  mutable scope : int array;  (* the scope's slots *)
+  local : int array;  (* n: global vertex of each local id *)
+  others : int array;  (* n: a ring's non-scope darts during merge-back *)
   stats : stats;
 }
 
 let n t = t.n
 let m t = t.live
 let stats t = t.stats
-let kernel t = t.kernel
 
 let fresh_stats () =
   {
@@ -182,6 +186,17 @@ let ring_remove t v d =
     if t.first_out.(v) = d then t.first_out.(v) <- t.rnext.(d)
   end
 
+(* Append [d] to [w]'s ring under construction, after [prev] (or as its
+   first dart when [prev < 0]); returns [d]. The caller closes the
+   cycle. *)
+let ring_link t w prev d =
+  if prev < 0 then t.first_out.(w) <- d
+  else begin
+    t.rnext.(prev) <- d;
+    t.rprev.(d) <- prev
+  end;
+  d
+
 (* --- construction ----------------------------------------------------- *)
 
 let payload_merge a b =
@@ -189,7 +204,7 @@ let payload_merge a b =
   a.scoured <- a.scoured + b.scoured;
   a
 
-let of_rotation ?(kernel = Planarity.default_kernel) r =
+let of_rotation r =
   let g = Rotation.graph r in
   let n = Gr.n g in
   if not (Rotation.is_planar_embedding r) then
@@ -199,7 +214,6 @@ let of_rotation ?(kernel = Planarity.default_kernel) r =
   let t =
     {
       n;
-      kernel;
       cap;
       dst = Array.make (2 * cap) (-1);
       rnext = Array.make (2 * cap) (-1);
@@ -219,6 +233,11 @@ let of_rotation ?(kernel = Planarity.default_kernel) r =
       vdata = Array.make (max 1 n) (-1);
       vstamp = 0;
       queue = Array.make (max 1 n) 0;
+      lr = Lr.workspace ();
+      roots = Hashtbl.create 16;
+      scope = [||];
+      local = Array.make (max 1 n) 0;
+      others = Array.make (max 1 n) 0;
       stats = fresh_stats ();
     }
   in
@@ -254,7 +273,7 @@ let of_rotation ?(kernel = Planarity.default_kernel) r =
   done;
   t
 
-let create ?kernel g = of_rotation ?kernel (Planarity.embed_exn ?kernel g)
+let create g = of_rotation (Planarity.embed_exn g)
 
 (* --- materialization --------------------------------------------------- *)
 
@@ -308,57 +327,66 @@ let refresh_comps t gloc old_of_local =
     Array.iter (fun sl -> t.slot_comp.(sl) <- node) slots
   done
 
-(* Local graph of a slot list (plus optionally one extra edge): assigns
-   local ids by vertex stamp; returns (gloc, old_of_local). *)
-let build_local t slots extra =
+(* Local id of global vertex [w] under stamp [s], numbering it [k] (and
+   returning [k + 1]) on first sight. *)
+let number_vertex t s k w =
+  if t.vmark.(w) = s then k
+  else begin
+    t.vmark.(w) <- s;
+    t.vdata.(w) <- k;
+    t.local.(k) <- w;
+    k + 1
+  end
+
+(* Local graph of the slots [t.scope.(0 .. len-1)], plus the extra pair
+   [(eu, ev)] unless [eu < 0]: writes its edges as local pairs into
+   [lo]/[hi] (the extra one last), the global vertex of each local id
+   into [t.local], and returns the local vertex count. Local ids go to
+   the slots' endpoints in reverse scope order, head before tail, then
+   to the extra pair's [ev] and [eu]: the scope graph (and so the
+   kernel's output) depends on this numbering. *)
+let load_scope t len ~eu ~ev lo hi =
   t.vstamp <- t.vstamp + 1;
   let s = t.vstamp in
-  let nloc = ref 0 in
-  let verts = ref [] in
-  let lid w =
-    if t.vmark.(w) <> s then begin
-      t.vmark.(w) <- s;
-      t.vdata.(w) <- !nloc;
-      verts := w :: !verts;
-      incr nloc
-    end;
-    t.vdata.(w)
-  in
-  (* Local ids go to the slots' endpoints first, head before tail, then
-     to the extra pair: the scope graph (and so the kernel's output)
-     depends on this numbering. *)
-  let pairs =
-    List.rev_map
-      (fun sl ->
-        let b = lid t.dst.(2 * sl) in
-        let a = lid t.dst.((2 * sl) + 1) in
-        (a, b))
-      slots
-  in
-  let pairs =
-    match extra with
-    | None -> pairs
-    | Some (u, v) ->
-        let b = lid v in
-        let a = lid u in
-        (a, b) :: pairs
-  in
-  let k = !nloc in
-  let old_of_local = Array.make (max 1 k) (-1) in
-  List.iteri (fun i w -> old_of_local.(k - 1 - i) <- w) !verts;
-  (Gr.of_edges ~n:k pairs, old_of_local)
+  let k = ref 0 in
+  for i = len - 1 downto 0 do
+    let sl = t.scope.(i) in
+    let b = t.dst.(2 * sl) and a = t.dst.((2 * sl) + 1) in
+    k := number_vertex t s !k b;
+    k := number_vertex t s !k a;
+    lo.(i) <- t.vdata.(a);
+    hi.(i) <- t.vdata.(b)
+  done;
+  if eu >= 0 then begin
+    k := number_vertex t s !k ev;
+    k := number_vertex t s !k eu;
+    lo.(len) <- t.vdata.(eu);
+    hi.(len) <- t.vdata.(ev)
+  end;
+  !k
+
+let reserve_scope t len =
+  if Array.length t.scope < len then
+    t.scope <- Array.make (max len (2 * Array.length t.scope)) 0
 
 (* Re-tighten one stale component record: scoped Tarjan re-decomposition
    of its live slots, fresh exact records, stale root abandoned. *)
 let rescope t root =
   t.stats.rescopes <- t.stats.rescopes + 1;
-  let pl = Relations.get t.comps root in
-  let slots = Intervalset.fold pl.edges ~init:[] ~f:(fun acc sl -> sl :: acc) in
-  (match slots with
-  | [] -> ()
-  | _ ->
-      let gloc, old_of_local = build_local t slots None in
-      refresh_comps t gloc old_of_local);
+  let es = (Relations.get t.comps root).edges in
+  let len = Intervalset.cardinal es in
+  if len > 0 then begin
+    reserve_scope t len;
+    let i = ref 0 in
+    Intervalset.iter es (fun sl ->
+        t.scope.(!i) <- sl;
+        incr i);
+    (* The kernel workspace's pair buffers serve as scratch here. *)
+    let lo, hi = Lr.pairs t.lr ~m:len in
+    let k = load_scope t len ~eu:(-1) ~ev:(-1) lo hi in
+    let gloc = Gr.of_edges ~n:k (List.init len (fun i -> (lo.(i), hi.(i)))) in
+    refresh_comps t gloc t.local
+  end;
   Relations.abandon t.comps root
 
 (* --- insertion --------------------------------------------------------- *)
@@ -485,10 +513,15 @@ let bfs_reaches t u v =
    the global rings (non-scope darts keep their old cyclic order behind
    them — gluing whole blocks into one corner preserves genus 0); the
    component records are re-minted exactly. On rejection nothing has
-   been written. *)
+   been written. The scope graph is assembled, embedded and read back
+   in the maintainer's kernel workspace: no graph, rotation or list is
+   built per re-embed. *)
 let reembed_scope t u v =
-  (* Path slots from the BFS parent darts. *)
-  let roots = Hashtbl.create 16 in
+  (* Path roots from the BFS parent darts. The table is reset, not
+     recreated: its iteration order, which fixes the scope order and so
+     the local numbering, is that of a fresh table. *)
+  let roots = t.roots in
+  Hashtbl.reset roots;
   let x = ref v in
   while !x <> u do
     let d = t.vdata.(!x) in
@@ -496,105 +529,130 @@ let reembed_scope t u v =
     if not (Hashtbl.mem roots r) then Hashtbl.replace roots r ();
     x := dart_src t d
   done;
-  let scope = ref [] and scope_n = ref 0 in
+  let scope_n =
+    Hashtbl.fold
+      (fun r () acc -> acc + Intervalset.cardinal (Relations.get t.comps r).edges)
+      roots 0
+  in
+  reserve_scope t scope_n;
+  let i = ref 0 in
   Hashtbl.iter
     (fun r () ->
       Intervalset.iter (Relations.get t.comps r).edges (fun sl ->
-          scope := sl :: !scope;
-          incr scope_n))
+          t.scope.(!i) <- sl;
+          incr i))
     roots;
-  let gloc, old_of_local = build_local t !scope (Some (u, v)) in
-  t.stats.kernel_edges <- t.stats.kernel_edges + Gr.m gloc;
-  match Planarity.embed ~kernel:t.kernel gloc with
-  | Planarity.Nonplanar ->
-      t.stats.rejected <- t.stats.rejected + 1;
-      Rejected
-  | Planarity.Planar rloc ->
-      let e = alloc_slot t u v in
-      (* Mark the scope's slots (including the new edge). *)
-      t.stamp <- t.stamp + 1;
-      let s = t.stamp in
-      List.iter (fun sl -> t.dart_stamp.(2 * sl) <- s) !scope;
-      t.dart_stamp.(2 * e) <- s;
-      (* Adding (u, v) merges exactly the biconnected components along
-         the path, so the merged record scope + e is as exact as its
-         inputs — the interval sets are unioned in O(runs) with no
-         re-decomposition (delete-staleness is inherited and repaired by
-         the rescope trigger). *)
-      let acc = ref None and scoured = ref 0 in
-      Hashtbl.iter
-        (fun r () ->
-          let pl = Relations.get t.comps r in
-          scoured := !scoured + pl.scoured;
-          (match !acc with
-          | None -> acc := Some pl.edges
-          | Some dst -> Intervalset.union_into ~dst ~src:pl.edges);
-          Relations.abandon t.comps r)
-        roots;
-      let es = match !acc with Some es -> es | None -> assert false in
-      Intervalset.add es e;
-      let node = Relations.fresh t.comps { edges = es; scoured = !scoured } in
-      List.iter (fun sl -> t.slot_comp.(sl) <- node) !scope;
-      t.slot_comp.(e) <- node;
-      (* Merge the fresh rotation back into the rings in place. The ring
-         walk that separates scope darts from the rest also caches each
-         scope dart under its head vertex (stamped scratch), so the
-         kernel-ordered pass resolves neighbor -> dart without hashing. *)
-      let nloc = Array.length old_of_local in
-      for i = 0 to nloc - 1 do
-        let w = old_of_local.(i) in
-        t.vstamp <- t.vstamp + 1;
-        let vs = t.vstamp in
-        let others = ref [] and n_others = ref 0 in
-        let d0 = t.first_out.(w) in
-        if d0 >= 0 then begin
-          let d = ref d0 in
-          let continue = ref true in
-          while !continue do
-            if t.dart_stamp.(2 * (!d / 2)) = s then begin
-              let x = t.dst.(!d) in
-              t.vmark.(x) <- vs;
-              t.vdata.(x) <- !d
-            end
-            else begin
-              others := !d :: !others;
-              incr n_others
-            end;
-            d := t.rnext.(!d);
-            if !d = d0 then continue := false
-          done
-        end;
-        (* The new edge's darts are allocated but not yet in any ring. *)
-        if w = u then begin
-          t.vmark.(v) <- vs;
-          t.vdata.(v) <- 2 * e
-        end
-        else if w = v then begin
-          t.vmark.(u) <- vs;
-          t.vdata.(u) <- (2 * e) + 1
-        end;
-        let others = List.rev !others in
-        let fresh_order = Rotation.rotation rloc i in
-        let nf = Array.length fresh_order in
-        let len = nf + !n_others in
-        let seq = Array.make len (-1) in
-        Array.iteri
-          (fun j lx ->
-            let x = old_of_local.(lx) in
-            assert (t.vmark.(x) = vs);
-            seq.(j) <- t.vdata.(x))
-          fresh_order;
-        List.iteri (fun j d -> seq.(nf + j) <- d) others;
-        for j = 0 to len - 1 do
-          let d = seq.(j) and nx = seq.((j + 1) mod len) in
-          t.rnext.(d) <- nx;
-          t.rprev.(nx) <- d
-        done;
-        t.first_out.(w) <- seq.(0)
+  let lo, hi = Lr.pairs t.lr ~m:(scope_n + 1) in
+  let nloc = load_scope t scope_n ~eu:u ~ev:v lo hi in
+  let planar = Lr.embed_pairs t.lr ~n:nloc ~m:(scope_n + 1) in
+  t.stats.kernel_edges <- t.stats.kernel_edges + Lr.edges t.lr;
+  if not planar then begin
+    t.stats.rejected <- t.stats.rejected + 1;
+    Rejected
+  end
+  else begin
+    let e = alloc_slot t u v in
+    (* Mark the scope's slots (including the new edge). *)
+    t.stamp <- t.stamp + 1;
+    let s = t.stamp in
+    for i = 0 to scope_n - 1 do
+      t.dart_stamp.(2 * t.scope.(i)) <- s
+    done;
+    t.dart_stamp.(2 * e) <- s;
+    (* Adding (u, v) merges exactly the biconnected components along
+       the path, so the merged record scope + e is as exact as its
+       inputs — the interval sets are unioned in O(runs) with no
+       re-decomposition (delete-staleness is inherited and repaired by
+       the rescope trigger). *)
+    let acc = ref None and scoured = ref 0 in
+    Hashtbl.iter
+      (fun r () ->
+        let pl = Relations.get t.comps r in
+        scoured := !scoured + pl.scoured;
+        (match !acc with
+        | None -> acc := Some pl.edges
+        | Some dst -> Intervalset.union_into ~dst ~src:pl.edges);
+        Relations.abandon t.comps r)
+      roots;
+    let es =
+      match !acc with
+      | Some es -> es
+      | None -> raise (Lr.Embedding_invalid "slow-path insert with no path")
+    in
+    Intervalset.add es e;
+    let node = Relations.fresh t.comps { edges = es; scoured = !scoured } in
+    for i = 0 to scope_n - 1 do
+      t.slot_comp.(t.scope.(i)) <- node
+    done;
+    t.slot_comp.(e) <- node;
+    (* Merge the workspace ring back into the rings in place. The ring
+       walk that separates scope darts from the rest also caches each
+       scope dart under its head vertex (stamped scratch), so the
+       kernel-ordered pass resolves neighbor -> dart without hashing. *)
+    let off = Lr.offsets t.lr
+    and src = Lr.sources t.lr
+    and ring = Lr.ring t.lr in
+    for i = 0 to nloc - 1 do
+      let w = t.local.(i) in
+      t.vstamp <- t.vstamp + 1;
+      let vs = t.vstamp in
+      let n_scope = ref 0 and n_others = ref 0 in
+      let d0 = t.first_out.(w) in
+      if d0 >= 0 then begin
+        let d = ref d0 in
+        let continue = ref true in
+        while !continue do
+          if t.dart_stamp.(2 * (!d / 2)) = s then begin
+            let x = t.dst.(!d) in
+            t.vmark.(x) <- vs;
+            t.vdata.(x) <- !d;
+            incr n_scope
+          end
+          else begin
+            t.others.(!n_others) <- !d;
+            incr n_others
+          end;
+          d := t.rnext.(!d);
+          if !d = d0 then continue := false
+        done
+      end;
+      (* The new edge's darts are allocated but not yet in any ring. *)
+      if w = u then begin
+        t.vmark.(v) <- vs;
+        t.vdata.(v) <- 2 * e;
+        incr n_scope
+      end
+      else if w = v then begin
+        t.vmark.(u) <- vs;
+        t.vdata.(u) <- (2 * e) + 1;
+        incr n_scope
+      end;
+      let lo = off.(i) and hi = off.(i + 1) in
+      if hi - lo <> !n_scope then
+        raise
+          (Lr.Embedding_invalid
+             "scope ring and maintained ring disagree on a vertex's degree");
+      (* The ring is the kernel order of the scope darts, then the
+         others in their old order. *)
+      let prev = ref (-1) in
+      for j = lo to hi - 1 do
+        let x = t.local.(src.(ring.(j))) in
+        if t.vmark.(x) <> vs then
+          raise
+            (Lr.Embedding_invalid
+               "scope ring names a neighbor outside the maintained scope");
+        prev := ring_link t w !prev t.vdata.(x)
       done;
-      ignore (Unionfind.union t.conn u v);
-      t.stats.reembedded <- t.stats.reembedded + 1;
-      Reembedded (!scope_n + 1)
+      for j = 0 to !n_others - 1 do
+        prev := ring_link t w !prev t.others.(j)
+      done;
+      t.rnext.(!prev) <- t.first_out.(w);
+      t.rprev.(t.first_out.(w)) <- !prev
+    done;
+    ignore (Unionfind.union t.conn u v);
+    t.stats.reembedded <- t.stats.reembedded + 1;
+    Reembedded (scope_n + 1)
+  end
 
 let insert t u v =
   if u < 0 || u >= t.n || v < 0 || v >= t.n || u = v then

@@ -10,10 +10,12 @@
       kernel run at all.
     - {b insert, slow path}: otherwise only the affected biconnected
       components (tracked conservatively in a union-find-with-relations
-      over edge slots) are re-fed through {!Planarity.embed} as one small
-      graph, and the fresh rotation is merged back in place. Rejection
-      (the edge would make the graph non-planar) leaves the state
-      untouched.
+      over edge slots) are re-fed through the LR kernel as one small
+      graph, assembled and embedded in a kernel workspace the maintainer
+      keeps ({!Lr.embed_pairs}), and the workspace's checked ring is
+      merged back in place. Rejection (the edge would make the graph
+      non-planar) leaves the state untouched. Once the workspace has
+      grown to the largest scope, a re-embed allocates almost nothing.
     - {b delete}: O(degree) unsplicing — a plane embedding minus an edge
       is still plane. Component records go stale-conservative and are
       re-tightened by scoped re-decomposition, amortized O(1) per
@@ -46,18 +48,22 @@ type stats = {
   mutable face_steps : int;  (** darts visited by fast-path face walks *)
 }
 
-val create : ?kernel:Planarity.kernel -> Gr.t -> t
+val create : Gr.t -> t
 (** Embed [g] from scratch and start maintaining it.
     @raise Invalid_argument if [g] is not planar. *)
 
-val of_rotation : ?kernel:Planarity.kernel -> Rotation.t -> t
+val of_rotation : Rotation.t -> t
 (** Start from an existing embedding (kept verbatim).
     @raise Invalid_argument if it is not genus 0. *)
 
 val insert : t -> int -> int -> update
 (** [insert t u v] adds the edge [{u, v}] if doing so keeps the graph
     planar, returning how it was accommodated.
-    @raise Invalid_argument on out-of-range or equal endpoints. *)
+    @raise Invalid_argument on out-of-range or equal endpoints.
+    @raise Lr.Embedding_invalid if the slow path's kernel output fails
+    its checks or disagrees with the maintained rings (an internal
+    inconsistency, never raised on a correct build; the maintainer's
+    state is then unspecified). *)
 
 val delete : t -> int -> int -> bool
 (** [delete t u v] removes the edge if present; [false] if absent. *)
@@ -77,6 +83,5 @@ val rotation : t -> Rotation.t
 val validate : t -> bool
 (** Full Euler re-check of the maintained embedding (test hook). *)
 
-val kernel : t -> Planarity.kernel
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

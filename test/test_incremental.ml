@@ -433,6 +433,30 @@ let test_golden_replays () =
         [ 707; 611; 184; 0; 0; 1498; 0; 2; 93318; 41184 ] );
     ]
 
+(* The slow path reuses one kernel workspace, so once it has grown to
+   the largest scope a re-embed allocates next to nothing. Allocation
+   counts are deterministic: the whole maxplanar-400 replay (478 scoped
+   re-embeds over 404,256 kernel edges, the fast and linked inserts and
+   the deletes included) must allocate at most 10 words per kernel
+   edge, where a fresh graph, rotation and kernel per re-embed cost
+   about 96. *)
+let test_replay_allocation () =
+  let tr =
+    Churn.make ~seed:1 ~updates:3000 ~insert_pct:50 ~hold:0.3
+      (Gen.random_maximal_planar ~seed:1 400)
+  in
+  let inc = Incremental.create (Churn.initial_graph tr) in
+  let minor0, promoted0, major0 = Gc.counters () in
+  Churn.replay inc tr;
+  let minor1, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let kernel_edges = (Incremental.stats inc).kernel_edges in
+  Alcotest.(check int) "kernel edges" 404256 kernel_edges;
+  let per_edge = words /. float_of_int kernel_edges in
+  if per_edge > 10. then
+    Alcotest.failf "replay allocated %.1f words per kernel edge (gate: 10)"
+      per_edge
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -462,8 +486,12 @@ let () =
             test_of_rotation_roundtrip;
         ] );
       ( "golden",
-        [ Alcotest.test_case "churn replays are bit-identical" `Quick
-            test_golden_replays ] );
+        [
+          Alcotest.test_case "churn replays are bit-identical" `Quick
+            test_golden_replays;
+          Alcotest.test_case "replay allocation per kernel edge" `Quick
+            test_replay_allocation;
+        ] );
       ( "containers",
         [
           Alcotest.test_case "intervalset vs reference" `Quick

@@ -196,6 +196,118 @@ let test_lr_golden () =
         "ba04f43de966cbd3b3148d440eab79b5" );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* LR workspace: reuse across graphs, and the ring checker             *)
+(* ------------------------------------------------------------------ *)
+
+(* Load [g]'s edges into the workspace, last edge first and each pair
+   reversed (plus one duplicate when [g] has an edge), so the run must
+   redo {!Gr.of_edges}' normalization, sort and deduplication. *)
+let embed_in ws g =
+  let es = Array.of_list (Gr.edges g) in
+  let m = Array.length es in
+  let dup = if m > 0 then 1 else 0 in
+  let lo, hi = Lr.pairs ws ~m:(m + dup) in
+  Array.iteri
+    (fun i (u, v) ->
+      lo.(m - 1 - i) <- v;
+      hi.(m - 1 - i) <- u)
+    es;
+  if dup = 1 then begin
+    lo.(m) <- fst es.(0);
+    hi.(m) <- snd es.(0)
+  end;
+  Lr.embed_pairs ws ~n:(Gr.n g) ~m:(m + dup)
+
+(* A disjoint union of graphs, renumbered side by side. *)
+let disjoint gs =
+  let n, es =
+    List.fold_left
+      (fun (base, acc) g ->
+        ( base + Gr.n g,
+          List.map (fun (u, v) -> (u + base, v + base)) (Gr.edges g) @ acc ))
+      (0, []) gs
+  in
+  Gr.of_edges ~n es
+
+let test_workspace_reuse () =
+  let ws = Lr.workspace () in
+  List.iter
+    (fun (name, g) ->
+      let accepted = embed_in ws g in
+      match Lr.embed g with
+      | Lr.Nonplanar ->
+          check_bool (name ^ ": rejected like Lr.embed") false accepted
+      | Lr.Planar r ->
+          check_bool (name ^ ": accepted like Lr.embed") true accepted;
+          check (name ^ ": distinct edges") (Gr.m g) (Lr.edges ws);
+          let off = Lr.offsets ws and src = Lr.sources ws and ring = Lr.ring ws in
+          for v = 0 to Gr.n g - 1 do
+            check (name ^ ": offsets") (Gr.dart_offsets g).(v + 1) off.(v + 1);
+            let got =
+              Array.init (off.(v + 1) - off.(v)) (fun i ->
+                  src.(ring.(off.(v) + i)))
+            in
+            Alcotest.(check (array int))
+              (Printf.sprintf "%s: ring of %d" name v)
+              (Rotation.rotation r v) got
+          done)
+    [
+      ("grid 6x6", Gen.grid 6 6);
+      ("maxplanar-300", Gen.random_maximal_planar ~seed:1 300);
+      ("n = 0", Gr.empty 0);
+      ("n = 1", Gr.empty 1);
+      ("n = 2, m = 0", Gr.empty 2);
+      ("n = 2", Gen.path 2);
+      ("m = 0", Gr.empty 40);
+      ("K4", Gen.complete 4);
+      ( "disconnected",
+        disjoint [ Gen.grid 4 5; Gr.empty 3; Gen.cycle 7; Gen.k4_subdivision 3 ] );
+      (* a kernel reject in the middle, after a full orientation of a
+         larger component: it leaves the arrays dirty *)
+      ("grid 12x12 + K3,3", disjoint [ Gen.grid 12 12; Gen.k33 () ]);
+      ("K5", Gen.k5 ());
+      ("outerplanar-120", Gen.random_outerplanar ~seed:2 ~n:120 ~chord_prob:0.5);
+      ("star", Gen.star 30);
+      ("maxplanar-500", Gen.random_maximal_planar ~seed:4 500);
+      ("tree", Gen.random_tree ~seed:3 50);
+      ("k4-subdivision-80", Gen.k4_subdivision 80);
+    ]
+
+let expect_invalid what f =
+  match f () with
+  | () -> Alcotest.failf "%s: ring accepted" what
+  | exception Lr.Embedding_invalid _ -> ()
+
+let test_ring_checker () =
+  let ws = Lr.workspace () in
+  let g = Gen.random_maximal_planar ~seed:5 60 in
+  check_bool "triangulation embeds" true (embed_in ws g);
+  Lr.check_ring ws;
+  let off = Lr.offsets ws and ring = Lr.ring ws in
+  let swap i j =
+    let t = ring.(i) in
+    ring.(i) <- ring.(j);
+    ring.(j) <- t
+  in
+  (* Reordering one ring of a 3-connected plane graph leaves a rotation
+     system that is not the unique planar one (nor its mirror): only the
+     Euler check can see it. *)
+  let v = 7 in
+  let a = off.(v) and b = off.(v) + 1 in
+  swap a b;
+  expect_invalid "two darts swapped in one ring" (fun () -> Lr.check_ring ws);
+  swap a b;
+  Lr.check_ring ws;
+  (* A dart of vertex 0's ring in vertex 1's, and back: both rings stop
+     being permutations of their own slices. *)
+  let a = off.(0) and b = off.(1) in
+  swap a b;
+  expect_invalid "dart moved into another vertex's ring" (fun () ->
+      Lr.check_ring ws);
+  swap a b;
+  Lr.check_ring ws
+
 let () =
   Alcotest.run "planarity"
     [
@@ -211,6 +323,13 @@ let () =
           Alcotest.test_case "dense reject" `Quick test_dense_reject_fast;
         ] );
       ("lr-golden", [ Alcotest.test_case "rotation digests" `Quick test_lr_golden ]);
+      ( "lr-workspace",
+        [
+          Alcotest.test_case "one workspace across graphs" `Quick
+            test_workspace_reuse;
+          Alcotest.test_case "ring checker rejects corruption" `Quick
+            test_ring_checker;
+        ] );
       ( "dmp-properties",
         List.map QCheck_alcotest.to_alcotest
           [
