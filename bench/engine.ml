@@ -3,13 +3,11 @@
    per protocol shape. Each protocol runs twice: natively on the push
    interface, and in its list-shaped original through Network.of_lists,
    which is the shape every protocol had before the push interface (the
-   "list" columns). Three identity gates cost nothing to keep honest:
+   "list" columns). Two identity gates cost nothing to keep honest:
 
      - observation must be free of behavior: a run observed through a
        metrics sink must end in the same states after the same rounds as
        a bare run;
-     - the deprecated labelled alias (Network.exec_opts) must be a true
-       alias of [exec ~config] — same states, rounds and report;
      - the native port must be the list original: same states, rounds
        and report.
 
@@ -22,9 +20,6 @@
      dune exec bench/engine.exe -- --quick   # CI smoke: small cases only,
                                              # exit 1 on any gate
      dune exec bench/engine.exe -- --out F   # write the JSON to F *)
-
-[@@@alert "-legacy"]
-(* for the exec_opts-is-an-alias gate below, nothing else *)
 
 (* Send [x] to every neighbor of [v], in descending neighbor order (the
    order the list-shaped versions of these protocols used), reading the
@@ -168,9 +163,9 @@ type case = {
 }
 
 (* A case is split into two closures so the driver can schedule them
-   differently: the identity pass (observed run, alias run and list
-   run, results compared — CPU-bound and independent across cases, so
-   it fans out over the Pool when --jobs asks) and the timing pass (bare
+   differently: the identity pass (observed run and list run, results
+   compared — CPU-bound and independent across cases, so it fans out
+   over the Pool when --jobs asks) and the timing pass (bare
    runs whose wall-clock numbers are the product, so it always runs
    serially on an otherwise idle process). The closures hide the
    per-case state type, which lets heterogeneous protocols share one
@@ -199,14 +194,10 @@ let prep name g proto proto_lists =
         ~config:(Network.Config.with_observe (Observe.of_metrics m) config)
         g proto
     in
-    let aliased = Network.exec_opts ~bandwidth:4096 g proto in
     let listed = Network.exec ~config g proto_lists in
     ( bare.Network.states = observed.Network.states
       && bare.Network.rounds = observed.Network.rounds
       && Metrics.rounds m = bare.Network.rounds
-      && aliased.Network.states = bare.Network.states
-      && aliased.Network.rounds = bare.Network.rounds
-      && aliased.Network.report = bare.Network.report
       && listed.Network.states = bare.Network.states
       && listed.Network.rounds = bare.Network.rounds
       && listed.Network.report = bare.Network.report,

@@ -113,7 +113,9 @@ let maxplanar_swap_edge n =
 
 let cases quick =
   let mp = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
-  let gr = if quick then [ 22; 50 ] else [ 22; 50; 100; 173 ] in
+  (* No grid-173: DMP needs more than 8 GB there (1.5 GB of top heap
+     already at grid-100), so the committed sweep omits that row. *)
+  let gr = if quick then [ 22; 50 ] else [ 22; 50; 100 ] in
   let op = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
   let k4 = if quick then [ 80; 333 ] else [ 80; 333; 1333; 5000 ] in
   let rejects = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in

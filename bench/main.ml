@@ -367,8 +367,6 @@ let micro () =
     [
       Test.make ~name:"lr-embed-maxplanar500"
         (Staged.stage (fun () -> ignore (Lr.embed g500)));
-      Test.make ~name:"dmp-embed-maxplanar500"
-        (Staged.stage (fun () -> ignore (Dmp.embed g500)));
       Test.make ~name:"bicon-decompose-maxplanar500"
         (Staged.stage (fun () -> ignore (Bicon.decompose g500)));
       Test.make ~name:"face-trace-maxplanar500"

@@ -5,7 +5,7 @@
               and print the per-node rotations plus the round/congestion
               report
      baseline run the trivial gather-everything algorithm for comparison
-     check    centralized planarity test only (DMP)
+     check    centralized planarity test only (left-right kernel)
      families list the available graph families
 
    Example:
@@ -401,9 +401,8 @@ let chaos_cmd =
       & info [ "domains" ]
           ~doc:
             "Run each faulty simulation on this many domains (the sharded \
-             clocked engine). Deterministic per (seed, domains); composes \
-             with --jobs. Note the fault schedule is seed-compatible but \
-             stream-distinct across domain counts.")
+             clocked engine); composes with --jobs. Results and output are \
+             identical at every domain count, only wall time changes.")
   in
   let parse_crash s =
     let fail () =
@@ -557,11 +556,6 @@ let certify_cmd =
             "Where the rotation comes from: the centralized planarity \
              $(b,kernel) or the full distributed $(b,embedder).")
   in
-  let kernel_t =
-    Arg.(
-      value & opt string "lr"
-      & info [ "kernel" ] ~doc:"Planarity kernel for --via kernel: lr | dmp.")
-  in
   let domains_t =
     Arg.(
       value & opt int 1
@@ -585,24 +579,14 @@ let certify_cmd =
         Printf.eprintf "certify: cannot parse --corrupt %S (want K@SEED)\n" s;
         exit 2
   in
-  let run family n rows cols seglen seed m chord via kernel corrupt domains
-      epoch =
+  let run family n rows cols seglen seed m chord via corrupt domains epoch =
     let g = make_graph family n rows cols seglen seed m chord in
     graph_summary g;
     let rotation =
       match via with
       | `Kernel -> (
-          let kernel =
-            match Planarity.kernel_of_string kernel with
-            | Some k -> k
-            | None ->
-                Printf.eprintf "certify: unknown kernel %S (want lr | dmp)\n"
-                  kernel;
-                exit 2
-          in
-          Printf.printf "rotation from    : %s kernel\n"
-            (Planarity.kernel_name kernel);
-          match Planarity.embed ~kernel g with
+          Printf.printf "rotation from    : lr kernel\n";
+          match Planarity.embed g with
           | Planarity.Planar r -> r
           | Planarity.Nonplanar ->
               Printf.printf "verdict          : not planar — nothing to certify\n";
@@ -675,7 +659,7 @@ let certify_cmd =
   let term =
     Term.(
       const run $ family_t $ n_t $ rows_t $ cols_t $ seglen_t $ seed_t $ m_t
-      $ chord_t $ via_t $ kernel_t $ corrupt_t $ domains_t $ epoch_t)
+      $ chord_t $ via_t $ corrupt_t $ domains_t $ epoch_t)
   in
   Cmd.v
     (Cmd.info "certify"

@@ -437,11 +437,8 @@ let verify ?(config = Network.Config.default) r certs =
             }
           g proto
     | Some plan ->
-        if config.Network.Config.domains > 1 then
-          invalid_arg
-            "Certify.verify: a fault plan requires domains = 1 — reliable \
-             delivery runs on the sequential clocked engine";
-        Reliable.exec ~bandwidth ~observe ~faults:plan g proto
+        Reliable.exec ~domains:config.Network.Config.domains ~bandwidth
+          ~observe ~faults:plan g proto
   in
   let res = Trace.with_span (Observe.trace observe) "certify.verify" ~clock run in
   let states = res.Network.states in

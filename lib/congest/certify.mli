@@ -149,8 +149,8 @@ val verify : ?config:Network.Config.t -> Rotation.t -> t -> outcome
     ([Observe.bounds_spec ~c_rounds:1 ~d:0]) and returns the verdict in
     [report]. A config with a fault plan routes the round through
     {!Reliable} on the fault-aware engine — more rounds (acks,
-    retransmissions, the grace period), same verdict; incompatible with
-    [domains > 1], as everywhere.
+    retransmissions, the grace period), same verdict — at the config's
+    [domains], which changes only wall time.
     @raise Invalid_argument if the certificates were issued for a
     different graph than the rotation's. *)
 

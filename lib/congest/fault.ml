@@ -44,17 +44,12 @@ let zero_stats =
     restarts = 0;
   }
 
-(* A splitmix64 stream position. The plan owns one (the engine-visit
-   stream of the sequential clocked engine); sharded runs derive keyed
-   substreams — fresh positions seeded from (seed, shard, round, slot) —
-   so fault decisions stay deterministic without a single stream forcing
-   a total consumption order across domains. *)
-type stream = { mutable pos : int64 }
-
+(* [pos] is the position of the plan's one splitmix64 stream, which the
+   clocked engine consumes in its network phase's visit order. *)
 type plan = {
   spec : spec;
   seed : int;
-  stream : stream;
+  mutable pos : int64;
   mutable stats : stats;
   by_node : (int, crash list) Hashtbl.t;
   horizon : int;
@@ -64,24 +59,24 @@ type plan = {
    plan must not depend on Stdlib.Random's global state or algorithm. *)
 let mix seed = Int64.logxor (Int64.of_int seed) 0x2545F4914F6CDD1DL
 
-let snext s =
+let snext p =
   let open Int64 in
-  s.pos <- add s.pos 0x9E3779B97F4A7C15L;
-  let z = s.pos in
+  p.pos <- add p.pos 0x9E3779B97F4A7C15L;
+  let z = p.pos in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
 (* Uniform float in [0, 1): the top 53 bits of one draw. *)
-let suniform s =
-  Int64.to_float (Int64.shift_right_logical (snext s) 11) *. 0x1p-53
+let suniform p =
+  Int64.to_float (Int64.shift_right_logical (snext p) 11) *. 0x1p-53
 
 (* Uniform int in [0, bound): modulo bias is irrelevant at fault-plan
    precision (bound is tiny against 2^62). *)
-let sbelow s bound =
-  Int64.to_int (Int64.shift_right_logical (snext s) 2) mod bound
+let sbelow p bound =
+  Int64.to_int (Int64.shift_right_logical (snext p) 2) mod bound
 
-let schance s prob = prob > 0. && suniform s < prob
+let schance p prob = prob > 0. && suniform p < prob
 
 let make ?(spec = default) ~seed () =
   let bad_prob x = not (x >= 0. && x <= 1.) in
@@ -104,8 +99,7 @@ let make ?(spec = default) ~seed () =
         max acc (match c.restart with Some r -> r | None -> c.at))
       0 spec.crashes
   in
-  { spec; seed; stream = { pos = mix seed }; stats = zero_stats; by_node;
-    horizon }
+  { spec; seed; pos = mix seed; stats = zero_stats; by_node; horizon }
 
 let spec p = p.spec
 let seed p = p.seed
@@ -114,42 +108,40 @@ let horizon p = p.horizon
 let grace p = p.spec.grace
 
 let reset p =
-  p.stream.pos <- mix p.seed;
+  p.pos <- mix p.seed;
   p.stats <- zero_stats
 
 type delivery = { offset : int; key : int option }
 
-let one_copy p s =
+let one_copy p =
   let offset =
-    if schance s p.spec.delay then begin
+    if schance p p.spec.delay then begin
       p.stats <- { p.stats with delayed = p.stats.delayed + 1 };
-      1 + sbelow s p.spec.max_delay
+      1 + sbelow p p.spec.max_delay
     end
     else 0
   in
   let key =
-    if schance s p.spec.reorder then begin
+    if schance p p.spec.reorder then begin
       p.stats <- { p.stats with reordered = p.stats.reordered + 1 };
-      Some (sbelow s 0x40000000)
+      Some (sbelow p 0x40000000)
     end
     else None
   in
   { offset; key }
 
-let fate_on p s =
-  if schance s p.spec.drop then begin
+let fate p =
+  if schance p p.spec.drop then begin
     p.stats <- { p.stats with dropped = p.stats.dropped + 1 };
     []
   end
-  else if schance s p.spec.duplicate then begin
+  else if schance p p.spec.duplicate then begin
     p.stats <- { p.stats with duplicated = p.stats.duplicated + 1 };
-    let a = one_copy p s in
-    let b = one_copy p s in
+    let a = one_copy p in
+    let b = one_copy p in
     [ a; b ]
   end
-  else [ one_copy p s ]
-
-let fate p = fate_on p p.stream
+  else [ one_copy p ]
 
 let down p ~node ~round =
   match Hashtbl.find_opt p.by_node node with
@@ -178,41 +170,11 @@ let transitions p ~round =
 let note_crash_lost p =
   p.stats <- { p.stats with crash_lost = p.stats.crash_lost + 1 }
 
-let permute_on s a =
+let permute p a =
   let k = Array.length a in
   for i = k - 1 downto 1 do
-    let j = sbelow s (i + 1) in
+    let j = sbelow p (i + 1) in
     let t = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- t
   done
-
-let permute p a = permute_on p.stream a
-
-(* ------------------------------------------------------------------ *)
-(* Keyed substreams (sharded fault decisions)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A substream's position is a splitmix64 finalization of
-   (seed, shard, round, slot): well-separated keys give well-separated
-   streams, and the derivation consumes nothing from the plan's own
-   stream — the same (seed, key) always yields the same draws no matter
-   how many other substreams were opened before it. Stats still tally
-   into the shared plan, so substream draws must happen in a serial
-   section (the sharded engine's network phase). *)
-type sub = { sp : plan; sstream : stream }
-
-let substream p ~shard ~round ~slot =
-  let open Int64 in
-  let h = ref (mix p.seed) in
-  let absorb x =
-    h := add !h (mul (of_int (x + 1)) 0x9E3779B97F4A7C15L);
-    h := mul (logxor !h (shift_right_logical !h 30)) 0xBF58476D1CE4E5B9L
-  in
-  absorb shard;
-  absorb round;
-  absorb slot;
-  { sp = p; sstream = { pos = !h } }
-
-let sub_fate u = fate_on u.sp u.sstream
-let sub_permute u a = permute_on u.sstream a

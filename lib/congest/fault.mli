@@ -16,14 +16,11 @@
     consumes the stream in a deterministic order (it is itself
     deterministic), so two runs of the same protocol on the same graph
     with plans built from the same spec and seed are identical — same
-    states, same rounds, same fault events, same trace. [test_fault.ml]
-    asserts this.
-
-    With [domains > 1] the sharded clocked engine draws each decision
-    from a keyed {!substream} instead — deterministic for a given
-    [(seed, domains)], but {e stream-distinct} from the [domains = 1]
-    run: the same seed produces an equally valid, different fault
-    schedule at each domain count. See {!section:substreams}.
+    states, same rounds, same fault events, same trace. The stream is
+    the same at every domain count: with [domains > 1] the engine still
+    draws every decision serially, in the order a one-domain run makes
+    them, so the domain count changes only wall time. [test_fault.ml]
+    asserts both.
 
     A plan is mutable (the stream position and the {!stats} counters
     advance as the engine consults it); build a fresh plan, or
@@ -136,38 +133,6 @@ val note_crash_lost : plan -> unit
 val permute : plan -> 'a array -> unit
 (** Seeded in-place Fisher–Yates shuffle — the adversarial inbox
     permutation. Consumes no randomness on arrays shorter than 2. *)
-
-(** {2:substreams Keyed substreams (sharded engine)}
-
-    The sequential clocked engine consumes the plan's single stream in
-    engine-visit order; a sharded visit order would scramble it. The
-    sharded fault engine instead opens a fresh substream per decision
-    point, keyed by [(shard, round, slot)] and derived from the plan's
-    seed by splitmix64 finalization — no draw consumes another key's
-    randomness, so the whole run is a pure function of
-    [(seed, domains, spec, protocol, graph)]. Verdicts are
-    {e seed-compatible but stream-distinct} from [domains = 1]: expect a
-    different (equally valid) fault schedule per domain count.
-
-    Substream draws tally {!stats} into the shared plan, so they must be
-    made from a serial section — the sharded engine's network phase —
-    never concurrently. *)
-
-type sub
-(** A keyed substream of a plan's randomness. *)
-
-val substream : plan -> shard:int -> round:int -> slot:int -> sub
-(** [substream p ~shard ~round ~slot] opens the substream for one
-    decision point. The engine keys per-message fates by the sender's
-    shard, the send round and the target dart slot, and adversarial
-    inbox permutations by the recipient's shard, the delivery round and
-    a slot offset past the dart range. *)
-
-val sub_fate : sub -> delivery list
-(** {!fate}, drawing from the substream (stats tally into the plan). *)
-
-val sub_permute : sub -> 'a array -> unit
-(** {!permute}, drawing from the substream. *)
 
 val horizon : plan -> int
 (** The last round mentioned by the crash schedule (0 if none): the

@@ -9,9 +9,9 @@
     what the {!Trace} journal and the {!Bounds} checker consume.
 
     Two layers feed a [t]:
-    - {!Network.run} records every real message with its direction
-      ({!add_message}), the per-round totals ({!record_round}) and the
-      per-edge-per-round bursts ({!note_round_edge});
+    - {!Network.exec} records every real message with its direction
+      ({!add_message_at}), the per-round totals ({!record_round}) and the
+      per-edge-per-round bursts ({!note_round_edge_at});
     - {!Costmodel} records charged (pipelined) shipments via
       {!add_dir_bits} / {!add_edge_bits_by_index} — those are spread over
       many rounds by construction, so they contribute to totals but not
@@ -99,7 +99,7 @@ val add_dir_bits : t -> u:int -> v:int -> bits:int -> unit
     bursts — charged shipments are pipelined over many rounds). *)
 
 val record_round : t -> round:int -> active:int -> messages:int -> bits:int -> unit
-(** Append one per-round activity record ({!Network.run} calls this for
+(** Append one per-round activity record ({!Network.exec} calls this for
     every executed round). *)
 
 val note_round_edge : t -> u:int -> v:int -> bits:int -> unit

@@ -346,7 +346,7 @@ let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g
       if s < 0 then
         fail
           (Invalid_argument
-             (Printf.sprintf "Network.run: node %d sent to non-neighbor %d" u
+             (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u
                 v));
       rev.(s)
     in
@@ -498,304 +498,6 @@ let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g
       failed := None;
       raise e
   in
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
-  in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
-
-(* The fault-aware clocked engine. [exec] dispatches here only when a
-   fault plan is installed, so this loop is free to favor clarity over
-   allocation discipline: deliveries live in a round-indexed pending
-   table (messages can be delayed across rounds), and every live node
-   takes a step every round — the clock that timeout-driven recovery
-   layers ({!Reliable}) need in order to retransmit. Every random
-   decision is drawn from the plan's seeded stream in engine-visit
-   order, which makes the whole run reproducible from
-   (protocol, graph, spec, seed). The semantics of each fault kind are
-   specified in DESIGN.md §9. *)
-let exec_faulty ~plan ?bandwidth ?max_rounds ?(observe = Observe.none) g
-    (proto : ('s, 'm) protocol) =
-  let n = Gr.n g in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
-  in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
-  let xadj = Gr.dart_offsets g in
-  let srcs = Gr.dart_sources g in
-  let dedge = Gr.dart_edges g in
-  let rev = Gr.dart_reversals g in
-  let nd = Array.length srcs in
-  (* A dart is a directed edge, so the metrics slot of each dart is
-     fixed; memo it once instead of re-deriving it per message. *)
-  let dir_of_dart = Array.make (max 1 nd) 0 in
-  for v = 0 to n - 1 do
-    for d = xadj.(v) to xadj.(v + 1) - 1 do
-      dir_of_dart.(d) <- (2 * dedge.(d)) + if srcs.(d) < v then 0 else 1
-    done
-  done;
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
-  (* Per-dart load of the current round, reset through the touched list
-     at commit time. *)
-  let load = Array.make (max 1 nd) 0 in
-  let touched = ref [] in
-  (* Deliveries in flight: delivery round -> (dst, src, key, seq, msg)
-     list in reverse insertion order. [seq] is the global send sequence
-     number; [key] is the inbox sort key — equal to [seq] normally, a
-     random draw for a reordered copy. *)
-  let pending : (int, (int * int * int * int * 'm) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let in_flight = ref 0 in
-  let seq = ref 0 in
-  let on_fault kind ~src ~dst =
-    (match metrics with Some m -> Metrics.note_fault m ~kind | None -> ());
-    match trace with
-    | Some tr -> Trace.on_fault tr ~round:(base + !round) ~kind ~src ~dst
-    | None -> ()
-  in
-  let schedule ~src ~dst msg (c : Fault.delivery) =
-    if c.Fault.offset > 0 then on_fault "delay" ~src ~dst;
-    let key =
-      match c.Fault.key with
-      | Some k ->
-          on_fault "reorder" ~src ~dst;
-          k
-      | None -> !seq
-    in
-    let at = !round + 1 + c.Fault.offset in
-    let sofar = try Hashtbl.find pending at with Not_found -> [] in
-    Hashtbl.replace pending at ((dst, src, key, !seq, msg) :: sofar);
-    incr seq;
-    incr in_flight
-  in
-  (* The node whose call is running (-1 between calls) and the engine
-     error a [send] raised, kept as in [exec_clean]: a protocol that
-     catches it still ends the run with it. *)
-  let cur = ref (-1) in
-  let failed = ref None in
-  let fail e =
-    failed := Some e;
-    cur := -1;
-    raise e
-  in
-  let send u v msg =
-    let d =
-      let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-      if s < 0 then
-        fail
-          (Invalid_argument
-             (Printf.sprintf "Network.run: node %d sent to non-neighbor %d" u
-                v));
-      rev.(s)
-    in
-    let bits = proto.msg_bits msg in
-    (match metrics with
-    | Some m -> Metrics.add_message_at m ~dir:dir_of_dart.(d) ~bits
-    | None -> ());
-    (match trace with
-    | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-    | None -> ());
-    incr msgs_round;
-    bits_round := !bits_round + bits;
-    if bits > !max_msg_bits then max_msg_bits := bits;
-    if load.(d) = 0 then touched := d :: !touched;
-    let now = load.(d) + bits in
-    load.(d) <- now;
-    if now > !max_burst then max_burst := now;
-    if now > bandwidth then
-      fail (Bandwidth_exceeded { round = !round; u; v; bits = now });
-    (* The sender paid for the message (metrics, bandwidth); only now
-       does the network decide its fate. *)
-    match Fault.fate plan with
-    | [] -> on_fault "drop" ~src:u ~dst:v
-    | [ c ] -> schedule ~src:u ~dst:v msg c
-    | cs ->
-        on_fault "duplicate" ~src:u ~dst:v;
-        List.iter (schedule ~src:u ~dst:v msg) cs
-  in
-  (* The push [send] handed to the protocol: sends as the node whose
-     call is running ([cur]), and refuses once that call has returned. *)
-  let psend v msg =
-    if !cur >= 0 then send !cur v msg
-    else match !failed with Some e -> raise e | None -> leaked ()
-  in
-  let ib = Inbox.empty () in
-  (* Run one [init]/[round] call of node [v]. However the call ends,
-     [psend] and [ib] are closed behind it, and an engine error the
-     protocol caught is raised again. *)
-  let call v f =
-    cur := v;
-    let r = try Ok (f psend) with e -> Error e in
-    cur := -1;
-    ib.Inbox.len <- 0;
-    match (!failed, r) with
-    | Some e, _ | None, Error e ->
-        failed := None;
-        raise e
-    | None, Ok s -> s
-  in
-  let commit_round ~active =
-    (match metrics with
-    | Some m ->
-        List.iter
-          (fun d ->
-            Metrics.note_round_edge_at m ~dir:dir_of_dart.(d) ~bits:load.(d))
-          !touched;
-        Metrics.record_round m ~round:(base + !round) ~active
-          ~messages:!msgs_round ~bits:!bits_round
-    | None -> ());
-    (match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
-          ~bits:!bits_round
-    | None -> ());
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
-  in
-  let reset_loads () =
-    List.iter (fun d -> load.(d) <- 0) !touched;
-    touched := []
-  in
-  let apply_transitions r =
-    List.iter
-      (fun (node, what) ->
-        match what with
-        | `Crash -> on_fault "crash" ~src:node ~dst:(-1)
-        | `Restart -> on_fault "restart" ~src:node ~dst:(-1))
-      (Fault.transitions plan ~round:r)
-  in
-  (* Round 0: crashes scheduled at round 0 apply first; a node that is
-     down at round 0 still computes its initial state (the engine needs
-     one) but takes no step — its spontaneous sends are suppressed. *)
-  apply_transitions 0;
-  let states =
-    Array.init n (fun v ->
-        (* A node down at round 0 computes its state but its sends are
-           suppressed: its [send] discards. *)
-        if Fault.down plan ~node:v ~round:0 then discarding (proto.init g v)
-        else call v (proto.init g v))
-  in
-  if !msgs_round > 0 then commit_round ~active:n;
-  reset_loads ();
-  (* Landed copies of the round being delivered: per-recipient reverse
-     lists of (src, key, seq, msg), plus the list of recipients hit. *)
-  let landed : (int * int * int * 'm) list array = Array.make (max 1 n) [] in
-  let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
-  let idle = ref 0 in
-  let grace = Fault.grace plan in
-  let horizon = Fault.horizon plan in
-  let pending_recipients () =
-    let seen = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun _ copies ->
-        List.iter (fun (dst, _, _, _, _) -> Hashtbl.replace seen dst ()) copies)
-      pending;
-    Hashtbl.length seen
-  in
-  if !msgs_round = 0 && !in_flight = 0 then idle := grace;
-  (* The clocked loop: runs until [grace] consecutive rounds saw no send
-     and nothing in flight, and the crash schedule's horizon has passed
-     (a restart scheduled after a lull must still execute). A run whose
-     init sent nothing, under a plan that schedules nothing, is over
-     immediately — as in the clean engine. *)
-  while not (!idle >= grace && !round >= horizon) do
-    if !round >= max_rounds then
-      raise
-        (No_quiescence
-           {
-             round = !round;
-             active = pending_recipients ();
-             messages = !msgs_round;
-           });
-    incr round;
-    let r = !round in
-    apply_transitions r;
-    (* Deliver: due copies land in their recipients' inboxes — unless
-       the recipient is down, in which case the network discards them
-       and keeps the score (a retransmission from the reliable layer,
-       not the engine, is what carries data past an outage). *)
-    let due = try List.rev (Hashtbl.find pending r) with Not_found -> [] in
-    Hashtbl.remove pending r;
-    List.iter
-      (fun (dst, src, key, sq, msg) ->
-        decr in_flight;
-        if Fault.down plan ~node:dst ~round:r then begin
-          Fault.note_crash_lost plan;
-          on_fault "crash-lost" ~src ~dst
-        end
-        else landed.(dst) <- (src, key, sq, msg) :: landed.(dst))
-      due;
-    (* Sort each hit inbox by (sender, key, seq): with no reordered
-       copies this is exactly the documented guarantee — ascending
-       sender, per-sender send order. Adversarial mode then shuffles the
-       whole inbox. Recipients are visited in ascending id order so the
-       shuffles consume the plan's stream deterministically. *)
-    let active = ref 0 in
-    for v = 0 to n - 1 do
-      match landed.(v) with
-      | [] -> ()
-      | copies ->
-          incr active;
-          landed.(v) <- [];
-          let a = Array.of_list copies in
-          Array.sort
-            (fun (s1, k1, q1, _) (s2, k2, q2, _) ->
-              compare (s1, k1, q1) (s2, k2, q2))
-            a;
-          if (Fault.spec plan).Fault.adversarial then Fault.permute plan a;
-          inbox.(v) <-
-            Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
-    done;
-    msgs_round := 0;
-    bits_round := 0;
-    (* Compute: every live node steps, with an empty inbox if nothing
-       arrived — the clock a recovery layer's retransmission timers run
-       on. [active] keeps its metrics meaning: nodes that had mail. *)
-    for v = 0 to n - 1 do
-      if not (Fault.down plan ~node:v ~round:r) then begin
-        Inbox.load ib inbox.(v);
-        inbox.(v) <- [];
-        states.(v) <- call v (proto.round g v states.(v) ib)
-      end
-      else inbox.(v) <- []
-    done;
-    commit_round ~active:!active;
-    reset_loads ();
-    idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
-  done;
   (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
   let verdict =
     match (Observe.bounds observe, metrics) with
@@ -1202,7 +904,7 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
             pos = sl_events.(slot).Ibuf.len;
             err =
               Invalid_argument
-                (Printf.sprintf "Network.run: node %d sent to non-neighbor %d"
+                (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d"
                    u v);
           };
       raise_notrace Stop_shard
@@ -1795,32 +1497,32 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
       };
   }
 
-(* The sharded fault-aware clocked engine: the clocked loop of
-   [exec_faulty] with the compute phase parallelized over [k] contiguous
-   node shards. Each shard steps its own nodes against shard-owned
-   state/inbox cells and stages its sends as (sender, recipient, msg)
-   triples; a {e serial} network phase then walks the staged sends in
-   ascending shard order — which is ascending node order, the sequential
-   engine's visit order — doing everything order-sensitive in one
-   thread: metrics, trace, bandwidth accounting, fault fates, delivery
-   scheduling and the plan's stats.
+(* The fault-aware clocked engine. [exec] runs here whenever a fault
+   plan is installed, at every domain count, so this loop favors clarity
+   over allocation discipline: deliveries live in a round-indexed
+   pending table (messages can be delayed across rounds), and every live
+   node takes a step every round — the clock that timeout-driven
+   recovery layers ({!Reliable}) need in order to retransmit.
 
-   Fault decisions come from keyed {!Fault.substream}s — per-message
-   fates from [(sender's shard, send round, target dart)], adversarial
-   inbox permutes from [(recipient's shard, delivery round, nd + v)] —
-   so the run is a pure function of (seed, domains, spec, protocol,
-   graph): deterministic at every domain count, but {e stream-distinct}
-   from the [domains = 1] engine, which consumes one stream in visit
-   order. All messages of one dart in one round draw from one substream
-   (a per-dart table in the serial phase), keeping their fates
-   independent draws rather than replays of the same position.
+   Compute runs over [k] contiguous node shards (one at [domains = 1]).
+   Each shard steps its own nodes against shard-owned state/inbox cells
+   and stages its sends as (sender, recipient, msg) triples; a serial
+   network phase then walks the staged sends in ascending shard order —
+   ascending node order, each sender's sends in the order it made them —
+   doing everything order-sensitive in one thread: metrics, trace,
+   bandwidth accounting, fault fates, delivery scheduling and the plan's
+   stats. Every random decision is drawn from the plan's single stream
+   in that order (message fates in the walk, adversarial inbox shuffles
+   in ascending recipient order), so the run is a pure function of
+   (protocol, graph, spec, seed) and the same at every domain count. The
+   semantics of each fault kind are specified in DESIGN.md §9.
 
-   Error faithfulness: a compute error in shard i suppresses the
-   network phase for shards > i and for the erring shard's unstaged
-   tail, so the error surfaces exactly after the sends a sequential
-   sweep would have processed first; bandwidth violations raise from
-   the serial phase mid-walk, as the sequential engine does. *)
-let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
+   Error faithfulness: a compute error in shard i suppresses the network
+   phase for shards > i and for the erring shard's unstaged tail, so the
+   error surfaces exactly after the sends a sequential sweep would have
+   processed first; bandwidth and non-neighbor violations raise from the
+   network phase mid-walk, outside protocol code. *)
+let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
     ?(observe = Observe.none) g (proto : ('s, 'm) protocol) =
   let n = Gr.n g in
   let k = domains in
@@ -1840,6 +1542,8 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
   let dedge = Gr.dart_edges g in
   let rev = Gr.dart_reversals g in
   let nd = Array.length srcs in
+  (* A dart is a directed edge, so the metrics slot of each dart is
+     fixed; memo it once instead of re-deriving it per message. *)
   let dir_of_dart = Array.make (max 1 nd) 0 in
   for v = 0 to n - 1 do
     for d = xadj.(v) to xadj.(v + 1) - 1 do
@@ -1847,12 +1551,6 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
     done
   done;
   let shard_lo = Array.init (k + 1) (fun i -> i * n / k) in
-  let sid = Array.make (max 1 n) 0 in
-  for i = 0 to k - 1 do
-    for v = shard_lo.(i) to shard_lo.(i + 1) - 1 do
-      sid.(v) <- i
-    done
-  done;
   let round = ref 0 in
   let msgs_round = ref 0 in
   let bits_round = ref 0 in
@@ -1861,27 +1559,25 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
   let max_msg_bits = ref 0 in
   let max_burst = ref 0 in
   let active_peak = ref 0 in
-  (* Load/touched are only read and written by the serial network
-     phase. *)
+  (* Per-dart load of the current round, reset through the touched list
+     at commit time; only the network phase reads or writes them. *)
   let load = Array.make (max 1 nd) 0 in
   let touched = ref [] in
+  (* Deliveries in flight: delivery round -> (dst, src, key, seq, msg)
+     list in reverse insertion order. [seq] is the global send sequence
+     number; [key] is the inbox sort key — equal to [seq] normally, a
+     random draw for a reordered copy. *)
   let pending : (int, (int * int * int * int * 'm) list) Hashtbl.t =
     Hashtbl.create 64
   in
   let in_flight = ref 0 in
   let seq = ref 0 in
   (* Per-shard staged sends of the current phase: (u, v) int pairs plus
-     the message payloads, in the shard's node order. [sh_err] holds the
-     shard's first compute error as (node, exn). *)
+     the message payloads, in the shard's node order, and the shard's
+     first compute error. *)
   let ob_uv = Array.init k (fun _ -> Ibuf.make 64) in
   let ob_m : 'm Mbuf.t array = Array.init k (fun _ -> Mbuf.make ()) in
-  let sh_err : (int * exn) option array = Array.make k None in
-  let pool = Pool.create ~domains:k () in
-  let shutdown () = Pool.shutdown pool in
-  let fail_with e =
-    shutdown ();
-    raise e
-  in
+  let sh_err : exn option array = Array.make k None in
   let on_fault kind ~src ~dst =
     (match metrics with Some m -> Metrics.note_fault m ~kind | None -> ());
     match trace with
@@ -1903,15 +1599,14 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
     incr seq;
     incr in_flight
   in
-  (* The serial network phase: walk the shards' staged sends in shard
-     (= node) order, charging metrics and bandwidth and drawing each
-     message's fate from the dart's keyed substream. A shard's compute
-     error re-raises after its staged prefix — and before any higher
-     shard's sends, which a sequential sweep would never have reached. *)
-  let apply_sends r =
-    let subs : (int, Fault.sub) Hashtbl.t = Hashtbl.create 16 in
+  (* The network phase: walk the shards' staged sends in shard (= node)
+     order, charging metrics and bandwidth and drawing each message's
+     fate — the sender paid for the message before the network decides
+     it. A shard's compute error re-raises after its staged prefix, and
+     before any higher shard's sends, which a sequential sweep would
+     never have reached. *)
+  let apply_sends () =
     for i = 0 to k - 1 do
-      Hashtbl.reset subs;
       let uv = ob_uv.(i) in
       let mb = ob_m.(i) in
       for j = 0 to (uv.Ibuf.len / 2) - 1 do
@@ -1921,10 +1616,9 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
         let d =
           let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
           if s < 0 then
-            fail_with
-              (Invalid_argument
-                 (Printf.sprintf
-                    "Network.run: node %d sent to non-neighbor %d" u v));
+            invalid_arg
+              (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u
+                 v);
           rev.(s)
         in
         let bits = proto.msg_bits msg in
@@ -1943,25 +1637,17 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
         load.(d) <- now;
         if now > !max_burst then max_burst := now;
         if now > bandwidth then
-          fail_with (Bandwidth_exceeded { round = !round; u; v; bits = now });
-        let sub =
-          match Hashtbl.find_opt subs d with
-          | Some sub -> sub
-          | None ->
-              let sub = Fault.substream plan ~shard:i ~round:r ~slot:d in
-              Hashtbl.add subs d sub;
-              sub
-        in
-        (match Fault.sub_fate sub with
+          raise (Bandwidth_exceeded { round = !round; u; v; bits = now });
+        match Fault.fate plan with
         | [] -> on_fault "drop" ~src:u ~dst:v
         | [ c ] -> schedule ~src:u ~dst:v msg c
         | cs ->
             on_fault "duplicate" ~src:u ~dst:v;
-            List.iter (schedule ~src:u ~dst:v msg) cs)
+            List.iter (schedule ~src:u ~dst:v msg) cs
       done;
       Ibuf.clear uv;
       Mbuf.clear mb;
-      match sh_err.(i) with Some (_, e) -> fail_with e | None -> ()
+      match sh_err.(i) with Some e -> raise e | None -> ()
     done
   in
   let commit_round ~active =
@@ -1981,9 +1667,7 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
     | None -> ());
     if active > !active_peak then active_peak := active;
     total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
-  in
-  let reset_loads () =
+    total_bits := !total_bits + !bits_round;
     List.iter (fun d -> load.(d) <- 0) !touched;
     touched := []
   in
@@ -1995,12 +1679,6 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
         | `Restart -> on_fault "restart" ~src:node ~dst:(-1))
       (Fault.transitions plan ~round:r)
   in
-  apply_transitions 0;
-  (* One extra (discarded) init of node 0 seeds the array (protocols are
-     pure); shards then init their own nodes in parallel, staging the
-     spontaneous sends of live nodes. *)
-  let states = Array.make n (discarding (proto.init g 0)) in
-  let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
   (* Per-shard push [send]: stages (sender, recipient, msg) as the
      shard's running node, refused between calls. *)
   let sh_u = Array.make k (-1) in
@@ -2012,154 +1690,179 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
         Ibuf.push ob_uv.(i) w;
         Mbuf.push ob_m.(i) msg)
   in
-  let views = Array.init k (fun _ -> Inbox.empty ()) in
-  Pool.run pool ~tasks:k (fun i ->
-      try
-        for v = shard_lo.(i) to shard_lo.(i + 1) - 1 do
-          if Fault.down plan ~node:v ~round:0 then
-            states.(v) <- discarding (proto.init g v)
-          else begin
-            sh_u.(i) <- v;
-            states.(v) <- proto.init g v psend.(i);
-            sh_u.(i) <- -1
-          end
-        done
-      with e ->
-        (* proto.init is all that can raise here; record the node. *)
-        sh_u.(i) <- -1;
-        (match sh_err.(i) with
-        | None -> sh_err.(i) <- Some (shard_lo.(i), e)
-        | Some _ -> ()));
-  apply_sends 0;
-  if !msgs_round > 0 then commit_round ~active:n;
-  reset_loads ();
-  let landed : (int * int * int * 'm) list array = Array.make (max 1 n) [] in
-  let idle = ref 0 in
-  let grace = Fault.grace plan in
-  let horizon = Fault.horizon plan in
-  let pending_recipients () =
-    let seen = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun _ copies ->
-        List.iter (fun (dst, _, _, _, _) -> Hashtbl.replace seen dst ()) copies)
-      pending;
-    Hashtbl.length seen
+  let note_error i e =
+    sh_u.(i) <- -1;
+    sh_err.(i) <- Some e
   in
-  if !msgs_round = 0 && !in_flight = 0 then idle := grace;
-  while not (!idle >= grace && !round >= horizon) do
-    if !round >= max_rounds then
-      fail_with
-        (No_quiescence
-           {
-             round = !round;
-             active = pending_recipients ();
-             messages = !msgs_round;
-           });
-    incr round;
-    let r = !round in
-    apply_transitions r;
-    let due = try List.rev (Hashtbl.find pending r) with Not_found -> [] in
-    Hashtbl.remove pending r;
-    List.iter
-      (fun (dst, src, key, sq, msg) ->
-        decr in_flight;
-        if Fault.down plan ~node:dst ~round:r then begin
-          Fault.note_crash_lost plan;
-          on_fault "crash-lost" ~src ~dst
-        end
-        else landed.(dst) <- (src, key, sq, msg) :: landed.(dst))
-      due;
-    (* Sort each hit inbox by (sender, key, seq); adversarial mode then
-       shuffles it from the recipient's keyed substream ([nd + v] cannot
-       collide with a fate key, which is a dart slot). *)
-    let active = ref 0 in
-    for v = 0 to n - 1 do
-      match landed.(v) with
-      | [] -> ()
-      | copies ->
-          incr active;
-          landed.(v) <- [];
-          let a = Array.of_list copies in
-          Array.sort
-            (fun (s1, k1, q1, _) (s2, k2, q2, _) ->
-              compare (s1, k1, q1) (s2, k2, q2))
-            a;
-          if (Fault.spec plan).Fault.adversarial then
-            Fault.sub_permute
-              (Fault.substream plan ~shard:sid.(v) ~round:r ~slot:(nd + v))
-              a;
-          inbox.(v) <-
-            Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
-    done;
-    msgs_round := 0;
-    bits_round := 0;
-    (* Compute: every live node steps. Shards own disjoint state/inbox
-       ranges; sends are staged, so no shard writes outside its range. *)
+  (* Wake-up: a node down at round 0 still computes its initial state
+     (the engine needs one) but takes no step — its spontaneous sends
+     are suppressed. *)
+  let init i v =
+    if Fault.down plan ~node:v ~round:0 then discarding (proto.init g v)
+    else begin
+      sh_u.(i) <- v;
+      let s = proto.init g v psend.(i) in
+      sh_u.(i) <- -1;
+      s
+    end
+  in
+  let pool = Pool.create ~domains:k () in
+  let run () =
+    (* Round 0: crashes scheduled at round 0 apply first. Node 0 wakes
+       serially and its state seeds the array; the shards then wake the
+       rest in parallel. *)
+    apply_transitions 0;
+    let states =
+      if n = 0 then [||]
+      else
+        match init 0 0 with
+        | s -> Array.make n s
+        | exception e ->
+            (* Raises [e] after node 0's staged sends. *)
+            note_error 0 e;
+            apply_sends ();
+            raise e
+    in
     Pool.run pool ~tasks:k (fun i ->
-        let v = ref shard_lo.(i) in
-        let hi = shard_lo.(i + 1) in
-        (try
-           while !v < hi do
-             let u = !v in
-             if not (Fault.down plan ~node:u ~round:r) then begin
-               let ib = views.(i) in
-               Inbox.load ib inbox.(u);
-               inbox.(u) <- [];
-               sh_u.(i) <- u;
-               states.(u) <- proto.round g u states.(u) ib psend.(i);
-               sh_u.(i) <- -1;
-               ib.Inbox.len <- 0
-             end
-             else inbox.(u) <- [];
-             incr v
-           done
-         with e ->
-           sh_u.(i) <- -1;
-           views.(i).Inbox.len <- 0;
-           match sh_err.(i) with
-           | None -> sh_err.(i) <- Some (!v, e)
-           | Some _ -> ()));
-    apply_sends r;
-    commit_round ~active:!active;
-    reset_loads ();
-    idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
-  done;
-  shutdown ();
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
+        try
+          for v = max 1 shard_lo.(i) to shard_lo.(i + 1) - 1 do
+            states.(v) <- init i v
+          done
+        with e -> note_error i e);
+    apply_sends ();
+    if !msgs_round > 0 then commit_round ~active:n;
+    let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
+    let views = Array.init k (fun _ -> Inbox.empty ()) in
+    (* Landed copies of the round being delivered: per-recipient reverse
+       lists of (src, key, seq, msg). *)
+    let landed : (int * int * int * 'm) list array = Array.make (max 1 n) [] in
+    let idle = ref 0 in
+    let grace = Fault.grace plan in
+    let horizon = Fault.horizon plan in
+    let pending_recipients () =
+      let seen = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun _ copies ->
+          List.iter
+            (fun (dst, _, _, _, _) -> Hashtbl.replace seen dst ())
+            copies)
+        pending;
+      Hashtbl.length seen
+    in
+    if !msgs_round = 0 && !in_flight = 0 then idle := grace;
+    (* The clocked loop: runs until [grace] consecutive rounds saw no send
+       and nothing in flight, and the crash schedule's horizon has passed
+       (a restart scheduled after a lull must still execute). A run whose
+       init sent nothing, under a plan that schedules nothing, is over
+       immediately — as in the clean engine. *)
+    while not (!idle >= grace && !round >= horizon) do
+      if !round >= max_rounds then
+        raise
+          (No_quiescence
+             {
+               round = !round;
+               active = pending_recipients ();
+               messages = !msgs_round;
+             });
+      incr round;
+      let r = !round in
+      apply_transitions r;
+      (* Deliver: due copies land in their recipients' inboxes — unless
+         the recipient is down, in which case the network discards them
+         and keeps the score (a retransmission from the reliable layer,
+         not the engine, is what carries data past an outage). *)
+      let due = try List.rev (Hashtbl.find pending r) with Not_found -> [] in
+      Hashtbl.remove pending r;
+      List.iter
+        (fun (dst, src, key, sq, msg) ->
+          decr in_flight;
+          if Fault.down plan ~node:dst ~round:r then begin
+            Fault.note_crash_lost plan;
+            on_fault "crash-lost" ~src ~dst
+          end
+          else landed.(dst) <- (src, key, sq, msg) :: landed.(dst))
+        due;
+      (* Sort each hit inbox by (sender, key, seq): with no reordered
+         copies this is exactly the documented guarantee — ascending
+         sender, per-sender send order. Adversarial mode then shuffles the
+         whole inbox. *)
+      let active = ref 0 in
+      for v = 0 to n - 1 do
+        match landed.(v) with
+        | [] -> ()
+        | copies ->
+            incr active;
+            landed.(v) <- [];
+            let a = Array.of_list copies in
+            Array.sort
+              (fun (s1, k1, q1, _) (s2, k2, q2, _) ->
+                compare (s1, k1, q1) (s2, k2, q2))
+              a;
+            if (Fault.spec plan).Fault.adversarial then Fault.permute plan a;
+            inbox.(v) <-
+              Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
+      done;
+      msgs_round := 0;
+      bits_round := 0;
+      (* Compute: every live node steps, with an empty inbox if nothing
+         arrived — the clock a recovery layer's retransmission timers run
+         on ([active] keeps its metrics meaning: nodes that had mail).
+         Shards own disjoint state/inbox ranges; sends are staged, so no
+         shard writes outside its range. *)
+      Pool.run pool ~tasks:k (fun i ->
+          let ib = views.(i) in
+          try
+            for u = shard_lo.(i) to shard_lo.(i + 1) - 1 do
+              if not (Fault.down plan ~node:u ~round:r) then begin
+                Inbox.load ib inbox.(u);
+                inbox.(u) <- [];
+                sh_u.(i) <- u;
+                states.(u) <- proto.round g u states.(u) ib psend.(i);
+                sh_u.(i) <- -1;
+                ib.Inbox.len <- 0
+              end
+              else inbox.(u) <- []
+            done
+          with e ->
+            ib.Inbox.len <- 0;
+            note_error i e);
+      apply_sends ();
+      commit_round ~active:!active;
+      idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
+    done;
+    (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
+    let verdict =
+      match (Observe.bounds observe, metrics) with
+      | Some b, Some m ->
+          Some
+            (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
+               ~bandwidth ~n ~d:b.Observe.d m)
+      | _ -> None
+    in
+    {
+      states;
+      rounds = !round;
+      report =
+        {
+          messages = !total_msgs;
+          bits = !total_bits;
+          max_message_bits = !max_msg_bits;
+          max_round_edge_bits = !max_burst;
+          active_peak = !active_peak;
+          verdict;
+        };
+    }
   in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) run
 
-(* One entry point, four engines: the clean flat-array loop whenever no
+(* One entry point, three engines: the clean flat-array loop whenever no
    fault plan is installed and one domain suffices — kept bit-identical
    to the pre-fault engine and allocation-free per round — the
    epoch-batched work-stealing loop when [domains > 1] (bit-identical to
-   the clean loop by construction), the sequential clocked fault-aware
-   loop when a plan is installed, and the sharded clocked loop when a
-   plan and [domains > 1] compose. The sharded clocked run is
-   deterministic per (seed, domains) but stream-distinct from
-   [domains = 1]: fault decisions come from keyed substreams instead of
-   the sequential engine's single visit-order stream. [epoch]/[steal]
-   only shape the fault-free parallel engine's schedule — elsewhere
-   they are ignored. *)
+   the clean loop by construction), and the clocked fault-aware loop
+   whenever a plan is installed, where [domains] only sets the number
+   of compute shards. [epoch]/[steal] only shape the fault-free parallel
+   engine's schedule — elsewhere they are ignored. *)
 let exec ?(config = Config.default) g proto =
   let { Config.domains; epoch; steal; bandwidth; max_rounds; observe; faults } =
     config
@@ -2170,121 +1873,10 @@ let exec ?(config = Config.default) g proto =
   match faults with
   | Some plan ->
       let k = min domains (max 1 (Gr.n g)) in
-      if k <= 1 then exec_faulty ~plan ?bandwidth ?max_rounds ~observe g proto
-      else
-        exec_faulty_par ~plan ~domains:k ?bandwidth ?max_rounds ~observe g
-          proto
+      exec_clocked ~plan ~domains:k ?bandwidth ?max_rounds ~observe g proto
   | None ->
       let k = min domains (Gr.n g) in
       if k <= 1 then exec_clean ?bandwidth ?max_rounds ~observe g proto
       else
         exec_parallel ~domains:k ~epoch ~steal ?bandwidth ?max_rounds ~observe
           g proto
-
-(* The pre-redesign labelled signature, now a thin shim over [Config]:
-   call sites that have not migrated keep compiling with one rename. *)
-let exec_opts ?(domains = 1) ?bandwidth ?max_rounds ?(observe = Observe.none)
-    ?faults g proto =
-  exec
-    ~config:
-      {
-        Config.default with
-        domains;
-        bandwidth;
-        max_rounds;
-        observe;
-        faults;
-      }
-    g proto
-
-(* The pre-redesign engine, kept verbatim as the deprecated shim: the
-   differential tests run it side by side with [exec] to pin the new
-   engine to the old semantics bit for bit. *)
-let run ?bandwidth ?max_rounds ?metrics ?trace g proto =
-  let proto = to_lists proto in
-  let n = Gr.n g in
-  let bandwidth = match bandwidth with Some b -> b | None -> default_bandwidth g in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
-  let inits = Array.init n (fun v -> proto.init g v) in
-  let states = Array.map fst inits in
-  let outboxes = Array.map snd inits in
-  let record_message round u v msg =
-    if not (Gr.mem_edge g u v) then
-      invalid_arg
-        (Printf.sprintf "Network.run: node %d sent to non-neighbor %d" u v);
-    let bits = proto.msg_bits msg in
-    (match metrics with
-    | Some m -> Metrics.add_message m ~u ~v ~bits
-    | None -> ());
-    (match trace with
-    | Some tr -> Trace.on_message tr ~round:(base + round) ~src:u ~dst:v ~bits
-    | None -> ());
-    bits
-  in
-  let commit_round round ~active outs =
-    let per_edge = Hashtbl.create 64 in
-    let msgs = ref 0 and bits_total = ref 0 in
-    Array.iteri
-      (fun u out ->
-        List.iter
-          (fun (v, msg) ->
-            let bits = record_message round u v msg in
-            incr msgs;
-            bits_total := !bits_total + bits;
-            let key = (u, v) in
-            let sofar = try Hashtbl.find per_edge key with Not_found -> 0 in
-            let now = sofar + bits in
-            if now > bandwidth then
-              raise (Bandwidth_exceeded { round; u; v; bits = now });
-            Hashtbl.replace per_edge key now)
-          out)
-      outs;
-    (match metrics with
-    | Some m ->
-        Hashtbl.iter
-          (fun (u, v) load -> Metrics.note_round_edge m ~u ~v ~bits:load)
-          per_edge;
-        Metrics.record_round m ~round:(base + round) ~active ~messages:!msgs
-          ~bits:!bits_total
-    | None -> ());
-    match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + round) ~active ~messages:!msgs
-          ~bits:!bits_total
-    | None -> ()
-  in
-  let round = ref 0 in
-  let some_sent = ref (Array.exists (fun out -> out <> []) outboxes) in
-  if !some_sent then commit_round 0 ~active:n outboxes;
-  while !some_sent do
-    if !round >= max_rounds then
-      failwith "Network.run: no quiescence before max_rounds";
-    incr round;
-    let inboxes = Array.make n [] in
-    Array.iteri
-      (fun u out ->
-        List.iter (fun (v, msg) -> inboxes.(v) <- (u, msg) :: inboxes.(v)) out)
-      outboxes;
-    for v = 0 to n - 1 do
-      outboxes.(v) <- [];
-      if inboxes.(v) <> [] then
-        inboxes.(v) <-
-          List.stable_sort
-            (fun (a, _) (b, _) -> compare a b)
-            (List.rev inboxes.(v))
-    done;
-    let active = ref 0 in
-    for v = 0 to n - 1 do
-      if inboxes.(v) <> [] then begin
-        incr active;
-        let (s, out) = proto.round g v states.(v) inboxes.(v) in
-        states.(v) <- s;
-        outboxes.(v) <- out
-      end
-    done;
-    some_sent := Array.exists (fun out -> out <> []) outboxes;
-    commit_round !round ~active:!active outboxes
-  done;
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  states

@@ -19,10 +19,7 @@
     and each node reads its mail through a reused {!Inbox} view — and
     whose per-round cost is [O(active + messages)] rather than [O(n)].
     Every knob — domain count, epoch width, bandwidth, observation
-    sinks, fault plan — travels in one {!Config.t} value. The
-    pre-redesign {!run} remains as a deprecated shim; its sole remaining
-    purpose is to serve as the {e differential oracle} in
-    [test/test_engine_diff.ml]. *)
+    sinks, fault plan — travels in one {!Config.t} value. *)
 
 (** A node's mail for one round: a read-only view onto engine-owned
     arrays.
@@ -80,9 +77,9 @@ type 'm send = int -> 'm -> unit
     sticky, so every later [send] in the call raises it again without
     charging anything, and the engine raises it once more when the call
     returns. The run ends with the first error and the observations it
-    had made when that error struck. (Under a fault plan with
-    [domains > 1] the engine stages sends and raises these errors after
-    the round's calls, outside protocol code.)
+    had made when that error struck. (Under a fault plan the engine
+    stages sends and raises these errors after the round's calls,
+    outside protocol code.)
 
     A [send] is valid only during the [init]/[round] call that received
     it.
@@ -178,8 +175,8 @@ module Config : sig
     max_rounds : int option;  (** livelock guard; default [16n + 64]. *)
     observe : Observe.t;  (** observation sinks (default {!Observe.none}). *)
     faults : Fault.plan option;
-        (** fault plan; composes with any [domains] — see {!exec} for
-            the per-domain-count determinism contract. *)
+        (** fault plan; composes with any [domains], which then
+            changes only wall time — see {!exec}. *)
   }
 
   val default : t
@@ -229,8 +226,9 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     and the run ends only after the plan's grace period of consecutive
     quiet rounds. Fault events are counted into the metrics sink
     ({!Metrics.faults}) and recorded on the trace timeline
-    ({!Trace.on_fault}). Same plan spec + same seed + same [domains] ⇒
-    identical run. DESIGN.md §9 specifies the fault model precisely.
+    ({!Trace.on_fault}). Same plan spec + same seed ⇒ identical run, at
+    every domain count. DESIGN.md §9 specifies the fault model
+    precisely.
 
     [domains > 1] runs the epoch-batched work-stealing engine: the node
     range splits into contiguous shards; width-1 rounds spread the
@@ -251,18 +249,15 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     values (they run concurrently for different nodes, and [init g 0]
     is called one extra time to seed internal storage).
 
-    A fault plan {e composes} with [domains > 1]: the run executes on
-    the sharded clocked engine — parallel compute over contiguous node
-    shards, one serial network phase per round for everything
-    order-sensitive — and every fault decision is drawn from a keyed
-    {!Fault.substream}, making the run a pure function of
-    (seed, domains, spec, protocol, graph). Runs are deterministic at
-    every domain count but {e seed-compatible, stream-distinct} across
-    domain counts: the same seed yields an equally valid, different
-    fault schedule at [domains = 1] (which consumes one stream in
-    engine-visit order) and at each [domains > 1]. Reproduce a faulted
-    run by fixing both the seed and the domain count. [epoch]/[steal]
-    are ignored on the clocked (and plain sequential) engines.
+    A fault plan {e composes} with [domains > 1]: the clocked loop
+    computes over contiguous node shards in parallel and runs one serial
+    network phase per round for everything order-sensitive, walking the
+    staged sends in node order and drawing every fault decision from
+    the plan's single stream in that order. States, rounds, report,
+    fault stats and the metrics/trace timelines are therefore
+    {b bit-identical} to the [domains = 1] run: under faults, [domains]
+    changes only wall time. [epoch]/[steal] are ignored on the clocked
+    (and plain sequential) engines.
     DESIGN.md §9, §10 and §13 specify the fault model, the parallel
     engine and the epoch scheduler.
     @raise Bandwidth_exceeded when a node over-sends on an edge.
@@ -270,47 +265,3 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     livelock guard for buggy protocols.
     @raise Invalid_argument if a node addresses a non-neighbor, or if
     [domains], [epoch] or [steal] is [< 1]. *)
-
-val exec_opts :
-  ?domains:int ->
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?observe:Observe.t ->
-  ?faults:Fault.plan ->
-  Gr.t ->
-  ('s, 'm) protocol ->
-  's run_result
-  [@@alert
-    legacy
-      "exec_opts is the pre-Config labelled signature; build a \
-       Network.Config.t and call Network.exec ~config instead."]
-(** The pre-{!Config} labelled signature, as a thin shim over {!exec}:
-    equivalent to [exec ~config:(Config.make ...ARGS... ())]. Kept so
-    historical call sites compile with a one-token rename; new code
-    should build a {!Config.t}. *)
-
-val run :
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
-  Gr.t ->
-  ('s, 'm) protocol ->
-  's array
-  [@@alert
-    legacy
-      "Network.run is the pre-redesign engine kept solely as the \
-       differential oracle for test_engine_diff; use Network.exec."]
-(** The pre-redesign entry point, semantics preserved exactly (including
-    its per-round hashtable implementation): returns bare final states,
-    takes separate [?metrics]/[?trace] sinks, and signals a livelock by
-    [Failure] rather than {!No_quiescence}.
-
-    {b This shim exists solely as the differential oracle}: the
-    engine-diff suite ([test/test_engine_diff.ml]) runs it side by side
-    with {!exec} to pin the flat-array and parallel engines to the
-    historical semantics bit for bit. It has no other callers, and new
-    code must not add any.
-    @raise Bandwidth_exceeded when a node over-sends on an edge.
-    @raise Failure if [max_rounds] (default [16 * n + 64]) elapse without
-    quiescence. *)

@@ -95,9 +95,8 @@ val exec :
     [3 * bandwidth + 128] bits so headers, acks and retransmissions fit
     — a constant factor, preserving the CONGEST [O(log n)] regime.
     [domains] passes through to the engine: with a plan installed,
-    [domains > 1] runs the sharded clocked engine (deterministic per
-    [(seed, domains)], stream-distinct across domain counts — see
-    {!Network.exec}). The report (messages, bits, bursts) describes the
+    [domains > 1] shards the clocked loop's compute and returns the same
+    run as [domains = 1] (see {!Network.exec}). The report (messages, bits, bursts) describes the
     wire, overhead included; the returned states are the inner ones.
     @raise Network.Bandwidth_exceeded, Network.No_quiescence,
     Invalid_argument as {!Network.exec}. *)

@@ -4,7 +4,7 @@
     and closed at simulated rounds, per-round activity records, optional
     per-message records, and scalar notes — that decomposes a run into
     the phases the paper argues about (leader election, the recursion
-    levels, the merge schedule of each call). {!Network.run} feeds round
+    levels, the merge schedule of each call). {!Network.exec} feeds round
     and message events; {!Costmodel} and the embedder feed spans; the
     result is written as a machine-readable JSON journal
     ({!write_json}) or summarized as a per-phase table ({!pp_summary}).

@@ -9,8 +9,8 @@
     (e.g. subdivided-[K4] lower-bound graphs) do not overflow the stack.
 
     Membership is stored as flat CSR arrays (component id per edge plus
-    offset tables in both directions), so repeated consumers — the DMP
-    per-block embedder, the interface trees, and the incremental
+    offset tables in both directions), so repeated consumers — the
+    triangulator, the interface trees, and the incremental
     maintainer's component-scoped re-runs — can walk a component without
     rebuilding association lists. The list-returning accessors below are
     thin conveniences over the arrays. *)

@@ -4,11 +4,10 @@
     This is the production kernel behind {!Planarity.embed}: a DFS
     orientation with lowpoints and nesting-order sorted adjacency lists,
     the conflict-pair constraint stack, and rotation-system extraction
-    from the resolved left/right edge sides. It replaces the quadratic
-    {!Dmp} kernel on every hot path; DMP stays as the differential
-    oracle (simple enough to be convincingly correct), and every
-    rotation this module returns has already passed the independent
-    face-tracing Euler check in {!Rotation}.
+    from the resolved left/right edge sides. Every rotation this module
+    returns has already passed the independent face-tracing Euler check
+    in {!Rotation}; the test suites also check it against a quadratic
+    DMP oracle.
 
     All entry points run one core over a {!workspace}: [embed],
     [is_planar] and [is_planar_edges] on a fresh one, a caller that

@@ -1,42 +1,9 @@
-type result = Dmp.result = Planar of Rotation.t | Nonplanar
+type result = Lr.result = Planar of Rotation.t | Nonplanar
 
-type kernel = LR | DMP
+let embed = Lr.embed
+let is_planar = Lr.is_planar
 
-let kernel_name = function LR -> "lr" | DMP -> "dmp"
-
-let kernel_of_string s =
-  match String.lowercase_ascii s with
-  | "lr" | "left-right" | "leftright" -> Some LR
-  | "dmp" -> Some DMP
-  | _ -> None
-
-(* One env lookup at module initialization: the dispatch itself must stay
-   free of per-call overhead (it sits under every embed of every sweep). *)
-let default_kernel =
-  match Sys.getenv_opt "DISTPLANAR_KERNEL" with
-  | None -> LR
-  | Some s -> (
-      match kernel_of_string s with
-      | Some k -> k
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "DISTPLANAR_KERNEL=%S: unknown kernel (expected \"lr\" or \
-                \"dmp\")"
-               s))
-
-let embed ?(kernel = default_kernel) g =
-  match kernel with
-  | DMP -> Dmp.embed g
-  | LR -> (
-      match Lr.embed g with
-      | Lr.Planar r -> Planar r
-      | Lr.Nonplanar -> Nonplanar)
-
-let is_planar ?(kernel = default_kernel) g =
-  match kernel with DMP -> Dmp.is_planar g | LR -> Lr.is_planar g
-
-let embed_exn ?(kernel = default_kernel) g =
-  match embed ~kernel g with
+let embed_exn g =
+  match embed g with
   | Planar r -> r
   | Nonplanar -> invalid_arg "Planarity.embed_exn: graph is not planar"

@@ -18,8 +18,8 @@
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let embed_exn ?kernel g =
-  match Planarity.embed ?kernel g with
+let embed_exn g =
+  match Planarity.embed g with
   | Planarity.Planar r -> r
   | Planarity.Nonplanar -> Alcotest.fail "family is planar but embed refused"
 
@@ -517,18 +517,41 @@ let test_verdict_survives_loss () =
   run_cases Certify.prove;
   run_cases (fun r -> Certify.corrupt ~seed:77 ~k:3 (Certify.prove r))
 
-let test_faults_exclude_domains () =
-  let g = Gen.grid 4 4 in
-  let r = embed_exn g in
-  let certs = Certify.prove r in
-  check_bool "raises" true
-    (try
-       ignore
-         (Certify.verify
-            ~config:(Network.Config.make ~domains:4 ~faults:(lossy 0.05) ())
-            r certs);
-       false
-     with Invalid_argument _ -> true)
+(* Under faults, [domains] changes only wall time: the same lossy seed
+   verifies to the same verdicts, violation codes, rounds and wire
+   report at four domains as at one — clean and corrupted. *)
+let test_faults_compose_with_domains () =
+  List.iter
+    (fun (name, g) ->
+      let r = embed_exn g in
+      List.iter
+        (fun (what, certs) ->
+          let verify domains =
+            let plan = lossy 0.05 in
+            let o =
+              Certify.verify
+                ~config:(Network.Config.make ~domains ~faults:plan ())
+                r certs
+            in
+            (o, Fault.stats plan)
+          in
+          let (o1, s1) = verify 1 in
+          let (o4, s4) = verify 4 in
+          let name = Printf.sprintf "%s, %s" name what in
+          check_bool (name ^ ": faults fired") true (s1.Fault.dropped > 0);
+          check_bool (name ^ ": accept") true
+            (o1.Certify.accept = o4.Certify.accept);
+          check_bool (name ^ ": reasons") true
+            (o1.Certify.reasons = o4.Certify.reasons);
+          check (name ^ ": rounds") o1.Certify.rounds o4.Certify.rounds;
+          check_bool (name ^ ": report") true
+            (o1.Certify.report = o4.Certify.report);
+          check_bool (name ^ ": fault stats") true (s1 = s4))
+        [
+          ("clean", Certify.prove r);
+          ("corrupted", Certify.corrupt ~seed:77 ~k:3 (Certify.prove r));
+        ])
+    [ ("grid", Gen.grid 6 7); ("maxplanar", Gen.random_maximal_planar ~seed:21 60) ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernel parity (PR 5 closure)                                        *)
@@ -538,14 +561,13 @@ let test_kernel_parity () =
   List.iter
     (fun (name, g) ->
       List.iter
-        (fun kernel ->
-          let r = embed_exn ~kernel g in
+        (fun (kernel, embed) ->
+          let r = embed g in
           let o = Certify.verify r (Certify.prove r) in
           check_bool
-            (Printf.sprintf "%s via %s certifies" name
-               (Planarity.kernel_name kernel))
+            (Printf.sprintf "%s via %s certifies" name kernel)
             true o.Certify.all_accept)
-        [ Planarity.LR; Planarity.DMP ])
+        [ ("lr", embed_exn); ("dmp", Dmp.embed_exn) ])
     families
 
 (* ------------------------------------------------------------------ *)
@@ -600,8 +622,8 @@ let () =
         [
           Alcotest.test_case "verdict invariant under loss" `Quick
             test_verdict_survives_loss;
-          Alcotest.test_case "faults exclude domains" `Quick
-            test_faults_exclude_domains;
+          Alcotest.test_case "faults compose with domains" `Quick
+            test_faults_compose_with_domains;
         ] );
       ( "kernel parity",
         [ Alcotest.test_case "LR and DMP both certify" `Quick test_kernel_parity ] );

@@ -1,8 +1,8 @@
 (* Differential test of the flat-array engine against the pre-redesign
    one.
 
-   Network.run keeps the historical per-round-hashtable implementation
-   precisely so this suite can execute both engines on the same protocol
+   List_engine.run (a test-only oracle) keeps the historical
+   per-round-hashtable implementation precisely so this suite can execute both engines on the same protocol
    and graph and demand bit-identical final states, round counts,
    metrics (totals, bursts, per-directed-edge loads, the round log) and
    trace journals (including individual message events) — across every
@@ -10,8 +10,6 @@
    the delivery-order guarantee and multi-message edges. A final group
    checks the engines agree on errors too, and that the new round loop's
    allocation is independent of n. *)
-
-[@@@alert "-legacy"]
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -97,7 +95,9 @@ let certify_proto g =
 let run_legacy proto g =
   let m = Metrics.create g in
   let tr = Trace.create ~keep_messages:true () in
-  let states = Network.run ~bandwidth:4096 ~metrics:m ~trace:tr g proto in
+  let states =
+    List_engine.run ~bandwidth:4096 ~metrics:m ~trace:tr g proto
+  in
   (states, m, tr)
 
 let run_exec proto g =
@@ -324,7 +324,9 @@ let test_bandwidth_parity () =
       Alcotest.fail "expected Bandwidth_exceeded"
     with Network.Bandwidth_exceeded { round; u; v; bits } -> (round, u, v, bits)
   in
-  let p_old = payload (fun () -> ignore (Network.run ~bandwidth:16 g proto)) in
+  let p_old =
+    payload (fun () -> ignore (List_engine.run ~bandwidth:16 g proto))
+  in
   let p_new =
     payload (fun () ->
         ignore
@@ -408,7 +410,7 @@ let test_non_neighbor_parity () =
       Alcotest.fail "expected Invalid_argument"
     with Invalid_argument m -> m
   in
-  let m_old = msg (fun () -> ignore (Network.run g proto)) in
+  let m_old = msg (fun () -> ignore (List_engine.run g proto)) in
   let m_new = msg (fun () -> ignore (Network.exec g proto)) in
   Alcotest.(check string) "identical Invalid_argument messages" m_old m_new;
   List.iter
@@ -497,38 +499,8 @@ let test_domains_validation () =
        ~config:(Network.Config.make ~domains:2 ~epoch:1 ~faults:(fresh ()) ())
        g hello)
 
-(* The deprecated labelled entry point must stay a pure alias: same
-   states, rounds, report, and observations as a config-driven exec. *)
-let test_exec_opts_alias () =
-  List.iter
-    (fun (name, g) ->
-      let m_a = Metrics.create g in
-      let tr_a = Trace.create ~keep_messages:true () in
-      let a =
-        Network.exec
-          ~config:
-            (Network.Config.make ~bandwidth:4096
-               ~observe:(Observe.make ~metrics:m_a ~trace:tr_a ())
-               ())
-          g flood
-      in
-      let m_b = Metrics.create g in
-      let tr_b = Trace.create ~keep_messages:true () in
-      let b =
-        Network.exec_opts ~bandwidth:4096
-          ~observe:(Observe.make ~metrics:m_b ~trace:tr_b ())
-          g flood
-      in
-      check_bool (name ^ ": states") true (a.Network.states = b.Network.states);
-      check (name ^ ": rounds") a.Network.rounds b.Network.rounds;
-      check_bool (name ^ ": report") true (a.Network.report = b.Network.report);
-      metrics_equal (name ^ " (exec_opts)") m_a m_b;
-      check_bool (name ^ ": trace events") true
-        (Trace.events tr_a = Trace.events tr_b))
-    [ ("grid 5x7", Gen.grid 5 7); ("petersen", Gen.petersen ()) ]
-
 let test_livelock_contracts () =
-  (* Same livelock, two documented signals: Failure from the shim,
+  (* Same livelock, two documented signals: Failure from the oracle,
      No_quiescence from the new engine. *)
   let g = Gen.path 2 in
   let proto =
@@ -539,7 +511,7 @@ let test_livelock_contracts () =
     }
   in
   (try
-     ignore (Network.run ~max_rounds:7 g proto);
+     ignore (List_engine.run ~max_rounds:7 g proto);
      Alcotest.fail "expected Failure"
    with Failure _ -> ());
   (try
@@ -665,8 +637,6 @@ let () =
           Alcotest.test_case "sharded error observation" `Quick
             test_sharded_error_observation;
           Alcotest.test_case "config validation" `Quick test_domains_validation;
-          Alcotest.test_case "exec_opts is a pure alias" `Quick
-            test_exec_opts_alias;
         ] );
       ( "allocation",
         [

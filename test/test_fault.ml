@@ -322,9 +322,8 @@ let test_embedder_determinism_under_faults () =
 (* ------------------------------------------------------------------ *)
 
 let test_sharded_same_seed_same_run () =
-  (* The PR 10 contract: a fault plan composes with [domains > 1] and
-     the run is a pure function of (seed, domains) — states, rounds,
-     fault stats, metrics and the trace timeline all replay exactly. *)
+  (* A fault plan composes with [domains > 1] and the run replays:
+     states, rounds, fault stats, metrics and the trace timeline. *)
   let g = Gen.grid 6 7 in
   let (r1, m1, t1, p1) =
     run_observed ~spec:lossy_spec ~domains:2 ~seed:42 g flood
@@ -342,16 +341,98 @@ let test_sharded_same_seed_same_run () =
     (Trace.events t1 = Trace.events t2);
   check_bool "round log" true (Metrics.round_log m1 = Metrics.round_log m2)
 
-let test_sharded_stream_distinct () =
-  (* Documented, deliberate: the sharded engine draws fates from keyed
-     substreams, so the same seed at a different domain count is a
-     different (equally deterministic) fault schedule. If these two runs
-     ever coincide, substream keying has silently collapsed. *)
-  let g = Gen.grid 6 7 in
-  let (_, _, t1, p1) = run_observed ~spec:lossy_spec ~domains:1 ~seed:42 g flood in
-  let (_, _, t2, p2) = run_observed ~spec:lossy_spec ~domains:2 ~seed:42 g flood in
-  check_bool "same seed, different domains: distinct fault timeline" false
-    (Fault.stats p1 = Fault.stats p2 && Trace.events t1 = Trace.events t2)
+let test_domain_counts_replay () =
+  (* Under faults the domain count changes only wall time: every fault
+     decision is drawn serially from the plan's one stream, in the order
+     a one-domain run draws it. Lossy, adversarial and crash plans, and
+     the embedder, replay bit for bit at 2, 3 and 4 domains. *)
+  let observed ~spec ~seed g proto domains =
+    let (r, m, t, p) = run_observed ~spec ~domains ~seed g proto in
+    ( r.Network.states,
+      r.Network.rounds,
+      r.Network.report,
+      Fault.stats p,
+      Metrics.faults m,
+      Metrics.round_log m,
+      Trace.events t )
+  in
+  let crash_spec =
+    {
+      lossy_spec with
+      Fault.crashes =
+        [
+          { Fault.node = 5; at = 2; restart = Some 9 };
+          { Fault.node = 17; at = 0; restart = Some 4 };
+        ];
+    }
+  in
+  let replays name ~spec ~seed g proto =
+    let run = observed ~spec ~seed g proto in
+    let ((_, _, _, stats, _, _, _) as one) = run 1 in
+    check_bool (name ^ ": faults fired") true
+      (stats.Fault.dropped > 0 && stats.Fault.delayed > 0);
+    List.iter
+      (fun d ->
+        check_bool
+          (Printf.sprintf "%s: domains=%d replays domains=1" name d)
+          true
+          (run d = one))
+      [ 2; 3; 4 ]
+  in
+  replays "lossy" ~spec:lossy_spec ~seed:42 (Gen.grid 6 7) flood;
+  replays "adversarial"
+    ~spec:{ lossy_spec with Fault.adversarial = true }
+    ~seed:43 (Gen.grid 6 7) (streamer 3);
+  replays "crash" ~spec:crash_spec ~seed:11 (Gen.cycle 24)
+    (Reliable.wrap flood);
+  let embed domains =
+    let g = Gen.grid 6 6 in
+    let plan = Fault.make ~spec:lossy_spec ~seed:31 () in
+    let o = Embedder.run ~config:(cfg ~faults:plan ~domains ()) g in
+    let rep = o.Embedder.report in
+    ( Option.map
+        (fun rot -> Array.init (Gr.n g) (Rotation.rotation rot))
+        o.Embedder.rotation,
+      (rep.Embedder.rounds, rep.Embedder.phases, rep.Embedder.total_bits),
+      Fault.stats plan,
+      Metrics.faults rep.Embedder.metrics,
+      Metrics.round_log rep.Embedder.metrics )
+  in
+  let one = embed 1 in
+  List.iter
+    (fun d ->
+      check_bool
+        (Printf.sprintf "embedder grid 6x6: domains=%d replays domains=1" d)
+        true (embed d = one))
+    [ 2; 3; 4 ]
+
+let test_tiny_graphs () =
+  (* The clocked loop seeds its state array from node 0's real init, so
+     it must not call any init when there is no node 0. Each node's
+     silent init reads its adjacency, as real protocols do. *)
+  let silent =
+    Network.of_lists
+      {
+        Network.init = (fun g v -> (Gr.degree g v, []));
+        round = (fun _g _v st _inbox -> (st, []));
+        msg_bits = (fun _ -> 1);
+      }
+  in
+  List.iter
+    (fun n ->
+      let g = if n = 0 then Gr.of_edges ~n:0 [] else Gen.path n in
+      List.iter
+        (fun domains ->
+          let name = Printf.sprintf "n=%d, domains=%d" n domains in
+          let plan = Fault.make ~spec:lossy_spec ~seed:5 () in
+          let r =
+            Network.exec ~config:(cfg ~domains ~faults:plan ()) g silent
+          in
+          check_bool (name ^ ": states") true
+            (r.Network.states = Array.init n (Gr.degree g));
+          check (name ^ ": rounds") 0 r.Network.rounds)
+        [ 1; 2 ])
+    [ 0; 1; 2 ]
 
 let test_sharded_crash_schedule () =
   (* Deterministic scheduled faults must land on the same rounds no
@@ -384,7 +465,7 @@ let test_sharded_crash_schedule () =
 let test_sharded_embedder_over_lossy_links () =
   (* The end-to-end bar at domains = 2: the reliable-wrapped embedder
      over lossy links still produces Euler-verified embeddings, and the
-     whole run replays for a fixed (seed, domains). *)
+     whole run replays for a fixed seed. *)
   List.iter
     (fun (name, g) ->
       let run () =
@@ -475,8 +556,9 @@ let () =
         [
           Alcotest.test_case "same seed + domains, same run" `Quick
             test_sharded_same_seed_same_run;
-          Alcotest.test_case "domain counts are stream-distinct" `Quick
-            test_sharded_stream_distinct;
+          Alcotest.test_case "domain counts replay the same run" `Quick
+            test_domain_counts_replay;
+          Alcotest.test_case "empty and tiny graphs" `Quick test_tiny_graphs;
           Alcotest.test_case "crash schedule honored across shards" `Quick
             test_sharded_crash_schedule;
           Alcotest.test_case "embedder over lossy links, domains=2" `Quick

@@ -143,7 +143,7 @@ let test_families () =
     families
 
 (* One seeded lossy plan, raw and under the reliable layer, at one and
-   at two domains (the sequential and the sharded clocked engines). A
+   at two domains (one and two compute shards of the clocked engine). A
    fresh plan per run replays the same fault schedule. *)
 let lossy =
   {
@@ -272,8 +272,9 @@ let check_leaks name ~dst sends inboxes =
           ignore (Network.Inbox.msg ib 0)))
     !inboxes
 
-(* Node 0 covers the sharded engines' extra seed call of node 0's
-   [init]; the round-0 crash plans cover the discarding [send] of a node
+(* Node 0 covers the parallel engine's extra seed call of node 0's
+   [init] and the clocked engine's serial wake-up of node 0; the round-0
+   crash plans cover the discarding [send] of a node
    that is down at wake-up; the raising runs cover calls cut short. *)
 let test_leaked_send () =
   let g = Gen.cycle 6 in
@@ -413,30 +414,28 @@ let test_error_parity () =
 (* A protocol that catches the engine error its [send] raised cannot
    hide it: the run ends with the same payload and the same observation
    prefix as when the error propagates, and an error the protocol
-   raises afterwards does not replace it. The sharded clocked engine
-   raises these errors outside protocol code, so only [`Swallow] runs
-   there. *)
+   raises afterwards does not replace it. Under a fault plan the
+   engine stages sends and raises these errors after the round's calls,
+   outside protocol code, with the same result. *)
 let test_swallowed_errors () =
   let g = Gen.path 4 in
   let clean =
     List.map
       (fun (domains, epoch) ->
         ( Printf.sprintf "[domains=%d,epoch=%d]" domains epoch,
-          (fun () -> Network.Config.make ~bandwidth:16 ~domains ~epoch ()),
-          true ))
+          fun () -> Network.Config.make ~bandwidth:16 ~domains ~epoch () ))
       sweep_points
   in
   let faulty domains =
     ( Printf.sprintf "[faults, domains=%d]" domains,
-      (fun () ->
+      fun () ->
         Network.Config.make ~bandwidth:16 ~domains
-          ~faults:(Fault.make ~seed:1 ()) ()),
-      domains = 1 )
+          ~faults:(Fault.make ~seed:1 ()) () )
   in
   List.iter
     (fun bad ->
       List.iter
-        (fun (name, config, then_fail) ->
+        (fun (name, config) ->
           let (e0, m0, b0, t0) = outcome (config ()) g (erring_native ~bad ()) in
           check_bool (name ^ ": raised") true (e0 <> "no error");
           List.iter
@@ -448,7 +447,7 @@ let test_swallowed_errors () =
               check (name ^ ": messages before the error") m0 m;
               check (name ^ ": bits before the error") b0 b;
               check_bool (name ^ ": trace prefix") true (t0 = t))
-            (if then_fail then [ `Swallow; `Then_fail ] else [ `Swallow ]))
+            [ `Swallow; `Then_fail ])
         (clean @ [ faulty 1; faulty 2 ]))
     [ `Bandwidth; `Neighbor ]
 
