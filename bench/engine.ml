@@ -12,7 +12,10 @@
        and report.
 
    One allocation gate rides along: a native flood case must allocate
-   at most [max_words_per_msg] words per message.
+   at most [max_words_per_msg] words per message, both on one domain and
+   on the two-domain sharded loop (the "d2" columns, whose run must also
+   match the one-domain run; its time is process CPU time, both domains
+   together).
    Results go to BENCH_engine.json (with the core count and OCaml
    version) and stdout.
 
@@ -159,6 +162,7 @@ type case = {
   messages : int;
   native : shape;
   lists : shape;
+  d2 : shape option;  (* the native run on two domains; flood cases *)
   identical : bool;
 }
 
@@ -175,15 +179,17 @@ type prepared = {
   p_n : int;
   p_m : int;
   p_identity : unit -> bool * int * int;  (* identical?, rounds, messages *)
-  p_timing : unit -> shape * shape * bool;
+  p_timing : unit -> shape * shape * shape option * bool;
 }
 
 let config = Network.Config.make ~bandwidth:4096 ()
 
 (* The allocation gate: the engine allocates nothing per message, so a
-   native flood's whole run (states, announces, the engine's arrays)
-   stays well under one word per message. *)
+   native flood's whole run (states, announces, the engine's arrays, the
+   domain pool at d=2) stays well under one word per message. *)
 let max_words_per_msg = 1.
+
+let is_flood name = String.ends_with ~suffix:"/flood" name
 
 let prep name g proto proto_lists =
   let identity () =
@@ -204,16 +210,28 @@ let prep name g proto proto_lists =
       bare.Network.rounds,
       bare.Network.report.Network.messages )
   in
-  let time p =
+  let time ?(config = config) p =
     let (r, wall, words) = measure (fun () -> Network.exec ~config g p) in
     let msgs = max 1 r.Network.report.Network.messages in
-    ( { wall; words; wpm = words /. float msgs },
-      Array.length r.Network.states = Gr.n g )
+    ({ wall; words; wpm = words /. float msgs }, r)
   in
   let timing () =
-    let (native, ok_n) = time proto in
-    let (lists, ok_l) = time proto_lists in
-    (native, lists, ok_n && ok_l)
+    let (native, r_n) = time proto in
+    let (lists, r_l) = time proto_lists in
+    let sized r = Array.length r.Network.states = Gr.n g in
+    let (d2, ok_d2) =
+      if is_flood name then begin
+        let (d2, r_2) =
+          time ~config:(Network.Config.with_domains 2 config) proto
+        in
+        ( Some d2,
+          r_2.Network.states = r_n.Network.states
+          && r_2.Network.rounds = r_n.Network.rounds
+          && r_2.Network.report = r_n.Network.report )
+      end
+      else (None, true)
+    in
+    (native, lists, d2, sized r_n && sized r_l && ok_d2)
   in
   {
     p_name = name;
@@ -228,12 +246,12 @@ let run_cases ~jobs prepped =
   let identities =
     Pool.map ~jobs (Array.length arr) (fun i -> arr.(i).p_identity ())
   in
-  Printf.printf "%-24s %7s %6s %10s | %9s %7s | %9s %7s\n" "case" "n" "rounds"
-    "messages" "native s" "w/msg" "list s" "w/msg";
+  Printf.printf "%-24s %7s %6s %10s | %9s %7s | %9s %7s | %9s %7s\n" "case" "n"
+    "rounds" "messages" "native s" "w/msg" "list s" "w/msg" "d2 cpu s" "w/msg";
   List.mapi
     (fun i p ->
       let (id_ok, rounds, messages) = identities.(i) in
-      let (native, lists, sized_ok) = p.p_timing () in
+      let (native, lists, d2, timed_ok) = p.p_timing () in
       let c =
         {
           name = p.p_name;
@@ -243,12 +261,18 @@ let run_cases ~jobs prepped =
           messages;
           native;
           lists;
-          identical = id_ok && sized_ok;
+          d2;
+          identical = id_ok && timed_ok;
         }
       in
-      Printf.printf "%-24s %7d %6d %10d | %9.3f %7.2f | %9.3f %7.2f  %s\n%!"
+      let d2_cols =
+        match d2 with
+        | Some s -> Printf.sprintf "%9.3f %7.2f" s.wall s.wpm
+        | None -> Printf.sprintf "%9s %7s" "-" "-"
+      in
+      Printf.printf "%-24s %7d %6d %10d | %9.3f %7.2f | %9.3f %7.2f | %s  %s\n%!"
         c.name c.n c.rounds c.messages native.wall native.wpm lists.wall
-        lists.wpm
+        lists.wpm d2_cols
         (if c.identical then "identical" else "MISMATCH");
       c)
     prepped
@@ -274,9 +298,17 @@ let json_of_cases ~cores cases =
            \      \"wall_s\": %.6f, \"alloc_words\": %.0f, \
             \"words_per_msg\": %.3f,\n\
            \      \"list_wall_s\": %.6f, \"list_alloc_words\": %.0f, \
-            \"list_words_per_msg\": %.3f, \"identical\": %b }%s\n"
+            \"list_words_per_msg\": %.3f,%s \"identical\": %b }%s\n"
            c.name c.n c.m c.rounds c.messages c.native.wall c.native.words
-           c.native.wpm c.lists.wall c.lists.words c.lists.wpm c.identical
+           c.native.wpm c.lists.wall c.lists.words c.lists.wpm
+           (match c.d2 with
+           | Some s ->
+               Printf.sprintf
+                 "\n      \"d2_cpu_s\": %.6f, \"d2_alloc_words\": %.0f, \
+                  \"d2_words_per_msg\": %.3f,"
+                 s.wall s.words s.wpm
+           | None -> "")
+           c.identical
            (if i = List.length cases - 1 then "" else ",")))
     cases;
   Buffer.add_string b "  ]\n}\n";
@@ -337,15 +369,21 @@ let () =
     (fun c -> Printf.eprintf "engine: identity gate failed on %s\n" c.name)
     broken;
   let heavy =
-    List.filter
+    List.concat_map
       (fun c ->
-        String.ends_with ~suffix:"/flood" c.name
-        && c.native.wpm > max_words_per_msg)
+        if not (is_flood c.name) then []
+        else
+          List.filter_map
+            (fun (label, s) ->
+              if s.wpm > max_words_per_msg then Some (c.name, label, s.wpm)
+              else None)
+            (("d=1", c.native)
+            :: (match c.d2 with Some s -> [ ("d=2", s) ] | None -> [])))
       cases
   in
   List.iter
-    (fun c ->
-      Printf.eprintf "engine: %s allocates %.3f words/message (gate %.0f)\n"
-        c.name c.native.wpm max_words_per_msg)
+    (fun (name, label, wpm) ->
+      Printf.eprintf "engine: %s at %s allocates %.3f words/message (gate %.0f)\n"
+        name label wpm max_words_per_msg)
     heavy;
   if broken <> [] || heavy <> [] then exit 1

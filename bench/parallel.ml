@@ -2,14 +2,10 @@
 
    Two sections:
 
-     tier-a   strong scaling of the epoch-sharded round loop: the same
-              run across (domains, epoch) points on a dense flood and on
-              the embedder's phase-1 protocols, with every sharded
-              result checked bit-identical to the sequential one before
-              its time is reported. The epoch sweep at domains = 4 shows
-              what cross-round batching buys: epoch = 1 is the
-              barrier-per-round scheduler, epoch = 8 lets interior
-              shards run eight fused rounds per barrier.
+     tier-a   strong scaling of the sharded round loop: the same run at
+              domains = 1, 2, 4 and 8 on a dense native flood and on the
+              embedder, with every sharded result checked bit-identical
+              to the sequential one before its time is reported.
      tier-a/f strong scaling of the sharded clocked fault engine: the
               same faulted embedder run at domains = 1 and domains = 4,
               each point gated on an Euler-verified embedding identical
@@ -23,11 +19,12 @@
               sweep is the sequential path plus noise).
 
    Wall-clock time is what parallelism buys, so this bench measures
-   Unix.gettimeofday, not CPU time — on a single-core machine the
-   sharded runs pay barrier overhead and the pool pays scheduling for no
-   speedup, and the JSON records exactly that, along with the measured
-   core count ("cores") so readers can tell a scaling result from a
-   single-core smoke run.
+   Unix.gettimeofday, not CPU time, and reports the median of [reps]
+   runs per point — on a single-core machine the sharded runs pay
+   barrier overhead and the pool pays scheduling for no speedup, and the
+   JSON records exactly that, along with the measured core count
+   ("cores") and the OCaml version, so readers can tell a scaling result
+   from a single-core smoke run.
 
      dune exec bench/parallel.exe              # full sweep
      dune exec bench/parallel.exe -- --quick   # CI smoke: small cases;
@@ -37,30 +34,46 @@
                                                # only when cores >= 4
      dune exec bench/parallel.exe -- --out F   # write the JSON to F *)
 
-let to_all g v msg =
-  Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, msg) :: acc)
+(* Send [x] to every neighbor of [v], reading the CSR slice directly so
+   the announce allocates nothing. *)
+let to_all g v x send =
+  let offs = Gr.dart_offsets g and nbr = Gr.dart_sources g in
+  for d = offs.(v + 1) - 1 downto offs.(v) do
+    send nbr.(d) x
+  done
 
+(* Dense activity on the push interface: max-id flood, every node
+   re-announces on improvement. *)
 let flood =
-  Network.of_lists {
-    Network.init = (fun g v -> (v, to_all g v v));
+  {
+    Network.init =
+      (fun g v send ->
+        to_all g v v send;
+        v);
     round =
-      (fun g v best inbox ->
-        let best' = List.fold_left (fun acc (_, x) -> max acc x) best inbox in
-        if best' = best then (best, []) else (best', to_all g v best'));
+      (fun g v best inbox send ->
+        let best' = Network.Inbox.fold (fun acc _ x -> max acc x) best inbox in
+        if best' <> best then to_all g v best' send;
+        best');
     msg_bits = (fun _ -> 12);
   }
 
-let wall f =
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
+let reps = 3
 
-(* The sweep: scaling over domains at the default epoch, plus the epoch
-   sweep at four domains (ISSUE: what does batching buy at fixed
-   parallelism?). The (1, 8) point is the sequential baseline — at one
-   domain the dispatcher takes the sequential engine and epoch is moot. *)
-let sweep_points = [ (1, 8); (2, 8); (4, 1); (4, 2); (4, 8); (8, 8) ]
+(* The result of one run and the median wall time of [reps] runs. *)
+let wall f =
+  let times =
+    List.init reps (fun _ ->
+        Gc.full_major ();
+        let t0 = Unix.gettimeofday () in
+        let x = f () in
+        (x, Unix.gettimeofday () -. t0))
+  in
+  let sorted = List.sort compare (List.map snd times) in
+  (fst (List.hd times), List.nth sorted (reps / 2))
+
+(* Domain counts swept; domains = 1 is the sequential baseline. *)
+let sweep_points = [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Tier A: one run, sharded                                            *)
@@ -71,28 +84,24 @@ type scaling = {
   a_n : int;
   a_rounds : int;
   a_flood : bool;  (* subject to the quick-mode wall gate *)
-  (* (domains, epoch, wall seconds, identical-to-sequential) per point *)
-  a_points : (int * int * float * bool) list;
+  (* (domains, wall seconds, identical-to-sequential) per point *)
+  a_points : (int * float * bool) list;
 }
 
 let scale_flood name g =
-  let cfg ~domains ~epoch =
-    Network.Config.make ~domains ~epoch ~bandwidth:4096 ()
-  in
+  let cfg domains = Network.Config.make ~domains ~bandwidth:4096 () in
   let (base, base_wall) =
-    wall (fun () -> Network.exec ~config:(cfg ~domains:1 ~epoch:8) g flood)
+    wall (fun () -> Network.exec ~config:(cfg 1) g flood)
   in
   let points =
     List.map
-      (fun (d, e) ->
-        if d = 1 then (1, e, base_wall, true)
+      (fun d ->
+        if d = 1 then (1, base_wall, true)
         else begin
           let (r, w) =
-            wall (fun () ->
-                Network.exec ~config:(cfg ~domains:d ~epoch:e) g flood)
+            wall (fun () -> Network.exec ~config:(cfg d) g flood)
           in
           ( d,
-            e,
             w,
             r.Network.states = base.Network.states
             && r.Network.rounds = base.Network.rounds
@@ -119,18 +128,18 @@ let fingerprint (o : Embedder.outcome) =
     o.Embedder.report.Embedder.rounds )
 
 let scale_embedder name g =
-  let outcome d e =
-    Embedder.run ~config:(Network.Config.make ~domains:d ~epoch:e ()) g
+  let outcome d =
+    Embedder.run ~config:(Network.Config.make ~domains:d ()) g
   in
-  let (base, base_wall) = wall (fun () -> outcome 1 8) in
+  let (base, base_wall) = wall (fun () -> outcome 1) in
   let fp0 = fingerprint base in
   let points =
     List.map
-      (fun (d, e) ->
-        if d = 1 then (1, e, base_wall, true)
+      (fun d ->
+        if d = 1 then (1, base_wall, true)
         else begin
-          let (o, w) = wall (fun () -> outcome d e) in
-          (d, e, w, fingerprint o = fp0)
+          let (o, w) = wall (fun () -> outcome d) in
+          (d, w, fingerprint o = fp0)
         end)
       sweep_points
   in
@@ -145,11 +154,11 @@ let scale_embedder name g =
 let print_scaling c =
   Printf.printf "tier-a   %-24s n=%-7d rounds=%-5d " c.a_name c.a_n c.a_rounds;
   let w1 =
-    match c.a_points with (1, _, w, _) :: _ -> w | _ -> assert false
+    match c.a_points with (1, w, _) :: _ -> w | _ -> assert false
   in
   List.iter
-    (fun (d, e, w, ok) ->
-      Printf.printf " d=%d/e=%d %7.3fs (%4.2fx)%s" d e w (w1 /. max 1e-9 w)
+    (fun (d, w, ok) ->
+      Printf.printf " d=%d %7.3fs (%4.2fx)%s" d w (w1 /. max 1e-9 w)
         (if ok then "" else " MISMATCH"))
     c.a_points;
   print_newline ()
@@ -256,21 +265,25 @@ let json ~cores ~tier_a ~tier_f ~tier_b =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"congest-multicore-scaling\",\n";
   Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string b "  \"unit\": { \"wall\": \"seconds\" },\n";
+  Buffer.add_string b
+    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
+  Buffer.add_string b (Printf.sprintf "  \"reps\": %d,\n" reps);
+  Buffer.add_string b
+    "  \"unit\": { \"wall\": \"seconds, median of reps\" },\n";
   Buffer.add_string b "  \"tier_a_strong_scaling\": [\n";
   List.iteri
     (fun i c ->
-      let w1 = match c.a_points with (1, _, w, _) :: _ -> w | _ -> 0. in
+      let w1 = match c.a_points with (1, w, _) :: _ -> w | _ -> 0. in
       Buffer.add_string b
         (Printf.sprintf "    { \"name\": %S, \"n\": %d, \"rounds\": %d, \"points\": [\n"
            c.a_name c.a_n c.a_rounds);
       List.iteri
-        (fun j (d, e, w, ok) ->
+        (fun j (d, w, ok) ->
           Buffer.add_string b
             (Printf.sprintf
-               "      { \"domains\": %d, \"epoch\": %d, \"wall_s\": %.6f, \
+               "      { \"domains\": %d, \"wall_s\": %.6f, \
                 \"speedup\": %.3f, \"identical\": %b }%s\n"
-               d e w (w1 /. max 1e-9 w) ok
+               d w (w1 /. max 1e-9 w) ok
                (if j = List.length c.a_points - 1 then "" else ",")))
         c.a_points;
       Buffer.add_string b
@@ -361,7 +374,7 @@ let () =
   let mismatches =
     List.length
       (List.concat_map
-         (fun c -> List.filter (fun (_, _, _, ok) -> not ok) c.a_points)
+         (fun c -> List.filter (fun (_, _, ok) -> not ok) c.a_points)
          tier_a)
     + List.length
         (List.concat_map
@@ -390,25 +403,24 @@ let () =
   if pool_slow <> [] then exit 1;
   (* The speedup gate needs hardware parallelism to be meaningful; on a
      single- or dual-core runner it is reported but not enforced. On a
-     >= 4-core runner the bar is a real win: the epoch-sharded flood at
-     four domains must beat the sequential wall outright (< 1.0x). *)
+     >= 4-core runner the bar is a real win: the sharded flood at four
+     domains must beat the sequential wall outright (< 1.0x). *)
   if !quick && cores >= 4 then begin
     let slow =
       List.filter
         (fun c ->
           c.a_flood
           &&
-          let ws = List.map (fun (d, e, w, _) -> ((d, e), w)) c.a_points in
-          let w1 = List.assoc (1, 8) ws in
-          let w4 = List.assoc (4, 8) ws in
+          let ws = List.map (fun (d, w, _) -> (d, w)) c.a_points in
+          let w1 = List.assoc 1 ws in
+          let w4 = List.assoc 4 ws in
           w4 >= 1.0 *. w1)
         tier_a
     in
     List.iter
       (fun c ->
         Printf.eprintf
-          "parallel: domains=4/epoch=8 failed to beat the sequential wall \
-           on %s\n"
+          "parallel: domains=4 failed to beat the sequential wall on %s\n"
           c.a_name)
       slow;
     if slow <> [] then exit 1

@@ -57,6 +57,16 @@ let seglen_t =
 
 let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
+(* Domain and job counts: anything below 1 is a usage error, reported
+   by Cmdliner before a subcommand prints anything. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let m_t =
   Arg.(value & opt int 0 & info [ "m" ] ~doc:"Edge count for --family planar (0 = default).")
 
@@ -388,7 +398,7 @@ let chaos_cmd =
   in
   let jobs_t =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "jobs" ]
           ~doc:
             "Run the seed sweep on this many domains (Pool.map): results and \
@@ -397,7 +407,7 @@ let chaos_cmd =
   in
   let domains_t =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ]
           ~doc:
             "Run each faulty simulation on this many domains (the sharded \
@@ -558,14 +568,8 @@ let certify_cmd =
   in
   let domains_t =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ] ~doc:"Run the verification round on this many domains.")
-  in
-  let epoch_t =
-    Arg.(
-      value & opt int 8
-      & info [ "epoch" ]
-          ~doc:"Maximum rounds a shard may advance between barriers.")
   in
   let parse_corrupt s =
     match String.split_on_char '@' s with
@@ -579,7 +583,7 @@ let certify_cmd =
         Printf.eprintf "certify: cannot parse --corrupt %S (want K@SEED)\n" s;
         exit 2
   in
-  let run family n rows cols seglen seed m chord via corrupt domains epoch =
+  let run family n rows cols seglen seed m chord via corrupt domains =
     let g = make_graph family n rows cols seglen seed m chord in
     graph_summary g;
     let rotation =
@@ -613,7 +617,7 @@ let certify_cmd =
     let o =
       Certify.verify
         ~config:
-          (Network.Config.make ~domains ~epoch
+          (Network.Config.make ~domains
              ~observe:(Observe.make ~metrics:m ()) ())
         rotation certs
     in
@@ -659,7 +663,7 @@ let certify_cmd =
   let term =
     Term.(
       const run $ family_t $ n_t $ rows_t $ cols_t $ seglen_t $ seed_t $ m_t
-      $ chord_t $ via_t $ corrupt_t $ domains_t $ epoch_t)
+      $ chord_t $ via_t $ corrupt_t $ domains_t)
   in
   Cmd.v
     (Cmd.info "certify"
@@ -696,7 +700,7 @@ let route_cmd =
   in
   let jobs_t =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "jobs" ] ~doc:"Answer batched queries on this many domains.")
   in
   let path_t =
@@ -954,6 +958,20 @@ let () =
      Ghaffari & Haeupler, PODC 2016)."
   in
   let info = Cmd.info "distplanar" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info
-       [ embed_cmd; baseline_cmd; check_cmd; witness_cmd; separator_cmd;
-         trace_cmd; chaos_cmd; certify_cmd; route_cmd; churn_cmd; families_cmd ]))
+  let cmd =
+    Cmd.group info
+      [ embed_cmd; baseline_cmd; check_cmd; witness_cmd; separator_cmd;
+        trace_cmd; chaos_cmd; certify_cmd; route_cmd; churn_cmd; families_cmd ]
+  in
+  (* A library's [Invalid_argument] is a typed rejection of the input
+     (an empty graph, a zero grid dimension), not a crash: one line on
+     stderr and exit 2, like every other bad-input path here. *)
+  exit
+    (try Cmd.eval ~catch:false cmd with
+    | Invalid_argument msg ->
+        Printf.eprintf "distplanar: %s\n" msg;
+        2
+    | e ->
+        Printf.eprintf "distplanar: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

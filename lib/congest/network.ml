@@ -85,8 +85,7 @@ let leaked () =
   invalid_arg "Network: send called after the call that received it returned"
 
 (* Run [call] against a [send] that drops its messages (a node down at
-   round 0, the sharded engines' seed call). Like every [send], it
-   refuses once its call has returned. *)
+   round 0). Like every [send], it refuses once its call has returned. *)
 let discarding call =
   let live = ref true in
   let send _ _ = if not !live then leaked () in
@@ -157,8 +156,6 @@ type 's run_result = { states : 's array; rounds : int; report : report }
 module Config = struct
   type t = {
     domains : int;
-    epoch : int;
-    steal : int;
     bandwidth : int option;
     max_rounds : int option;
     observe : Observe.t;
@@ -168,8 +165,6 @@ module Config = struct
   let default =
     {
       domains = 1;
-      epoch = 8;
-      steal = 4;
       bandwidth = None;
       max_rounds = None;
       observe = Observe.none;
@@ -177,16 +172,14 @@ module Config = struct
     }
 
   let with_domains domains c = { c with domains }
-  let with_epoch epoch c = { c with epoch }
-  let with_steal steal c = { c with steal }
   let with_bandwidth b c = { c with bandwidth = Some b }
   let with_max_rounds r c = { c with max_rounds = Some r }
   let with_observe observe c = { c with observe }
   let with_faults p c = { c with faults = Some p }
 
   let make ?(domains = 1) ?bandwidth ?max_rounds ?(observe = Observe.none)
-      ?faults ?(epoch = 8) ?(steal = 4) () =
-    { domains; epoch; steal; bandwidth; max_rounds; observe; faults }
+      ?faults () =
+    { domains; bandwidth; max_rounds; observe; faults }
 end
 
 (* In-place ascending heapsort of a.(0 .. k-1): the engine's worklists
@@ -251,284 +244,9 @@ let rec rank (a : int array) lo hi v =
     else if y < v then rank a (mid + 1) hi v
     else rank a lo (mid - 1) v
   end
-
-(* The flat-array engine. All per-round bookkeeping lives in arrays
-   preallocated at entry (or grown to their peak) and reused across
-   rounds:
-
-   - [q_dart]/[q_msg]  the round's sends in send order — ascending
-                    sender, then each sender's own send order;
-   - [cnt.(d)]      messages queued on dart [d] this round; a dart id is
-                    its slot in the CSR adjacency, so the in-darts of a
-                    recipient are one contiguous range ordered by sender;
-   - [load.(d)]     bits pushed through dart [d] this round (the CONGEST
-                    bandwidth budget is checked against it at send time);
-   - [staged]/[has_mail]  worklist of recipients with mail, so a round
-                    costs O(active slices + messages), never O(n).
-
-   Delivery is a stable counting scatter: the sorted recipients' in-dart
-   slices are laid out back to back in [in_src]/[in_msg], each dart gets
-   its slice's cursor, and one pass over the queue drops every message
-   into place. Stability keeps a sender's messages in send order, the
-   slice order sorts by sender — the documented delivery order with no
-   comparison sort and no allocation. Each node then reads its mail
-   through one reused {!Inbox} view.
-
-   This is the zero-fault path: [exec] dispatches here whenever no fault
-   plan is installed, so the loop below must stay bit-identical to the
-   pre-fault engine (test_engine_diff.ml holds it to that). *)
-let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g
-    (proto : ('s, 'm) protocol) =
-  let n = Gr.n g in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
-  in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    (* A bounds request needs a metrics accumulator; conjure a private
-       one when the caller did not supply a sink. *)
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  (* Successive runs on the same metrics continue one timeline: rounds
-     already accumulated offset this run's round numbers in the round log
-     and the trace. *)
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
-  let xadj = Gr.dart_offsets g in
-  let srcs = Gr.dart_sources g in
-  let dedge = Gr.dart_edges g in
-  let rev = Gr.dart_reversals g in
-  let nd = Array.length srcs in
-  let cnt = Array.make (max 1 nd) 0 in
-  let load = Array.make (max 1 nd) 0 in
-  let cursor = Array.make (max 1 nd) 0 in
-  let has_mail = Array.make (max 1 n) false in
-  let staged = Array.make (max 1 n) 0 in
-  let n_staged = ref 0 in
-  let active_buf = Array.make (max 1 n) 0 in
-  let slice = Array.make (n + 1) 0 in
-  (* The message arrays start empty and grow from the first message
-     (their fill value), so no dummy ['m] is ever needed. *)
-  let q_dart = ref [||] in
-  let q_msg = ref [||] in
-  let q_len = ref 0 in
-  let in_src = ref [||] in
-  let in_msg = ref [||] in
-  let inbox = Inbox.empty () in
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
-  (* The node whose [init]/[round] call is running; -1 between calls, so
-     a [send] that outlives its call fails loudly. *)
-  let cur = ref (-1) in
-  (* The engine error a [send] raised. It ends the run even if the
-     protocol catches it: the call's later sends and its return raise it
-     again, so the observations stop at the failing message. *)
-  let failed = ref None in
-  let fail e =
-    failed := Some e;
-    cur := -1;
-    raise e
-  in
-  let refuse () = match !failed with Some e -> raise e | None -> leaked () in
-  let send v msg =
-    let u = !cur in
-    if u < 0 then refuse ();
-    let d =
-      let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-      if s < 0 then
-        fail
-          (Invalid_argument
-             (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u
-                v));
-      rev.(s)
-    in
-    let bits = proto.msg_bits msg in
-    (match metrics with
-    | Some m ->
-        Metrics.add_message_at m
-          ~dir:((2 * dedge.(d)) + if u < v then 0 else 1)
-          ~bits
-    | None -> ());
-    (match trace with
-    | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-    | None -> ());
-    incr msgs_round;
-    bits_round := !bits_round + bits;
-    if bits > !max_msg_bits then max_msg_bits := bits;
-    if not has_mail.(v) then begin
-      has_mail.(v) <- true;
-      staged.(!n_staged) <- v;
-      incr n_staged
-    end;
-    let j = !q_len in
-    if j = Array.length !q_msg then begin
-      let cap = max 64 (2 * j) in
-      let qd = Array.make cap 0 and qm = Array.make cap msg in
-      Array.blit !q_dart 0 qd 0 j;
-      Array.blit !q_msg 0 qm 0 j;
-      q_dart := qd;
-      q_msg := qm
-    end;
-    !q_dart.(j) <- d;
-    !q_msg.(j) <- msg;
-    q_len := j + 1;
-    cnt.(d) <- cnt.(d) + 1;
-    let now = load.(d) + bits in
-    load.(d) <- now;
-    if now > !max_burst then max_burst := now;
-    if now > bandwidth then
-      fail (Bandwidth_exceeded { round = !round; u; v; bits = now })
-  in
-  (* Close the books on the round just computed: per-dart burst maxima
-     (every loaded dart's head is a staged recipient, so scanning the
-     staged slices covers exactly the loaded darts), the round record,
-     and the engine's own flat counters. *)
-  let commit_round ~active =
-    (match metrics with
-    | Some m ->
-        for i = 0 to !n_staged - 1 do
-          let v = staged.(i) in
-          for d = xadj.(v) to xadj.(v + 1) - 1 do
-            if load.(d) > 0 then
-              Metrics.note_round_edge_at m
-                ~dir:((2 * dedge.(d)) + if srcs.(d) < v then 0 else 1)
-                ~bits:load.(d)
-          done
-        done;
-        Metrics.record_round m ~round:(base + !round) ~active
-          ~messages:!msgs_round ~bits:!bits_round
-    | None -> ());
-    (match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
-          ~bits:!bits_round
-    | None -> ());
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
-  in
-  let run () =
-    let states =
-      Array.init n (fun v ->
-          cur := v;
-          let s = proto.init g v send in
-          if !cur < 0 then refuse ();
-          cur := -1;
-          s)
-    in
-    (* Round 0's spontaneous sends are checked and counted too; every
-       node ran its init, so all n nodes are active. *)
-    if !msgs_round > 0 then commit_round ~active:n;
-    while !n_staged > 0 do
-      if !round >= max_rounds then
-        raise
-          (No_quiescence
-             { round = !round; active = !n_staged; messages = !msgs_round });
-      incr round;
-      (* Deliver: lay the sorted recipients' in-dart slices out back to
-         back, then scatter the queue into them, and reset the dart
-         state for the sends of this round. *)
-      let k = !n_staged in
-      sort_staged ~n has_mail staged k active_buf;
-      n_staged := 0;
-      let pos = ref 0 in
-      for i = 0 to k - 1 do
-        let v = active_buf.(i) in
-        has_mail.(v) <- false;
-        slice.(i) <- !pos;
-        for d = xadj.(v) to xadj.(v + 1) - 1 do
-          cursor.(d) <- !pos;
-          pos := !pos + cnt.(d);
-          cnt.(d) <- 0;
-          load.(d) <- 0
-        done
-      done;
-      slice.(k) <- !pos;
-      let q = !q_len in
-      if Array.length !in_msg < q then begin
-        let cap = max q (2 * Array.length !in_msg) in
-        in_src := Array.make cap 0;
-        in_msg := Array.make cap !q_msg.(0)
-      end;
-      let qd = !q_dart and qm = !q_msg and is = !in_src and im = !in_msg in
-      for j = 0 to q - 1 do
-        let d = qd.(j) in
-        let p = cursor.(d) in
-        is.(p) <- srcs.(d);
-        im.(p) <- qm.(j);
-        cursor.(d) <- p + 1
-      done;
-      q_len := 0;
-      msgs_round := 0;
-      bits_round := 0;
-      (* Compute: only the recipients run, in ascending id order, so
-         metrics/trace record messages in the same order as the legacy
-         engine's whole-network scan. *)
-      inbox.Inbox.srcs <- is;
-      inbox.Inbox.msgs <- im;
-      for i = 0 to k - 1 do
-        let v = active_buf.(i) in
-        inbox.Inbox.lo <- slice.(i);
-        inbox.Inbox.len <- slice.(i + 1) - slice.(i);
-        cur := v;
-        states.(v) <- proto.round g v states.(v) inbox send;
-        (* Only [fail] clears [cur] inside a call. *)
-        if !cur < 0 then refuse ();
-        cur := -1;
-        inbox.Inbox.len <- 0
-      done;
-      commit_round ~active:k
-    done;
-    states
-  in
-  let states =
-    try run ()
-    with e ->
-      cur := -1;
-      inbox.Inbox.len <- 0;
-      let e = match !failed with Some f -> f | None -> e in
-      failed := None;
-      raise e
-  in
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
-  in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The epoch-batched work-stealing engine (Tier A of the multicore     *)
-(* layer)                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Growable int buffer, reused across rounds: per-slot stagings and
-   event logs have no static bound, so they amortize to their peak and
-   stay there. The header is padded past a cache line: adjacent slots'
+(* Growable int buffer, reused across rounds: per-chunk dart lists and
+   staged sends have no static bound, so they amortize to their peak and
+   stay there. The header is padded past a cache line: adjacent chunks'
    buffers are allocated back to back and their [len] fields are bumped
    concurrently by different domains — without the pad every push would
    false-share. *)
@@ -550,20 +268,21 @@ module Ibuf = struct
 
   let clear t = t.len <- 0
 
+  let grow t =
+    let a' = Array.make (2 * Array.length t.a) 0 in
+    Array.blit t.a 0 a' 0 t.len;
+    t.a <- a'
+
+  (* Small enough for the compiler to inline into a send. *)
   let push t x =
-    let cap = Array.length t.a in
-    if t.len = cap then begin
-      let a' = Array.make (2 * cap) 0 in
-      Array.blit t.a 0 a' 0 cap;
-      t.a <- a'
-    end;
+    if t.len = Array.length t.a then grow t;
     t.a.(t.len) <- x;
     t.len <- t.len + 1
 end
 
-(* Growable message buffer — [Ibuf] for 'm values (boundary-mail
-   payloads, shard outboxes). Starts empty so no dummy element is
-   needed; padded for the same false-sharing reason. *)
+(* Growable message buffer — [Ibuf] for 'm values (shard outboxes).
+   Starts empty so no dummy element is needed; padded for the same
+   false-sharing reason. *)
 module Mbuf = struct
   type 'm t = {
     mutable a : 'm array;
@@ -593,237 +312,109 @@ module Mbuf = struct
     t.len <- t.len + 1
 end
 
-(* A slot aborts at its first error so its event buffer is exactly the
-   prefix the sequential engine would have recorded before raising:
-   [pos] is the buffered event count at the instant the error struck,
-   [rnd] the absolute round (epoch tasks run several rounds between
-   merges, so the slot must remember which one failed). *)
-exception Stop_shard
-
-type slot_error = { rnd : int; pos : int; err : exn }
-
-(* Per-slot counters, one padded block per slot: in the width-1
-   stolen-chunk path every send bumps its slot's counters, and with the
-   old parallel arrays (sl_msgs/sl_bits/...) adjacent slots' counters
-   shared cache lines — a measured overhead fraction on chunk-heavy
-   workloads. 13 fields + header > 64 bytes keeps any two slots' hot
-   fields on different lines. *)
-type slot_acc = {
-  mutable a_msgs : int;
-  mutable a_bits : int;
-  mutable a_maxmsg : int;
-  mutable a_maxburst : int;
-  mutable a_tick : int;  (* current sender's stamp for the load scratch *)
-  mutable a_err : slot_error option;
-  mutable a_u : int;  (* node whose call is running; -1 between calls *)
-  mutable a_rnd : int;  (* that call's absolute round *)
-  mutable _a2 : int;
-  mutable _a3 : int;
-  mutable _a4 : int;
-  mutable _a5 : int;
-  mutable _a6 : int;
-  mutable _a7 : int;
+(* One contiguous slice of a round's work — a run of the sorted
+   worklist, or of the node range at wake-up — and everything its nodes'
+   sends touch: a flat queue of the chunk's sends as (dart, bits, msg)
+   in send order ([q_bits] only when observing), the distinct recipients
+   it reached this round ([reached_at.(v)] is the last round it reached
+   [v]), its counters, the node whose call is running (-1 between calls)
+   and the error that stopped it. *)
+type 'm chunk = {
+  mutable q_dart : int array;
+  mutable q_bits : int array;
+  mutable q_msg : 'm array;
+  mutable q_len : int;
+  reached : Ibuf.t;
+  reached_at : int array;
+  mutable bits : int;
+  mutable max_msg : int;
+  mutable max_burst : int;
+  mutable u : int;
+  mutable err : exn option;
+  view : 'm Inbox.t;
 }
 
-let slot_acc () =
-  { a_msgs = 0; a_bits = 0; a_maxmsg = 0; a_maxburst = 0; a_tick = 0;
-    a_err = None; a_u = -1; a_rnd = 0;
-    _a2 = 0; _a3 = 0; _a4 = 0; _a5 = 0; _a6 = 0; _a7 = 0 }
+(* The fault-free round loop. All per-round bookkeeping lives in arrays
+   preallocated at entry (or grown to their peak) and reused across
+   rounds:
 
-(* Append node [v]'s in-flight mail to the slot store [mb] (its [len] is
-   the fill pointer) and empty its darts. Darts ascend by sender and each
-   dart's list is newest-first, so the copy runs each list backwards:
-   the documented delivery order, with no intermediate list. *)
-let drain_box (box : 'm list array) xadj srcs (mb : 'm Inbox.t) v =
-  for d = xadj.(v) to xadj.(v + 1) - 1 do
-    match box.(d) with
-    | [] -> ()
-    | msgs ->
-        let u = srcs.(d) in
-        let c = List.length msgs in
-        let top = mb.Inbox.len + c in
-        if Array.length mb.Inbox.msgs < top then begin
-          let cap = max top (2 * Array.length mb.Inbox.msgs) in
-          let ns = Array.make cap 0 and nm = Array.make cap (List.hd msgs) in
-          Array.blit mb.Inbox.srcs 0 ns 0 mb.Inbox.len;
-          Array.blit mb.Inbox.msgs 0 nm 0 mb.Inbox.len;
-          mb.Inbox.srcs <- ns;
-          mb.Inbox.msgs <- nm
-        end;
-        let rec fill i = function
-          | [] -> ()
-          | m :: rest ->
-              mb.Inbox.srcs.(i) <- u;
-              mb.Inbox.msgs.(i) <- m;
-              fill (i - 1) rest
-        in
-        fill (top - 1) msgs;
-        mb.Inbox.len <- top;
-        box.(d) <- []
-  done
+   - [cnt.(d)]      messages queued on dart [d] this round; a dart id is
+                    its slot in the CSR adjacency, so the in-darts of a
+                    recipient are one contiguous range ordered by sender;
+   - [load.(d)]     bits pushed through dart [d] this round (the CONGEST
+                    bandwidth budget is checked against it at send time);
+   - [staged]/[has_mail]  worklist of recipients with mail, so a round
+                    costs O(active slices + messages), never O(n);
+   - one {!chunk} per domain, holding its sends' flat queue and the
+                    recipients it reached.
 
-(* The parallel round engine. The node range is split into [k]
-   contiguous shards; a persistent [Pool.t] of [k] domains executes the
-   parallel sections, claiming tasks dynamically. Each global iteration
-   picks one of two modes:
+   Each round splits the sorted worklist into [k = min domains active]
+   contiguous chunks and runs them on a {!Pool.t}; at [k = 1] the chunk
+   runs inline, with no pool and no barrier. A chunk's [send] resolves
+   the dart, charges [cnt]/[load] and checks the budget at once: a
+   dart's only sender is its source node, so no two chunks write one
+   cell. A serial merge then walks the chunks in order — ascending
+   sender, the sequential visit order — staging the recipients the
+   chunks reached, feeding the metrics and trace sinks, and folding the
+   counters, so nothing observable depends on [k]. A chunk stops at its
+   first error (a [send] error is sticky, so a protocol that catches it
+   stops too); the merge raises the lowest chunk's error after observing
+   exactly the sends a sequential sweep would have made before it.
 
-   {b Chunk mode} (epoch width 1 — the active set touches a shard
-   boundary, or epochs are disabled). The {e sorted active list} — not
-   the node range — is split into up to [k * steal] contiguous index
-   chunks, so a wavefront concentrated in one shard still spreads over
-   every domain, and the work-stealing pool keeps all domains busy even
-   when chunk costs are skewed. Deliver and compute are separate pool
-   dispatches (a barrier sits between them because sends may cross
-   chunks); per-chunk counters, event logs and stagings then merge in
-   chunk order, which equals ascending node order, which equals the
-   sequential engine's visit order.
-
-   {b Epoch mode} (width e >= 2). [dist.(v)] — precomputed once by
-   multi-source BFS — is the hop distance from [v] to the nearest
-   {e frontier} node (one with a neighbor in another shard). If every
-   active node has [dist >= e], then inductively every node computing in
-   local round j of the epoch has [dist >= e - (j - 1) >= 1], so {e no
-   send leaves its shard for e rounds}: each shard runs e fused
-   deliver+compute rounds against the shared dart state it exclusively
-   owns, touching the pool barrier twice per epoch instead of twice per
-   round. Boundary darts cannot be written during the epoch by
-   construction — the "flush" of boundary traffic is the return to
-   width-1 chunk mode as soon as the active set nears a frontier.
-   Per-shard round logs (plain cumulative counters per local round) let
-   the serial epoch merge fold per-round totals without touching a
-   single message.
-
-   {b Deferred observation.} Observation sinks no longer cost a serial
-   replay per barrier. When no sink consumes per-message events (the
-   benchmark hot path) the slots buffer nothing and the barriers fold
-   plain counters. When observation is on, each slot appends its events
-   to a persistent log, every committed round appends one {e frame}
-   (round, active, totals, per-slot event watermarks) to a run-global
-   frame log, and the whole timeline is merged {e once at run end} — a
-   slot-order k-way walk of the frame log that replays messages, derives
-   each round's first-touched recipients for burst accounting, and emits
-   the round records. The price is retaining the event log for the whole
-   run, the same order of memory a message-keeping trace already costs.
-
-   {b Boundary mail.} Sends never write another shard's cache lines
-   during a parallel section: a cross-shard message (sid u <> sid v) is
-   staged in its slot's per-destination-shard buffer and flushed at the
-   barrier — serially when light, by a pool dispatch over destination
-   shards when heavy (each destination's box/has_mail cells then have
-   exactly one writer, draining slots in order, which preserves the
-   sequential per-dart cons order). Bandwidth is charged at send time
-   from a slot-local per-outbox accumulator — all traffic on a dart in
-   one round comes from its unique sender's single outbox — so the
-   engine no longer keeps a shared per-dart load array at all.
-
-   Both modes preserve bit-identity with [exec_clean] — states,
-   rounds, report, metrics, trace — at every (domains, epoch, steal);
-   the differential suite (test_engine_diff.ml) holds them to that.
-   Error behavior is faithful too: each slot stops at its first error,
-   the merge flushes the frame log and then replays exactly the event
-   prefix the sequential engine would have recorded (slots below the
-   failing one in full, the failing slot up to the error — for epochs,
-   complete rounds before the failing round first), and re-raises the
-   error the sequential sweep would have hit first: lowest
-   (round, slot).
-
-   Protocols must be pure (no shared mutable state in their closures):
-   [init]/[round] of different nodes run concurrently, and [init] of
-   node 0 is invoked one extra time to seed the states array. *)
-let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
-    ?(observe = Observe.none) g (proto : ('s, 'm) protocol) =
+   Delivery is a stable counting scatter: the sorted recipients' in-dart
+   slices are laid out back to back in [in_src]/[in_msg], each dart gets
+   its slice's cursor, and one pass over each queue drops every message
+   into place — a dart's messages all sit in its sender's queue, in send
+   order. Stability keeps a sender's messages in send order, the slice
+   order sorts by sender: the documented delivery order with no
+   comparison sort and no allocation. Each chunk's nodes then read their
+   mail through the chunk's one reused {!Inbox} view. *)
+let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
+    (proto : ('s, 'm) protocol) =
   let n = Gr.n g in
-  let k = domains in
-  let epoch_max = epoch in
   let bandwidth =
     match bandwidth with Some b -> b | None -> default_bandwidth g
   in
   let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
   let trace = Observe.trace observe in
   let metrics =
+    (* A bounds request needs a metrics accumulator; conjure a private
+       one when the caller did not supply a sink. *)
     match (Observe.metrics observe, Observe.bounds observe) with
     | None, Some _ -> Some (Metrics.create g)
     | m, _ -> m
   in
+  (* Only a sink that consumes per-message events makes the merge walk
+     the queues. *)
+  let observing =
+    Option.is_some metrics
+    || match trace with Some tr -> Trace.keep_messages tr | None -> false
+  in
+  (* Successive runs on the same metrics continue one timeline: rounds
+     already accumulated offset this run's round numbers in the round log
+     and the trace. *)
   let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
   let xadj = Gr.dart_offsets g in
   let srcs = Gr.dart_sources g in
   let dedge = Gr.dart_edges g in
   let rev = Gr.dart_reversals g in
   let nd = Array.length srcs in
-  (* Events are buffered as (dart, bits) pairs; the head table turns a
-     dart back into its recipient at replay time. *)
-  let head = Array.make (max 1 nd) 0 in
-  for v = 0 to n - 1 do
-    for d = xadj.(v) to xadj.(v + 1) - 1 do
-      head.(d) <- v
-    done
-  done;
-  (* Replay is only needed when a sink actually consumes per-message
-     events; a trace that drops messages costs nothing in the slots. *)
-  let observing =
-    Option.is_some metrics
-    || (match trace with Some tr -> Trace.keep_messages tr | None -> false)
-  in
-  let shard_lo = Array.init (k + 1) (fun i -> i * n / k) in
-  (* Shard of each node: the boundary-mail test (stage iff
-     sid u <> sid v) consults it on every chunk-mode send. *)
-  let sid = Array.make (max 1 n) 0 in
-  for i = 0 to k - 1 do
-    for v = shard_lo.(i) to shard_lo.(i + 1) - 1 do
-      sid.(v) <- i
-    done
-  done;
-  (* Hop distance to the nearest shard frontier, the epoch-legality
-     oracle: an epoch of width e is sound iff every active node is at
-     distance >= e. Nodes in components with no frontier keep max_int —
-     their activity can never leave the shard. *)
-  let dist =
-    if epoch_max <= 1 then [||]
-    else begin
-      let d = Array.make (max 1 n) max_int in
-      let q = Array.make (max 1 n) 0 in
-      let qt = ref 0 in
-      for v = 0 to n - 1 do
-        let frontier = ref false in
-        let dd = ref xadj.(v) in
-        while (not !frontier) && !dd < xadj.(v + 1) do
-          if sid.(srcs.(!dd)) <> sid.(v) then frontier := true;
-          incr dd
-        done;
-        if !frontier then begin
-          d.(v) <- 0;
-          q.(!qt) <- v;
-          incr qt
-        end
-      done;
-      let qh = ref 0 in
-      while !qh < !qt do
-        let u = q.(!qh) in
-        incr qh;
-        let du = d.(u) in
-        for dd = xadj.(u) to xadj.(u + 1) - 1 do
-          let w = srcs.(dd) in
-          if d.(w) > du + 1 then begin
-            d.(w) <- du + 1;
-            q.(!qt) <- w;
-            incr qt
-          end
-        done
-      done;
-      d
-    end
-  in
-  let box : 'm list array = Array.make (max 1 nd) [] in
+  (* The metrics slot of dart [d] into recipient [v]. *)
+  let dir d v = (2 * dedge.(d)) + if srcs.(d) < v then 0 else 1 in
+  let cnt = Array.make (max 1 nd) 0 in
+  let load = Array.make (max 1 nd) 0 in
+  let cursor = Array.make (max 1 nd) 0 in
   let has_mail = Array.make (max 1 n) false in
   let staged = Array.make (max 1 n) 0 in
   let n_staged = ref 0 in
   let active_buf = Array.make (max 1 n) 0 in
   let n_active = ref 0 in
-  (* One extra (discarded) init of node 0 seeds the array; protocols are
-     pure, so the real pass below overwrites it with the same value. Its
-     sends go nowhere. *)
-  let states = Array.make n (discarding (proto.init g 0)) in
+  let n_chunks = ref domains in
+  let slice = Array.make (n + 1) 0 in
+  (* The message arrays start empty and grow from the first message
+     (their fill value), so no dummy ['m] is ever needed. *)
+  let in_src = ref [||] in
+  let in_msg = ref [||] in
   let round = ref 0 in
   let msgs_round = ref 0 in
   let bits_round = ref 0 in
@@ -832,648 +423,290 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
   let max_msg_bits = ref 0 in
   let max_burst = ref 0 in
   let active_peak = ref 0 in
-  (* Per-slot accumulators: a slot is a chunk in chunk mode (up to
-     k * steal of them) or a shard in epoch mode (the first k). Counters
-     fold at the merge, stagings dedupe there; event logs are
-     append-only for the whole run and replay once at the end. *)
-  let nslots = k * steal in
-  let sl = Array.init nslots (fun _ -> slot_acc ()) in
-  let sl_staged = Array.init nslots (fun _ -> Ibuf.make 64) in
-  let sl_events =
-    Array.init nslots (fun _ -> Ibuf.make (if observing then 256 else 16))
+  let chunks =
+    Array.init domains (fun _ ->
+        {
+          q_dart = [||];
+          q_bits = [||];
+          q_msg = [||];
+          q_len = 0;
+          reached = Ibuf.make 64;
+          reached_at = Array.make (max 1 n) (-1);
+          bits = 0;
+          max_msg = 0;
+          max_burst = 0;
+          u = -1;
+          err = None;
+          view = Inbox.empty ();
+        })
   in
-  (* Slot-local per-round load scratch, indexed by the sender's
-     adjacency rank: within one round all traffic on a dart comes from
-     its unique sender's single outbox, so the bandwidth/burst
-     accumulator needs no shared load array. [ld_cum.(slot).(o)] is the
-     cumulative bits of the current sender's out-dart [o] (its rank in
-     the sender's CSR slice); validity is a stamp compare against the
-     slot's [a_tick], bumped once per sender — O(1) per send, no
-     per-node clearing, no probe. *)
-  let maxdeg =
-    let m = ref 1 in
-    for v = 0 to n - 1 do
-      let d = xadj.(v + 1) - xadj.(v) in
-      if d > !m then m := d
-    done;
-    !m
+  let fail ch e =
+    ch.err <- Some e;
+    ch.u <- -1;
+    raise e
   in
-  let ld_cum = Array.init nslots (fun _ -> Array.make maxdeg 0) in
-  let ld_stp = Array.init nslots (fun _ -> Array.make maxdeg 0) in
-  (* Boundary mail staged at send, per (slot, destination shard),
-     flushed at the barrier. *)
-  let ob_d = Array.init nslots (fun _ -> Array.init k (fun _ -> Ibuf.make 32)) in
-  let ob_m : 'm Mbuf.t array array =
-    Array.init nslots (fun _ -> Array.init k (fun _ -> Mbuf.make ()))
-  in
-  let fl_staged = Array.init k (fun _ -> Ibuf.make 64) in
-  (* Epoch-mode per-shard logs. [sh_dstaged] accumulates the {e deduped}
-     staged recipients of every local round in first-touch order;
-     [sh_rlog] stores five ints per completed local round — cumulative
-     messages, cumulative bits, active count, event watermark, staging
-     watermark — so the merge can fold per-round deltas and slices.
-     [sh_cur] is the shard's working (sorted) active list. *)
-  let sh_dstaged = Array.init k (fun _ -> Ibuf.make 64) in
-  let sh_rlog = Array.init k (fun _ -> Ibuf.make 80) in
-  let sh_cur = Array.init k (fun _ -> Ibuf.make 64) in
-  (* The run-global frame log (observing runs only): per committed round
-     [rnd; nc; active; msgs; bits; wm_0 .. wm_{nc-1}], where wm_s is
-     slot s's event-log length at commit. [cursor] tracks each slot's
-     replay position during the run-end merge. *)
-  let frames = Ibuf.make (if observing then 256 else 16) in
-  let fpos = ref 0 in
-  let cursor = Array.make nslots 0 in
-  (* Merge-time per-dart load reconstruction: the burst accounting of
-     every round replays into a scratch copy at merge time. [mstamp]
-     and [rbuf] derive the round's first-touched recipients from the
-     replayed events — exactly the sequential engine's staging set. *)
-  let mload =
-    if Option.is_some metrics then Array.make (max 1 nd) 0 else [||]
-  in
-  let mtouch = Ibuf.make 256 in
-  let mstamp = Array.make (max 1 n) 0 in
-  let rbuf = Ibuf.make 256 in
-  let frame_no = ref 0 in
-  let send slot rnd u v msg =
+  (* Each chunk's own [send], built once. The [let] before the [fun]
+     keeps it a true two-argument closure, so the protocol's call lands
+     in this body directly, not through a partial application. *)
+  let chunk_send ch =
+    let reached = ch.reached and reached_at = ch.reached_at in
+    fun v msg ->
+    let u = ch.u in
+    if u < 0 then (match ch.err with Some e -> raise e | None -> leaked ());
     let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-    if s < 0 then begin
-      sl.(slot).a_err <-
-        Some
-          {
-            rnd;
-            pos = sl_events.(slot).Ibuf.len;
-            err =
-              Invalid_argument
-                (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d"
-                   u v);
-          };
-      raise_notrace Stop_shard
-    end;
+    if s < 0 then
+      fail ch
+        (Invalid_argument
+           (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u v));
     let d = rev.(s) in
     let bits = proto.msg_bits msg in
-    if observing then begin
-      Ibuf.push sl_events.(slot) d;
-      Ibuf.push sl_events.(slot) bits
+    ch.bits <- ch.bits + bits;
+    if bits > ch.max_msg then ch.max_msg <- bits;
+    let j = ch.q_len in
+    if j = Array.length ch.q_msg then begin
+      let grow a x =
+        let b = Array.make (max 64 (2 * j)) x in
+        Array.blit a 0 b 0 j;
+        b
+      in
+      ch.q_dart <- grow ch.q_dart 0;
+      if observing then ch.q_bits <- grow ch.q_bits 0;
+      ch.q_msg <- grow ch.q_msg msg
     end;
-    let a = sl.(slot) in
-    a.a_msgs <- a.a_msgs + 1;
-    a.a_bits <- a.a_bits + bits;
-    if bits > a.a_maxmsg then a.a_maxmsg <- bits;
-    let o = s - xadj.(u) in
-    let cum = ld_cum.(slot) and stp = ld_stp.(slot) in
-    let now =
-      if stp.(o) = a.a_tick then cum.(o) + bits else bits
-    in
-    cum.(o) <- now;
-    stp.(o) <- a.a_tick;
-    if now > a.a_maxburst then a.a_maxburst <- now;
-    if now > bandwidth then begin
-      (* The sequential engine records the violating message in its
-         sinks before raising; [pos] already includes it. *)
-      a.a_err <-
-        Some
-          {
-            rnd;
-            pos = sl_events.(slot).Ibuf.len;
-            err = Bandwidth_exceeded { round = rnd; u; v; bits = now };
-          };
-      raise_notrace Stop_shard
+    ch.q_dart.(j) <- d;
+    if observing then ch.q_bits.(j) <- bits;
+    ch.q_msg.(j) <- msg;
+    ch.q_len <- j + 1;
+    if reached_at.(v) <> !round then begin
+      reached_at.(v) <- !round;
+      Ibuf.push reached v
     end;
-    if sid.(u) = sid.(v) then begin
-      (match box.(d) with
-      | [] -> Ibuf.push sl_staged.(slot) v
-      | _ :: _ -> ());
-      box.(d) <- msg :: box.(d)
-    end
-    else begin
-      Ibuf.push ob_d.(slot).(sid.(v)) d;
-      Mbuf.push ob_m.(slot).(sid.(v)) msg
-    end
+    cnt.(d) <- cnt.(d) + 1;
+    let now = load.(d) + bits in
+    load.(d) <- now;
+    if now > ch.max_burst then ch.max_burst <- now;
+    if now > bandwidth then
+      fail ch (Bandwidth_exceeded { round = !round; u; v; bits = now })
   in
-  (* Per-slot protocol plumbing: the push [send] (as the slot's running
-     node, refused between calls), the slot's delivered mail laid out
-     back to back with per-node offsets, and the one inbox view over it.
-     A slot's first error is sticky: should the protocol catch the
-     [Stop_shard] that reported it, the call's later sends and its
-     return ([after_call]) raise again, so the slot stops where the
-     sequential engine would. *)
-  let psend =
-    Array.init nslots (fun slot v msg ->
-        let a = sl.(slot) in
-        if a.a_u < 0 then leaked ()
-        else if Option.is_some a.a_err then raise_notrace Stop_shard
-        else send slot a.a_rnd a.a_u v msg)
+  let sends = Array.map chunk_send chunks in
+  (* A chunk stops at its first error: a [send] error is already
+     recorded (only [fail] clears [u] inside a call), anything else the
+     call raised is recorded here. *)
+  let stopped ch e =
+    ch.u <- -1;
+    ch.view.Inbox.len <- 0;
+    if Option.is_none ch.err then ch.err <- Some e
   in
-  let after_call a =
-    a.a_u <- -1;
-    if Option.is_some a.a_err then raise_notrace Stop_shard
+  let states = ref [||] in
+  (* Wake-up over the node range, [domains] chunks. Node 0 wakes first,
+     alone: its state seeds the array. *)
+  let wake lo hi c =
+    let ch = chunks.(c) and send = sends.(c) in
+    let v = ref lo in
+    try
+      while !v < hi do
+        ch.u <- !v;
+        let s = proto.init g !v send in
+        if !v = 0 then states := Array.make n s else !states.(!v) <- s;
+        if ch.u < 0 then v := hi
+        else begin
+          ch.u <- -1;
+          incr v
+        end
+      done
+    with e -> stopped ch e
   in
-  (* Record a slot's error unless it already holds one. *)
-  let note_err slot e =
-    if Option.is_none sl.(slot).a_err then sl.(slot).a_err <- Some e
+  let wake_chunk c =
+    wake (max 1 (c * n / domains)) ((c + 1) * n / domains) c
   in
-  let mail = Array.init nslots (fun _ -> Inbox.empty ()) in
-  let moff = Array.init nslots (fun _ -> Ibuf.make 64) in
-  let view = Array.init nslots (fun _ -> Inbox.empty ()) in
-  let deliver slot v =
-    let mb = mail.(slot) in
-    Ibuf.push moff.(slot) mb.Inbox.len;
-    has_mail.(v) <- false;
-    drain_box box xadj srcs mb v
+  (* One round's compute over chunk [c] of the [n_active] recipients. *)
+  let compute c =
+    let ch = chunks.(c) and send = sends.(c) and st = !states in
+    let ib = ch.view in
+    ib.Inbox.srcs <- !in_src;
+    ib.Inbox.msgs <- !in_msg;
+    let k = !n_active and kc = !n_chunks in
+    let hi = (c + 1) * k / kc in
+    let i = ref (c * k / kc) in
+    try
+      while !i < hi do
+        let v = active_buf.(!i) in
+        ib.Inbox.lo <- slice.(!i);
+        ib.Inbox.len <- slice.(!i + 1) - slice.(!i);
+        ch.u <- v;
+        st.(v) <- proto.round g v st.(v) ib send;
+        ib.Inbox.len <- 0;
+        if ch.u < 0 then i := hi
+        else begin
+          ch.u <- -1;
+          incr i
+        end
+      done
+    with e -> stopped ch e
   in
-  (* Run node [v]'s round on the mail of its [j]-th delivery in [slot]. *)
-  let step slot rnd j v =
-    let a = sl.(slot) and mb = mail.(slot) and ib = view.(slot) in
-    let off = moff.(slot).Ibuf.a in
-    ib.Inbox.srcs <- mb.Inbox.srcs;
-    ib.Inbox.msgs <- mb.Inbox.msgs;
-    ib.Inbox.lo <- off.(j);
-    ib.Inbox.len <-
-      (if j + 1 < moff.(slot).Ibuf.len then off.(j + 1) else mb.Inbox.len)
-      - off.(j);
-    a.a_tick <- a.a_tick + 1;
-    a.a_u <- v;
-    a.a_rnd <- rnd;
-    states.(v) <- proto.round g v states.(v) ib psend.(slot);
-    ib.Inbox.len <- 0;
-    after_call a
+  let scatter c =
+    let ch = chunks.(c) in
+    let qd = ch.q_dart and qm = ch.q_msg in
+    let is = !in_src and im = !in_msg in
+    for j = 0 to ch.q_len - 1 do
+      let d = qd.(j) in
+      let p = cursor.(d) in
+      is.(p) <- srcs.(d);
+      im.(p) <- qm.(j);
+      cursor.(d) <- p + 1
+    done;
+    ch.q_len <- 0
   in
-  let reset_mail slot =
-    mail.(slot).Inbox.len <- 0;
-    Ibuf.clear moff.(slot)
+  let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
+  let dispatch k task =
+    match pool with
+    | Some p when k > 1 -> Pool.run p ~tasks:k task
+    | _ -> task 0
   in
-  (* Replay buffered event pairs [lo, hi) of a slot into the sinks as
-     round [rnd]; with [tally] also rebuild the per-dart round loads and
-     collect first-touched recipients for burst accounting. *)
-  let replay ~rnd ~tally slot lo hi =
-    let ev = sl_events.(slot).Ibuf.a in
-    for j = lo to hi - 1 do
-      let d = ev.(2 * j) and bits = ev.((2 * j) + 1) in
-      let u = srcs.(d) and v = head.(d) in
+  let observe_chunk ch =
+    for j = 0 to ch.q_len - 1 do
+      let d = ch.q_dart.(j) and bits = ch.q_bits.(j) in
+      let u = srcs.(d) and v = srcs.(rev.(d)) in
       (match metrics with
-      | Some m ->
-          Metrics.add_message_at m
-            ~dir:((2 * dedge.(d)) + if u < v then 0 else 1)
-            ~bits;
-          if tally then begin
-            if mload.(d) = 0 then Ibuf.push mtouch d;
-            mload.(d) <- mload.(d) + bits;
-            if mstamp.(v) <> !frame_no then begin
-              mstamp.(v) <- !frame_no;
-              Ibuf.push rbuf v
-            end
-          end
+      | Some m -> Metrics.add_message_at m ~dir:(dir d v) ~bits
       | None -> ());
       match trace with
-      | Some tr -> Trace.on_message tr ~round:(base + rnd) ~src:u ~dst:v ~bits
+      | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
       | None -> ()
     done
   in
-  (* The deferred observation merge: walk the frame log once — at run
-     end or at the error boundary — replaying each round's events in
-     slot order (the sequential visit order), scanning the round's
-     first-touched recipients' darts for the per-edge burst maxima, and
-     emitting the round records. One serial pass over the whole
-     timeline replaces the old serial replay inside every barrier. *)
-  let flush_frames () =
-    let fa = frames.Ibuf.a in
-    while !fpos < frames.Ibuf.len do
-      incr frame_no;
-      let p = !fpos in
-      let rnd = fa.(p) in
-      let nc = fa.(p + 1) in
-      let active = fa.(p + 2) in
-      let msgs = fa.(p + 3) in
-      let bits = fa.(p + 4) in
-      let tally = Option.is_some metrics in
-      Ibuf.clear rbuf;
-      for s = 0 to nc - 1 do
-        let wm = fa.(p + 5 + s) in
-        replay ~rnd ~tally s (cursor.(s) / 2) (wm / 2);
-        cursor.(s) <- wm
+  (* The serial merge of chunks [0, k): observe their sends in chunk
+     order up to the first erring chunk and raise its error; otherwise
+     fold every chunk's counters into the round and stage each recipient
+     once, in the order the chunks first reached them. *)
+  let merge k =
+    let stop = ref k in
+    for c = k - 1 downto 0 do
+      if Option.is_some chunks.(c).err then stop := c
+    done;
+    if observing then
+      for c = 0 to min !stop (k - 1) do
+        observe_chunk chunks.(c)
       done;
-      (match metrics with
-      | Some m ->
-          for i = 0 to rbuf.Ibuf.len - 1 do
-            let v = rbuf.Ibuf.a.(i) in
-            for d = xadj.(v) to xadj.(v + 1) - 1 do
-              if mload.(d) > 0 then
-                Metrics.note_round_edge_at m
-                  ~dir:((2 * dedge.(d)) + if srcs.(d) < v then 0 else 1)
-                  ~bits:mload.(d)
-            done
-          done;
-          for i = 0 to mtouch.Ibuf.len - 1 do
-            mload.(mtouch.Ibuf.a.(i)) <- 0
-          done;
-          Ibuf.clear mtouch;
-          Metrics.record_round m ~round:(base + rnd) ~active ~messages:msgs
-            ~bits
-      | None -> ());
-      (match trace with
-      | Some tr ->
-          Trace.on_round tr ~round:(base + rnd) ~active ~messages:msgs ~bits
-      | None -> ());
-      fpos := p + 5 + nc
+    (if !stop < k then
+       match chunks.(!stop).err with Some e -> raise e | None -> ());
+    for c = 0 to k - 1 do
+      let ch = chunks.(c) in
+      msgs_round := !msgs_round + ch.q_len;
+      bits_round := !bits_round + ch.bits;
+      if ch.max_msg > !max_msg_bits then max_msg_bits := ch.max_msg;
+      if ch.max_burst > !max_burst then max_burst := ch.max_burst;
+      ch.bits <- 0;
+      ch.max_msg <- 0;
+      ch.max_burst <- 0;
+      let r = ch.reached in
+      for i = 0 to r.Ibuf.len - 1 do
+        let v = r.Ibuf.a.(i) in
+        if not has_mail.(v) then begin
+          has_mail.(v) <- true;
+          staged.(!n_staged) <- v;
+          incr n_staged
+        end
+      done;
+      Ibuf.clear r
     done
   in
-  (* First index in the sorted active prefix holding a node >= x. *)
-  let lower_bound x =
-    let rec go a b =
-      if a >= b then a
-      else begin
-        let mid = (a + b) / 2 in
-        if active_buf.(mid) < x then go (mid + 1) b else go a mid
-      end
-    in
-    go 0 !n_active
-  in
-  (* Commit one chunk-mode (or init) round: when observing, append a
-     frame for the run-end merge; totals fold either way. *)
-  let commit_round ~nc ~active =
-    if observing then begin
-      Ibuf.push frames !round;
-      Ibuf.push frames nc;
-      Ibuf.push frames active;
-      Ibuf.push frames !msgs_round;
-      Ibuf.push frames !bits_round;
-      for s = 0 to nc - 1 do
-        Ibuf.push frames sl_events.(s).Ibuf.len
-      done
-    end;
+  (* Close the books on the round just merged: per-dart burst maxima
+     (every loaded dart's head is a staged recipient, so scanning the
+     staged slices covers exactly the loaded darts), the round record,
+     and the run's totals. *)
+  let commit_round ~active =
+    (match metrics with
+    | Some m ->
+        for i = 0 to !n_staged - 1 do
+          let v = staged.(i) in
+          for d = xadj.(v) to xadj.(v + 1) - 1 do
+            if load.(d) > 0 then
+              Metrics.note_round_edge_at m ~dir:(dir d v) ~bits:load.(d)
+          done
+        done;
+        Metrics.record_round m ~round:(base + !round) ~active
+          ~messages:!msgs_round ~bits:!bits_round
+    | None -> ());
+    (match trace with
+    | Some tr ->
+        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
+          ~bits:!bits_round
+    | None -> ());
     if active > !active_peak then active_peak := active;
     total_msgs := !total_msgs + !msgs_round;
     total_bits := !total_bits + !bits_round
   in
-  let pool = Pool.create ~domains:k () in
-  let shutdown () = Pool.shutdown pool in
-  let fail_with e =
-    shutdown ();
-    Array.iter (fun a -> a.a_u <- -1) sl;
-    Array.iter (fun ib -> ib.Inbox.len <- 0) view;
-    raise e
-  in
-  (* Deliver the boundary mail staged during a width-1 section: walk
-     destination shards, draining slots in ascending order — each
-     destination's box/has_mail cells get exactly one writer, and slot
-     order preserves the sequential per-dart cons order. Serial when the
-     volume wouldn't pay for a dispatch. Flushing cannot fail: darts
-     were resolved and bandwidth charged at send time. *)
-  let flush_boundary nc =
-    let total = ref 0 in
-    for s = 0 to nc - 1 do
-      for t = 0 to k - 1 do
-        total := !total + ob_d.(s).(t).Ibuf.len
-      done
-    done;
-    if !total > 0 then begin
-      let flush_to t =
-        let fs = fl_staged.(t) in
-        for s = 0 to nc - 1 do
-          let db = ob_d.(s).(t) and mb = ob_m.(s).(t) in
-          for j = 0 to db.Ibuf.len - 1 do
-            let d = db.Ibuf.a.(j) in
-            let msg = mb.Mbuf.a.(j) in
-            (match box.(d) with
-            | [] ->
-                let v = head.(d) in
-                if not has_mail.(v) then begin
-                  has_mail.(v) <- true;
-                  Ibuf.push fs v
-                end
-            | _ :: _ -> ());
-            box.(d) <- msg :: box.(d)
-          done;
-          Ibuf.clear db;
-          Mbuf.clear mb
-        done
-      in
-      if !total < 512 || k <= 1 then
-        for t = 0 to k - 1 do
-          flush_to t
-        done
-      else Pool.run pool ~tasks:k flush_to;
-      for t = 0 to k - 1 do
-        let fs = fl_staged.(t) in
-        for j = 0 to fs.Ibuf.len - 1 do
-          staged.(!n_staged) <- fs.Ibuf.a.(j);
-          incr n_staged
-        done;
-        Ibuf.clear fs
-      done
-    end
-  in
-  (* Fold one width-1 parallel section (init or a chunked round) back
-     into the global round state; on error, flush the frame log and
-     replay only the sequential prefix of the failing round, then
-     re-raise. Chunks are contiguous ascending slices of the visit
-     order, so slot order = sequential order and the lowest erring slot
-     holds the error a sequential sweep would hit first. *)
-  let merge_slots nc =
-    let erri = ref (-1) in
-    for i = nc - 1 downto 0 do
-      if sl.(i).a_err <> None then erri := i
-    done;
-    if !erri >= 0 then begin
-      let { rnd; pos; err } =
-        match sl.(!erri).a_err with Some e -> e | None -> assert false
-      in
-      if observing then begin
-        flush_frames ();
-        for i = 0 to !erri - 1 do
-          replay ~rnd ~tally:false i
-            (cursor.(i) / 2)
-            (sl_events.(i).Ibuf.len / 2)
-        done;
-        replay ~rnd ~tally:false !erri (cursor.(!erri) / 2) (pos / 2)
-      end;
-      fail_with err
+  let run () =
+    if n > 0 then begin
+      wake 0 1 0;
+      if Option.is_none chunks.(0).err then dispatch domains wake_chunk
     end;
-    flush_boundary nc;
-    for i = 0 to nc - 1 do
-      let a = sl.(i) in
-      msgs_round := !msgs_round + a.a_msgs;
-      bits_round := !bits_round + a.a_bits;
-      if a.a_maxmsg > !max_msg_bits then max_msg_bits := a.a_maxmsg;
-      if a.a_maxburst > !max_burst then max_burst := a.a_maxburst;
-      let st = sl_staged.(i) in
-      for j = 0 to st.Ibuf.len - 1 do
-        let w = st.Ibuf.a.(j) in
-        if not has_mail.(w) then begin
-          has_mail.(w) <- true;
-          staged.(!n_staged) <- w;
-          incr n_staged
-        end
-      done;
-      a.a_msgs <- 0;
-      a.a_bits <- 0;
-      a.a_maxmsg <- 0;
-      a.a_maxburst <- 0;
-      Ibuf.clear sl_staged.(i)
-    done
-  in
-  (* One shard's whole epoch: up to [e] fused deliver+compute rounds
-     against dart state no other domain touches (the epoch-legality
-     invariant), logging enough per round for the serial merge to
-     replay. Stops early when the shard's own activity dies out — no
-     other shard can reactivate it mid-epoch. *)
-  let shard_epoch i round_base e =
-    let lrnd = ref round_base in
-    try
-      let a = lower_bound shard_lo.(i) and b = lower_bound shard_lo.(i + 1) in
-      let cur = sh_cur.(i) in
-      Ibuf.clear cur;
-      for idx = a to b - 1 do
-        Ibuf.push cur active_buf.(idx)
-      done;
-      let acount = ref cur.Ibuf.len in
-      let raw = sl_staged.(i) in
-      let dst = sh_dstaged.(i) in
-      let rl = sh_rlog.(i) in
-      let j = ref 0 in
-      while !acount > 0 && !j < e do
-        incr j;
-        let rnd = round_base + !j in
-        lrnd := rnd;
-        (* Deliver to this shard's recipients only: their in-dart ranges
-           were last written by this shard (local rounds) or before the
-           epoch started (the dispatch barrier ordered those writes). *)
-        reset_mail i;
-        for idx = 0 to !acount - 1 do
-          deliver i cur.Ibuf.a.(idx)
-        done;
-        Ibuf.clear raw;
-        for idx = 0 to !acount - 1 do
-          step i rnd idx cur.Ibuf.a.(idx)
-        done;
-        (* Dedup this round's raw (per-dart) stagings into the epoch log
-           in first-touch order — the order the sequential engine stages
-           these same recipients in. *)
-        let dst0 = dst.Ibuf.len in
-        for idx = 0 to raw.Ibuf.len - 1 do
-          let w = raw.Ibuf.a.(idx) in
-          if not has_mail.(w) then begin
-            has_mail.(w) <- true;
-            Ibuf.push dst w
-          end
-        done;
-        Ibuf.push rl sl.(i).a_msgs;
-        Ibuf.push rl sl.(i).a_bits;
-        Ibuf.push rl !acount;
-        Ibuf.push rl sl_events.(i).Ibuf.len;
-        Ibuf.push rl dst.Ibuf.len;
-        (* Next round's worklist: this round's staging, sorted. *)
-        Ibuf.clear cur;
-        for idx = dst0 to dst.Ibuf.len - 1 do
-          Ibuf.push cur dst.Ibuf.a.(idx)
-        done;
-        sort_prefix cur.Ibuf.a cur.Ibuf.len;
-        acount := cur.Ibuf.len
-      done
-    with
-    | Stop_shard -> ()
-    | e -> note_err i { rnd = !lrnd; pos = sl_events.(i).Ibuf.len; err = e }
-  in
-  (* Serial epoch merge: fold the shards' round logs into per-round
-     totals in shard order. Shard order per round = ascending node order
-     = the sequential engine's visit order, because epochs only run when
-     every send stays shard-internal. When observing, each local round
-     appends one frame; messages replay at run end, not here. *)
-  let merge_epoch () =
-    let round_base = !round in
-    let cnt i = sh_rlog.(i).Ibuf.len / 5 in
-    (* Field f of shard i's local round j (1-based); 0 for j = 0. Fields:
-       0 cumulative msgs, 1 cumulative bits, 2 active, 3 event
-       watermark, 4 staging watermark. *)
-    let rl_get i j f =
-      if j = 0 then 0 else sh_rlog.(i).Ibuf.a.((5 * (j - 1)) + f)
-    in
-    (* Earliest error by (absolute round, shard) — the one the
-       sequential sweep would have hit first. *)
-    let err_slot = ref (-1) in
-    let err_rnd = ref max_int in
-    for i = k - 1 downto 0 do
-      match sl.(i).a_err with
-      | Some { rnd; _ } when rnd <= !err_rnd ->
-          err_rnd := rnd;
-          err_slot := i
-      | _ -> ()
-    done;
-    let r_full =
-      if !err_slot >= 0 then !err_rnd - round_base - 1
-      else begin
-        let r = ref 0 in
-        for i = 0 to k - 1 do
-          if cnt i > !r then r := cnt i
-        done;
-        !r
-      end
-    in
-    for j = 1 to r_full do
+    merge domains;
+    (* Round 0's spontaneous sends are checked and counted too; every
+       node ran its init, so all n nodes are active. *)
+    if !msgs_round > 0 then commit_round ~active:n;
+    while !n_staged > 0 do
+      if !round >= max_rounds then
+        raise
+          (No_quiescence
+             { round = !round; active = !n_staged; messages = !msgs_round });
       incr round;
-      let m_j = ref 0 and b_j = ref 0 and a_j = ref 0 in
+      (* Deliver: lay the sorted recipients' in-dart slices out back to
+         back, reset the dart state for the sends of this round, then
+         scatter the last round's queues into the slices. *)
+      let k = !n_staged in
+      sort_staged ~n has_mail staged k active_buf;
+      n_staged := 0;
+      let pos = ref 0 in
       for i = 0 to k - 1 do
-        if cnt i >= j then begin
-          m_j := !m_j + rl_get i j 0 - rl_get i (j - 1) 0;
-          b_j := !b_j + rl_get i j 1 - rl_get i (j - 1) 1;
-          a_j := !a_j + sh_rlog.(i).Ibuf.a.((5 * (j - 1)) + 2)
-        end
+        let v = active_buf.(i) in
+        has_mail.(v) <- false;
+        slice.(i) <- !pos;
+        for d = xadj.(v) to xadj.(v + 1) - 1 do
+          cursor.(d) <- !pos;
+          pos := !pos + cnt.(d);
+          cnt.(d) <- 0;
+          load.(d) <- 0
+        done
       done;
-      if observing then begin
-        Ibuf.push frames !round;
-        Ibuf.push frames k;
-        Ibuf.push frames !a_j;
-        Ibuf.push frames !m_j;
-        Ibuf.push frames !b_j;
-        (* A shard that died out before local round j keeps its final
-           watermark — an empty replay slice at merge time. A shard that
-           never ran this epoch has no log rows at all; its watermark is
-           its event length as it stood, which the cursor already equals
-           (rl_get would say 0 and rewind the cursor). *)
-        for i = 0 to k - 1 do
-          let wm =
-            if cnt i = 0 then sl_events.(i).Ibuf.len
-            else rl_get i (min j (cnt i)) 3
-          in
-          Ibuf.push frames wm
-        done
-      end;
-      if !a_j > !active_peak then active_peak := !a_j;
-      total_msgs := !total_msgs + !m_j;
-      total_bits := !total_bits + !b_j;
-      msgs_round := !m_j;
-      bits_round := !b_j
-    done;
-    if !err_slot >= 0 then begin
-      (* The failing round: shards below the erring one completed it (a
-         same-round error in a lower shard would have been selected), so
-         their events replay in full; the erring shard replays up to the
-         error; higher shards never ran sequentially. No round record —
-         the sequential engine raises before its commit. *)
-      let slot = !err_slot in
-      let jl = !err_rnd - round_base in
-      let { rnd; pos; err } =
-        match sl.(slot).a_err with Some e -> e | None -> assert false
-      in
-      incr round;
-      if observing then begin
-        flush_frames ();
-        for i = 0 to slot - 1 do
-          if cnt i >= jl then
-            replay ~rnd ~tally:false i (cursor.(i) / 2) (rl_get i jl 3 / 2)
+      slice.(k) <- !pos;
+      if Array.length !in_msg < !pos then begin
+        let c = ref 0 in
+        while chunks.(!c).q_len = 0 do
+          incr c
         done;
-        replay ~rnd ~tally:false slot (cursor.(slot) / 2) (pos / 2)
+        let cap = max !pos (2 * Array.length !in_msg) in
+        in_src := Array.make cap 0;
+        in_msg := Array.make cap chunks.(!c).q_msg.(0)
       end;
-      fail_with err
-    end;
-    (* Pending work for the next global iteration: each shard's final
-       staging slice — already deduped, [has_mail] already set. Shards
-       that died out mid-epoch contribute an empty slice. *)
-    n_staged := 0;
-    for i = 0 to k - 1 do
-      let c = cnt i in
-      if c > 0 then begin
-        let dst = sh_dstaged.(i) in
-        for idx = rl_get i (c - 1) 4 to rl_get i c 4 - 1 do
-          staged.(!n_staged) <- dst.Ibuf.a.(idx);
-          incr n_staged
-        done
-      end
+      dispatch !n_chunks scatter;
+      msgs_round := 0;
+      bits_round := 0;
+      (* Compute: only the recipients run, in ascending id order within
+         each chunk. *)
+      n_active := k;
+      n_chunks := min domains k;
+      dispatch !n_chunks compute;
+      merge !n_chunks;
+      commit_round ~active:k
     done;
-    for i = 0 to k - 1 do
-      let a = sl.(i) in
-      if a.a_maxmsg > !max_msg_bits then max_msg_bits := a.a_maxmsg;
-      if a.a_maxburst > !max_burst then max_burst := a.a_maxburst;
-      a.a_msgs <- 0;
-      a.a_bits <- 0;
-      a.a_maxmsg <- 0;
-      a.a_maxburst <- 0;
-      Ibuf.clear sl_staged.(i);
-      Ibuf.clear sh_dstaged.(i);
-      Ibuf.clear sh_rlog.(i);
-      Ibuf.clear sh_cur.(i)
-    done
+    !states
   in
-  (* Init: chunked over contiguous node ranges (sends may cross shards
-     here, so this is a width-1 section with the standard merge). *)
-  let nc_init = max 1 (min nslots n) in
-  Pool.run pool ~tasks:nc_init (fun c ->
-      let lo = c * n / nc_init and hi = (c + 1) * n / nc_init in
-      try
-        let a = sl.(c) in
-        for v = lo to hi - 1 do
-          a.a_tick <- a.a_tick + 1;
-          a.a_u <- v;
-          a.a_rnd <- 0;
-          states.(v) <- proto.init g v psend.(c);
-          after_call a
-        done
-      with
-      | Stop_shard -> ()
-      | e -> note_err c { rnd = 0; pos = sl_events.(c).Ibuf.len; err = e });
-  merge_slots nc_init;
-  if !msgs_round > 0 then commit_round ~nc:nc_init ~active:n;
-  while !n_staged > 0 do
-    if !round >= max_rounds then begin
-      if observing then flush_frames ();
-      fail_with
-        (No_quiescence
-           { round = !round; active = !n_staged; messages = !msgs_round })
-    end;
-    let kact = !n_staged in
-    sort_staged ~n has_mail staged kact active_buf;
-    n_active := kact;
-    n_staged := 0;
-    (* Epoch width: the least frontier distance over the active set,
-       clamped by the configured maximum and the round budget. Width 1
-       is chunk mode. *)
-    let e =
-      if epoch_max <= 1 then 1
-      else begin
-        let m = ref max_int in
-        let i = ref 0 in
-        while !i < kact && !m > 1 do
-          let dv = dist.(active_buf.(!i)) in
-          if dv < !m then m := dv;
-          incr i
-        done;
-        max 1 (min (min !m epoch_max) (max_rounds - !round))
-      end
-    in
-    msgs_round := 0;
-    bits_round := 0;
-    if e <= 1 then begin
-      incr round;
-      let rnd = !round in
-      let nc = min nslots kact in
-      Pool.run pool ~tasks:nc (fun c ->
-          let lo = c * kact / nc and hi = (c + 1) * kact / nc in
-          try
-            reset_mail c;
-            for idx = lo to hi - 1 do
-              deliver c active_buf.(idx)
-            done
-          with e -> note_err c { rnd; pos = sl_events.(c).Ibuf.len; err = e });
-      Pool.run pool ~tasks:nc (fun c ->
-          let lo = c * kact / nc and hi = (c + 1) * kact / nc in
-          try
-            for idx = lo to hi - 1 do
-              step c rnd (idx - lo) active_buf.(idx)
-            done
-          with
-          | Stop_shard -> ()
-          | e -> note_err c { rnd; pos = sl_events.(c).Ibuf.len; err = e });
-      merge_slots nc;
-      commit_round ~nc ~active:kact
-    end
-    else begin
-      let round_base = !round in
-      Pool.run pool ~tasks:k (fun i -> shard_epoch i round_base e);
-      merge_epoch ()
-    end
-  done;
-  if observing then flush_frames ();
-  shutdown ();
+  let states =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Pool.shutdown pool)
+      (fun () ->
+        try run ()
+        with e ->
+          Array.iter
+            (fun ch ->
+              ch.u <- -1;
+              ch.err <- None;
+              ch.view.Inbox.len <- 0)
+            chunks;
+          raise e)
+  in
   (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
   let verdict =
     match (Observe.bounds observe, metrics) with
@@ -1855,28 +1088,15 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
   in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) run
 
-(* One entry point, three engines: the clean flat-array loop whenever no
-   fault plan is installed and one domain suffices — kept bit-identical
-   to the pre-fault engine and allocation-free per round — the
-   epoch-batched work-stealing loop when [domains > 1] (bit-identical to
-   the clean loop by construction), and the clocked fault-aware loop
-   whenever a plan is installed, where [domains] only sets the number
-   of compute shards. [epoch]/[steal] only shape the fault-free parallel
-   engine's schedule — elsewhere they are ignored. *)
+(* One entry point, two loops: the flat loop whenever no fault plan is
+   installed, and the clocked fault-aware loop whenever one is. On
+   both, [domains] (capped at [n]) only sets the number of compute
+   chunks. *)
 let exec ?(config = Config.default) g proto =
-  let { Config.domains; epoch; steal; bandwidth; max_rounds; observe; faults } =
-    config
-  in
+  let { Config.domains; bandwidth; max_rounds; observe; faults } = config in
   if domains < 1 then invalid_arg "Network.exec: domains must be at least 1";
-  if epoch < 1 then invalid_arg "Network.exec: epoch must be at least 1";
-  if steal < 1 then invalid_arg "Network.exec: steal must be at least 1";
+  let domains = min domains (max 1 (Gr.n g)) in
   match faults with
   | Some plan ->
-      let k = min domains (max 1 (Gr.n g)) in
-      exec_clocked ~plan ~domains:k ?bandwidth ?max_rounds ~observe g proto
-  | None ->
-      let k = min domains (Gr.n g) in
-      if k <= 1 then exec_clean ?bandwidth ?max_rounds ~observe g proto
-      else
-        exec_parallel ~domains:k ~epoch ~steal ?bandwidth ?max_rounds ~observe
-          g proto
+      exec_clocked ~plan ~domains ?bandwidth ?max_rounds ~observe g proto
+  | None -> exec_flat ~domains ?bandwidth ?max_rounds ~observe g proto

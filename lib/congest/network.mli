@@ -18,7 +18,7 @@
     message — sends are pushed straight into the engine's round queue
     and each node reads its mail through a reused {!Inbox} view — and
     whose per-round cost is [O(active + messages)] rather than [O(n)].
-    Every knob — domain count, epoch width, bandwidth, observation
+    Every knob — domain count, bandwidth, round guard, observation
     sinks, fault plan — travels in one {!Config.t} value. *)
 
 (** A node's mail for one round: a read-only view onto engine-owned
@@ -162,14 +162,6 @@ type 's run_result = { states : 's array; rounds : int; report : report }
 module Config : sig
   type t = {
     domains : int;  (** domains executing the round loop (default 1). *)
-    epoch : int;
-        (** maximum rounds a shard may advance between barriers when the
-            active set is provably shard-internal (default 8); [1]
-            disables epoch batching. Ignored at [domains = 1]. *)
-    steal : int;
-        (** work-stealing granularity: width-1 rounds split the active
-            list into up to [domains * steal] chunks claimed dynamically
-            (default 4). Ignored at [domains = 1]. *)
     bandwidth : int option;  (** per-edge bits per round; default
             {!default_bandwidth}. *)
     max_rounds : int option;  (** livelock guard; default [16n + 64]. *)
@@ -180,12 +172,10 @@ module Config : sig
   }
 
   val default : t
-  (** Sequential, unobserved, fault-free: [domains = 1], [epoch = 8],
-      [steal = 4], default bandwidth and round guard. *)
+  (** Sequential, unobserved, fault-free: [domains = 1], default
+      bandwidth and round guard. *)
 
   val with_domains : int -> t -> t
-  val with_epoch : int -> t -> t
-  val with_steal : int -> t -> t
   val with_bandwidth : int -> t -> t
   val with_max_rounds : int -> t -> t
   val with_observe : Observe.t -> t -> t
@@ -197,8 +187,6 @@ module Config : sig
     ?max_rounds:int ->
     ?observe:Observe.t ->
     ?faults:Fault.plan ->
-    ?epoch:int ->
-    ?steal:int ->
     unit ->
     t
   (** Labelled constructor, for call sites migrating from the old
@@ -214,9 +202,9 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     timeline: this run's round numbers are offset by [Metrics.rounds]
     at entry.
 
-    With no fault plan installed (the default) and one domain, the run
-    executes on the clean flat-array loop — bit-identical to the
-    pre-fault engine, allocation-free per round and per message,
+    With no fault plan installed (the default), the run executes on the
+    flat-array loop — bit-identical to the pre-fault engine,
+    allocation-free per round and per message at every domain count,
     delivery order exactly as documented on {!Inbox}. Installing a {!Fault.plan}
     switches the run to the fault-aware {e clocked} loop: messages are
     dropped, duplicated, reordered or delayed and nodes crash and
@@ -230,24 +218,18 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     every domain count. DESIGN.md §9 specifies the fault model
     precisely.
 
-    [domains > 1] runs the epoch-batched work-stealing engine: the node
-    range splits into contiguous shards; width-1 rounds spread the
-    {e active list} over up to [domains * steal] dynamically-claimed
-    chunks, and when every active node is at least [e >= 2] hops from a
-    shard boundary the shards advance [e] rounds between barriers
-    (capped by [epoch]), merging deterministically afterwards. The
-    result — states, rounds, report, and the full metrics/trace
-    timelines — is {b bit-identical} to the sequential engine for every
-    (domains, epoch, steal), including which error is raised and what
-    the sinks saw before it; the differential suite pins this across
-    domain counts and epoch widths. Observation is deferred: slots log
-    events during the run and one serial pass at run end rebuilds the
-    exact sequential metrics/trace timeline (an observed parallel run
-    retains its event log for the run's duration; unobserved runs log
-    nothing). One restriction comes with [domains > 1]: the protocol's
-    [init] and [round] closures must be pure up to their returned
-    values (they run concurrently for different nodes, and [init g 0]
-    is called one extra time to seed internal storage).
+    [domains > 1] splits each round's sorted list of recipients into
+    up to [domains] contiguous chunks that compute on a pool of domains;
+    each chunk charges its nodes' sends as they are made, and one serial
+    merge per round walks the chunks in node order to stage the next
+    round's recipients and feed the sinks. The result — states, rounds,
+    report, and the full metrics/trace timelines — is
+    {b bit-identical} to the [domains = 1] run, including which error
+    is raised and what the sinks saw before it; the differential suite
+    pins this across domain counts. One restriction comes with
+    [domains > 1]: the protocol's [init] and [round] closures must be
+    pure up to their returned values, because they run concurrently for
+    different nodes. [init] is called exactly once per node.
 
     A fault plan {e composes} with [domains > 1]: the clocked loop
     computes over contiguous node shards in parallel and runs one serial
@@ -256,12 +238,11 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     the plan's single stream in that order. States, rounds, report,
     fault stats and the metrics/trace timelines are therefore
     {b bit-identical} to the [domains = 1] run: under faults, [domains]
-    changes only wall time. [epoch]/[steal] are ignored on the clocked
-    (and plain sequential) engines.
+    changes only wall time.
     DESIGN.md §9, §10 and §13 specify the fault model, the parallel
-    engine and the epoch scheduler.
+    engine and the sharded round loop.
     @raise Bandwidth_exceeded when a node over-sends on an edge.
     @raise No_quiescence if [max_rounds] elapse without quiescence — a
     livelock guard for buggy protocols.
     @raise Invalid_argument if a node addresses a non-neighbor, or if
-    [domains], [epoch] or [steal] is [< 1]. *)
+    [domains < 1]. *)

@@ -8,7 +8,7 @@
 
     All entry points take one [?config] ({!Network.Config.t}, default
     {!Network.Config.default}) carrying every engine knob — observation
-    sinks, bandwidth, domain count, epoch width, fault plan — and
+    sinks, bandwidth, domain count, round guard, fault plan — and
     forward it to {!Network.exec}. Build it with the [with_*] pipeline
     or [Network.Config.make].
 
@@ -16,11 +16,10 @@
     the fault-aware engine, so the primitive computes the same result
     over lossy, reordering, crash-restarting links — at the price of
     acknowledgement traffic, retransmission rounds and the plan's
-    quiescence grace period. Without a plan, execution is the clean (or,
-    at [domains > 1], the parallel) engine, bit-identical to the
-    sequential behavior. As at the engine level, [domains > 1] cannot
-    be combined with a fault plan — [Invalid_argument] is raised rather
-    than silently degrading. *)
+    quiescence grace period. Without a plan, execution is the engine's
+    fault-free loop, bit-identical at every [domains]. A plan composes
+    with any [domains] too: the result is the same at every domain
+    count. *)
 
 type bfs_state = {
   leader : int;  (** maximum id in the network. *)

@@ -61,8 +61,7 @@ val run :
     Every engine knob rides in [config] ({!Network.Config.t}, default
     {!Network.Config.default}) and is forwarded to the phase-1 protocol
     runs ({!Network.exec}'s sharded round loop): results and the whole
-    observation timeline are bit-identical for any [domains]/[epoch]
-    value. A config bandwidth of [None] resolves to
+    observation timeline are bit-identical for any [domains] value. A config bandwidth of [None] resolves to
     {!Network.default_bandwidth}.
 
     A fault plan in the config ({!Fault.plan}) subjects the run's real

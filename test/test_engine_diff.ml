@@ -117,40 +117,29 @@ let run_exec proto g =
   in
   (r, m, tr)
 
-let run_exec_sharded ~domains ~epoch proto g =
+let run_exec_sharded ~domains proto g =
   let m = Metrics.create g in
   let tr = Trace.create ~keep_messages:true () in
   let r =
     Network.exec
       ~config:
-        (Network.Config.make ~domains ~epoch ~bandwidth:4096
+        (Network.Config.make ~domains ~bandwidth:4096
            ~observe:(Observe.make ~metrics:m ~trace:tr ())
            ())
       g proto
   in
   (r, m, tr)
 
-(* (domains, epoch) grid for the sequential-vs-sharded sweep: the ISSUE's
-   {1,2,4} x {1,2,8} matrix, plus odd and more-shards-than-balance splits
-   at the widest epoch. epoch = 1 pins the chunked (per-round barrier)
-   scheduler, epoch > 1 the fused cross-round batching with its
-   boundary-dart flush. domains = 1 must hit the sequential engine (the
-   dispatcher's k <= 1 path) whatever the epoch. CI's multicore job adds
-   its own shard count via DOMAINS. *)
+(* Domain counts for the sequential-vs-sharded sweep: one chunk (the
+   inline path), even and odd splits, and more chunks than some rounds
+   have active nodes. CI's multicore job adds its own count via
+   DOMAINS. *)
 let sweep_points =
-  let base =
-    [
-      (1, 1); (1, 2); (1, 8);
-      (2, 1); (2, 2); (2, 8);
-      (4, 1); (4, 2); (4, 8);
-      (3, 8); (7, 8);
-    ]
-  in
+  let base = [ 1; 2; 3; 4; 7 ] in
   match Sys.getenv_opt "DOMAINS" with
   | Some s -> (
       match int_of_string_opt s with
-      | Some k when k > 1 && not (List.mem_assoc k base) ->
-          base @ [ (k, 1); (k, 8) ]
+      | Some k when k > 1 && not (List.mem k base) -> base @ [ k ]
       | _ -> base)
   | None -> base
 
@@ -196,16 +185,14 @@ let diff_one name proto g =
   check (name ^ ": report active peak") (Metrics.active_peak m_new)
     r_new.Network.report.Network.active_peak
 
-(* The sharded engine against the sequential one: same exec entry point,
-   a [~domains ~epoch] config versus the default — states, rounds,
-   report, the full metrics sink and the message-level trace journal must
-   all be bit-identical at every (domains, epoch) point. The same grid
-   point is exercised three ways, because the engine's deferred
-   observation takes different paths for each: fully observed (metrics +
-   message-keeping trace — per-slot event logs, frame log, run-end
-   merge), metrics-only (same deferred path, no trace emission), and
-   unobserved (the benchmark hot path: no event buffering at all, plain
-   counter folds). *)
+(* The sharded loop against the sequential one: same exec entry point,
+   a [~domains] config versus the default — states, rounds, report, the
+   full metrics sink and the message-level trace journal must all be
+   bit-identical at every domain count. Each count is exercised three
+   ways, because the merge takes a different path for each: fully
+   observed (metrics + message-keeping trace: the merge walks every
+   queue), metrics-only (the same walk, no trace emission), and
+   unobserved (the benchmark hot path: counter folds only). *)
 let diff_sharded name proto g =
   let (r_seq, m_seq, t_seq) = run_exec proto g in
   let bare config =
@@ -223,9 +210,9 @@ let diff_sharded name proto g =
   in
   let (r_mseq, m_mseq) = metrics_only Network.Config.default in
   List.iter
-    (fun (k, e) ->
-      let name = Printf.sprintf "%s[domains=%d,epoch=%d]" name k e in
-      let (r_k, m_k, t_k) = run_exec_sharded ~domains:k ~epoch:e proto g in
+    (fun k ->
+      let name = Printf.sprintf "%s[domains=%d]" name k in
+      let (r_k, m_k, t_k) = run_exec_sharded ~domains:k proto g in
       check_bool (name ^ ": states") true (r_seq.Network.states = r_k.Network.states);
       check (name ^ ": rounds") r_seq.Network.rounds r_k.Network.rounds;
       check_bool (name ^ ": report") true
@@ -233,7 +220,7 @@ let diff_sharded name proto g =
       metrics_equal name m_seq m_k;
       check_bool (name ^ ": trace events") true
         (Trace.events t_seq = Trace.events t_k);
-      let cfg = Network.Config.make ~domains:k ~epoch:e () in
+      let cfg = Network.Config.make ~domains:k () in
       let r_b = bare cfg in
       check_bool (name ^ ": unobserved states") true
         (r_bare.Network.states = r_b.Network.states);
@@ -334,27 +321,25 @@ let test_bandwidth_parity () =
   in
   check_bool "identical Bandwidth_exceeded payloads" true (p_old = p_new);
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       let p_shard =
         payload (fun () ->
             ignore
               (Network.exec
-                 ~config:
-                   (Network.Config.make ~domains:k ~epoch:e ~bandwidth:16 ())
+                 ~config:(Network.Config.make ~domains:k ~bandwidth:16 ())
                  g proto))
       in
       check_bool
-        (Printf.sprintf "sharded Bandwidth_exceeded payload [%d,%d]" k e)
+        (Printf.sprintf "sharded Bandwidth_exceeded payload [domains=%d]" k)
         true (p_old = p_shard))
-    [ (2, 1); (2, 8) ]
+    [ 2; 4 ]
 
-(* A violation deep inside a fused epoch: a token walks a long path, and
-   the node that receives it at hop [boom] over-sends against the budget.
-   With few frontier nodes and long shard interiors the epoch scheduler
-   runs many rounds between barriers, so the erring round sits mid-epoch;
-   the raised payload and the observation prefix must still match the
-   sequential run exactly — the merge may not replay past the error. *)
-let test_epoch_oversend_parity () =
+(* A violation deep into a run: a token walks a long path, and the node
+   that receives it at hop [boom] over-sends against the budget. The
+   erring round comes after many committed ones; the raised payload and
+   the observation prefix must still match the sequential run exactly —
+   the merge may not observe past the error. *)
+let test_deep_oversend_parity () =
   let n = 24 and boom = 10 in
   let g = Gen.path n in
   let proto =
@@ -388,12 +373,12 @@ let test_epoch_oversend_parity () =
   let (rnd, _, _, _) = p_seq in
   check "violation is mid-run" boom rnd;
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       check_bool
-        (Printf.sprintf "mid-epoch payload and prefix [domains=%d,epoch=%d]" k e)
+        (Printf.sprintf "deep payload and prefix [domains=%d]" k)
         true
-        (observed (Network.Config.make ~domains:k ~epoch:e ~bandwidth:16 ()) = seq))
-    [ (2, 2); (2, 8); (3, 8); (4, 8) ]
+        (observed (Network.Config.make ~domains:k ~bandwidth:16 ()) = seq))
+    [ 2; 3; 4; 7 ]
 
 let test_non_neighbor_parity () =
   let g = Gr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
@@ -414,45 +399,44 @@ let test_non_neighbor_parity () =
   let m_new = msg (fun () -> ignore (Network.exec g proto)) in
   Alcotest.(check string) "identical Invalid_argument messages" m_old m_new;
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       let m_shard =
         msg (fun () ->
             ignore
-              (Network.exec
-                 ~config:(Network.Config.make ~domains:k ~epoch:e ())
-                 g proto))
+              (Network.exec ~config:(Network.Config.make ~domains:k ()) g proto))
       in
       Alcotest.(check string)
-        (Printf.sprintf "sharded Invalid_argument message [%d,%d]" k e)
+        (Printf.sprintf "sharded Invalid_argument message [domains=%d]" k)
         m_old m_shard)
-    [ (2, 1); (2, 8) ]
+    [ 2; 3 ]
 
 (* A sharded run that dies must leave the same observation prefix the
    sequential engine leaves: everything the sinks saw before the raise,
-   nothing more — even when the violation sits in a later shard, whose
-   sibling shards had already buffered their own rounds' events. *)
+   nothing more — whether the violation sits in the last chunk, whose
+   sibling chunks had already queued their own sends, or in the first,
+   whose siblings' sends a sequential sweep never makes. *)
 let test_sharded_error_observation () =
   let g = Gen.path 4 in
-  let proto =
+  (* Node [bad] over-sends to neighbor [dst] at init; every other node
+     sends one legal message to each neighbor. *)
+  let proto bad dst =
     Network.of_lists {
-      (* Node 3 (the last shard under any split) over-sends at init;
-         nodes 0..2 each send one legal message first. *)
       Network.init =
         (fun g v ->
-          if v = 3 then ((), [ (2, 0); (2, 1) ])
+          if v = bad then ((), [ (dst, 0); (dst, 1) ])
           else ((), to_all g v v));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 10);
     }
   in
-  let observed (domains, epoch) =
+  let observed proto domains =
     let m = Metrics.create g in
     let tr = Trace.create ~keep_messages:true () in
     (try
        ignore
          (Network.exec
             ~config:
-              (Network.Config.make ~domains ~epoch ~bandwidth:16
+              (Network.Config.make ~domains ~bandwidth:16
                  ~observe:(Observe.make ~metrics:m ~trace:tr ())
                  ())
             g proto);
@@ -460,15 +444,41 @@ let test_sharded_error_observation () =
      with Network.Bandwidth_exceeded _ -> ());
     (Metrics.messages m, Metrics.total_bits m, Trace.events tr)
   in
-  let seq = observed (1, 8) in
   List.iter
-    (fun (k, e) ->
+    (fun (bad, dst) ->
+      let proto = proto bad dst in
+      let seq = observed proto 1 in
+      List.iter
+        (fun k ->
+          check_bool
+            (Printf.sprintf
+               "error-path observation prefix [node %d, domains=%d]" bad k)
+            true
+            (observed proto k = seq))
+        [ 2; 3; 4 ])
+    [ (3, 2); (1, 2); (0, 1) ];
+  (* Two chunks fail in one round: node 1 over-sends, node 3 addresses a
+     non-neighbor. A sequential sweep stops at node 1, so its
+     [Bandwidth_exceeded] must win at every domain count. *)
+  let both =
+    Network.of_lists {
+      Network.init =
+        (fun _g v ->
+          if v = 1 then ((), [ (2, 0); (2, 1) ])
+          else if v = 3 then ((), [ (0, 0) ])
+          else ((), []));
+      round = (fun _g _v st _inbox -> (st, []));
+      msg_bits = (fun _ -> 10);
+    }
+  in
+  let seq = observed both 1 in
+  List.iter
+    (fun k ->
       check_bool
-        (Printf.sprintf "error-path observation prefix [domains=%d,epoch=%d]" k
-           e)
+        (Printf.sprintf "lowest chunk's error wins [domains=%d]" k)
         true
-        (observed (k, e) = seq))
-    [ (2, 1); (2, 8); (3, 1); (3, 8) ]
+        (observed both k = seq))
+    [ 2; 3; 4 ]
 
 let test_domains_validation () =
   let g = Gen.path 4 in
@@ -479,12 +489,9 @@ let test_domains_validation () =
     with Invalid_argument _ -> ()
   in
   expect_invalid "domains=0" (Network.Config.make ~domains:0 ());
-  expect_invalid "epoch=0" (Network.Config.make ~epoch:0 ());
-  expect_invalid "steal=0" (Network.Config.make ~steal:0 ());
   expect_invalid "domains=-3" (Network.Config.default |> Network.Config.with_domains (-3));
   (* A fault plan composes with a sharded run: the sharded clocked
-     engine accepts it and completes, at any epoch/steal setting (both
-     are inert on the clocked engines). *)
+     engine accepts it and completes. *)
   let fresh () = Fault.make ~spec:{ Fault.default with drop = 0.1 } ~seed:7 () in
   ignore
     (Network.exec
@@ -492,11 +499,7 @@ let test_domains_validation () =
        g hello);
   ignore
     (Network.exec
-       ~config:(Network.Config.make ~domains:1 ~epoch:8 ~faults:(fresh ()) ())
-       g hello);
-  ignore
-    (Network.exec
-       ~config:(Network.Config.make ~domains:2 ~epoch:1 ~faults:(fresh ()) ())
+       ~config:(Network.Config.make ~domains:1 ~faults:(fresh ()) ())
        g hello)
 
 let test_livelock_contracts () =
@@ -522,22 +525,21 @@ let test_livelock_contracts () =
      check "round" 7 round;
      check "active" 2 active;
      check "messages" 2 messages);
-  (* The sharded epoch scheduler must surface the identical payload: the
-     livelock check fires at the same round with the same census even
-     when that round closes mid-epoch. *)
+  (* The sharded loop must surface the identical payload: the livelock
+     check fires at the same round with the same census. *)
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       try
         ignore
           (Network.exec
-             ~config:(Network.Config.make ~domains:k ~epoch:e ~max_rounds:7 ())
+             ~config:(Network.Config.make ~domains:k ~max_rounds:7 ())
              g proto);
         Alcotest.fail "expected No_quiescence"
       with Network.No_quiescence { round; active; messages } ->
-        check (Printf.sprintf "round [%d,%d]" k e) 7 round;
-        check (Printf.sprintf "active [%d,%d]" k e) 2 active;
-        check (Printf.sprintf "messages [%d,%d]" k e) 2 messages)
-    [ (2, 1); (2, 8) ]
+        check (Printf.sprintf "round [domains=%d]" k) 7 round;
+        check (Printf.sprintf "active [domains=%d]" k) 2 active;
+        check (Printf.sprintf "messages [domains=%d]" k) 2 messages)
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation regression                                               *)
@@ -597,27 +599,87 @@ let test_quiescent_round_allocation () =
     true
     (per_round < 100.)
 
-(* The sharded engine without observation is the benchmark hot path: a
-   round must not buffer events or frames (the deferred-observation
-   machinery is for observed runs only), so its marginal allocation is
-   the same small constant as the sequential engine's — not O(messages)
-   of event log, and certainly not O(n). Chunk mode (epoch 1) and the
-   fused scheduler (epoch 8) take different commit paths; both are
-   pinned. *)
+(* The sharded loop without observation is the benchmark hot path: its
+   merge folds counters and buffers nothing, so a round's marginal
+   allocation is the same small constant as the one-chunk loop's — not
+   O(messages), and certainly not O(n). *)
 let test_parallel_round_allocation () =
   let n = 5_000 in
   List.iter
-    (fun epoch ->
-      let config = Network.Config.make ~domains:2 ~epoch () in
+    (fun domains ->
+      let config = Network.Config.make ~domains () in
       let per_round = per_round_words config n in
       check_bool
         (Printf.sprintf
-           "unobserved parallel rounds allocate O(1) [epoch=%d]: %.1f \
+           "unobserved parallel rounds allocate O(1) [domains=%d]: %.1f \
             words/round"
-           epoch per_round)
+           domains per_round)
         true
         (per_round < 100.))
-    [ 1; 8 ]
+    [ 2; 4 ]
+
+(* The native max-id flood: reads its inbox through the view and
+   announces through [send], so a run allocates only its states and the
+   engine's arrays. *)
+let native_flood =
+  let to_all g v x send =
+    let offs = Gr.dart_offsets g and nbr = Gr.dart_sources g in
+    for d = offs.(v + 1) - 1 downto offs.(v) do
+      send nbr.(d) x
+    done
+  in
+  {
+    Network.init =
+      (fun g v send ->
+        to_all g v v send;
+        v);
+    round =
+      (fun g v best inbox send ->
+        let best' = Network.Inbox.fold (fun acc _ x -> max acc x) best inbox in
+        if best' <> best then to_all g v best' send;
+        best');
+    msg_bits = (fun _ -> 12);
+  }
+
+(* The sharded loop queues every send in flat per-chunk arrays, so a
+   whole two-domain flood — states, queues, pool — stays under one word
+   per message, like the one-chunk loop. *)
+let test_sharded_words_per_message () =
+  let g = Gen.grid 60 60 in
+  List.iter
+    (fun domains ->
+      let config = Network.Config.make ~domains ~bandwidth:4096 () in
+      ignore (Network.exec ~config g native_flood);
+      let before = words_now () in
+      let r = Network.exec ~config g native_flood in
+      let words = words_now () -. before in
+      let wpm = words /. float r.Network.report.Network.messages in
+      check_bool
+        (Printf.sprintf "native flood [domains=%d]: %.3f words/message <= 1"
+           domains wpm)
+        true (wpm <= 1.))
+    [ 1; 2 ]
+
+(* [init] runs exactly once per node at every domain count. *)
+let test_init_once () =
+  let g = Gen.grid 7 9 in
+  List.iter
+    (fun domains ->
+      let calls = Atomic.make 0 in
+      let proto =
+        {
+          native_flood with
+          Network.init =
+            (fun g v send ->
+              Atomic.incr calls;
+              native_flood.Network.init g v send);
+        }
+      in
+      ignore
+        (Network.exec ~config:(Network.Config.make ~domains ~bandwidth:4096 ()) g proto);
+      check (Printf.sprintf "init calls [domains=%d]" domains) (Gr.n g)
+        (Atomic.get calls))
+    [ 1; 2; 4 ]
 
 let () =
   let seeded = List.map QCheck_alcotest.to_alcotest seeded_props in
@@ -629,8 +691,8 @@ let () =
       ( "error parity",
         [
           Alcotest.test_case "bandwidth payloads" `Quick test_bandwidth_parity;
-          Alcotest.test_case "mid-epoch over-send payloads" `Quick
-            test_epoch_oversend_parity;
+          Alcotest.test_case "deep over-send payloads" `Quick
+            test_deep_oversend_parity;
           Alcotest.test_case "non-neighbor messages" `Quick
             test_non_neighbor_parity;
           Alcotest.test_case "livelock contracts" `Quick test_livelock_contracts;
@@ -638,11 +700,15 @@ let () =
             test_sharded_error_observation;
           Alcotest.test_case "config validation" `Quick test_domains_validation;
         ] );
+      ( "sharding",
+        [ Alcotest.test_case "init runs once per node" `Quick test_init_once ] );
       ( "allocation",
         [
           Alcotest.test_case "quiescent rounds allocate O(1)" `Quick
             test_quiescent_round_allocation;
           Alcotest.test_case "unobserved parallel rounds allocate O(1)" `Quick
             test_parallel_round_allocation;
+          Alcotest.test_case "sharded flood words per message" `Quick
+            test_sharded_words_per_message;
         ] );
     ]

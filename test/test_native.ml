@@ -6,7 +6,7 @@
    [Network.of_lists], and must agree bit for bit: final states, rounds,
    the engine's report, the metrics sink (round log, per-directed-edge
    bits and bursts) and the message-level trace — on every generator
-   family, at every (domains, epoch) point, and under a seeded fault
+   family, at every domain count, and under a seeded fault
    plan. A second group pins the interface's own contracts: allocation
    per message, a leaked [send] or inbox, and engine errors raised from
    inside a [send]. *)
@@ -73,13 +73,7 @@ let cases g =
       ("certify", Certify.protocol rot certs, List_oracles.certify rot certs);
   ]
 
-let sweep_points =
-  [
-    (1, 1); (1, 8);
-    (2, 1); (2, 2); (2, 8);
-    (4, 1); (4, 2); (4, 8);
-    (3, 8); (7, 8);
-  ]
+let sweep_points = [ 1; 2; 3; 4; 7 ]
 
 let observed config g proto =
   let m = Metrics.create g in
@@ -101,9 +95,9 @@ let same_run name (r_a, m_a, t_a) (r_b, m_b, t_b) =
 
 let diff_case gname (Case (pname, native, oracle)) g =
   List.iter
-    (fun (domains, epoch) ->
-      let name = Printf.sprintf "%s/%s[domains=%d,epoch=%d]" gname pname domains epoch in
-      let config = Network.Config.make ~domains ~epoch () in
+    (fun domains ->
+      let name = Printf.sprintf "%s/%s[domains=%d]" gname pname domains in
+      let config = Network.Config.make ~domains () in
       same_run name (observed config g native) (observed config g oracle);
       let bare p =
         Network.exec ~config:(Network.Config.with_bandwidth 4096 config) g p
@@ -396,9 +390,9 @@ let test_error_parity () =
   List.iter
     (fun bad ->
       List.iter
-        (fun (domains, epoch) ->
-          let name = Printf.sprintf "[domains=%d,epoch=%d]" domains epoch in
-          let config = Network.Config.make ~bandwidth:16 ~domains ~epoch () in
+        (fun domains ->
+          let name = Printf.sprintf "[domains=%d]" domains in
+          let config = Network.Config.make ~bandwidth:16 ~domains () in
           let (e_n, m_n, b_n, t_n) = outcome config g (erring_native ~bad ()) in
           let (e_l, m_l, b_l, t_l) =
             outcome config g (Network.of_lists (erring_lists ~bad))
@@ -421,9 +415,9 @@ let test_swallowed_errors () =
   let g = Gen.path 4 in
   let clean =
     List.map
-      (fun (domains, epoch) ->
-        ( Printf.sprintf "[domains=%d,epoch=%d]" domains epoch,
-          fun () -> Network.Config.make ~bandwidth:16 ~domains ~epoch () ))
+      (fun domains ->
+        ( Printf.sprintf "[domains=%d]" domains,
+          fun () -> Network.Config.make ~bandwidth:16 ~domains () ))
       sweep_points
   in
   let faulty domains =
@@ -475,10 +469,10 @@ let test_sends_before_raise () =
   Alcotest.(check string) "sequential raises" "failure: boom" e1;
   check "the sends before the raise are counted" 3 m1;
   List.iter
-    (fun (domains, epoch) ->
-      let name = Printf.sprintf "[domains=%d,epoch=%d]" domains epoch in
+    (fun domains ->
+      let name = Printf.sprintf "[domains=%d]" domains in
       let (e, m, b, t) =
-        outcome (Network.Config.make ~domains ~epoch ()) g proto
+        outcome (Network.Config.make ~domains ()) g proto
       in
       Alcotest.(check string) (name ^ ": payload") e1 e;
       check (name ^ ": messages") m1 m;
@@ -491,7 +485,7 @@ let () =
     [
       ( "native vs list",
         [
-          Alcotest.test_case "every family, every (domains, epoch)" `Quick
+          Alcotest.test_case "every family, every domain count" `Quick
             test_families;
           Alcotest.test_case "seeded fault plan" `Quick test_fault_plan;
         ] );
