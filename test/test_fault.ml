@@ -522,6 +522,233 @@ let test_chaos_sweep_jobs_identical () =
     serial;
   check_bool "pooled sweep output = serial sweep output" true (serial = pooled)
 
+(* ------------------------------------------------------------------ *)
+(* Golden digests                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every observable output of a fault run, digested. The digests were
+   recorded on the engine that ran fault plans in a loop of their own,
+   before fault delivery became a policy of the one round loop; they pin
+   every random draw, fault event, trace line, [active] count, error
+   payload and [No_quiescence] payload of that engine, at domains 1 and
+   3. *)
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let dir_table m =
+  let rows = ref [] in
+  Metrics.iter_dir m (fun ~src ~dst ~bits ~messages ~burst ->
+      rows := (src, dst, bits, messages, burst) :: !rows);
+  List.rev !rows
+
+let error_payload = function
+  | Network.Bandwidth_exceeded { round; u; v; bits } ->
+      Printf.sprintf "bandwidth round=%d u=%d v=%d bits=%d" round u v bits
+  | Network.No_quiescence { round; active; messages } ->
+      Printf.sprintf "no quiescence round=%d active=%d messages=%d" round
+        active messages
+  | Invalid_argument s -> "invalid argument: " ^ s
+  | Failure s -> "failure: " ^ s
+  | e -> raise e
+
+let observations m tr plan =
+  ( Fault.stats plan,
+    ( Metrics.rounds m,
+      Metrics.messages m,
+      Metrics.total_bits m,
+      Metrics.faults m,
+      Metrics.round_log m,
+      dir_table m ),
+    Trace.events tr )
+
+(* One run of [proto] under [spec]: its result (or error payload) and
+   everything the plan, the metrics and the message-level trace saw. *)
+let observed_run ?(bandwidth = 4096) ?max_rounds ~spec ~seed ~domains g run =
+  let plan = Fault.make ~spec ~seed () in
+  let m = Metrics.create g in
+  let tr = Trace.create ~keep_messages:true () in
+  let config =
+    cfg ~bandwidth ?max_rounds ~domains
+      ~observe:(Observe.make ~metrics:m ~trace:tr ())
+      ~faults:plan ()
+  in
+  let result =
+    match run config with
+    | r -> Ok r
+    | exception e -> Error (error_payload e)
+  in
+  digest (result, observations m tr plan)
+
+(* Native max-id flood that also logs every inbox in delivery order, so
+   the slice sort and the adversarial permutation are pinned. Each node
+   opens with two numbered messages per neighbor. *)
+let logging_flood =
+  {
+    Network.init =
+      (fun g v send ->
+        Gr.iter_neighbors g v (fun w ->
+            send w (4 * v);
+            send w ((4 * v) + 1));
+        (v, []));
+    round =
+      (fun g v (best, log) ib send ->
+        let log = Network.Inbox.fold (fun l u x -> (u, x) :: l) log ib in
+        let best' = Network.Inbox.fold (fun b _ x -> max b (x / 4)) best ib in
+        if best' > best then Gr.iter_neighbors g v (fun w -> send w (4 * best'));
+        (best', log));
+    msg_bits = (fun _ -> 12);
+  }
+
+let golden_plans =
+  let adversarial = { lossy_spec with Fault.adversarial = true } in
+  let crash =
+    {
+      lossy_spec with
+      Fault.crashes =
+        [
+          { Fault.node = 5; at = 2; restart = Some 9 };
+          { Fault.node = 7; at = 0; restart = Some 4 };
+        ];
+    }
+  in
+  [ ("lossy", lossy_spec); ("adversarial", adversarial); ("crash", crash) ]
+
+let golden_runs =
+  let exec g proto config = Network.exec ~config g proto in
+  let native g config =
+    let r = exec g logging_flood config in
+    (r.Network.states, r.Network.rounds, r.Network.report)
+  in
+  let reliable g config =
+    let { Network.Config.domains; observe; faults; _ } = config in
+    let r =
+      Reliable.exec ~domains ~bandwidth:64 ~observe ?faults g flood
+    in
+    (r.Network.states, r.Network.rounds, r.Network.report)
+  in
+  let embed g config =
+    let o = Embedder.run ~config g in
+    let rep = o.Embedder.report in
+    ( Option.map
+        (fun rot -> Array.init (Gr.n g) (Rotation.rotation rot))
+        o.Embedder.rotation,
+      (rep.Embedder.rounds, rep.Embedder.phases, rep.Embedder.total_bits),
+      ( Metrics.faults rep.Embedder.metrics,
+        Metrics.round_log rep.Embedder.metrics,
+        dir_table rep.Embedder.metrics ) )
+  in
+  let grid = Gen.grid 6 7 and petersen = Gen.petersen () in
+  let digests run g ~spec ~domains =
+    observed_run ~spec ~seed:17 ~domains g (run g)
+  in
+  [
+    ("native flood, grid 6x7", digests native grid);
+    ("reliable flood, grid 6x7", digests reliable grid);
+    ("embedder, grid 6x6", digests embed (Gen.grid 6 6));
+    ("embedder, petersen", digests embed petersen);
+  ]
+
+(* A native protocol that errs in round 2 at node 10 of a 6x7 grid:
+   three 12-bit messages on one 30-bit edge, or a message to a
+   non-neighbor. Everyone floods first, so fates are drawn before the
+   error in the same round. *)
+let erring bad =
+  {
+    Network.init =
+      (fun g v send ->
+        Gr.iter_neighbors g v (fun w -> send w v);
+        0);
+    round =
+      (fun g v r _ib send ->
+        let r = r + 1 in
+        if r <= 3 then Gr.iter_neighbors g v (fun w -> send w r);
+        if r = 2 && v = 10 then begin
+          match bad with
+          | `Bandwidth -> List.iter (fun x -> send 11 x) [ 1; 2; 3 ]
+          | `Neighbor -> send 30 0
+        end;
+        r);
+    msg_bits = (fun _ -> 12);
+  }
+
+let golden_failures =
+  let grid = Gen.grid 6 7 in
+  let exec proto config =
+    let r = Network.exec ~config grid proto in
+    (r.Network.states, r.Network.rounds)
+  in
+  let permanent =
+    {
+      lossy_spec with
+      Fault.crashes = [ { Fault.node = 5; at = 2; restart = None } ];
+    }
+  in
+  let far = { Fault.default with Fault.delay = 0.3; max_delay = 1_000_000_000 } in
+  [
+    ( "bandwidth error",
+      fun ~domains ->
+        observed_run ~bandwidth:30 ~spec:lossy_spec ~seed:3 ~domains grid
+          (exec (erring `Bandwidth)) );
+    ( "non-neighbor error",
+      fun ~domains ->
+        observed_run ~spec:lossy_spec ~seed:3 ~domains grid
+          (exec (erring `Neighbor)) );
+    ( "permanent crash, reliable",
+      fun ~domains ->
+        observed_run ~max_rounds:151 ~spec:permanent ~seed:1 ~domains grid
+          (fun config ->
+            let { Network.Config.domains; observe; faults; max_rounds; _ } =
+              config
+            in
+            let r =
+              Reliable.exec ~domains ~bandwidth:64 ?max_rounds ~observe
+                ?faults grid flood
+            in
+            (r.Network.states, r.Network.rounds)) );
+    ( "max_delay 1e9",
+      fun ~domains ->
+        observed_run ~spec:far ~seed:5 ~domains grid (exec logging_flood) );
+  ]
+
+let recorded =
+  [
+    ("adversarial, embedder, grid 6x6", "9dae8f60e0a7bc1ba47493d6247c8dee");
+    ("adversarial, embedder, petersen", "528cc6bf7805cc72bb367ec175187a00");
+    ("adversarial, native flood, grid 6x7", "855c43d4f24c880f06a7b754bdc90cad");
+    ("adversarial, reliable flood, grid 6x7", "e8b8033b78e30054eab30a308f305662");
+    ("bandwidth error", "c7ecda8cfef09adf1fbd963d2577eec5");
+    ("crash, embedder, grid 6x6", "704c3cc910ceda5eefe66eedd5d7495b");
+    ("crash, embedder, petersen", "bb68f428d39f3b09c62405045b7f20a1");
+    ("crash, native flood, grid 6x7", "e6eca9331d4877c1e12298edeabc3435");
+    ("crash, reliable flood, grid 6x7", "9cb3fb514f28d5dcbf79d0af7424567f");
+    ("lossy, embedder, grid 6x6", "9753795f140dc897b9de26aa26487caa");
+    ("lossy, embedder, petersen", "09b645c379383a0c5c4d99775382c414");
+    ("lossy, native flood, grid 6x7", "c46287bbec9332a9cf6564b9de9d0de5");
+    ("lossy, reliable flood, grid 6x7", "554f069dff17dc09b36953e2cb11f4df");
+    ("max_delay 1e9", "6c34d4328b18c986dfd5d2a54ec9122e");
+    ("non-neighbor error", "246127775b8d00c13cf3128185ab1be3");
+    ("permanent crash, reliable", "22e343590264c61827f698817d54d59e");
+  ]
+
+let test_golden_digests () =
+  let expect name got =
+    match List.assoc_opt name recorded with
+    | Some want -> Alcotest.(check string) name want got
+    | None -> Alcotest.failf "%s: no recorded digest (got %s)" name got
+  in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (pname, spec) ->
+          List.iter
+            (fun (rname, run) ->
+              let name = pname ^ ", " ^ rname in
+              expect name (run ~spec ~domains))
+            golden_runs)
+        golden_plans;
+      List.iter (fun (name, run) -> expect name (run ~domains)) golden_failures)
+    [ 1; 3 ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -565,5 +792,10 @@ let () =
             test_sharded_embedder_over_lossy_links;
           Alcotest.test_case "chaos sweep: jobs don't change output" `Quick
             test_chaos_sweep_jobs_identical;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fault runs match recorded digests" `Quick
+            test_golden_digests;
         ] );
     ]
