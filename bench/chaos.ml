@@ -6,8 +6,10 @@
 
      overhead   Reliable.exec with an all-zero fault plan vs a raw
                 Network.exec of the same protocol — the price of the
-                clocked engine plus sequence numbers, acks and the
-                retransmission machinery when nothing ever goes wrong.
+                fault policy (every live node steps every round, and a
+                grace tail of quiet rounds) plus sequence numbers, acks
+                and the retransmission machinery when nothing ever goes
+                wrong.
      sweep      Embedder.run ~faults across drop rates on grid and
                 cycle networks: rounds-to-completion vs loss, with the
                 Euler verdict checked on every run.
@@ -15,7 +17,9 @@
                 reliable links: the run recovers and agrees with the
                 clean one.
 
-   Results go to BENCH_chaos.json and stdout.
+   Results go to BENCH_chaos.json and stdout, with the host's core
+   count ("cores") and OCaml version. Every engine run here uses one
+   domain; --jobs only fans the sweep's independent runs out.
 
      dune exec bench/chaos.exe              # full sweep
      dune exec bench/chaos.exe -- --quick   # CI smoke: small cases,
@@ -228,6 +232,10 @@ let run_crash name g ~node ~at ~restart =
 let json ~overheads ~sweeps ~crashes =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"congest-chaos\",\n";
+  Buffer.add_string b
+    (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
+  Buffer.add_string b
+    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
   Buffer.add_string b "  \"unit\": { \"wall\": \"seconds\" },\n";
   Buffer.add_string b "  \"reliable_overhead\": [\n";
   List.iteri

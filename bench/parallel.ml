@@ -1,13 +1,13 @@
 (* Scaling benchmark for the multicore layer.
 
-   Two sections:
+   Three sections:
 
      tier-a   strong scaling of the sharded round loop: the same run at
               domains = 1, 2, 4 and 8 on a dense native flood and on the
               embedder, with every sharded result checked bit-identical
               to the sequential one before its time is reported.
-     tier-a/f strong scaling of the sharded clocked fault engine: the
-              same faulted embedder run at domains = 1 and domains = 4,
+     tier-a/f strong scaling of the same round loop under a fault plan:
+              the same faulted embedder run at domains = 1 and 4,
               each point gated on an Euler-verified embedding identical
               (rotation, rounds, fault stats) to an untimed d=1 run —
               under faults the domain count changes only wall time.
@@ -164,7 +164,7 @@ let print_scaling c =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Tier A, faulted: the sharded clocked fault engine                   *)
+(* Tier A, faulted: the round loop under a fault plan                   *)
 (* ------------------------------------------------------------------ *)
 
 type faulted = {

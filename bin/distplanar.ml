@@ -389,7 +389,9 @@ let chaos_cmd =
     Arg.(
       value & opt int 8
       & info [ "grace" ]
-          ~doc:"Quiet rounds required before the clocked loop declares quiescence.")
+          ~doc:
+            "Quiet rounds (no send, nothing in flight) required before a \
+             faulty run declares quiescence.")
   in
   let runs_t =
     Arg.(
@@ -410,9 +412,10 @@ let chaos_cmd =
       value & opt positive_int 1
       & info [ "domains" ]
           ~doc:
-            "Run each faulty simulation on this many domains (the sharded \
-             clocked engine); composes with --jobs. Results and output are \
-             identical at every domain count, only wall time changes.")
+            "Run each faulty simulation on this many domains (the engine's \
+             one round loop splits each round's compute into chunks); \
+             composes with --jobs. Results and output are identical at \
+             every domain count, only wall time changes.")
   in
   let parse_crash s =
     let fail () =

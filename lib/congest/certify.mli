@@ -148,7 +148,7 @@ val verify : ?config:Network.Config.t -> Rotation.t -> t -> outcome
     bounds request a clean run self-checks the one-round claim
     ([Observe.bounds_spec ~c_rounds:1 ~d:0]) and returns the verdict in
     [report]. A config with a fault plan routes the round through
-    {!Reliable} on the fault-aware engine — more rounds (acks,
+    {!Reliable} under the plan — more rounds (acks,
     retransmissions, the grace period), same verdict — at the config's
     [domains], which changes only wall time.
     @raise Invalid_argument if the certificates were issued for a

@@ -45,7 +45,7 @@ let zero_stats =
   }
 
 (* [pos] is the position of the plan's one splitmix64 stream, which the
-   clocked engine consumes in its network phase's visit order. *)
+   engine consumes in its serial merge's visit order. *)
 type plan = {
   spec : spec;
   seed : int;
@@ -170,11 +170,10 @@ let transitions p ~round =
 let note_crash_lost p =
   p.stats <- { p.stats with crash_lost = p.stats.crash_lost + 1 }
 
-let permute p a =
-  let k = Array.length a in
-  for i = k - 1 downto 1 do
-    let j = sbelow p (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
+let permute p a ~pos ~len =
+  for i = len - 1 downto 1 do
+    let j = pos + sbelow p (i + 1) in
+    let t = a.(pos + i) in
+    a.(pos + i) <- a.(j);
     a.(j) <- t
   done

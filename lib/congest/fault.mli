@@ -5,16 +5,19 @@
     probabilities, bounded extra delivery delay (asynchrony within the
     round structure), scheduled node crashes with optional restarts, and
     an adversarial delivery mode that permutes every inbox. Installing a
-    plan in {!Network.exec} (its [?faults] argument) switches the engine
-    to its fault-aware {e clocked} loop; with no plan installed the
-    engine's behavior and performance are exactly those of the clean
-    flat-array loop. The precise semantics of each fault kind are
-    specified in DESIGN.md §9.
+    plan in {!Network.exec} (its config's [faults]) does not switch
+    loops: the engine's one round loop steps every live node each round
+    (a clock for timer-driven recovery), draws each message's fate as
+    its merge walks the round's sends, and delivers the copies due in a
+    round from a pending store; with no plan installed it does none of
+    this and allocates nothing per round. The precise semantics
+    of each fault kind are specified in DESIGN.md §9.
 
     {b Determinism.} Every random decision is drawn from one splitmix64
     stream owned by the plan and seeded at construction. The engine
-    consumes the stream in a deterministic order (it is itself
-    deterministic), so two runs of the same protocol on the same graph
+    consumes the stream in a deterministic order — message fates in
+    sequential send order, then adversarial inbox shuffles in ascending
+    recipient order — so two runs of the same protocol on the same graph
     with plans built from the same spec and seed are identical — same
     states, same rounds, same fault events, same trace. The stream is
     the same at every domain count: with [domains > 1] the engine still
@@ -53,7 +56,7 @@ type spec = {
           the sorted-by-sender delivery-order guarantee. *)
   crashes : crash list;
   grace : int;
-      (** quiescence patience: the clocked loop stops only after [grace]
+      (** quiescence patience: a run under the plan stops only after [grace]
           consecutive rounds with no sends and nothing in flight (gives
           timer-driven protocols, e.g. {!Reliable} retransmission, room
           to wake up); must be [>= 1]. *)
@@ -99,10 +102,13 @@ val stats : plan -> stats
 
 (** {2 Engine-facing interface}
 
-    The functions below are consulted by the fault-aware loop of
-    {!Network.exec}; library users normally never call them. They mutate
-    the plan's stream and counters, in engine-visit order, which is what
-    makes the whole run reproducible. *)
+    The functions below are consulted by {!Network.exec}'s round loop
+    when the plan is installed: {!fate} in its serial merge, once per
+    send in sequential send order; {!transitions}, {!down} and
+    {!note_crash_lost} at the start of each round's delivery; {!permute}
+    on each delivered inbox, in ascending recipient order. Library users
+    normally never call them. They mutate the plan's stream and counters
+    in that order, which is what makes the whole run reproducible. *)
 
 type delivery = {
   offset : int;
@@ -130,13 +136,14 @@ val note_crash_lost : plan -> unit
 (** Count one delivery discarded at a down node (the engine discards;
     the plan only keeps the score). *)
 
-val permute : plan -> 'a array -> unit
-(** Seeded in-place Fisher–Yates shuffle — the adversarial inbox
-    permutation. Consumes no randomness on arrays shorter than 2. *)
+val permute : plan -> 'a array -> pos:int -> len:int -> unit
+(** Seeded in-place Fisher–Yates shuffle of [a.(pos .. pos + len - 1)]
+    — the adversarial inbox permutation. Consumes no randomness when
+    [len < 2]. *)
 
 val horizon : plan -> int
 (** The last round mentioned by the crash schedule (0 if none): the
-    clocked loop refuses to declare quiescence earlier, so a restart
+    engine refuses to declare quiescence earlier, so a restart
     scheduled after a lull still happens. *)
 
 val grace : plan -> int

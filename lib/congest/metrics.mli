@@ -119,8 +119,8 @@ val phases : t -> (string * int) list
 (** Accumulated per-phase rounds, in execution order. *)
 
 val note_fault : t -> kind:string -> unit
-(** Count one injected fault of the given kind (the fault-aware engine
-    calls this; the kind vocabulary is documented at
+(** Count one injected fault of the given kind (the engine calls this
+    under a fault plan; the kind vocabulary is documented at
     {!Trace.type-event}). *)
 
 val faults : t -> (string * int) list

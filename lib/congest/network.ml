@@ -48,23 +48,6 @@ module Inbox = struct
     }
 
   let empty () = { srcs = [||]; msgs = [||]; lo = 0; len = 0 }
-
-  (* Copy a list inbox into [t]'s own storage (the list-mail loops). *)
-  let load t l =
-    let len = List.length l in
-    (match l with
-    | (_, m) :: _ when Array.length t.msgs < len ->
-        let cap = max len (2 * Array.length t.msgs) in
-        t.srcs <- Array.make cap 0;
-        t.msgs <- Array.make cap m
-    | _ -> ());
-    List.iteri
-      (fun i (u, m) ->
-        t.srcs.(i) <- u;
-        t.msgs.(i) <- m)
-      l;
-    t.lo <- 0;
-    t.len <- len
 end
 
 type 'm send = int -> 'm -> unit
@@ -162,24 +145,16 @@ module Config = struct
     faults : Fault.plan option;
   }
 
-  let default =
-    {
-      domains = 1;
-      bandwidth = None;
-      max_rounds = None;
-      observe = Observe.none;
-      faults = None;
-    }
+  let make ?(domains = 1) ?bandwidth ?max_rounds ?(observe = Observe.none)
+      ?faults () =
+    { domains; bandwidth; max_rounds; observe; faults }
 
+  let default = make ()
   let with_domains domains c = { c with domains }
   let with_bandwidth b c = { c with bandwidth = Some b }
   let with_max_rounds r c = { c with max_rounds = Some r }
   let with_observe observe c = { c with observe }
   let with_faults p c = { c with faults = Some p }
-
-  let make ?(domains = 1) ?bandwidth ?max_rounds ?(observe = Observe.none)
-      ?faults () =
-    { domains; bandwidth; max_rounds; observe; faults }
 end
 
 (* In-place ascending heapsort of a.(0 .. k-1): the engine's worklists
@@ -244,6 +219,15 @@ let rec rank (a : int array) lo hi v =
     else if y < v then rank a (mid + 1) hi v
     else rank a lo (mid - 1) v
   end
+(* [a] with room for [need] cells, [x] filling the new ones. *)
+let reserve a need x =
+  if Array.length a >= need then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 (* Growable int buffer, reused across rounds: per-chunk dart lists and
    staged sends have no static bound, so they amortize to their peak and
    stay there. The header is padded past a cache line: adjacent chunks'
@@ -268,10 +252,7 @@ module Ibuf = struct
 
   let clear t = t.len <- 0
 
-  let grow t =
-    let a' = Array.make (2 * Array.length t.a) 0 in
-    Array.blit t.a 0 a' 0 t.len;
-    t.a <- a'
+  let grow t = t.a <- reserve t.a (t.len + 1) 0
 
   (* Small enough for the compiler to inline into a send. *)
   let push t x =
@@ -280,36 +261,50 @@ module Ibuf = struct
     t.len <- t.len + 1
 end
 
-(* Growable message buffer — [Ibuf] for 'm values (shard outboxes).
-   Starts empty so no dummy element is needed; padded for the same
-   false-sharing reason. *)
-module Mbuf = struct
-  type 'm t = {
-    mutable a : 'm array;
-    mutable len : int;
-    mutable _p0 : int;
-    mutable _p1 : int;
-    mutable _p2 : int;
-    mutable _p3 : int;
-    mutable _p4 : int;
-    mutable _p5 : int;
-  }
+(* One message copy in flight under a fault plan: its delivery round,
+   global send sequence number, inbox sort key (the sequence number
+   unless the copy was reordered), dart and message. *)
+type 'm copy = { at : int; seq : int; key : int; dart : int; msg : 'm }
 
-  let make () =
-    { a = [||]; len = 0; _p0 = 0; _p1 = 0; _p2 = 0; _p3 = 0; _p4 = 0;
-      _p5 = 0 }
+(* The copies in flight: a binary min-heap on (round, seq), so the
+   copies due in a round leave it in send order and it grows with the
+   copies in flight, never with the plan's [max_delay]. *)
+module Pending = struct
+  type 'm t = { mutable a : 'm copy array; mutable len : int }
 
-  let clear t = t.len <- 0
+  let before x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
 
-  let push t x =
-    let cap = Array.length t.a in
-    if t.len = cap then begin
-      let a' = Array.make (max 16 (2 * cap)) x in
-      Array.blit t.a 0 a' 0 cap;
-      t.a <- a'
-    end;
-    t.a.(t.len) <- x;
-    t.len <- t.len + 1
+  (* Sift [c] from the hole at [i] toward the root. *)
+  let rec up a i c =
+    let p = (i - 1) / 2 in
+    if i > 0 && before c a.(p) then begin
+      a.(i) <- a.(p);
+      up a p c
+    end
+    else a.(i) <- c
+
+  (* Sift [c] from the hole at [i] toward the leaves. *)
+  let rec down t i c =
+    let l = (2 * i) + 1 in
+    let m = if l + 1 < t.len && before t.a.(l + 1) t.a.(l) then l + 1 else l in
+    if m < t.len && before t.a.(m) c then begin
+      t.a.(i) <- t.a.(m);
+      down t m c
+    end
+    else t.a.(i) <- c
+
+  let add t c =
+    t.a <- reserve t.a (t.len + 1) c;
+    t.len <- t.len + 1;
+    up t.a (t.len - 1) c
+
+  let has_due t r = t.len > 0 && t.a.(0).at = r
+
+  let pop t =
+    let top = t.a.(0) in
+    t.len <- t.len - 1;
+    if t.len > 0 then down t 0 t.a.(t.len);
+    top
 end
 
 (* One contiguous slice of a round's work — a run of the sorted
@@ -334,19 +329,16 @@ type 'm chunk = {
   view : 'm Inbox.t;
 }
 
-(* The fault-free round loop. All per-round bookkeeping lives in arrays
-   preallocated at entry (or grown to their peak) and reused across
-   rounds:
+(* The round loop. Per-round bookkeeping lives in arrays preallocated
+   at entry (or grown to their peak) and reused across rounds:
 
    - [cnt.(d)]      messages queued on dart [d] this round; a dart id is
                     its slot in the CSR adjacency, so the in-darts of a
                     recipient are one contiguous range ordered by sender;
    - [load.(d)]     bits pushed through dart [d] this round (the CONGEST
                     bandwidth budget is checked against it at send time);
-   - [staged]/[has_mail]  worklist of recipients with mail, so a round
-                    costs O(active slices + messages), never O(n);
-   - one {!chunk} per domain, holding its sends' flat queue and the
-                    recipients it reached.
+   - [staged]/[has_mail]  the recipients reached this round, so a round
+                    costs O(active slices + messages), never O(n).
 
    Each round splits the sorted worklist into [k = min domains active]
    contiguous chunks and runs them on a {!Pool.t}; at [k = 1] the chunk
@@ -361,17 +353,44 @@ type 'm chunk = {
    stops too); the merge raises the lowest chunk's error after observing
    exactly the sends a sequential sweep would have made before it.
 
-   Delivery is a stable counting scatter: the sorted recipients' in-dart
-   slices are laid out back to back in [in_src]/[in_msg], each dart gets
-   its slice's cursor, and one pass over each queue drops every message
-   into place — a dart's messages all sit in its sender's queue, in send
-   order. Stability keeps a sender's messages in send order, the slice
-   order sorts by sender: the documented delivery order with no
-   comparison sort and no allocation. Each chunk's nodes then read their
-   mail through the chunk's one reused {!Inbox} view. *)
-let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
-    (proto : ('s, 'm) protocol) =
+   Delivery is a stable counting scatter: the worklist's in-dart slices
+   are laid out back to back in [in_src]/[in_msg], each dart gets its
+   slice's cursor, and one pass drops every message into place.
+   Stability keeps a sender's messages in send order, the slice order
+   sorts by sender: the documented delivery order with no comparison
+   sort and no allocation. Each chunk's nodes then read their mail
+   through the chunk's one reused {!Inbox} view.
+
+   A fault plan is a per-round policy of the same loop, tested once per
+   round. The worklist is every live node, mail or not (the clock a
+   recovery layer's retransmission timers run on), not the recipients.
+   The merge draws each send's fate as it walks it, and the surviving
+   copies join a {!Pending} store instead of being scattered next round.
+   Delivery takes the round's due copies from the store in send order,
+   loses those whose recipient is down, scatters the rest, sorts each
+   slice by (sender, key, seq) and, under [adversarial], permutes it.
+   The run stops by the plan's grace/horizon rule instead of at the
+   first silent round. Every draw comes off the plan's one stream in
+   this serial order, so a run is the same at every domain count;
+   [domains] (capped at [n]) only sets the number of compute chunks. *)
+let exec ?(config = Config.default) g (proto : ('s, 'm) protocol) =
+  let { Config.domains; bandwidth; max_rounds; observe; faults = plan } =
+    config
+  in
+  if domains < 1 then invalid_arg "Network.exec: domains must be at least 1";
   let n = Gr.n g in
+  let domains = min domains (max 1 n) in
+  Option.iter
+    (fun p ->
+      List.iter
+        (fun { Fault.node; _ } ->
+          if node < 0 || node >= n then
+            invalid_arg
+              (Printf.sprintf
+                 "Network.exec: fault plan crashes node %d, outside [0, %d)"
+                 node n))
+        (Fault.spec p).Fault.crashes)
+    plan;
   let bandwidth =
     match bandwidth with Some b -> b | None -> default_bandwidth g
   in
@@ -384,8 +403,8 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     | None, Some _ -> Some (Metrics.create g)
     | m, _ -> m
   in
-  (* Only a sink that consumes per-message events makes the merge walk
-     the queues. *)
+  (* Only a sink that consumes per-message events, or a fault plan,
+     makes the merge walk the queues. *)
   let observing =
     Option.is_some metrics
     || match trace with Some tr -> Trace.keep_messages tr | None -> false
@@ -401,44 +420,32 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
   let nd = Array.length srcs in
   (* The metrics slot of dart [d] into recipient [v]. *)
   let dir d v = (2 * dedge.(d)) + if srcs.(d) < v then 0 else 1 in
-  let cnt = Array.make (max 1 nd) 0 in
-  let load = Array.make (max 1 nd) 0 in
+  let cnt = Array.make (max 1 nd) 0 and load = Array.make (max 1 nd) 0 in
   let cursor = Array.make (max 1 nd) 0 in
   let has_mail = Array.make (max 1 n) false in
-  let staged = Array.make (max 1 n) 0 in
-  let n_staged = ref 0 in
-  let active_buf = Array.make (max 1 n) 0 in
-  let n_active = ref 0 in
+  let staged = Array.make (max 1 n) 0 and n_staged = ref 0 in
+  let active_buf = Array.make (max 1 n) 0 and n_active = ref 0 in
   let n_chunks = ref domains in
   let slice = Array.make (n + 1) 0 in
   (* The message arrays start empty and grow from the first message
      (their fill value), so no dummy ['m] is ever needed. *)
-  let in_src = ref [||] in
-  let in_msg = ref [||] in
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
+  let in_src = ref [||] and in_msg = ref [||] in
+  let round = ref 0 and msgs_round = ref 0 and bits_round = ref 0 in
+  let total_msgs = ref 0 and total_bits = ref 0 in
+  let max_msg_bits = ref 0 and max_burst = ref 0 and active_peak = ref 0 in
+  (* Fault-plan state: the copies in flight, the round's due copies, the
+     copy behind each inbox slot, the global send sequence number and the
+     count of quiet rounds. *)
+  let planned = Option.is_some plan in
+  let pending = { Pending.a = [||]; len = 0 } in
+  let due = ref [||] and n_due = ref 0 and in_copy = ref [||] in
+  let seq = ref 0 and idle = ref 0 in
   let chunks =
     Array.init domains (fun _ ->
-        {
-          q_dart = [||];
-          q_bits = [||];
-          q_msg = [||];
-          q_len = 0;
-          reached = Ibuf.make 64;
-          reached_at = Array.make (max 1 n) (-1);
-          bits = 0;
-          max_msg = 0;
-          max_burst = 0;
-          u = -1;
-          err = None;
-          view = Inbox.empty ();
-        })
+        { q_dart = [||]; q_bits = [||]; q_msg = [||]; q_len = 0;
+          reached = Ibuf.make 64; reached_at = Array.make (max 1 n) (-1);
+          bits = 0; max_msg = 0; max_burst = 0; u = -1; err = None;
+          view = Inbox.empty () })
   in
   let fail ch e =
     ch.err <- Some e;
@@ -498,6 +505,13 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     if Option.is_none ch.err then ch.err <- Some e
   in
   let states = ref [||] in
+  (* A node down at round 0 still computes its initial state (the engine
+     needs one) but takes no step: its spontaneous sends are dropped. *)
+  let init v send =
+    match plan with
+    | Some p when Fault.down p ~node:v ~round:0 -> discarding (proto.init g v)
+    | _ -> proto.init g v send
+  in
   (* Wake-up over the node range, [domains] chunks. Node 0 wakes first,
      alone: its state seeds the array. *)
   let wake lo hi c =
@@ -506,7 +520,7 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     try
       while !v < hi do
         ch.u <- !v;
-        let s = proto.init g !v send in
+        let s = init !v send in
         if !v = 0 then states := Array.make n s else !states.(!v) <- s;
         if ch.u < 0 then v := hi
         else begin
@@ -563,17 +577,28 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     | Some p when k > 1 -> Pool.run p ~tasks:k task
     | _ -> task 0
   in
-  let observe_chunk ch =
-    for j = 0 to ch.q_len - 1 do
-      let d = ch.q_dart.(j) and bits = ch.q_bits.(j) in
-      let u = srcs.(d) and v = srcs.(rev.(d)) in
-      (match metrics with
-      | Some m -> Metrics.add_message_at m ~dir:(dir d v) ~bits
-      | None -> ());
-      match trace with
-      | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-      | None -> ()
-    done
+  let observe_send d bits =
+    let u = srcs.(d) and v = srcs.(rev.(d)) in
+    (match metrics with
+    | Some m -> Metrics.add_message_at m ~dir:(dir d v) ~bits
+    | None -> ());
+    match trace with
+    | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
+    | None -> ()
+  in
+  let on_fault kind ~src ~dst =
+    (match metrics with Some m -> Metrics.note_fault m ~kind | None -> ());
+    match trace with
+    | Some tr -> Trace.on_fault tr ~round:(base + !round) ~kind ~src ~dst
+    | None -> ()
+  in
+  let schedule ~src ~dst d msg (c : Fault.delivery) =
+    if c.Fault.offset > 0 then on_fault "delay" ~src ~dst;
+    if Option.is_some c.Fault.key then on_fault "reorder" ~src ~dst;
+    let key = Option.value c.Fault.key ~default:!seq in
+    Pending.add pending
+      { at = !round + 1 + c.Fault.offset; seq = !seq; key; dart = d; msg };
+    incr seq
   in
   (* The serial merge of chunks [0, k): observe their sends in chunk
      order up to the first erring chunk and raise its error; otherwise
@@ -584,10 +609,41 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     for c = k - 1 downto 0 do
       if Option.is_some chunks.(c).err then stop := c
     done;
-    if observing then
-      for c = 0 to min !stop (k - 1) do
-        observe_chunk chunks.(c)
-      done;
+    (match plan with
+    | None ->
+        if observing then
+          for c = 0 to min !stop (k - 1) do
+            let ch = chunks.(c) in
+            for j = 0 to ch.q_len - 1 do
+              observe_send ch.q_dart.(j) ch.q_bits.(j)
+            done
+          done
+    | Some p ->
+        (* A send's fate is drawn after its sender paid for it. A chunk
+           stopped by a bandwidth error holds the offending send last:
+           observed, but never handed to the network. *)
+        for c = 0 to min !stop (k - 1) do
+          let ch = chunks.(c) in
+          let fated =
+            match ch.err with
+            | Some (Bandwidth_exceeded _) -> ch.q_len - 1
+            | _ -> ch.q_len
+          in
+          for j = 0 to ch.q_len - 1 do
+            let d = ch.q_dart.(j) in
+            if observing then observe_send d ch.q_bits.(j);
+            if j < fated then begin
+              let src = srcs.(d) and dst = srcs.(rev.(d)) in
+              let msg = ch.q_msg.(j) in
+              match Fault.fate p with
+              | [] -> on_fault "drop" ~src ~dst
+              | [ c ] -> schedule ~src ~dst d msg c
+              | cs ->
+                  on_fault "duplicate" ~src ~dst;
+                  List.iter (schedule ~src ~dst d msg) cs
+            end
+          done
+        done);
     (if !stop < k then
        match chunks.(!stop).err with Some e -> raise e | None -> ());
     for c = 0 to k - 1 do
@@ -599,6 +655,7 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
       ch.bits <- 0;
       ch.max_msg <- 0;
       ch.max_burst <- 0;
+      if planned then ch.q_len <- 0;
       let r = ch.reached in
       for i = 0 to r.Ibuf.len - 1 do
         let v = r.Ibuf.a.(i) in
@@ -637,7 +694,136 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     total_msgs := !total_msgs + !msgs_round;
     total_bits := !total_bits + !bits_round
   in
+  (* Lay the in-dart slices of the worklist's [k] nodes out back to back,
+     point each dart's cursor at its slice and reset the dart state for
+     the sends of this round; returns the slots laid out. *)
+  let layout k =
+    let pos = ref 0 in
+    for i = 0 to k - 1 do
+      let v = active_buf.(i) in
+      has_mail.(v) <- false;
+      slice.(i) <- !pos;
+      for d = xadj.(v) to xadj.(v + 1) - 1 do
+        cursor.(d) <- !pos;
+        pos := !pos + cnt.(d);
+        cnt.(d) <- 0;
+        load.(d) <- 0
+      done
+    done;
+    slice.(k) <- !pos;
+    n_active := k;
+    !pos
+  in
+  (* Fault-free delivery: the worklist is the sorted recipients, and the
+     last round's queues scatter straight into their slices. *)
+  let deliver () =
+    let k = !n_staged in
+    sort_staged ~n has_mail staged k active_buf;
+    n_staged := 0;
+    let pos = layout k in
+    if Array.length !in_msg < pos then begin
+      let c = ref 0 in
+      while chunks.(!c).q_len = 0 do
+        incr c
+      done;
+      in_src := reserve !in_src pos 0;
+      in_msg := reserve !in_msg pos chunks.(!c).q_msg.(0)
+    end;
+    dispatch !n_chunks scatter;
+    k
+  in
+  (* Delivery under a plan, O(n + m) per round: release last round's
+     send-time charges, then lay the due copies out over the live nodes
+     through [in_copy]. A slice without reordered copies is already in
+     (sender, key, seq) order, so the insertion sort moves only those.
+     Returns the nodes that got mail. *)
+  let deliver_planned p =
+    let r = !round in
+    Array.fill cnt 0 nd 0;
+    Array.fill load 0 nd 0;
+    Array.fill has_mail 0 n false;
+    n_staged := 0;
+    n_due := 0;
+    while Pending.has_due pending r do
+      let c = Pending.pop pending in
+      let dst = srcs.(rev.(c.dart)) in
+      if Fault.down p ~node:dst ~round:r then begin
+        Fault.note_crash_lost p;
+        on_fault "crash-lost" ~src:srcs.(c.dart) ~dst
+      end
+      else begin
+        cnt.(c.dart) <- cnt.(c.dart) + 1;
+        due := reserve !due (!n_due + 1) c;
+        !due.(!n_due) <- c;
+        incr n_due
+      end
+    done;
+    let k = ref 0 in
+    for v = 0 to n - 1 do
+      if not (Fault.down p ~node:v ~round:r) then begin
+        active_buf.(!k) <- v;
+        incr k
+      end
+    done;
+    let pos = layout !k in
+    if pos > 0 then begin
+      let c0 = !due.(0) in
+      in_copy := reserve !in_copy pos c0;
+      in_src := reserve !in_src pos 0;
+      in_msg := reserve !in_msg pos c0.msg
+    end;
+    let ic = !in_copy in
+    for j = 0 to !n_due - 1 do
+      let c = !due.(j) in
+      ic.(cursor.(c.dart)) <- c;
+      cursor.(c.dart) <- cursor.(c.dart) + 1
+    done;
+    let later a b =
+      let sa = srcs.(a.dart) and sb = srcs.(b.dart) in
+      sa > sb || (sa = sb && (a.key > b.key || (a.key = b.key && a.seq > b.seq)))
+    in
+    let hit = ref 0 in
+    for i = 0 to !k - 1 do
+      let lo = slice.(i) and hi = slice.(i + 1) in
+      if hi > lo then begin
+        incr hit;
+        for a = lo + 1 to hi - 1 do
+          let x = ic.(a) in
+          let b = ref (a - 1) in
+          while !b >= lo && later ic.(!b) x do
+            ic.(!b + 1) <- ic.(!b);
+            decr b
+          done;
+          ic.(!b + 1) <- x
+        done;
+        if (Fault.spec p).Fault.adversarial then
+          Fault.permute p ic ~pos:lo ~len:(hi - lo)
+      end
+    done;
+    for q = 0 to pos - 1 do
+      !in_src.(q) <- srcs.(ic.(q).dart);
+      !in_msg.(q) <- ic.(q).msg
+    done;
+    !hit
+  in
+  (* The distinct recipients of the copies in flight: the [active] of a
+     planned run's [No_quiescence]. *)
+  let pending_recipients () =
+    let seen = Array.make (max 1 n) false in
+    for j = 0 to pending.Pending.len - 1 do
+      seen.(srcs.(rev.(pending.Pending.a.(j).dart))) <- true
+    done;
+    Array.fold_left (fun c hit -> if hit then c + 1 else c) 0 seen
+  in
+  let transitions p =
+    List.iter
+      (fun (node, what) ->
+        let kind = match what with `Crash -> "crash" | `Restart -> "restart" in
+        on_fault kind ~src:node ~dst:(-1))
+      (Fault.transitions p ~round:!round)
+  in
   let run () =
+    Option.iter transitions plan;
     if n > 0 then begin
       wake 0 1 0;
       if Option.is_none chunks.(0).err then dispatch domains wake_chunk
@@ -646,50 +832,40 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     (* Round 0's spontaneous sends are checked and counted too; every
        node ran its init, so all n nodes are active. *)
     if !msgs_round > 0 then commit_round ~active:n;
-    while !n_staged > 0 do
-      if !round >= max_rounds then
-        raise
-          (No_quiescence
-             { round = !round; active = !n_staged; messages = !msgs_round });
-      incr round;
-      (* Deliver: lay the sorted recipients' in-dart slices out back to
-         back, reset the dart state for the sends of this round, then
-         scatter the last round's queues into the slices. *)
-      let k = !n_staged in
-      sort_staged ~n has_mail staged k active_buf;
-      n_staged := 0;
-      let pos = ref 0 in
-      for i = 0 to k - 1 do
-        let v = active_buf.(i) in
-        has_mail.(v) <- false;
-        slice.(i) <- !pos;
-        for d = xadj.(v) to xadj.(v + 1) - 1 do
-          cursor.(d) <- !pos;
-          pos := !pos + cnt.(d);
-          cnt.(d) <- 0;
-          load.(d) <- 0
-        done
-      done;
-      slice.(k) <- !pos;
-      if Array.length !in_msg < !pos then begin
-        let c = ref 0 in
-        while chunks.(!c).q_len = 0 do
-          incr c
-        done;
-        let cap = max !pos (2 * Array.length !in_msg) in
-        in_src := Array.make cap 0;
-        in_msg := Array.make cap chunks.(!c).q_msg.(0)
+    (* Fault-free, the run ends when no mail is staged. Under a plan it
+       ends once [grace] consecutive rounds saw no send and nothing in
+       flight, and the crash schedule's horizon has passed (a restart
+       scheduled after a lull must still happen); a run whose init sent
+       nothing, under a plan that schedules nothing, is over at once. *)
+    let quiet () = !msgs_round = 0 && pending.Pending.len = 0 in
+    let live =
+      match plan with
+      | None -> fun () -> !n_staged > 0
+      | Some p ->
+          let grace = Fault.grace p and horizon = Fault.horizon p in
+          if quiet () then idle := grace;
+          fun () -> !idle < grace || !round < horizon
+    in
+    while live () do
+      if !round >= max_rounds then begin
+        let active = if planned then pending_recipients () else !n_staged in
+        raise (No_quiescence { round = !round; active; messages = !msgs_round })
       end;
-      dispatch !n_chunks scatter;
+      incr round;
+      let active =
+        match plan with
+        | None -> deliver ()
+        | Some p ->
+            transitions p;
+            deliver_planned p
+      in
       msgs_round := 0;
       bits_round := 0;
-      (* Compute: only the recipients run, in ascending id order within
-         each chunk. *)
-      n_active := k;
-      n_chunks := min domains k;
+      n_chunks := max 1 (min domains !n_active);
       dispatch !n_chunks compute;
       merge !n_chunks;
-      commit_round ~active:k
+      commit_round ~active;
+      if planned then idle := if quiet () then !idle + 1 else 0
     done;
     !states
   in
@@ -716,387 +892,9 @@ let exec_flat ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
              ~bandwidth ~n ~d:b.Observe.d m)
     | _ -> None
   in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
-
-(* The fault-aware clocked engine. [exec] runs here whenever a fault
-   plan is installed, at every domain count, so this loop favors clarity
-   over allocation discipline: deliveries live in a round-indexed
-   pending table (messages can be delayed across rounds), and every live
-   node takes a step every round — the clock that timeout-driven
-   recovery layers ({!Reliable}) need in order to retransmit.
-
-   Compute runs over [k] contiguous node shards (one at [domains = 1]).
-   Each shard steps its own nodes against shard-owned state/inbox cells
-   and stages its sends as (sender, recipient, msg) triples; a serial
-   network phase then walks the staged sends in ascending shard order —
-   ascending node order, each sender's sends in the order it made them —
-   doing everything order-sensitive in one thread: metrics, trace,
-   bandwidth accounting, fault fates, delivery scheduling and the plan's
-   stats. Every random decision is drawn from the plan's single stream
-   in that order (message fates in the walk, adversarial inbox shuffles
-   in ascending recipient order), so the run is a pure function of
-   (protocol, graph, spec, seed) and the same at every domain count. The
-   semantics of each fault kind are specified in DESIGN.md §9.
-
-   Error faithfulness: a compute error in shard i suppresses the network
-   phase for shards > i and for the erring shard's unstaged tail, so the
-   error surfaces exactly after the sends a sequential sweep would have
-   processed first; bandwidth and non-neighbor violations raise from the
-   network phase mid-walk, outside protocol code. *)
-let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
-    ?(observe = Observe.none) g (proto : ('s, 'm) protocol) =
-  let n = Gr.n g in
-  let k = domains in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
+  let report =
+    { messages = !total_msgs; bits = !total_bits;
+      max_message_bits = !max_msg_bits; max_round_edge_bits = !max_burst;
+      active_peak = !active_peak; verdict }
   in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
-  let xadj = Gr.dart_offsets g in
-  let srcs = Gr.dart_sources g in
-  let dedge = Gr.dart_edges g in
-  let rev = Gr.dart_reversals g in
-  let nd = Array.length srcs in
-  (* A dart is a directed edge, so the metrics slot of each dart is
-     fixed; memo it once instead of re-deriving it per message. *)
-  let dir_of_dart = Array.make (max 1 nd) 0 in
-  for v = 0 to n - 1 do
-    for d = xadj.(v) to xadj.(v + 1) - 1 do
-      dir_of_dart.(d) <- (2 * dedge.(d)) + if srcs.(d) < v then 0 else 1
-    done
-  done;
-  let shard_lo = Array.init (k + 1) (fun i -> i * n / k) in
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
-  (* Per-dart load of the current round, reset through the touched list
-     at commit time; only the network phase reads or writes them. *)
-  let load = Array.make (max 1 nd) 0 in
-  let touched = ref [] in
-  (* Deliveries in flight: delivery round -> (dst, src, key, seq, msg)
-     list in reverse insertion order. [seq] is the global send sequence
-     number; [key] is the inbox sort key — equal to [seq] normally, a
-     random draw for a reordered copy. *)
-  let pending : (int, (int * int * int * int * 'm) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let in_flight = ref 0 in
-  let seq = ref 0 in
-  (* Per-shard staged sends of the current phase: (u, v) int pairs plus
-     the message payloads, in the shard's node order, and the shard's
-     first compute error. *)
-  let ob_uv = Array.init k (fun _ -> Ibuf.make 64) in
-  let ob_m : 'm Mbuf.t array = Array.init k (fun _ -> Mbuf.make ()) in
-  let sh_err : exn option array = Array.make k None in
-  let on_fault kind ~src ~dst =
-    (match metrics with Some m -> Metrics.note_fault m ~kind | None -> ());
-    match trace with
-    | Some tr -> Trace.on_fault tr ~round:(base + !round) ~kind ~src ~dst
-    | None -> ()
-  in
-  let schedule ~src ~dst msg (c : Fault.delivery) =
-    if c.Fault.offset > 0 then on_fault "delay" ~src ~dst;
-    let key =
-      match c.Fault.key with
-      | Some key ->
-          on_fault "reorder" ~src ~dst;
-          key
-      | None -> !seq
-    in
-    let at = !round + 1 + c.Fault.offset in
-    let sofar = try Hashtbl.find pending at with Not_found -> [] in
-    Hashtbl.replace pending at ((dst, src, key, !seq, msg) :: sofar);
-    incr seq;
-    incr in_flight
-  in
-  (* The network phase: walk the shards' staged sends in shard (= node)
-     order, charging metrics and bandwidth and drawing each message's
-     fate — the sender paid for the message before the network decides
-     it. A shard's compute error re-raises after its staged prefix, and
-     before any higher shard's sends, which a sequential sweep would
-     never have reached. *)
-  let apply_sends () =
-    for i = 0 to k - 1 do
-      let uv = ob_uv.(i) in
-      let mb = ob_m.(i) in
-      for j = 0 to (uv.Ibuf.len / 2) - 1 do
-        let u = uv.Ibuf.a.(2 * j) in
-        let v = uv.Ibuf.a.((2 * j) + 1) in
-        let msg = mb.Mbuf.a.(j) in
-        let d =
-          let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-          if s < 0 then
-            invalid_arg
-              (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u
-                 v);
-          rev.(s)
-        in
-        let bits = proto.msg_bits msg in
-        (match metrics with
-        | Some m -> Metrics.add_message_at m ~dir:dir_of_dart.(d) ~bits
-        | None -> ());
-        (match trace with
-        | Some tr ->
-            Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-        | None -> ());
-        incr msgs_round;
-        bits_round := !bits_round + bits;
-        if bits > !max_msg_bits then max_msg_bits := bits;
-        if load.(d) = 0 then touched := d :: !touched;
-        let now = load.(d) + bits in
-        load.(d) <- now;
-        if now > !max_burst then max_burst := now;
-        if now > bandwidth then
-          raise (Bandwidth_exceeded { round = !round; u; v; bits = now });
-        match Fault.fate plan with
-        | [] -> on_fault "drop" ~src:u ~dst:v
-        | [ c ] -> schedule ~src:u ~dst:v msg c
-        | cs ->
-            on_fault "duplicate" ~src:u ~dst:v;
-            List.iter (schedule ~src:u ~dst:v msg) cs
-      done;
-      Ibuf.clear uv;
-      Mbuf.clear mb;
-      match sh_err.(i) with Some e -> raise e | None -> ()
-    done
-  in
-  let commit_round ~active =
-    (match metrics with
-    | Some m ->
-        List.iter
-          (fun d ->
-            Metrics.note_round_edge_at m ~dir:dir_of_dart.(d) ~bits:load.(d))
-          !touched;
-        Metrics.record_round m ~round:(base + !round) ~active
-          ~messages:!msgs_round ~bits:!bits_round
-    | None -> ());
-    (match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
-          ~bits:!bits_round
-    | None -> ());
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round;
-    List.iter (fun d -> load.(d) <- 0) !touched;
-    touched := []
-  in
-  let apply_transitions r =
-    List.iter
-      (fun (node, what) ->
-        match what with
-        | `Crash -> on_fault "crash" ~src:node ~dst:(-1)
-        | `Restart -> on_fault "restart" ~src:node ~dst:(-1))
-      (Fault.transitions plan ~round:r)
-  in
-  (* Per-shard push [send]: stages (sender, recipient, msg) as the
-     shard's running node, refused between calls. *)
-  let sh_u = Array.make k (-1) in
-  let psend =
-    Array.init k (fun i w msg ->
-        let u = sh_u.(i) in
-        if u < 0 then leaked ();
-        Ibuf.push ob_uv.(i) u;
-        Ibuf.push ob_uv.(i) w;
-        Mbuf.push ob_m.(i) msg)
-  in
-  let note_error i e =
-    sh_u.(i) <- -1;
-    sh_err.(i) <- Some e
-  in
-  (* Wake-up: a node down at round 0 still computes its initial state
-     (the engine needs one) but takes no step — its spontaneous sends
-     are suppressed. *)
-  let init i v =
-    if Fault.down plan ~node:v ~round:0 then discarding (proto.init g v)
-    else begin
-      sh_u.(i) <- v;
-      let s = proto.init g v psend.(i) in
-      sh_u.(i) <- -1;
-      s
-    end
-  in
-  let pool = Pool.create ~domains:k () in
-  let run () =
-    (* Round 0: crashes scheduled at round 0 apply first. Node 0 wakes
-       serially and its state seeds the array; the shards then wake the
-       rest in parallel. *)
-    apply_transitions 0;
-    let states =
-      if n = 0 then [||]
-      else
-        match init 0 0 with
-        | s -> Array.make n s
-        | exception e ->
-            (* Raises [e] after node 0's staged sends. *)
-            note_error 0 e;
-            apply_sends ();
-            raise e
-    in
-    Pool.run pool ~tasks:k (fun i ->
-        try
-          for v = max 1 shard_lo.(i) to shard_lo.(i + 1) - 1 do
-            states.(v) <- init i v
-          done
-        with e -> note_error i e);
-    apply_sends ();
-    if !msgs_round > 0 then commit_round ~active:n;
-    let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
-    let views = Array.init k (fun _ -> Inbox.empty ()) in
-    (* Landed copies of the round being delivered: per-recipient reverse
-       lists of (src, key, seq, msg). *)
-    let landed : (int * int * int * 'm) list array = Array.make (max 1 n) [] in
-    let idle = ref 0 in
-    let grace = Fault.grace plan in
-    let horizon = Fault.horizon plan in
-    let pending_recipients () =
-      let seen = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun _ copies ->
-          List.iter
-            (fun (dst, _, _, _, _) -> Hashtbl.replace seen dst ())
-            copies)
-        pending;
-      Hashtbl.length seen
-    in
-    if !msgs_round = 0 && !in_flight = 0 then idle := grace;
-    (* The clocked loop: runs until [grace] consecutive rounds saw no send
-       and nothing in flight, and the crash schedule's horizon has passed
-       (a restart scheduled after a lull must still execute). A run whose
-       init sent nothing, under a plan that schedules nothing, is over
-       immediately — as in the clean engine. *)
-    while not (!idle >= grace && !round >= horizon) do
-      if !round >= max_rounds then
-        raise
-          (No_quiescence
-             {
-               round = !round;
-               active = pending_recipients ();
-               messages = !msgs_round;
-             });
-      incr round;
-      let r = !round in
-      apply_transitions r;
-      (* Deliver: due copies land in their recipients' inboxes — unless
-         the recipient is down, in which case the network discards them
-         and keeps the score (a retransmission from the reliable layer,
-         not the engine, is what carries data past an outage). *)
-      let due = try List.rev (Hashtbl.find pending r) with Not_found -> [] in
-      Hashtbl.remove pending r;
-      List.iter
-        (fun (dst, src, key, sq, msg) ->
-          decr in_flight;
-          if Fault.down plan ~node:dst ~round:r then begin
-            Fault.note_crash_lost plan;
-            on_fault "crash-lost" ~src ~dst
-          end
-          else landed.(dst) <- (src, key, sq, msg) :: landed.(dst))
-        due;
-      (* Sort each hit inbox by (sender, key, seq): with no reordered
-         copies this is exactly the documented guarantee — ascending
-         sender, per-sender send order. Adversarial mode then shuffles the
-         whole inbox. *)
-      let active = ref 0 in
-      for v = 0 to n - 1 do
-        match landed.(v) with
-        | [] -> ()
-        | copies ->
-            incr active;
-            landed.(v) <- [];
-            let a = Array.of_list copies in
-            Array.sort
-              (fun (s1, k1, q1, _) (s2, k2, q2, _) ->
-                compare (s1, k1, q1) (s2, k2, q2))
-              a;
-            if (Fault.spec plan).Fault.adversarial then Fault.permute plan a;
-            inbox.(v) <-
-              Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
-      done;
-      msgs_round := 0;
-      bits_round := 0;
-      (* Compute: every live node steps, with an empty inbox if nothing
-         arrived — the clock a recovery layer's retransmission timers run
-         on ([active] keeps its metrics meaning: nodes that had mail).
-         Shards own disjoint state/inbox ranges; sends are staged, so no
-         shard writes outside its range. *)
-      Pool.run pool ~tasks:k (fun i ->
-          let ib = views.(i) in
-          try
-            for u = shard_lo.(i) to shard_lo.(i + 1) - 1 do
-              if not (Fault.down plan ~node:u ~round:r) then begin
-                Inbox.load ib inbox.(u);
-                inbox.(u) <- [];
-                sh_u.(i) <- u;
-                states.(u) <- proto.round g u states.(u) ib psend.(i);
-                sh_u.(i) <- -1;
-                ib.Inbox.len <- 0
-              end
-              else inbox.(u) <- []
-            done
-          with e ->
-            ib.Inbox.len <- 0;
-            note_error i e);
-      apply_sends ();
-      commit_round ~active:!active;
-      idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
-    done;
-    (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-    let verdict =
-      match (Observe.bounds observe, metrics) with
-      | Some b, Some m ->
-          Some
-            (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-               ~bandwidth ~n ~d:b.Observe.d m)
-      | _ -> None
-    in
-    {
-      states;
-      rounds = !round;
-      report =
-        {
-          messages = !total_msgs;
-          bits = !total_bits;
-          max_message_bits = !max_msg_bits;
-          max_round_edge_bits = !max_burst;
-          active_peak = !active_peak;
-          verdict;
-        };
-    }
-  in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) run
-
-(* One entry point, two loops: the flat loop whenever no fault plan is
-   installed, and the clocked fault-aware loop whenever one is. On
-   both, [domains] (capped at [n]) only sets the number of compute
-   chunks. *)
-let exec ?(config = Config.default) g proto =
-  let { Config.domains; bandwidth; max_rounds; observe; faults } = config in
-  if domains < 1 then invalid_arg "Network.exec: domains must be at least 1";
-  let domains = min domains (max 1 (Gr.n g)) in
-  match faults with
-  | Some plan ->
-      exec_clocked ~plan ~domains ?bandwidth ?max_rounds ~observe g proto
-  | None -> exec_flat ~domains ?bandwidth ?max_rounds ~observe g proto
+  { states; rounds = !round; report }

@@ -202,47 +202,47 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     timeline: this run's round numbers are offset by [Metrics.rounds]
     at entry.
 
-    With no fault plan installed (the default), the run executes on the
-    flat-array loop — bit-identical to the pre-fault engine,
+    There is one round loop. Each round the nodes on the worklist
+    compute; one serial merge walks their sends in node order, feeding
+    the sinks and staging the next round's recipients; then the next
+    round's mail is laid out by a stable counting scatter. With no fault
+    plan installed (the default) the worklist is the nodes that got
+    mail, the run ends at the first round with no mail, and the loop is
     allocation-free per round and per message at every domain count,
-    delivery order exactly as documented on {!Inbox}. Installing a {!Fault.plan}
-    switches the run to the fault-aware {e clocked} loop: messages are
-    dropped, duplicated, reordered or delayed and nodes crash and
-    restart as the plan dictates; every live node then takes a step
-    {e every} round (with an empty inbox when nothing arrived), which is
-    the clock timeout-driven recovery layers such as {!Reliable} run on,
-    and the run ends only after the plan's grace period of consecutive
-    quiet rounds. Fault events are counted into the metrics sink
-    ({!Metrics.faults}) and recorded on the trace timeline
-    ({!Trace.on_fault}). Same plan spec + same seed ⇒ identical run, at
-    every domain count. DESIGN.md §9 specifies the fault model
-    precisely.
+    with delivery order exactly as documented on {!Inbox}.
 
-    [domains > 1] splits each round's sorted list of recipients into
-    up to [domains] contiguous chunks that compute on a pool of domains;
-    each chunk charges its nodes' sends as they are made, and one serial
-    merge per round walks the chunks in node order to stage the next
-    round's recipients and feed the sinks. The result — states, rounds,
-    report, and the full metrics/trace timelines — is
-    {b bit-identical} to the [domains = 1] run, including which error
-    is raised and what the sinks saw before it; the differential suite
-    pins this across domain counts. One restriction comes with
+    A {!Fault.plan} changes the worklist, the delivery and the stop
+    rule, not which loop runs. Every live node takes a step {e every}
+    round (with an empty inbox when nothing arrived), which is the clock
+    timeout-driven recovery layers such as {!Reliable} run on. The merge
+    draws each send's fate (drop, duplicate, reorder, delay) as it walks
+    it, and the surviving copies wait in a pending store sized by the
+    copies in flight; each round delivers the copies due then, losing
+    those addressed to a down node, sorted by sender (a reordered copy
+    under its random key) and, under [adversarial], permuted. The run
+    ends only after the plan's grace period of quiet rounds, and not
+    before its last scheduled crash or restart. Fault events are counted
+    into the metrics sink ({!Metrics.faults}) and recorded on the trace
+    timeline ({!Trace.on_fault}). Same plan spec + same seed ⇒ identical
+    run. DESIGN.md §9 specifies the fault model precisely.
+
+    [domains > 1] splits each round's worklist into up to [domains]
+    contiguous chunks that compute on a pool of domains; each chunk
+    charges its nodes' sends as they are made, and everything
+    order-sensitive — the sinks, staging, every fault draw — happens in
+    the serial merge. The result — states, rounds, report, fault stats
+    and the full metrics/trace timelines — is {b bit-identical} to the
+    [domains = 1] run, with or without a plan, including which error is
+    raised and what the sinks saw before it; the differential suite pins
+    this across domain counts. One restriction comes with
     [domains > 1]: the protocol's [init] and [round] closures must be
     pure up to their returned values, because they run concurrently for
     different nodes. [init] is called exactly once per node.
-
-    A fault plan {e composes} with [domains > 1]: the clocked loop
-    computes over contiguous node shards in parallel and runs one serial
-    network phase per round for everything order-sensitive, walking the
-    staged sends in node order and drawing every fault decision from
-    the plan's single stream in that order. States, rounds, report,
-    fault stats and the metrics/trace timelines are therefore
-    {b bit-identical} to the [domains = 1] run: under faults, [domains]
-    changes only wall time.
     DESIGN.md §9, §10 and §13 specify the fault model, the parallel
     engine and the sharded round loop.
     @raise Bandwidth_exceeded when a node over-sends on an edge.
     @raise No_quiescence if [max_rounds] elapse without quiescence — a
     livelock guard for buggy protocols.
-    @raise Invalid_argument if a node addresses a non-neighbor, or if
-    [domains < 1]. *)
+    @raise Invalid_argument if a node addresses a non-neighbor, if
+    [domains < 1], or if the fault plan crashes a node outside
+    [[0, n)]. *)

@@ -1,8 +1,8 @@
 type bfs_state = { leader : int; dist : int; parent : int }
 
 (* Protocol entry points run clean by default; a config with a fault
-   plan routes them through the reliable link layer over the fault-aware
-   engine, so each primitive survives lossy links unmodified. *)
+   plan routes them through the reliable link layer under that plan,
+   so each primitive survives lossy links unmodified. *)
 let exec_net ?(config = Network.Config.default) g proto =
   match config.Network.Config.faults with
   | None -> Network.exec ~config g proto

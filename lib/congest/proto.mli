@@ -12,12 +12,12 @@
     forward it to {!Network.exec}. Build it with the [with_*] pipeline
     or [Network.Config.make].
 
-    A config with a fault plan runs the protocol {!Reliable}-wrapped on
-    the fault-aware engine, so the primitive computes the same result
+    A config with a fault plan runs the protocol {!Reliable}-wrapped
+    under the plan, so the primitive computes the same result
     over lossy, reordering, crash-restarting links — at the price of
     acknowledgement traffic, retransmission rounds and the plan's
-    quiescence grace period. Without a plan, execution is the engine's
-    fault-free loop, bit-identical at every [domains]. A plan composes
+    quiescence grace period. Without a plan, execution is bit-identical
+    at every [domains]. A plan composes
     with any [domains] too: the result is the same at every domain
     count. *)
 

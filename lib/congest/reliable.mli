@@ -12,9 +12,9 @@
     {!Network.Inbox} — ascending sender id, per-sender send
     order — even in adversarial delivery mode.
 
-    Retransmission timers need a clock, which the fault-aware engine
-    provides by stepping every live node every round; under the clean
-    engine (no plan installed) nothing is ever lost, so no timer needs
+    Retransmission timers need a clock, which the engine provides under
+    a fault plan by stepping every live node every round; with no plan
+    installed nothing is ever lost, so no timer needs
     to fire and the wrapper is pure constant-factor overhead (one header
     per payload, one ack per inbox).
 
@@ -95,7 +95,7 @@ val exec :
     [3 * bandwidth + 128] bits so headers, acks and retransmissions fit
     — a constant factor, preserving the CONGEST [O(log n)] regime.
     [domains] passes through to the engine: with a plan installed,
-    [domains > 1] shards the clocked loop's compute and returns the same
+    [domains > 1] shards the round loop's compute and returns the same
     run as [domains = 1] (see {!Network.exec}). The report (messages, bits, bursts) describes the
     wire, overhead included; the returned states are the inner ones.
     @raise Network.Bandwidth_exceeded, Network.No_quiescence,

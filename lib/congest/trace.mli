@@ -82,8 +82,8 @@ val on_message : t -> round:int -> src:int -> dst:int -> bits:int -> unit
 (** No-op unless [keep_messages] was set. *)
 
 val on_fault : t -> round:int -> kind:string -> src:int -> dst:int -> unit
-(** Record one injected fault on the round timeline (the fault-aware
-    engine calls this; see the {!type:event} constructor for the kind
+(** Record one injected fault on the round timeline (the engine calls
+    this under a fault plan; see the {!type:event} constructor for the kind
     vocabulary). *)
 
 val note : t -> string -> int -> round:int -> unit

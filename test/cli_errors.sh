@@ -39,4 +39,6 @@ check 2 1 embed --family path -n 0
 check 2 1 certify --family path -n 0
 check 2 1 baseline --family path -n 0
 check 2 1 embed --family grid --rows 0
+check 2 1 chaos --family grid -n 64 --crash 1000@2
+check 2 1 chaos --family grid -n 64 --crash=-5@2
 exit $failed

@@ -114,9 +114,9 @@ let test_seeds_differ () =
 (* ------------------------------------------------------------------ *)
 
 let test_zero_fault_plan_is_benign () =
-  (* An all-zero plan runs on the clocked engine — more rounds (the
-     grace tail) but the same fixpoint for an idempotent protocol, and
-     not a single fault event. *)
+  (* An all-zero plan still steps every live node every round — more
+     rounds (the grace tail) but the same fixpoint for an idempotent
+     protocol, and not a single fault event. *)
   let g = Gen.grid 5 6 in
   let clean = Network.exec ~config:(cfg ~bandwidth:4096 ()) g flood in
   let (r, m, tr, plan) = run_observed ~seed:7 g flood in
@@ -222,6 +222,55 @@ let test_spec_validation () =
           }
         ~seed:0 ());
   expect_invalid "reliable timeout" (fun () -> Reliable.wrap ~timeout:1 flood)
+
+let test_crash_node_outside_network () =
+  (* A crash schedule naming a node the network does not have is a bad
+     plan for this network, not a silent no-op counted into the stats. *)
+  let g = Gen.cycle 10 in
+  let plan node =
+    Fault.make
+      ~spec:
+        {
+          Fault.default with
+          Fault.crashes = [ { Fault.node; at = 2; restart = Some 5 } ];
+        }
+      ~seed:0 ()
+  in
+  List.iter
+    (fun node ->
+      let name = Printf.sprintf "crash node %d of 10" node in
+      let p = plan node in
+      (match Network.exec ~config:(cfg ~faults:p ()) g flood with
+      | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
+      | exception Invalid_argument _ -> ());
+      check (name ^ ": nothing counted") 0 (Fault.stats p).Fault.crashes;
+      match Reliable.exec ~faults:(plan node) g flood with
+      | _ -> Alcotest.fail (name ^ ", reliable: expected Invalid_argument")
+      | exception Invalid_argument _ -> ())
+    [ 10; 1000; -1; -5 ];
+  let p = plan 9 in
+  ignore (Network.exec ~config:(cfg ~faults:p ()) g flood);
+  check "crash node 9 of 10 runs" 1 (Fault.stats p).Fault.crashes
+
+let test_huge_max_delay () =
+  (* Copies delayed by up to a billion rounds never arrive before the
+     livelock guard trips; the run must still cost memory in proportion
+     to the copies in flight, not to [max_delay]. *)
+  let g = Gen.grid 6 7 in
+  let spec = { Fault.default with Fault.delay = 0.3; max_delay = 1_000_000_000 } in
+  let plan = Fault.make ~spec ~seed:5 () in
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let before = words () in
+  (match Network.exec ~config:(cfg ~faults:plan ()) g flood with
+  | _ -> Alcotest.fail "expected No_quiescence"
+  | exception Network.No_quiescence { active; _ } ->
+      check_bool "copies still in flight" true (active > 0));
+  let used = words () -. before in
+  check_bool
+    (Printf.sprintf "allocated %.0f words for %d delayed copies" used
+       (Fault.stats plan).Fault.delayed)
+    true
+    (used < 4e6)
 
 (* ------------------------------------------------------------------ *)
 (* Reliable recovery                                                   *)
@@ -767,6 +816,10 @@ let () =
           Alcotest.test_case "permanent crash blocks reliable" `Quick
             test_permanent_crash_blocks_reliable;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
+          Alcotest.test_case "crash node outside the network" `Quick
+            test_crash_node_outside_network;
+          Alcotest.test_case "huge max_delay stays small" `Quick
+            test_huge_max_delay;
         ] );
       ( "reliable recovery",
         [
