@@ -16,6 +16,15 @@
    on the two-domain sharded loop (the "d2" columns, whose run must also
    match the one-domain run; its time is process CPU time, both domains
    together).
+   A phase-1 section compares Proto.leader_bfs (a scaffold election by
+   a fixed mix of the id, then one BFS wave from the maximum id) with the
+   max-id flood it replaced (the test-only oracle) on the same inputs,
+   in the generators' numbering and under a random relabelling: messages,
+   rounds, time and allocated words per message of each, plus one
+   Embedder.run row on a long path. Its gate: every row's election
+   states equal the flood's, its messages stay within 3 · m · ⌈log₂ n⌉,
+   and the path embeds.
+
    Results go to BENCH_engine.json (with the core count and OCaml
    version) and stdout.
 
@@ -143,12 +152,12 @@ let words_now () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-let measure f =
+let measure ?(clock = Sys.time) f =
   Gc.full_major ();
   let w0 = words_now () in
-  let t0 = Sys.time () in
+  let t0 = clock () in
   let x = f () in
-  let t1 = Sys.time () in
+  let t1 = clock () in
   let w1 = words_now () in
   (x, t1 -. t0, w1 -. w0)
 
@@ -277,7 +286,123 @@ let run_cases ~jobs prepped =
       c)
     prepped
 
-let json_of_cases ~cores cases =
+(* ------------------------------------------------------------------ *)
+(* Phase 1: the election against the max-id flood                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The same constant the message-bound property of the test suite pins. *)
+let phase1_c = 3
+
+type p1_side = { msgs : int; p1_rounds : int; time : shape (* wall clock *) }
+
+type p1_row = {
+  p1_name : string;
+  p1_n : int;
+  p1_m : int;
+  flood_side : p1_side;
+  election : p1_side;
+  same_states : bool;
+  bound : int;  (* phase1_c · m · ⌈log₂ n⌉, the last as [Gr.id_bits] *)
+}
+
+(* One side: an observed run for messages and rounds, then a bare run
+   timed on the wall clock. *)
+let p1_side g run =
+  let m = Metrics.create g in
+  let states =
+    run (Network.Config.make ~observe:(Observe.of_metrics m) ()) g
+  in
+  let (_, wall, words) =
+    measure ~clock:Unix.gettimeofday (fun () -> run Network.Config.default g)
+  in
+  let msgs = Metrics.messages m in
+  ( states,
+    {
+      msgs;
+      p1_rounds = Metrics.rounds m;
+      time = { wall; words; wpm = words /. float (max 1 msgs) };
+    } )
+
+let p1_row name g =
+  let (want, flood_side) =
+    p1_side g (fun config g -> List_oracles.max_id_leader_bfs ~config g)
+  in
+  let (got, election) =
+    p1_side g (fun config g -> Proto.leader_bfs ~config g)
+  in
+  let row =
+    {
+      p1_name = name;
+      p1_n = Gr.n g;
+      p1_m = Gr.m g;
+      flood_side;
+      election;
+      same_states = got = want;
+      bound = phase1_c * Gr.m g * Gr.id_bits g;
+    }
+  in
+  Printf.printf
+    "%-26s %6d %7d | %10d %6d %8.3f %6.2f | %8d %6d %7.3f %6.2f | %s%s\n%!"
+    name row.p1_n row.p1_m flood_side.msgs flood_side.p1_rounds
+    flood_side.time.wall flood_side.time.wpm election.msgs election.p1_rounds
+    election.time.wall election.time.wpm
+    (if row.same_states then "same states" else "STATES DIFFER")
+    (if election.msgs <= row.bound then "" else "  OVER BOUND");
+  row
+
+let p1_rows ~quick =
+  let layouts name g =
+    let generated = p1_row name g in
+    let relabelled = Gr.relabel g (Gen.random_permutation ~seed:1 (Gr.n g)) in
+    [ generated; p1_row (name ^ "/random") relabelled ]
+  in
+  Printf.printf "\n%-26s %6s %7s | %10s %6s %8s %6s | %8s %6s %7s %6s\n"
+    "phase 1" "n" "m" "flood msgs" "rounds" "s" "w/msg" "elect" "rounds" "s"
+    "w/msg";
+  List.concat_map
+    (fun (name, g) -> layouts name g)
+    (if quick then
+       [
+         ("path-2k", Gen.path 2_000);
+         ("cycle-1k", Gen.cycle 1_000);
+         ("grid-40x40", Gen.grid 40 40);
+         ("maxplanar-500", Gen.random_maximal_planar ~seed:1 500);
+         ( "outerplanar-1000",
+           Gen.random_outerplanar ~seed:1 ~n:1_000 ~chord_prob:0.5 );
+       ]
+     else
+       [
+         ("path-20k", Gen.path 20_000);
+         ("cycle-10k", Gen.cycle 10_000);
+         ("grid-100x100", Gen.grid 100 100);
+         ("maxplanar-2000", Gen.random_maximal_planar ~seed:1 2_000);
+         ( "outerplanar-5000",
+           Gen.random_outerplanar ~seed:1 ~n:5_000 ~chord_prob:0.5 );
+       ])
+
+(* The scaling probe's worst case under the flood: Embedder.run on a long
+   path, whose gate in the roadmap is 0.5 s at n = 20,000. Recorded, not
+   enforced: a wall-time gate would fail on a slow shared runner. *)
+let embedder_gate_s = 0.5
+
+let embedder_row ~quick =
+  let n = if quick then 5_000 else 20_000 in
+  let g = Gen.path n in
+  let t0 = Unix.gettimeofday () in
+  let o = Embedder.run g in
+  let wall = Unix.gettimeofday () -. t0 in
+  Printf.printf "\nEmbedder.run path-%dk: %.3f s wall (gate %.1f s at 20k), %s\n%!"
+    (n / 1000) wall embedder_gate_s
+    (if o.Embedder.rotation <> None then "planar" else "REJECTED");
+  (Printf.sprintf "path-%dk" (n / 1000), n, wall, o.Embedder.rotation <> None)
+
+let json_of_p1_side s =
+  Printf.sprintf
+    "{ \"messages\": %d, \"rounds\": %d, \"wall_s\": %.6f, \
+     \"alloc_words\": %.0f, \"words_per_msg\": %.3f }"
+    s.msgs s.p1_rounds s.time.wall s.time.words s.time.wpm
+
+let json_of_cases ~cores cases ~phase1 ~embedder =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"congest-engine-exec\",\n";
   Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
@@ -311,7 +436,32 @@ let json_of_cases ~cores cases =
            c.identical
            (if i = List.length cases - 1 then "" else ",")))
     cases;
-  Buffer.add_string b "  ]\n}\n";
+  Buffer.add_string b "  ],\n";
+  Buffer.add_string b
+    (Printf.sprintf
+       "  \"phase1_bound\": \"messages <= %d * m * ceil(log2 n)\",\n\
+       \  \"phase1\": [\n"
+       phase1_c);
+  List.iteri
+    (fun i r ->
+      Buffer.add_string b
+        (Printf.sprintf
+           "    { \"name\": %S, \"n\": %d, \"m\": %d, \"bound\": %d, \
+            \"same_states\": %b,\n\
+           \      \"flood\": %s,\n\
+           \      \"election\": %s }%s\n"
+           r.p1_name r.p1_n r.p1_m r.bound r.same_states
+           (json_of_p1_side r.flood_side)
+           (json_of_p1_side r.election)
+           (if i = List.length phase1 - 1 then "" else ",")))
+    phase1;
+  let (name, n, wall, planar) = embedder in
+  Buffer.add_string b
+    (Printf.sprintf
+       "  ],\n\
+       \  \"embedder\": { \"name\": %S, \"n\": %d, \"wall_s\": %.6f, \
+        \"gate_s\": %.1f, \"planar\": %b }\n}\n"
+       name n wall embedder_gate_s planar);
   Buffer.contents b
 
 let () =
@@ -359,9 +509,12 @@ let () =
       ]
   in
   let cases = run_cases ~jobs:!jobs prepped in
+  let phase1 = p1_rows ~quick:!quick in
+  let embedder = embedder_row ~quick:!quick in
   let oc = open_out !out in
   output_string oc
-    (json_of_cases ~cores:(Domain.recommended_domain_count ()) cases);
+    (json_of_cases ~cores:(Domain.recommended_domain_count ()) cases ~phase1
+       ~embedder);
   close_out oc;
   Printf.printf "\nwrote %s\n" !out;
   let broken = List.filter (fun c -> not c.identical) cases in
@@ -386,4 +539,17 @@ let () =
       Printf.eprintf "engine: %s at %s allocates %.3f words/message (gate %.0f)\n"
         name label wpm max_words_per_msg)
     heavy;
-  if broken <> [] || heavy <> [] then exit 1
+  let p1_bad =
+    List.filter (fun r -> not r.same_states || r.election.msgs > r.bound) phase1
+  in
+  List.iter
+    (fun r ->
+      Printf.eprintf
+        "engine: phase-1 gate failed on %s (states %s, %d messages, bound %d)\n"
+        r.p1_name
+        (if r.same_states then "equal" else "differ")
+        r.election.msgs r.bound)
+    p1_bad;
+  let (_, _, _, planar) = embedder in
+  if not planar then prerr_endline "engine: Embedder.run rejected a path";
+  if broken <> [] || heavy <> [] || p1_bad <> [] || not planar then exit 1

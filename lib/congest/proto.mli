@@ -4,7 +4,8 @@
     nothing but their own id and their neighbors' ids, the nodes elect the
     maximum-id vertex as the root [s*], build a BFS tree rooted there, and
     aggregate values (e.g. the node count [n]) over it. Each is checked
-    against its centralized counterpart in the test suite.
+    against its centralized counterpart in the test suite, and
+    {!leader_bfs} against the max-id flood it replaced.
 
     All entry points take one [?config] ({!Network.Config.t}, default
     {!Network.Config.default}) carrying every engine knob — observation
@@ -24,14 +25,56 @@
 type bfs_state = {
   leader : int;  (** maximum id in the network. *)
   dist : int;  (** hop distance to the leader. *)
-  parent : int;  (** BFS parent ([leader]'s parent is itself). *)
+  parent : int;
+      (** BFS parent: the smallest-id neighbor one layer closer to the
+          leader ([leader]'s parent is itself). *)
 }
 (** What every node knows when {!leader_bfs} quiesces. *)
 
 val leader_bfs : ?config:Network.Config.t -> Gr.t -> bfs_state array
-(** Flood the maximum id while relaxing distances: quiesces in [O(D)]
-    rounds with every node knowing the leader, its BFS distance and a BFS
-    parent. The network must be connected and non-empty. *)
+(** Every node learns the maximum id [M], its hop distance to [M] and a
+    BFS parent. The network must be connected and non-empty.
+
+    Two engine runs, each message at most two words ([2 * Gr.id_bits]):
+
+    + {b Scaffold.} Flood the best candidate while relaxing distances,
+      as a max-id flood does, but order candidates by a fixed bijective
+      mix of the id (splitmix64's finalizer). A node re-announces only
+      when its candidate improves, so the run ends with a BFS tree T′
+      rooted at [R = argmax rank] after [ecc(R) + 1] rounds.
+    + {b One fused pass over T′.} A convergecast of (subtree size, max
+      id) climbs T′, each node remembering which child reported the
+      max; the root sends a one-word token carrying [n] down that path
+      to [M]; [M] starts a BFS wave of [(leader, dist)] messages with
+      the max-id flood's relax rule (adopt a larger leader, or the same
+      leader at a smaller distance). The wave reaches a node at
+      distance [d] from [M] in one inbox from its whole previous layer,
+      in ascending sender order, so the parent is the smallest-id such
+      neighbor — exactly the state a max-id flood leaves. Takes
+      [ecc(R) + dist(R, M) + ecc(M) + 1] rounds.
+
+    {b Rounds.} At most [2 ecc(R) + dist(R, M) + ecc(M) + 2 <= 4D + 2]
+    on a fault-free run (each term is at most [D]).
+
+    {b Messages.} Run 2 sends [(n - 1) + dist(R, M) + 2m]. Run 1 sends
+    [deg v] messages each time [v] changes candidate, which happens
+    when a candidate is the best by rank of all nodes at its distance
+    or closer: [O(log n)] times per node when the ranks are in no
+    relation to the graph, so [O(m log n)] in all. That holds for id
+    layouts that are not adversarial to the fixed mix — the generators'
+    numberings, which made the max-id flood send [Θ(m·D)] (path-5k:
+    25.0 M messages, now about 0.1 M). An id layout built against the
+    mix, with rank growing along the graph, still costs [O(m·D)].
+
+    Under a fault plan both runs are {!Reliable}-wrapped: [leader] and
+    [dist] still come out exact (both relax rules converge under
+    delayed delivery), while the parent may be any neighbor one layer
+    closer. *)
+
+val elect : ?config:Network.Config.t -> Gr.t -> bfs_state array * int
+(** {!leader_bfs} together with the node count [n], which [M] learns
+    from the token — so a caller that needs [n] at the leader pays no
+    further pass. *)
 
 val convergecast :
   ?config:Network.Config.t ->
@@ -69,9 +112,9 @@ val broadcast :
 
 (** {2 The raw protocols}
 
-    Each entry point above runs one of these on {!Network.exec}. They are
-    exposed so the differential suite can pin them, state for state and
-    event for event, against their list-shaped originals. They take the
+    The tree primitives above each run one of these on {!Network.exec}.
+    They are exposed so the differential suite can pin them, state for
+    state and event for event, against their list-shaped originals. They take the
     same arguments and raise the same [Invalid_argument] on bad arrays. *)
 
 type cc_state = {
@@ -80,8 +123,6 @@ type cc_state = {
   done_ : bool;  (** reported to the parent (never set at the root). *)
 }
 (** A node's state in {!convergecast} and {!subtree_sizes}. *)
-
-val leader_bfs_protocol : Gr.t -> (bfs_state, int * int) Network.protocol
 
 val convergecast_protocol :
   Gr.t ->

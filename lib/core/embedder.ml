@@ -75,29 +75,18 @@ let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
     }
   in
   let round_clock () = Metrics.rounds metrics in
-  (* Phase 1 (real protocols): leader election + BFS tree, then computing
-     n over the tree — the paper's O(D) preliminaries (Section 2). *)
+  (* Phase 1 (real protocols): leader election + BFS tree, with n counted
+     on the way — the paper's O(D) preliminaries (Section 2). *)
   let r0 = Metrics.rounds metrics in
-  let states =
+  let (states, n_counted) =
     Trace.with_span trace "leader-election+bfs" ~clock:round_clock (fun () ->
-        Proto.leader_bfs ~config:pconfig g)
+        Proto.elect ~config:pconfig g)
   in
   Metrics.phase metrics "leader-election+bfs" (Metrics.rounds metrics - r0);
+  assert (n_counted = Gr.n g);
   let bt = tree_of_states g states in
   let leader = bt.Traverse.root in
   let word = Part.word g in
-  let r1 = Metrics.rounds metrics in
-  let n_counted =
-    Trace.with_span trace "count-n" ~clock:round_clock (fun () ->
-        if Gr.n g = 1 then 1
-        else
-          Proto.convergecast ~config:pconfig g
-            ~parent:bt.Traverse.parent ~root:leader
-            ~values:(Array.make (Gr.n g) 1)
-            ~op:( + ) ~value_bits:word)
-  in
-  assert (n_counted = Gr.n g);
-  Metrics.phase metrics "count-n" (Metrics.rounds metrics - r1);
   let cost =
     Costmodel.create ~bandwidth ?trace ~round_base:(Metrics.rounds metrics) g
       metrics

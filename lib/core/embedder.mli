@@ -2,9 +2,13 @@
     the repository's core entry point.
 
     On a connected planar network with [n] nodes and diameter [D], the run
-    elects the maximum-id node and builds a BFS tree with real
-    message-passing protocols, decomposes the tree by the recursive
-    embedding order of Section 4, merges partial embeddings per Section 5,
+    elects the maximum-id node, builds a BFS tree rooted there and counts
+    [n] with real message-passing protocols ({!Proto.elect}: a scaffold
+    election, then one pass that climbs the scaffold tree and sends a BFS
+    wave out of the maximum id, [O(D)] rounds and, on id layouts not
+    adversarial to its fixed mix, [O(m log n)] messages), decomposes the
+    tree by the recursive embedding order of Section 4, merges partial
+    embeddings per Section 5,
     and ends with every node holding the clockwise cyclic order of its
     incident edges in one fixed planar drawing. Round complexity is
     measured (real rounds for the protocol phases, the documented cost
@@ -24,6 +28,9 @@ type report = {
   bfs_depth : int;
   rounds : int;  (** total simulated rounds. *)
   phases : (string * int) list;
+      (** rounds per phase, in order: [leader-election+bfs] (phase 1's
+          two protocol runs, [n] counted on the way) and
+          [recursive-embedding] (the cost-model recursion). *)
   total_bits : int;
   max_edge_bits : int;  (** E7: worst pairwise communication. *)
   recursion_depth : int;
@@ -65,23 +72,24 @@ val run :
     {!Network.default_bandwidth}.
 
     A fault plan in the config ({!Fault.plan}) subjects the run's real
-    message-passing — the phase-1 leader election, BFS construction and
-    convergecast — to the plan's drops, duplicates, reordering, delays
-    and crash-restarts, with the protocols {!Reliable}-wrapped so the
-    result is still exact; the recursion's cost-model phases are
-    orchestrated, not message-passing, and proceed unchanged. Rounds and
-    fault events land on the same metrics/trace timeline as the clean
-    run ([distplanar chaos] is the command-line front end; DESIGN.md §9
-    specifies the model). Incompatible with [domains > 1], as at the
-    engine level.
+    message-passing — phase 1's two election runs — to the plan's
+    drops, duplicates, reordering, delays and crash-restarts, with the
+    protocols {!Reliable}-wrapped so the leader and every BFS distance
+    are still exact (a BFS parent may be another neighbor one layer
+    closer than in the clean run, and the rotation follows the tree);
+    the recursion's cost-model phases are orchestrated, not
+    message-passing, and proceed unchanged. Rounds and fault events land
+    on the same metrics/trace timeline as the clean run ([distplanar
+    chaos] is the command-line front end; DESIGN.md §9 specifies the
+    model). Composes with any [domains], as at the engine level.
 
     Observation goes through the config's one [observe] sink: a metrics
     sink there becomes the run's accounting (and is returned in the
     report; otherwise the embedder creates its own), and a trace sink
     makes the run decompose into named spans on one round timeline: the
-    phase-1 protocols (per-round events from the simulator), one
-    [recurse.d<level>] span per recursion call, and one [schedule.merge]
-    span per merge schedule, with part/survivor counts as span
-    attributes. A bounds request inside [observe] is ignored — the
+    phase-1 protocols (one [leader-election+bfs] span over per-round
+    events from the simulator), one [recurse.d<level>] span per recursion
+    call, and one [schedule.merge] span per merge schedule, with
+    part/survivor counts as span attributes. A bounds request inside [observe] is ignored — the
     embedder spans several protocol runs plus the cost model, so check
     {!Bounds} post-hoc on the report's metrics. *)

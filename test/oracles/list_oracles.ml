@@ -1,9 +1,13 @@
 (* The list-shaped originals of every protocol the library now runs
-   natively on the push interface: Proto's four primitives and the
+   natively on the push interface: Proto's primitives and the
    certificate verifier, as they stood before the port (only the record
    and module qualifiers changed). The differential suite runs them
    through [Network.of_lists] and demands bit-identical runs from the
-   native versions. *)
+   native versions.
+
+   The max-id flood sits here in both shapes: [max_id_flood] natively
+   (the reference [Proto.leader_bfs]'s states are pinned to, and a dense
+   workload for engine tests) and [leader_bfs] as a list protocol. *)
 
 let word_of = Gr.id_bits
 
@@ -35,6 +39,54 @@ let leader_bfs g =
           if !best = st then (st, []) else (!best, announce g v !best));
       msg_bits = (fun (_root, _d) -> 2 * word);
     }
+
+(* The native max-id flood: flood the maximum id while relaxing
+   distances. A node re-announces on every improvement, so ids that grow
+   toward the maximum cost Θ(m·D) messages. *)
+let max_id_flood g =
+  let word = word_of g in
+  let offs = Gr.dart_offsets g and nbr = Gr.dart_sources g in
+  (* One message per announce, shared by every neighbor's copy, sent in
+     ascending neighbor order. *)
+  let announce v st send =
+    let m = (st.Proto.leader, st.Proto.dist) in
+    for d = offs.(v) to offs.(v + 1) - 1 do
+      send nbr.(d) m
+    done
+  in
+  {
+    Network.init =
+      (fun _g v send ->
+        let st = { Proto.leader = v; dist = 0; parent = v } in
+        announce v st send;
+        st);
+    round =
+      (fun _g v st inbox send ->
+        let leader = ref st.Proto.leader
+        and dist = ref st.Proto.dist
+        and parent = ref st.Proto.parent
+        and better = ref false in
+        for i = 0 to Network.Inbox.length inbox - 1 do
+          let (root, d) = Network.Inbox.msg inbox i in
+          if root > !leader || (root = !leader && d + 1 < !dist) then begin
+            leader := root;
+            dist := d + 1;
+            parent := Network.Inbox.src inbox i;
+            better := true
+          end
+        done;
+        if not !better then st
+        else begin
+          let st = { Proto.leader = !leader; dist = !dist; parent = !parent } in
+          announce v st send;
+          st
+        end);
+    msg_bits = (fun _ -> 2 * word);
+  }
+
+(* Every node's state once the max-id flood quiesces. *)
+let max_id_leader_bfs ?config g =
+  (Network.exec ?config g (max_id_flood g)).Network.states
 
 let children_counts n parent root =
   let cnt = Array.make n 0 in

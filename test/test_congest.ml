@@ -154,9 +154,14 @@ let prop_leader_bfs_matches_centralized =
         states;
       !ok)
 
+(* The bound proto.mli proves for the two-run election: the scaffold
+   takes ecc(R) + 1 rounds and the fused pass ecc(R) + dist(R, M) +
+   ecc(M) + 1, at most 4D + 2 together. Cycles are sampled from 3 up;
+   the generator shifts a 0-based draw so shrinking stays inside
+   [Gen.cycle]'s domain. *)
 let prop_leader_bfs_rounds_linear_in_diameter =
   QCheck.Test.make ~name:"leader_bfs quiesces within O(D) rounds" ~count:30
-    QCheck.(int_range 3 60)
+    QCheck.(map ~rev:(fun n -> n - 3) (fun k -> k + 3) (int_range 0 57))
     (fun n ->
       let g = Gen.cycle n in
       let m = Metrics.create g in
@@ -164,7 +169,7 @@ let prop_leader_bfs_rounds_linear_in_diameter =
         Proto.leader_bfs ~config:(cfg ~observe:(Observe.of_metrics m) ()) g
       in
       let d = Traverse.diameter g in
-      Metrics.rounds m <= (3 * d) + 3)
+      Metrics.rounds m <= (4 * d) + 2)
 
 let test_convergecast_sum () =
   let g = Gen.binary_tree 15 in

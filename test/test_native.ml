@@ -1,8 +1,8 @@
 (* The push protocol interface against the list shape it replaced.
 
-   Every protocol the library runs natively (Proto's four primitives
-   and the certificate verifier) keeps its pre-port list version in
-   List_oracles. Here the two run side by side, the oracle through
+   Every protocol the library runs natively (Proto's tree primitives
+   and the certificate verifier), and the native max-id flood oracle,
+   keeps its pre-port list version in List_oracles. Here the two run side by side, the oracle through
    [Network.of_lists], and must agree bit for bit: final states, rounds,
    the engine's report, the metrics sink (round log, per-directed-edge
    bits and bursts) and the message-level trace — on every generator
@@ -56,7 +56,7 @@ let cases g =
   let certs = Certify.prove rot in
   [
     Case
-      ("leader-bfs", Proto.leader_bfs_protocol g, List_oracles.leader_bfs g);
+      ("leader-bfs", List_oracles.max_id_flood g, List_oracles.leader_bfs g);
     Case
       ( "convergecast",
         Proto.convergecast_protocol g ~parent ~root ~values ~op ~value_bits:16,
@@ -202,14 +202,14 @@ let words_per_message g proto =
   let after = words_now () in
   (after -. before) /. float r.Network.report.Network.messages
 
-(* Phase 1's hot protocol on the pipeline bench's grid: the native port
+(* The max-id flood on the pipeline bench's grid: the native port
    shares one message per announce and the engine allocates nothing per
    message, so the run's whole allocation — states, announces, the
-   engine's arrays — stays under 8 words a message. The list original
-   pays for outbox cells, tuples and inbox lists (about 33). *)
+   engine's arrays — stays under 8 words a message. The list original pays for outbox cells,
+   tuples and inbox lists (about 33). *)
 let test_leader_bfs_words () =
   let g = Gen.grid 40 40 in
-  let native = words_per_message g (Proto.leader_bfs_protocol g) in
+  let native = words_per_message g (List_oracles.max_id_flood g) in
   let oracle = words_per_message g (List_oracles.leader_bfs g) in
   check_bool
     (Printf.sprintf "native leader_bfs: %.2f words/message <= 8" native)

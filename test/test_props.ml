@@ -1,6 +1,6 @@
 (* Property sweep over the generator families and the simulator.
 
-   Three groups:
+   Four groups:
    - rotation validity: on every family in Gen, the embedder's verdict
      matches the centralized DMP verdict, accepted rotations are genus-0,
      and their face count satisfies Euler's formula [n - m + f = 2]
@@ -11,7 +11,11 @@
      before the engine's round limit;
    - delivery order: the documented inbox guarantee (sorted by sender id,
      per-sender outbox order preserved) observed by order-sensitive
-     protocols. *)
+     protocols;
+   - phase 1: [Proto.leader_bfs] leaves every node in the state the
+     max-id flood it replaced leaves, on every family above and at every
+     domain count, in O(m log n) messages on the layouts that made the
+     flood send Θ(m·D). *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -85,17 +89,19 @@ let seed_prop name build =
       verify_family (Printf.sprintf "%s seed=%d" name seed) (build seed);
       true)
 
-let random_family_props =
+let random_families =
   [
-    seed_prop "random tree" (fun seed -> Gen.random_tree ~seed 20);
-    seed_prop "random maximal planar" (fun seed ->
-        Gen.random_maximal_planar ~seed 30);
-    seed_prop "random planar" (fun seed -> Gen.random_planar ~seed ~n:24 ~m:40);
-    seed_prop "random outerplanar" (fun seed ->
-        Gen.random_outerplanar ~seed ~n:20 ~chord_prob:0.5);
-    seed_prop "random connected graph" (fun seed ->
-        Gen.random_connected_graph ~seed ~n:16 ~m:24);
+    ("random tree", fun seed -> Gen.random_tree ~seed 20);
+    ("random maximal planar", fun seed -> Gen.random_maximal_planar ~seed 30);
+    ("random planar", fun seed -> Gen.random_planar ~seed ~n:24 ~m:40);
+    ( "random outerplanar",
+      fun seed -> Gen.random_outerplanar ~seed ~n:20 ~chord_prob:0.5 );
+    ( "random connected graph",
+      fun seed -> Gen.random_connected_graph ~seed ~n:16 ~m:24 );
   ]
+
+let random_family_props =
+  List.map (fun (name, build) -> seed_prop name build) random_families
 
 let test_relabelled () =
   (* Vertex numbering must not matter: relabel a grid by a random
@@ -268,6 +274,106 @@ let test_order_observing_deterministic () =
   let s2 = (Network.exec g proto).Network.states in
   check_bool "order-observing states identical" true (s1 = s2)
 
+(* ------------------------------------------------------------------ *)
+(* Phase 1 against the max-id flood                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every family of this file (the random ones at three seeds each, the
+   relabelled grids at theirs), the degenerate sizes, and the shapes
+   whose diameter or degree is extreme. *)
+let phase1_families =
+  let seeded =
+    List.concat_map
+      (fun (name, build) ->
+        List.map (fun seed -> (Printf.sprintf "%s seed=%d" name seed, build seed))
+          [ 1; 2; 3 ])
+      (random_families
+      @ [
+          ( "relabelled grid",
+            fun seed ->
+              let g = Gen.grid 4 6 in
+              Gr.relabel g (Gen.random_permutation ~seed (Gr.n g)) );
+        ])
+  in
+  fixed_families @ seeded
+  @ [
+      ("n=1", Gen.path 1);
+      ("n=2", Gen.path 2);
+      ("star 40", Gen.star 40);
+      ("path 200", Gen.path 200);
+      ("binary tree 127", Gen.binary_tree 127);
+      ("cycle 101", Gen.cycle 101);
+      ("grid 7x7", Gen.grid 7 7);
+      ("maxplanar 100", Gen.random_maximal_planar ~seed:11 100);
+    ]
+
+let test_leader_bfs_matches_flood () =
+  List.iter
+    (fun (name, g) ->
+      let want = List_oracles.max_id_leader_bfs g in
+      List.iter
+        (fun domains ->
+          let config = Network.Config.make ~domains () in
+          let (got, n) = Proto.elect ~config g in
+          let label = Printf.sprintf "%s [domains=%d]" name domains in
+          check_bool (label ^ ": states equal the max-id flood's") true
+            (got = want);
+          check (label ^ ": n learned") (Gr.n g) n)
+        [ 1; 2; 4 ])
+    phase1_families
+
+let phase1_messages g =
+  let m = Metrics.create g in
+  ignore
+    (Proto.leader_bfs
+       ~config:(Network.Config.make ~observe:(Observe.of_metrics m) ())
+       g);
+  Metrics.messages m
+
+(* Phase 1 sends at most [c · m · ⌈log₂ n⌉] messages, c = 3
+   ([Gr.id_bits] is ⌈log₂ n⌉ for n >= 2), on paths and cycles of 16 to
+   3000 nodes and square-ish grids of 16 to 2600, each with its
+   generator numbering (ids growing along the graph: the
+   max-id flood's Θ(m·D) layout), with reversed ids, and under a seeded
+   random relabelling. Measured worst c over those ranges (n >= 64 in
+   brackets): path 2.32 (1.97), cycle 2.61 (1.89), grid 1.90 (1.78) for
+   the generator and reversed layouts; 2.93 (2.54) for random ones. At
+   the bench sizes: path-5k 1.59, cycle-2k 1.70, grid-40x40 1.42. *)
+let prop_phase1_messages_m_log_n =
+  let shapes =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> ("path", Gen.path n)) (int_range 16 3000);
+          map (fun n -> ("cycle", Gen.cycle n)) (int_range 16 3000);
+          map (fun r -> ("grid", Gen.grid r (r + 1))) (int_range 4 50);
+        ])
+  in
+  let layouts = QCheck.Gen.(pair (int_range 0 2) (int_range 0 10_000)) in
+  QCheck.Test.make ~count:40
+    ~name:"phase-1 messages <= 3 m ceil(log2 n) on path, cycle, grid"
+    (QCheck.make
+       ~print:(fun ((fam, g), (layout, seed)) ->
+         Printf.sprintf "%s n=%d layout=%d seed=%d" fam (Gr.n g) layout seed)
+       (QCheck.Gen.pair shapes layouts))
+    (fun ((_, g), (layout, seed)) ->
+      let n = Gr.n g in
+      let g =
+        match layout with
+        | 0 -> g
+        | 1 -> Gr.relabel g (Array.init n (fun v -> n - 1 - v))
+        | _ -> Gr.relabel g (Gen.random_permutation ~seed n)
+      in
+      phase1_messages g <= 3 * Gr.m g * Gr.id_bits g)
+
+(* The two inputs the flood was worst on among the pipeline bench's and
+   the scaling probe's: 249,600 and 24,999,999 messages. *)
+let test_phase1_messages_pinned () =
+  let grid = phase1_messages (Gen.grid 40 40)
+  and path = phase1_messages (Gen.path 5000) in
+  check_bool (Printf.sprintf "grid-40x40: %d <= 55,000" grid) true (grid <= 55_000);
+  check_bool (Printf.sprintf "path-5k: %d <= 150,000" path) true (path <= 150_000)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest random_family_props in
   Alcotest.run "props"
@@ -291,5 +397,13 @@ let () =
           Alcotest.test_case "same-sender order" `Quick test_same_sender_order;
           Alcotest.test_case "order-observing determinism" `Quick
             test_order_observing_deterministic;
+        ] );
+      ( "phase 1",
+        [
+          Alcotest.test_case "leader_bfs equals the max-id flood" `Quick
+            test_leader_bfs_matches_flood;
+          QCheck_alcotest.to_alcotest prop_phase1_messages_m_log_n;
+          Alcotest.test_case "messages on grid-40x40 and path-5k" `Quick
+            test_phase1_messages_pinned;
         ] );
     ]

@@ -246,7 +246,7 @@ let test_spans_well_formed () =
   List.iter
     (fun expected ->
       check_bool (expected ^ " present") true (List.mem expected names))
-    [ "leader-election+bfs"; "count-n"; "recursive-embedding"; "recurse.d0";
+    [ "leader-election+bfs"; "recursive-embedding"; "recurse.d0";
       "schedule.merge" ]
 
 let test_span_attrs () =
@@ -277,12 +277,13 @@ let test_event_cap () =
 (* ------------------------------------------------------------------ *)
 
 let test_round_log_consistent () =
+  (* One engine run: the max-id flood, a dense multi-round workload. *)
   let g = Gen.grid 6 6 in
   let m = Metrics.create g in
   let _ =
-    Proto.leader_bfs
+    Network.exec
       ~config:(Network.Config.make ~observe:(Observe.of_metrics m) ())
-      g
+      g (List_oracles.max_id_flood g)
   in
   let log = Metrics.round_log m in
   check "one record per executed round" (Metrics.rounds m + 1)
