@@ -13,19 +13,8 @@
                                               # exit 1 on any gate
      dune exec bench/certify_bench.exe -- --out F   # write the JSON to F
 
-   Results go to BENCH_certify.json and stdout. *)
-
-let measure ~reps f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !best then best := t1 -. t0
-  done;
-  !best
+   Results go to BENCH_certify.json and stdout, with the host's core
+   count and OCaml version. *)
 
 type case = {
   name : string;
@@ -71,8 +60,10 @@ let run_case ~reps name g =
         if (Certify.verify r bad).Certify.all_accept then acc else acc + 1)
       0 mutant_seeds
   in
-  let prove_wall = measure ~reps (fun () -> Certify.prove r) in
-  let verify_wall = measure ~reps (fun () -> Certify.verify r certs) in
+  let prove_wall, _ = Harness.best_of ~reps (fun () -> Certify.prove r) in
+  let verify_wall, _ =
+    Harness.best_of ~reps (fun () -> Certify.verify r certs)
+  in
   let c =
     {
       name;
@@ -103,107 +94,58 @@ let run_case ~reps name g =
      else "FAIL");
   c
 
-(* Workloads ---------------------------------------------------------- *)
+(* JSON and driver ------------------------------------------------------ *)
 
-let cases quick =
-  let mp = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
-  let gr = if quick then [ 22; 50 ] else [ 22; 50; 100; 173 ] in
-  let op = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
-  let k4 = if quick then [ 80; 333 ] else [ 80; 333; 1333; 5000 ] in
-  List.concat
-    [
-      List.map
-        (fun n ->
-          ( Printf.sprintf "maxplanar-%d" n,
-            Gen.random_maximal_planar ~seed:(42 + n) n ))
-        mp;
-      List.map (fun s -> (Printf.sprintf "grid-%dx%d" s s, Gen.grid s s)) gr;
-      List.map
-        (fun n ->
-          ( Printf.sprintf "outerplanar-%d" n,
-            Gen.random_outerplanar ~seed:(7 + n) ~n ~chord_prob:0.5 ))
-        op;
-      List.map
-        (fun s -> (Printf.sprintf "k4-subdiv-%d" s, Gen.k4_subdivision s))
-        k4;
-    ]
-
-(* JSON ---------------------------------------------------------------- *)
-
-let json_of_cases cases =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"certify-prove-verify\",\n";
-  Buffer.add_string b
-    "  \"unit\": { \"wall\": \"seconds\", \"size\": \"bits\" },\n";
-  Buffer.add_string b "  \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"m\": %d, \"word_bits\": %d,\n\
-           \      \"total_bits\": %d, \"mean_bits\": %.1f, \
-            \"mean_words\": %.2f, \"max_bits\": %d,\n\
-           \      \"prove_wall_s\": %.6f, \"verify_wall_s\": %.6f, \
-            \"rounds\": %d,\n\
-           \      \"accept\": %b, \"bounds_ok\": %b, \
-            \"mutants_rejected\": \"%d/%d\" }%s\n"
-           c.name c.n c.m c.word c.total_bits c.mean_bits
-           (c.mean_bits /. float_of_int c.word)
-           c.max_bits c.prove_wall c.verify_wall c.rounds c.accept c.bounds_ok
-           c.mutants_rejected c.mutants_tried
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* Driver -------------------------------------------------------------- *)
+let json_of_case (c : case) =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.name); ("n", Int c.n); ("m", Int c.m);
+        ("word_bits", Int c.word); ("total_bits", Int c.total_bits);
+        ("mean_bits", Num (1, c.mean_bits));
+        ("mean_words", Num (2, c.mean_bits /. float_of_int c.word));
+        ("max_bits", Int c.max_bits); ("prove_wall_s", secs c.prove_wall);
+        ("verify_wall_s", secs c.verify_wall); ("rounds", Int c.rounds);
+        ("accept", Bool c.accept); ("bounds_ok", Bool c.bounds_ok);
+        ( "mutants_rejected",
+          Str (Printf.sprintf "%d/%d" c.mutants_rejected c.mutants_tried) );
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_certify.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | [ "--out" ] ->
-        prerr_endline "certify: --out expects a file name";
-        exit 2
-    | arg :: _ ->
-        Printf.eprintf "certify: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let reps = if !quick then 2 else 3 in
+  let cli = Harness.args "certify" ~out:"BENCH_certify.json" in
+  let reps = if cli.quick then 2 else 3 in
   Printf.printf "certification tier: prover and one-round verifier%s\n\n"
-    (if !quick then " [--quick]" else "");
+    (if cli.quick then " [--quick]" else "");
   let results =
-    List.map (fun (name, g) -> run_case ~reps name g) (cases !quick)
+    List.map
+      (fun (name, g) -> run_case ~reps name g)
+      (Harness.planar_families cli.quick)
   in
-  let oc = open_out !out in
-  output_string oc (json_of_cases results);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
   (* Gates: any clean family rejecting, any surviving mutant, more than
      one verification round, a failed Bounds verdict, or a mean
      certificate above 32 words poisons the run. *)
-  let bad =
-    List.filter
+  let failures =
+    List.filter_map
       (fun c ->
-        (not c.accept) || (not c.bounds_ok) || c.rounds > 1
-        || c.mutants_rejected < c.mutants_tried
-        || c.mean_bits > 32. *. float_of_int c.word)
+        if
+          (not c.accept) || (not c.bounds_ok) || c.rounds > 1
+          || c.mutants_rejected < c.mutants_tried
+          || c.mean_bits > 32. *. float_of_int c.word
+        then
+          Some
+            (Printf.sprintf
+               "gate failed on %s (accept=%b bounds=%b rounds=%d \
+                mutants=%d/%d mean=%.1fb word=%d)"
+               c.name c.accept c.bounds_ok c.rounds c.mutants_rejected
+               c.mutants_tried c.mean_bits c.word)
+        else None)
       results
   in
-  List.iter
-    (fun c ->
-      Printf.eprintf
-        "certify: gate failed on %s (accept=%b bounds=%b rounds=%d \
-         mutants=%d/%d mean=%.1fb word=%d)\n"
-        c.name c.accept c.bounds_ok c.rounds c.mutants_rejected
-        c.mutants_tried c.mean_bits c.word)
-    bad;
-  if bad <> [] then exit 1
+  Harness.(
+    finish cli
+      (document "certify-prove-verify"
+         [
+           ("unit", Obj [ ("wall", Str "seconds"); ("size", Str "bits") ]);
+           ("cases", List (List.map json_of_case results));
+         ])
+      failures)

@@ -18,8 +18,9 @@
                 clean one.
 
    Results go to BENCH_chaos.json and stdout, with the host's core
-   count ("cores") and OCaml version. Every engine run here uses one
-   domain; --jobs only fans the sweep's independent runs out.
+   count ("cores") and OCaml version. Walls are monotonic wall-clock
+   seconds. Every engine run here uses one domain; --jobs only fans the
+   sweep's independent runs out.
 
      dune exec bench/chaos.exe              # full sweep
      dune exec bench/chaos.exe -- --quick   # CI smoke: small cases,
@@ -40,12 +41,6 @@ let flood =
     msg_bits = (fun _ -> 20);
   }
 
-let measure f =
-  Gc.full_major ();
-  let t0 = Sys.time () in
-  let x = f () in
-  (x, Sys.time () -. t0)
-
 let zero_plan ~seed = Fault.make ~spec:Fault.default ~seed ()
 
 (* ------------------------------------------------------------------ *)
@@ -65,12 +60,12 @@ type overhead = {
 
 let run_overhead name g =
   let clean, clean_wall =
-    measure (fun () ->
+    Harness.time (fun () ->
         Network.exec ~config:(Network.Config.make ~bandwidth:4096 ()) g flood)
   in
   let stats = Reliable.counters () in
   let reliable, reliable_wall =
-    measure (fun () ->
+    Harness.time (fun () ->
         Reliable.exec ~bandwidth:4096 ~faults:(zero_plan ~seed:1) ~stats g flood)
   in
   let c =
@@ -114,7 +109,7 @@ type sweep = {
   euler_ok : bool;
 }
 
-let run_sweep ?(jobs = 1) name g ~drops ~seed =
+let run_sweep ~jobs name g ~drops ~seed =
   let clean = Embedder.run g in
   let clean_rounds = clean.Embedder.report.Embedder.rounds in
   (* Each drop rate is an independent fault-injected run with its own
@@ -230,96 +225,57 @@ let run_crash name g ~node ~at ~restart =
   c
 
 (* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
+(* JSON and driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let json ~overheads ~sweeps ~crashes =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"congest-chaos\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string b
-    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
-  Buffer.add_string b "  \"unit\": { \"wall\": \"seconds\" },\n";
-  Buffer.add_string b "  \"reliable_overhead\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"clean_rounds\": %d, \
-            \"reliable_rounds\": %d,\n\
-           \      \"round_ratio\": %.3f, \"clean_wall_s\": %.6f, \
-            \"reliable_wall_s\": %.6f,\n\
-           \      \"retransmits\": %d, \"ok\": %b }%s\n"
-           c.o_name c.o_n c.clean_rounds c.reliable_rounds
-           (float_of_int c.reliable_rounds /. float_of_int (max 1 c.clean_rounds))
-           c.clean_wall c.reliable_wall c.retransmits c.o_ok
-           (if i = List.length overheads - 1 then "" else ",")))
-    overheads;
-  Buffer.add_string b "  ],\n  \"drop_sweep\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"drop\": %.2f, \"seed\": %d, \
-            \"clean_rounds\": %d,\n\
-           \      \"rounds\": %d, \"round_overhead\": %.3f, \"dropped\": %d, \
-            \"euler_ok\": %b }%s\n"
-           c.s_name c.s_n c.drop c.s_seed c.s_clean_rounds c.s_rounds
-           (float_of_int c.s_rounds /. float_of_int (max 1 c.s_clean_rounds))
-           c.dropped c.euler_ok
-           (if i = List.length sweeps - 1 then "" else ",")))
-    sweeps;
-  Buffer.add_string b "  ],\n  \"crash_recovery\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"node\": %d, \"down_at\": %d, \
-            \"restart_at\": %d,\n\
-           \      \"clean_rounds\": %d, \"rounds\": %d, \"crash_lost\": %d, \
-            \"ok\": %b }%s\n"
-           c.c_name c.c_n c.c_node c.c_at c.c_restart c.c_clean_rounds
-           c.c_rounds c.crash_lost c.c_ok
-           (if i = List.length crashes - 1 then "" else ",")))
-    crashes;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+let ratio a b = Harness.Num (3, float_of_int a /. float_of_int (max 1 b))
+
+let json_of_overhead c =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.o_name); ("n", Int c.o_n);
+        ("clean_rounds", Int c.clean_rounds);
+        ("reliable_rounds", Int c.reliable_rounds);
+        ("round_ratio", ratio c.reliable_rounds c.clean_rounds);
+        ("clean_wall_s", secs c.clean_wall);
+        ("reliable_wall_s", secs c.reliable_wall);
+        ("retransmits", Int c.retransmits); ("ok", Bool c.o_ok);
+      ])
+
+let json_of_sweep c =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.s_name); ("n", Int c.s_n); ("drop", Num (2, c.drop));
+        ("seed", Int c.s_seed); ("clean_rounds", Int c.s_clean_rounds);
+        ("rounds", Int c.s_rounds);
+        ("round_overhead", ratio c.s_rounds c.s_clean_rounds);
+        ("dropped", Int c.dropped); ("euler_ok", Bool c.euler_ok);
+      ])
+
+let json_of_crash c =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.c_name); ("n", Int c.c_n); ("node", Int c.c_node);
+        ("down_at", Int c.c_at); ("restart_at", Int c.c_restart);
+        ("clean_rounds", Int c.c_clean_rounds); ("rounds", Int c.c_rounds);
+        ("crash_lost", Int c.crash_lost); ("ok", Bool c.c_ok);
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_chaos.json" in
-  let jobs = ref 1 in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | "--jobs" :: k :: rest -> (
-        match int_of_string_opt k with
-        | Some k when k >= 1 ->
-            jobs := k;
-            parse rest
-        | _ ->
-            Printf.eprintf "chaos: --jobs expects a positive integer\n";
-            exit 2)
-    | arg :: _ ->
-        Printf.eprintf "chaos: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let cli = Harness.args ~jobs:true "chaos" ~out:"BENCH_chaos.json" in
+  let jobs = cli.jobs in
   let drops = [ 0.0; 0.02; 0.05; 0.1 ] in
   (* Sequence the cases explicitly: effectful calls inside tuple and
      list literals would evaluate (and print) right to left. *)
   let overheads, sweeps, crashes =
-    if !quick then begin
+    if cli.quick then begin
       let o1 = run_overhead "grid-12x12" (Gen.grid 12 12) in
       let s1 =
-        run_sweep ~jobs:!jobs "grid-12x12" (Gen.grid 12 12)
-          ~drops:[ 0.0; 0.05 ] ~seed:11
+        run_sweep ~jobs "grid-12x12" (Gen.grid 12 12) ~drops:[ 0.0; 0.05 ]
+          ~seed:11
       in
       let c1 = run_crash "cycle-64" (Gen.cycle 64) ~node:5 ~at:4 ~restart:12 in
       ([ o1 ], s1, [ c1 ])
@@ -327,10 +283,10 @@ let () =
     else begin
       let o1 = run_overhead "grid-32x32" (Gen.grid 32 32) in
       let o2 = run_overhead "cycle-1k" (Gen.cycle 1_000) in
-      let s1 = run_sweep ~jobs:!jobs "grid-24x24" (Gen.grid 24 24) ~drops ~seed:11 in
-      let s2 = run_sweep ~jobs:!jobs "cycle-128" (Gen.cycle 128) ~drops ~seed:11 in
+      let s1 = run_sweep ~jobs "grid-24x24" (Gen.grid 24 24) ~drops ~seed:11 in
+      let s2 = run_sweep ~jobs "cycle-128" (Gen.cycle 128) ~drops ~seed:11 in
       let s3 =
-        run_sweep ~jobs:!jobs "maxplanar-400"
+        run_sweep ~jobs "maxplanar-400"
           (Gen.random_maximal_planar ~seed:3 400)
           ~drops ~seed:11
       in
@@ -341,10 +297,6 @@ let () =
       ([ o1; o2 ], s1 @ s2 @ s3, [ c1; c2 ])
     end
   in
-  let oc = open_out !out in
-  output_string oc (json ~overheads ~sweeps ~crashes);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
   (* CI gate: every fault-injected run must still compute the right
      answer — degradation is allowed in rounds, never in results. *)
   let wrong =
@@ -352,7 +304,15 @@ let () =
     + List.length (List.filter (fun c -> not c.euler_ok) sweeps)
     + List.length (List.filter (fun c -> not c.c_ok) crashes)
   in
-  if wrong > 0 then begin
-    Printf.eprintf "chaos: %d case(s) produced a wrong result\n" wrong;
-    exit 1
-  end
+  Harness.(
+    finish cli
+      (document "congest-chaos"
+         [
+           ("unit", Obj [ ("wall", Str "seconds") ]);
+           ("reliable_overhead", List (List.map json_of_overhead overheads));
+           ("drop_sweep", List (List.map json_of_sweep sweeps));
+           ("crash_recovery", List (List.map json_of_crash crashes));
+         ])
+      (if wrong > 0 then
+         [ Printf.sprintf "%d case(s) produced a wrong result" wrong ]
+       else []))

@@ -43,7 +43,7 @@ type case = {
   valid : bool;
 }
 
-let snapshot_walls g0 tr samples =
+let snapshot_walls tr samples =
   (* Edge sets at evenly spaced points of the trace, each embedded from
      scratch once. *)
   let n = tr.Churn.n in
@@ -52,7 +52,6 @@ let snapshot_walls g0 tr samples =
   List.iter
     (fun (u, v) -> Hashtbl.replace present (key u v) (u, v))
     tr.Churn.initial;
-  ignore g0;
   let total = Array.length tr.Churn.ops in
   let marks =
     Array.init samples (fun i -> ((i + 1) * total / samples) - 1)
@@ -68,14 +67,11 @@ let snapshot_walls g0 tr samples =
         incr next;
         let edges = Hashtbl.fold (fun _ e acc -> e :: acc) present [] in
         let g = Gr.of_edges ~n edges in
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        (match Planarity.embed g with
-        | Planarity.Planar _ -> ()
-        | Planarity.Nonplanar ->
+        match Harness.time (fun () -> Planarity.embed g) with
+        | Planarity.Planar _, wall -> walls := wall :: !walls
+        | Planarity.Nonplanar, _ ->
             prerr_endline "churn bench: within-pool snapshot not planar";
-            exit 2);
-        walls := (Unix.gettimeofday () -. t0) :: !walls
+            exit 2
       end)
     tr.Churn.ops;
   !walls
@@ -97,13 +93,10 @@ let run_case ~samples name family insert_pct mk =
   let tr = Churn.make ~seed:(77 + n + insert_pct) ~updates ~insert_pct g in
   let g0 = Churn.initial_graph tr in
   let inc = Incremental.create g0 in
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  Churn.replay inc tr;
-  let inc_wall = Unix.gettimeofday () -. t0 in
+  let (), inc_wall = Harness.time (fun () -> Churn.replay inc tr) in
   let valid = Incremental.validate inc in
   let s = Incremental.stats inc in
-  let walls = snapshot_walls g0 tr samples in
+  let walls = snapshot_walls tr samples in
   let scratch_wall =
     List.fold_left ( +. ) 0.0 walls /. float_of_int (max 1 (List.length walls))
   in
@@ -185,110 +178,78 @@ let cases quick =
        else [ ("grid-100x100-i25", "grid", 25, fun () -> Gen.grid 100 100) ]);
     ]
 
-(* JSON ----------------------------------------------------------------- *)
+(* JSON and driver ------------------------------------------------------ *)
 
-let json_of_cases ~cores cases =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"incremental-churn\",\n";
-  Buffer.add_string b
-    "  \"unit\": { \"wall\": \"seconds\", \"throughput\": \"updates/s\" },\n";
-  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string b "  \"threads\": 1,\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
-  Buffer.add_string b
-    "  \"baseline\": \"from-scratch Planarity.embed on sampled snapshots\",\n";
-  Buffer.add_string b "  \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"family\": %S, \"n\": %d, \"m_pool\": %d, \
-            \"updates\": %d, \"insert_pct\": %d,\n\
-           \      \"inc_wall_s\": %.6f, \"updates_per_s\": %.0f, \
-            \"scratch_embed_wall_s\": %.6f, \"scratch_sampled\": %d, \
-            \"speedup\": %.1f,\n\
-           \      \"fast\": %d, \"linked\": %d, \"reembedded\": %d, \
-            \"rejected\": %d, \"rescopes\": %d, \"kernel_edges\": %d, \
-            \"face_steps\": %d, \"valid\": %b }%s\n"
-           c.name c.family c.n c.m_pool c.updates c.insert_pct c.inc_wall
-           c.ups c.scratch_wall c.scratch_sampled c.speedup c.fast c.linked
-           c.reembedded c.rejected c.rescopes c.kernel_edges c.face_steps
-           c.valid
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* Driver --------------------------------------------------------------- *)
+let json_of_case (c : case) =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.name); ("family", Str c.family); ("n", Int c.n);
+        ("m_pool", Int c.m_pool); ("updates", Int c.updates);
+        ("insert_pct", Int c.insert_pct); ("inc_wall_s", secs c.inc_wall);
+        ("updates_per_s", Num (0, c.ups));
+        ("scratch_embed_wall_s", secs c.scratch_wall);
+        ("scratch_sampled", Int c.scratch_sampled);
+        ("speedup", Num (1, c.speedup)); ("fast", Int c.fast);
+        ("linked", Int c.linked); ("reembedded", Int c.reembedded);
+        ("rejected", Int c.rejected); ("rescopes", Int c.rescopes);
+        ("kernel_edges", Int c.kernel_edges); ("face_steps", Int c.face_steps);
+        ("valid", Bool c.valid);
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_churn.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | [ "--out" ] ->
-        prerr_endline "churn: --out expects a file name";
-        exit 2
-    | arg :: _ ->
-        Printf.eprintf "churn: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let cli = Harness.args "churn" ~out:"BENCH_churn.json" in
   (* A larger minor heap for both sides of the comparison: the scope
      re-embeds and the scratch baseline are equally allocation-heavy,
      and the 256k-word default promotes half their short-lived arrays. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
-  let samples = if !quick then 3 else 5 in
+  let samples = if cli.quick then 3 else 5 in
   Printf.printf
     "churn tier: incremental maintenance vs from-scratch embedding \
      (single-threaded)%s\n\n"
-    (if !quick then " [--quick]" else "");
+    (if cli.quick then " [--quick]" else "");
   let results =
     List.map
       (fun (name, family, pct, mk) -> run_case ~samples name family pct mk)
-      (cases !quick)
+      (cases cli.quick)
   in
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out !out in
-  output_string oc (json_of_cases ~cores results);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
+  let cores = Harness.cores in
   (* Gates: every final state Euler-valid, zero rejections on within-pool
      traces, and the incremental path at least 5x from-scratch on the
-     insert-heavy grid at n >= 10k. *)
-  let bad = List.filter (fun c -> (not c.valid) || c.rejected > 0) results in
-  List.iter
-    (fun c ->
-      Printf.eprintf "churn: gate failed on %s (valid=%b rejected=%d)\n"
-        c.name c.valid c.rejected)
-    bad;
-  (* The wall-clock gate is a same-machine ratio, but on a single-core
-     runner both sides contend with everything else on the box and the
-     ratio gets noisy — report it there without enforcing, same pattern
-     as the scaling bench's skipped wall gates. *)
-  let slow =
-    if cores >= 2 then
-      List.filter
-        (fun c ->
-          c.family = "grid" && c.n >= 10000 && c.insert_pct >= 90
-          && c.speedup < 5.0)
-        results
-    else begin
-      Printf.printf
-        "speedup gate skipped: only %d core(s) available, need >= 2\n" cores;
-      []
-    end
+     insert-heavy grid at n >= 10k. The wall-clock gate is a
+     same-machine ratio, but on a single-core runner both sides contend
+     with everything else on the box and the ratio gets noisy — report
+     it there without enforcing, same pattern as the scaling bench's
+     skipped wall gates. *)
+  if cores < 2 then
+    Printf.printf
+      "speedup gate skipped: only %d core(s) available, need >= 2\n" cores;
+  let failures =
+    List.concat_map
+      (fun c ->
+        (if (not c.valid) || c.rejected > 0 then
+           [ Printf.sprintf "gate failed on %s (valid=%b rejected=%d)" c.name
+               c.valid c.rejected ]
+         else [])
+        @
+        if
+          cores >= 2 && c.family = "grid" && c.n >= 10000
+          && c.insert_pct >= 90 && c.speedup < 5.0
+        then
+          [ Printf.sprintf "speedup gate failed on %s (%.1fx < 5x)" c.name
+              c.speedup ]
+        else [])
+      results
   in
-  List.iter
-    (fun c ->
-      Printf.eprintf "churn: speedup gate failed on %s (%.1fx < 5x)\n" c.name
-        c.speedup)
-    slow;
-  if bad <> [] || slow <> [] then exit 1
+  Harness.(
+    finish cli
+      (document "incremental-churn"
+         [
+           ( "unit",
+             Obj [ ("wall", Str "seconds"); ("throughput", Str "updates/s") ] );
+           ("threads", Int 1);
+           ( "baseline",
+             Str "from-scratch Planarity.embed on sampled snapshots" );
+           ("cases", List (List.map json_of_case results));
+         ])
+      failures)

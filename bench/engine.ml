@@ -25,8 +25,10 @@
    states equal the flood's, its messages stay within 3 · m · ⌈log₂ n⌉,
    and the path embeds.
 
-   Results go to BENCH_engine.json (with the core count and OCaml
-   version) and stdout.
+   Every time is monotonic wall-clock seconds except the d2 column's,
+   which is process CPU time ("d2_cpu_s"). Results go to
+   BENCH_engine.json (with the core count and OCaml version) and
+   stdout.
 
      dune exec bench/engine.exe              # full sweep, grids to n=100k
      dune exec bench/engine.exe -- --quick   # CI smoke: small cases only,
@@ -144,23 +146,6 @@ let token_ring_lists n ttl =
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* OCaml 5 folds minor-heap allocation into [quick_stat] only at a minor
-   collection, so one is forced first; otherwise a reading lags by up to
-   a whole minor heap. *)
-let words_now () =
-  Gc.minor ();
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
-let measure ?(clock = Sys.time) f =
-  Gc.full_major ();
-  let w0 = words_now () in
-  let t0 = clock () in
-  let x = f () in
-  let t1 = clock () in
-  let w1 = words_now () in
-  (x, t1 -. t0, w1 -. w0)
-
 type shape = { wall : float; words : float; wpm : float }
 
 type case = {
@@ -219,8 +204,10 @@ let prep name g proto proto_lists =
       bare.Network.rounds,
       bare.Network.report.Network.messages )
   in
-  let time ?(config = config) p =
-    let (r, wall, words) = measure (fun () -> Network.exec ~config g p) in
+  let time ?(config = config) ?clock p =
+    let r, wall, words =
+      Harness.counted ?clock (fun () -> Network.exec ~config g p)
+    in
     let msgs = max 1 r.Network.report.Network.messages in
     ({ wall; words; wpm = words /. float msgs }, r)
   in
@@ -230,8 +217,9 @@ let prep name g proto proto_lists =
     let sized r = Array.length r.Network.states = Gr.n g in
     let (d2, ok_d2) =
       if is_flood name then begin
-        let (d2, r_2) =
-          time ~config:(Network.Config.with_domains 2 config) proto
+        let d2, r_2 =
+          time ~config:(Network.Config.with_domains 2 config) ~clock:Sys.time
+            proto
         in
         ( Some d2,
           r_2.Network.states = r_n.Network.states
@@ -312,8 +300,8 @@ let p1_side g run =
   let states =
     run (Network.Config.make ~observe:(Observe.of_metrics m) ()) g
   in
-  let (_, wall, words) =
-    measure ~clock:Unix.gettimeofday (fun () -> run Network.Config.default g)
+  let _, wall, words =
+    Harness.counted (fun () -> run Network.Config.default g)
   in
   let msgs = Metrics.messages m in
   ( states,
@@ -388,111 +376,61 @@ let embedder_gate_s = 0.5
 let embedder_row ~quick =
   let n = if quick then 5_000 else 20_000 in
   let g = Gen.path n in
-  let t0 = Unix.gettimeofday () in
-  let o = Embedder.run g in
-  let wall = Unix.gettimeofday () -. t0 in
+  let o, wall = Harness.time (fun () -> Embedder.run g) in
   Printf.printf "\nEmbedder.run path-%dk: %.3f s wall (gate %.1f s at 20k), %s\n%!"
     (n / 1000) wall embedder_gate_s
     (if o.Embedder.rotation <> None then "planar" else "REJECTED");
   (Printf.sprintf "path-%dk" (n / 1000), n, wall, o.Embedder.rotation <> None)
 
-let json_of_p1_side s =
-  Printf.sprintf
-    "{ \"messages\": %d, \"rounds\": %d, \"wall_s\": %.6f, \
-     \"alloc_words\": %.0f, \"words_per_msg\": %.3f }"
-    s.msgs s.p1_rounds s.time.wall s.time.words s.time.wpm
+(* ------------------------------------------------------------------ *)
+(* JSON and driver                                                     *)
+(* ------------------------------------------------------------------ *)
 
-let json_of_cases ~cores cases ~phase1 ~embedder =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"congest-engine-exec\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string b
-    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
-  Buffer.add_string b
-    "  \"unit\": { \"wall\": \"seconds\", \"alloc\": \"words\" },\n";
-  Buffer.add_string b
-    "  \"shapes\": { \"native\": \"push send + inbox view\", \"list\": \
-     \"list original via Network.of_lists\" },\n";
-  Buffer.add_string b "  \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"m\": %d, \"rounds\": %d, \
-            \"messages\": %d,\n\
-           \      \"wall_s\": %.6f, \"alloc_words\": %.0f, \
-            \"words_per_msg\": %.3f,\n\
-           \      \"list_wall_s\": %.6f, \"list_alloc_words\": %.0f, \
-            \"list_words_per_msg\": %.3f,%s \"identical\": %b }%s\n"
-           c.name c.n c.m c.rounds c.messages c.native.wall c.native.words
-           c.native.wpm c.lists.wall c.lists.words c.lists.wpm
-           (match c.d2 with
-           | Some s ->
-               Printf.sprintf
-                 "\n      \"d2_cpu_s\": %.6f, \"d2_alloc_words\": %.0f, \
-                  \"d2_words_per_msg\": %.3f,"
-                 s.wall s.words s.wpm
-           | None -> "")
-           c.identical
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"phase1_bound\": \"messages <= %d * m * ceil(log2 n)\",\n\
-       \  \"phase1\": [\n"
-       phase1_c);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"m\": %d, \"bound\": %d, \
-            \"same_states\": %b,\n\
-           \      \"flood\": %s,\n\
-           \      \"election\": %s }%s\n"
-           r.p1_name r.p1_n r.p1_m r.bound r.same_states
-           (json_of_p1_side r.flood_side)
-           (json_of_p1_side r.election)
-           (if i = List.length phase1 - 1 then "" else ",")))
-    phase1;
-  let (name, n, wall, planar) = embedder in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  ],\n\
-       \  \"embedder\": { \"name\": %S, \"n\": %d, \"wall_s\": %.6f, \
-        \"gate_s\": %.1f, \"planar\": %b }\n}\n"
-       name n wall embedder_gate_s planar);
-  Buffer.contents b
+let json_of_case (c : case) =
+  let shape prefix time_key s =
+    Harness.
+      [
+        (prefix ^ time_key, secs s.wall);
+        (prefix ^ "alloc_words", Num (0, s.words));
+        (prefix ^ "words_per_msg", Num (3, s.wpm));
+      ]
+  in
+  Harness.(
+    Obj
+      ([
+         ("name", Str c.name); ("n", Int c.n); ("m", Int c.m);
+         ("rounds", Int c.rounds); ("messages", Int c.messages);
+       ]
+      @ shape "" "wall_s" c.native
+      @ shape "list_" "wall_s" c.lists
+      @ (match c.d2 with Some s -> shape "d2_" "cpu_s" s | None -> [])
+      @ [ ("identical", Bool c.identical) ]))
+
+let json_of_p1_side s =
+  Harness.(
+    Obj
+      [
+        ("messages", Int s.msgs); ("rounds", Int s.p1_rounds);
+        ("wall_s", secs s.time.wall); ("alloc_words", Num (0, s.time.words));
+        ("words_per_msg", Num (3, s.time.wpm));
+      ])
+
+let json_of_p1_row r =
+  Harness.(
+    Obj
+      [
+        ("name", Str r.p1_name); ("n", Int r.p1_n); ("m", Int r.p1_m);
+        ("bound", Int r.bound); ("same_states", Bool r.same_states);
+        ("flood", json_of_p1_side r.flood_side);
+        ("election", json_of_p1_side r.election);
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_engine.json" in
-  let jobs = ref 1 in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | "--jobs" :: k :: rest -> (
-        match int_of_string_opt k with
-        | Some k when k >= 1 ->
-            jobs := k;
-            parse rest
-        | _ ->
-            Printf.eprintf "engine: --jobs expects a positive integer\n";
-            exit 2)
-    | arg :: _ ->
-        Printf.eprintf "engine: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let cli = Harness.args ~jobs:true "engine" ~out:"BENCH_engine.json" in
   let ring n ttl = prep (Printf.sprintf "cycle-%dk/token-ring" (n / 1000))
       (Gen.cycle n) (token_ring n ttl) (token_ring_lists n ttl) in
   let prepped =
-    if !quick then
+    if cli.quick then
       [
         prep "grid-100x100/flood" (Gen.grid 100 100) flood flood_lists;
         prep "grid-100x100/bfs-wave" (Gen.grid 100 100) bfs_wave bfs_wave_lists;
@@ -508,19 +446,16 @@ let () =
         ring 100_000 5_000;
       ]
   in
-  let cases = run_cases ~jobs:!jobs prepped in
-  let phase1 = p1_rows ~quick:!quick in
-  let embedder = embedder_row ~quick:!quick in
-  let oc = open_out !out in
-  output_string oc
-    (json_of_cases ~cores:(Domain.recommended_domain_count ()) cases ~phase1
-       ~embedder);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
-  let broken = List.filter (fun c -> not c.identical) cases in
-  List.iter
-    (fun c -> Printf.eprintf "engine: identity gate failed on %s\n" c.name)
-    broken;
+  let cases = run_cases ~jobs:cli.jobs prepped in
+  let phase1 = p1_rows ~quick:cli.quick in
+  let (e_name, e_n, e_wall, planar) = embedder_row ~quick:cli.quick in
+  let identity =
+    List.filter_map
+      (fun c ->
+        if c.identical then None
+        else Some (Printf.sprintf "identity gate failed on %s" c.name))
+      cases
+  in
   let heavy =
     List.concat_map
       (fun c ->
@@ -528,28 +463,51 @@ let () =
         else
           List.filter_map
             (fun (label, s) ->
-              if s.wpm > max_words_per_msg then Some (c.name, label, s.wpm)
+              if s.wpm > max_words_per_msg then
+                Some
+                  (Printf.sprintf
+                     "%s at %s allocates %.3f words/message (gate %.0f)"
+                     c.name label s.wpm max_words_per_msg)
               else None)
             (("d=1", c.native)
             :: (match c.d2 with Some s -> [ ("d=2", s) ] | None -> [])))
       cases
   in
-  List.iter
-    (fun (name, label, wpm) ->
-      Printf.eprintf "engine: %s at %s allocates %.3f words/message (gate %.0f)\n"
-        name label wpm max_words_per_msg)
-    heavy;
   let p1_bad =
-    List.filter (fun r -> not r.same_states || r.election.msgs > r.bound) phase1
+    List.filter_map
+      (fun r ->
+        if r.same_states && r.election.msgs <= r.bound then None
+        else
+          Some
+            (Printf.sprintf
+               "phase-1 gate failed on %s (states %s, %d messages, bound %d)"
+               r.p1_name
+               (if r.same_states then "equal" else "differ")
+               r.election.msgs r.bound))
+      phase1
   in
-  List.iter
-    (fun r ->
-      Printf.eprintf
-        "engine: phase-1 gate failed on %s (states %s, %d messages, bound %d)\n"
-        r.p1_name
-        (if r.same_states then "equal" else "differ")
-        r.election.msgs r.bound)
-    p1_bad;
-  let (_, _, _, planar) = embedder in
-  if not planar then prerr_endline "engine: Embedder.run rejected a path";
-  if broken <> [] || heavy <> [] || p1_bad <> [] || not planar then exit 1
+  Harness.(
+    finish cli
+      (document "congest-engine-exec"
+         [
+           ("unit", Obj [ ("wall", Str "seconds"); ("alloc", Str "words") ]);
+           ( "shapes",
+             Obj
+               [
+                 ("native", Str "push send + inbox view");
+                 ("list", Str "list original via Network.of_lists");
+               ] );
+           ("cases", List (List.map json_of_case cases));
+           ( "phase1_bound",
+             Str
+               (Printf.sprintf "messages <= %d * m * ceil(log2 n)" phase1_c) );
+           ("phase1", List (List.map json_of_p1_row phase1));
+           ( "embedder",
+             Obj
+               [
+                 ("name", Str e_name); ("n", Int e_n); ("wall_s", secs e_wall);
+                 ("gate_s", Num (1, embedder_gate_s)); ("planar", Bool planar);
+               ] );
+         ])
+      (identity @ heavy @ p1_bad
+      @ if planar then [] else [ "Embedder.run rejected a path" ]))

@@ -14,33 +14,8 @@
      dune exec bench/kernels.exe -- --out F   # write the JSON to F
 
    Results go to BENCH_kernels.json and stdout. Every kernel run is
-   single-threaded — "cores": 1 is recorded so numbers are comparable
-   across machines. *)
-
-(* Words allocated so far on either heap. OCaml 5 folds minor-heap
-   allocation into [quick_stat] only at a minor collection, so one is
-   forced first; without it a small run reads as 0 words. *)
-let words_now () =
-  Gc.minor ();
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
-(* Best wall of [reps] runs (quietest machine moment), allocation from
-   the first — allocation is deterministic per run. *)
-let measure ~reps f =
-  Gc.full_major ();
-  let w0 = words_now () in
-  ignore (f ());
-  let w1 = words_now () in
-  let best = ref infinity in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !best then best := t1 -. t0
-  done;
-  (!best, w1 -. w0)
+   single-threaded; the JSON records the host's core count and OCaml
+   version. *)
 
 type case = {
   name : string;
@@ -72,8 +47,8 @@ let run_case ~reps name g =
     | Lr.Planar r -> Rotation.is_planar_embedding r
     | Lr.Nonplanar -> true
   in
-  let (lr_wall, lr_words) = measure ~reps (fun () -> Lr.embed g) in
-  let (dmp_wall, dmp_words) = measure ~reps (fun () -> Dmp.embed g) in
+  let lr_wall, lr_words = Harness.best_of ~reps (fun () -> Lr.embed g) in
+  let dmp_wall, dmp_words = Harness.best_of ~reps (fun () -> Dmp.embed g) in
   let c =
     { name; n; m; planar; lr_wall; dmp_wall; lr_words; dmp_words; agree;
       euler_ok }
@@ -93,8 +68,6 @@ let run_case ~reps name g =
 
 (* Workloads ---------------------------------------------------------- *)
 
-let maxplanar n = Gen.random_maximal_planar ~seed:(42 + n) n
-
 (* A maximal planar graph with one edge {0, b} swapped for a chord
    {0, y} that crosses it: m = 3n - 6, so the [m > 3n - 6] pre-check
    cannot decide it and LR must walk into a constraint conflict. [y] is
@@ -102,7 +75,7 @@ let maxplanar n = Gen.random_maximal_planar ~seed:(42 + n) n
    removing {0, b} opens — no face holds both 0 and y. DMP's verdict
    cross-checks the reject. *)
 let maxplanar_swap_edge n =
-  let g = maxplanar n in
+  let g = Gen.random_maximal_planar ~seed:(42 + n) n in
   let b = (Gr.neighbors g 0).(0) in
   let y = ref 1 in
   while !y = b || Gr.mem_edge g 0 !y do
@@ -112,118 +85,75 @@ let maxplanar_swap_edge n =
     ((0, !y) :: List.filter (fun e -> e <> (0, b)) (Gr.edges g))
 
 let cases quick =
-  let mp = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
   (* No grid-173: DMP needs more than 8 GB there (1.5 GB of top heap
      already at grid-100), so the committed sweep omits that row. *)
-  let gr = if quick then [ 22; 50 ] else [ 22; 50; 100 ] in
-  let op = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
-  let k4 = if quick then [ 80; 333 ] else [ 80; 333; 1333; 5000 ] in
+  let planar = Harness.planar_families ~grids:[ 22; 50; 100 ] quick in
   let rejects = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
   (* Like the swapped-edge rows, toroidal grids reject with m <= 3n-6
      (here m = 2n), so LR cannot shortcut on the edge count. *)
   let torus = if quick then [ 22; 50 ] else [ 22; 50; 100; 173 ] in
-  List.concat
-    [
-      List.map
-        (fun n -> (Printf.sprintf "maxplanar-%d" n, maxplanar n))
-        mp;
-      List.map (fun s -> (Printf.sprintf "grid-%dx%d" s s, Gen.grid s s)) gr;
-      List.map
-        (fun n ->
-          ( Printf.sprintf "outerplanar-%d" n,
-            Gen.random_outerplanar ~seed:(7 + n) ~n ~chord_prob:0.5 ))
-        op;
-      List.map
-        (fun s -> (Printf.sprintf "k4-subdiv-%d" s, Gen.k4_subdivision s))
-        k4;
-      List.map
-        (fun n -> (Printf.sprintf "nonplanar-maxp-%d" n, maxplanar_swap_edge n))
-        rejects;
-      List.map
-        (fun s ->
-          (Printf.sprintf "nonplanar-torus-%dx%d" s s, Gen.toroidal_grid s s))
-        torus;
-    ]
+  planar
+  @ List.map
+      (fun n -> (Printf.sprintf "nonplanar-maxp-%d" n, maxplanar_swap_edge n))
+      rejects
+  @ List.map
+      (fun s ->
+        (Printf.sprintf "nonplanar-torus-%dx%d" s s, Gen.toroidal_grid s s))
+      torus
 
-(* JSON ---------------------------------------------------------------- *)
+(* JSON and driver ------------------------------------------------------ *)
 
-let json_of_cases cases =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"planarity-kernels-lr-vs-dmp\",\n";
-  Buffer.add_string b "  \"unit\": { \"wall\": \"seconds\", \"alloc\": \"words\" },\n";
-  Buffer.add_string b "  \"cores\": 1,\n";
-  Buffer.add_string b "  \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"m\": %d, \"planar\": %b,\n\
-           \      \"lr_wall_s\": %.6f, \"dmp_wall_s\": %.6f, \
-            \"wall_speedup\": %.2f,\n\
-           \      \"lr_alloc_words\": %.0f, \"dmp_alloc_words\": %.0f, \
-            \"alloc_ratio\": %.2f,\n\
-           \      \"agree\": %b, \"euler_ok\": %b }%s\n"
-           c.name c.n c.m c.planar c.lr_wall c.dmp_wall
-           (c.dmp_wall /. max 1e-9 c.lr_wall)
-           c.lr_words c.dmp_words
-           (c.dmp_words /. max 1. c.lr_words)
-           c.agree c.euler_ok
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* Driver -------------------------------------------------------------- *)
+let json_of_case (c : case) =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.name); ("n", Int c.n); ("m", Int c.m);
+        ("planar", Bool c.planar); ("lr_wall_s", secs c.lr_wall);
+        ("dmp_wall_s", secs c.dmp_wall);
+        ("wall_speedup", Num (2, c.dmp_wall /. max 1e-9 c.lr_wall));
+        ("lr_alloc_words", Num (0, c.lr_words));
+        ("dmp_alloc_words", Num (0, c.dmp_words));
+        ("alloc_ratio", Num (2, c.dmp_words /. max 1. c.lr_words));
+        ("agree", Bool c.agree); ("euler_ok", Bool c.euler_ok);
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_kernels.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | [ "--out" ] ->
-        prerr_endline "kernels: --out expects a file name";
-        exit 2
-    | arg :: _ ->
-        Printf.eprintf "kernels: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let reps = if !quick then 2 else 3 in
+  let cli = Harness.args "kernels" ~out:"BENCH_kernels.json" in
+  let reps = if cli.quick then 2 else 3 in
   Printf.printf
     "planarity kernels: left-right (production) vs DMP (oracle)%s\n\n"
-    (if !quick then " [--quick]" else "");
-  let results = List.map (fun (name, g) -> run_case ~reps name g) (cases !quick) in
-  let oc = open_out !out in
-  output_string oc (json_of_cases results);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
-  let bad_verify =
-    List.filter
+    (if cli.quick then " [--quick]" else "");
+  let results =
+    List.map (fun (name, g) -> run_case ~reps name g) (cases cli.quick)
+  in
+  let verify_failure c =
+    if not c.agree then Some "verdict disagreement"
+    else if not c.euler_ok then Some "invalid rotation"
+    else if String.starts_with ~prefix:"nonplanar-" c.name && c.planar then
+      Some "a nonplanar row was accepted"
+    else None
+  in
+  let failures =
+    List.filter_map
       (fun c ->
-        (not c.agree) || (not c.euler_ok)
-        || (String.starts_with ~prefix:"nonplanar-" c.name && c.planar))
+        Option.map (Printf.sprintf "verification failed on %s (%s)" c.name)
+          (verify_failure c))
       results
-  in
-  let bad_speed =
     (* LR must never lose to DMP once the instance is non-trivial. *)
-    List.filter (fun c -> c.n >= 2000 && c.lr_wall > c.dmp_wall) results
+    @ List.filter_map
+        (fun c ->
+          if c.n >= 2000 && c.lr_wall > c.dmp_wall then
+            Some
+              (Printf.sprintf "LR slower than DMP on %s (%.4fs vs %.4fs)"
+                 c.name c.lr_wall c.dmp_wall)
+          else None)
+        results
   in
-  List.iter
-    (fun c ->
-      Printf.eprintf "kernels: verification failed on %s (%s)\n" c.name
-        (if not c.agree then "verdict disagreement"
-         else if not c.euler_ok then "invalid rotation"
-         else "a nonplanar row was accepted"))
-    bad_verify;
-  List.iter
-    (fun c ->
-      Printf.eprintf "kernels: LR slower than DMP on %s (%.4fs vs %.4fs)\n"
-        c.name c.lr_wall c.dmp_wall)
-    bad_speed;
-  if bad_verify <> [] || bad_speed <> [] then exit 1
+  Harness.(
+    finish cli
+      (document "planarity-kernels-lr-vs-dmp"
+         [
+           ("unit", Obj [ ("wall", Str "seconds"); ("alloc", Str "words") ]);
+           ("cases", List (List.map json_of_case results));
+         ])
+      failures)

@@ -439,12 +439,7 @@ let trace_run file =
       ("recursion_calls", r.Embedder.recursion_calls);
     ]
   in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "--trace: cannot write JSON journal: %s\n" msg;
-      exit 2
-  in
+  let oc = open_out file in
   Trace.write_json ~name:(Printf.sprintf "maxplanar-%d" n) ~meta
     ~metrics:r.Embedder.metrics oc tr;
   close_out oc;
@@ -482,6 +477,7 @@ let () =
         huge := true;
         parse acc rest
     | "--trace" :: file :: rest ->
+        Harness.check_writable "--trace" file;
         trace_file := Some file;
         parse acc rest
     | [ "--trace" ] ->

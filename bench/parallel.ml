@@ -18,8 +18,8 @@
               of the serial wall (the jobs cap means a 1-core pooled
               sweep is the sequential path plus noise).
 
-   Wall-clock time is what parallelism buys, so this bench measures
-   Unix.gettimeofday, not CPU time, and reports the median of [reps]
+   Wall-clock time is what parallelism buys, so this bench measures the
+   monotonic wall clock, not CPU time, and reports the median of [reps]
    runs per point — on a single-core machine the sharded runs pay
    barrier overhead and the pool pays scheduling for no speedup, and the
    JSON records exactly that, along with the measured core count
@@ -61,16 +61,7 @@ let flood =
 let reps = 3
 
 (* The result of one run and the median wall time of [reps] runs. *)
-let wall f =
-  let times =
-    List.init reps (fun _ ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        let x = f () in
-        (x, Unix.gettimeofday () -. t0))
-  in
-  let sorted = List.sort compare (List.map snd times) in
-  (fst (List.hd times), List.nth sorted (reps / 2))
+let wall f = Harness.median_of ~reps f
 
 (* Domain counts swept; domains = 1 is the sequential baseline. *)
 let sweep_points = [ 1; 2; 4; 8 ]
@@ -258,94 +249,62 @@ let chaos_sweep name g ~runs ~jobs =
   c
 
 (* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
+(* JSON and driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let json ~cores ~tier_a ~tier_f ~tier_b =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"congest-multicore-scaling\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string b
-    (Printf.sprintf "  \"ocaml_version\": %S,\n" Sys.ocaml_version);
-  Buffer.add_string b (Printf.sprintf "  \"reps\": %d,\n" reps);
-  Buffer.add_string b
-    "  \"unit\": { \"wall\": \"seconds, median of reps\" },\n";
-  Buffer.add_string b "  \"tier_a_strong_scaling\": [\n";
-  List.iteri
-    (fun i c ->
-      let w1 = match c.a_points with (1, w, _) :: _ -> w | _ -> 0. in
-      Buffer.add_string b
-        (Printf.sprintf "    { \"name\": %S, \"n\": %d, \"rounds\": %d, \"points\": [\n"
-           c.a_name c.a_n c.a_rounds);
-      List.iteri
-        (fun j (d, w, ok) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "      { \"domains\": %d, \"wall_s\": %.6f, \
-                \"speedup\": %.3f, \"identical\": %b }%s\n"
-               d w (w1 /. max 1e-9 w) ok
-               (if j = List.length c.a_points - 1 then "" else ",")))
-        c.a_points;
-      Buffer.add_string b
-        (Printf.sprintf "    ] }%s\n"
-           (if i = List.length tier_a - 1 then "" else ",")))
-    tier_a;
-  Buffer.add_string b "  ],\n  \"tier_a_faulted\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf "    { \"name\": %S, \"n\": %d, \"points\": [\n"
-           c.f_name c.f_n);
-      List.iteri
-        (fun j (d, w, ok) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "      { \"domains\": %d, \"wall_s\": %.6f, \
-                \"deterministic_euler_ok\": %b }%s\n"
-               d w ok
-               (if j = List.length c.f_points - 1 then "" else ",")))
-        c.f_points;
-      Buffer.add_string b
-        (Printf.sprintf "    ] }%s\n"
-           (if i = List.length tier_f - 1 then "" else ",")))
-    tier_f;
-  Buffer.add_string b "  ],\n  \"tier_b_pool_throughput\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"runs\": %d, \"jobs\": %d, \
-            \"serial_wall_s\": %.6f,\n\
-           \      \"pooled_wall_s\": %.6f, \"throughput_ratio\": %.3f, \
-            \"identical\": %b }%s\n"
-           c.b_name c.b_runs c.b_jobs c.serial_wall c.pooled_wall
-           (c.serial_wall /. max 1e-9 c.pooled_wall)
-           c.b_identical
-           (if i = List.length tier_b - 1 then "" else ",")))
-    tier_b;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+let json_of_scaling c =
+  let w1 = match c.a_points with (1, w, _) :: _ -> w | _ -> 0. in
+  Harness.(
+    Obj
+      [
+        ("name", Str c.a_name); ("n", Int c.a_n); ("rounds", Int c.a_rounds);
+        ( "points",
+          List
+            (List.map
+               (fun (d, w, ok) ->
+                 Obj
+                   [
+                     ("domains", Int d); ("wall_s", secs w);
+                     ("speedup", Num (3, w1 /. max 1e-9 w));
+                     ("identical", Bool ok);
+                   ])
+               c.a_points) );
+      ])
+
+let json_of_faulted c =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.f_name); ("n", Int c.f_n);
+        ( "points",
+          List
+            (List.map
+               (fun (d, w, ok) ->
+                 Obj
+                   [
+                     ("domains", Int d); ("wall_s", secs w);
+                     ("deterministic_euler_ok", Bool ok);
+                   ])
+               c.f_points) );
+      ])
+
+let json_of_pool c =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.b_name); ("runs", Int c.b_runs); ("jobs", Int c.b_jobs);
+        ("serial_wall_s", secs c.serial_wall);
+        ("pooled_wall_s", secs c.pooled_wall);
+        ("throughput_ratio", Num (3, c.serial_wall /. max 1e-9 c.pooled_wall));
+        ("identical", Bool c.b_identical);
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_parallel.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "parallel: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let cores = Domain.recommended_domain_count () in
+  let cli = Harness.args "parallel" ~out:"BENCH_parallel.json" in
+  let cores = Harness.cores in
   Printf.printf "cores: %d (Domain.recommended_domain_count)\n%!" cores;
   let tier_a, tier_f, tier_b =
-    if !quick then begin
+    if cli.quick then begin
       let a1 = scale_flood "grid-60x60/flood" (Gen.grid 60 60) in
       print_scaling a1;
       let a2 = scale_embedder "grid-16x16/embedder" (Gen.grid 16 16) in
@@ -364,10 +323,6 @@ let () =
       ([ a1; a2 ], [ f1 ], [ b1 ])
     end
   in
-  let oc = open_out !out in
-  output_string oc (json ~cores ~tier_a ~tier_f ~tier_b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
   (* Correctness is gated unconditionally: a sharded or pooled run that
      differs from the sequential one — or a faulted sharded run that
      fails to replay or to embed — is a bug at any core count. *)
@@ -382,49 +337,53 @@ let () =
            tier_f)
     + List.length (List.filter (fun c -> not c.b_identical) tier_b)
   in
-  if mismatches > 0 then begin
-    Printf.eprintf "parallel: %d result(s) differ from sequential\n" mismatches;
-    exit 1
-  end;
   (* The pool must never lose to the serial sweep by more than measurement
      noise, at ANY core count: with the jobs cap, a 1-core pooled sweep IS
      the sequential path, and on a multicore host Pool.map should win, not
      merely break even. Gate: pooled throughput >= 0.9x serial. *)
   let pool_slow =
-    List.filter (fun c -> c.pooled_wall > c.serial_wall /. 0.9) tier_b
+    List.filter_map
+      (fun c ->
+        if c.pooled_wall > c.serial_wall /. 0.9 then
+          Some
+            (Printf.sprintf
+               "pooled sweep below 0.9x serial throughput on %s (serial \
+                %.3fs, pooled %.3fs)"
+               c.b_name c.serial_wall c.pooled_wall)
+        else None)
+      tier_b
   in
-  List.iter
-    (fun c ->
-      Printf.eprintf
-        "parallel: pooled sweep below 0.9x serial throughput on %s \
-         (serial %.3fs, pooled %.3fs)\n"
-        c.b_name c.serial_wall c.pooled_wall)
-    pool_slow;
-  if pool_slow <> [] then exit 1;
   (* The speedup gate needs hardware parallelism to be meaningful; on a
      single- or dual-core runner it is reported but not enforced. On a
      >= 4-core runner the bar is a real win: the sharded flood at four
      domains must beat the sequential wall outright (< 1.0x). *)
-  if !quick && cores >= 4 then begin
-    let slow =
-      List.filter
-        (fun c ->
-          c.a_flood
-          &&
-          let ws = List.map (fun (d, w, _) -> (d, w)) c.a_points in
-          let w1 = List.assoc 1 ws in
-          let w4 = List.assoc 4 ws in
-          w4 >= 1.0 *. w1)
-        tier_a
-    in
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "parallel: domains=4 failed to beat the sequential wall on %s\n"
-          c.a_name)
-      slow;
-    if slow <> [] then exit 1
-  end
-  else if !quick then
+  if cli.quick && cores < 4 then
     Printf.printf
-      "speedup gate skipped: only %d core(s) available, need >= 4\n" cores
+      "speedup gate skipped: only %d core(s) available, need >= 4\n" cores;
+  let slow =
+    if not (cli.quick && cores >= 4) then []
+    else
+      List.filter_map
+        (fun c ->
+          let ws = List.map (fun (d, w, _) -> (d, w)) c.a_points in
+          if c.a_flood && List.assoc 4 ws >= 1.0 *. List.assoc 1 ws then
+            Some
+              (Printf.sprintf
+                 "domains=4 failed to beat the sequential wall on %s" c.a_name)
+          else None)
+        tier_a
+  in
+  Harness.(
+    finish cli
+      (document "congest-multicore-scaling"
+         [
+           ("reps", Int reps);
+           ("unit", Obj [ ("wall", Str "seconds, median of reps") ]);
+           ("tier_a_strong_scaling", List (List.map json_of_scaling tier_a));
+           ("tier_a_faulted", List (List.map json_of_faulted tier_f));
+           ("tier_b_pool_throughput", List (List.map json_of_pool tier_b));
+         ])
+      ((if mismatches > 0 then
+          [ Printf.sprintf "%d result(s) differ from sequential" mismatches ]
+        else [])
+      @ pool_slow @ slow))

@@ -13,21 +13,9 @@
      dune exec bench/routing.exe -- --out F   # write the JSON to F
 
    Results go to BENCH_routing.json and stdout. Pooled throughput is
-   measured on Pool.default_jobs domains — the "cores" field records
-   what this machine actually had, so cross-machine numbers are not
-   comparable unless it matches. *)
-
-let measure ~reps f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !best then best := t1 -. t0
-  done;
-  !best
+   measured on Pool.default_jobs domains (each case's "jobs"); the
+   "cores" field records what this machine actually had, so
+   cross-machine numbers are not comparable unless it matches. *)
 
 type case = {
   name : string;
@@ -59,10 +47,11 @@ let run_case ~reps ~jobs name g =
         Printf.eprintf "routing bench: %s is not planar\n" name;
         exit 2
   in
-  let t0 = Unix.gettimeofday () in
-  let sch = Schnyder.draw r in
-  let engine = Route.make sch in
-  let build_wall = Unix.gettimeofday () -. t0 in
+  let (sch, engine), build_wall =
+    Harness.time (fun () ->
+        let sch = Schnyder.draw r in
+        (sch, Route.make sch))
+  in
   (* Drawing gate before any timing. *)
   let x, y = Schnyder.coords sch in
   let drawing_ok =
@@ -113,12 +102,16 @@ let run_case ~reps ~jobs name g =
       | Route.Stuck _ -> incr stuck)
     outs;
   let qps_serial =
-    let w = measure ~reps (fun () -> Route.route_batch engine pairs) in
+    let w, _ =
+      Harness.best_of ~reps (fun () -> Route.route_batch engine pairs)
+    in
     float_of_int queries /. max 1e-9 w
   in
   let pool = Pool.create ~domains:jobs () in
   let qps_pooled =
-    let w = measure ~reps (fun () -> Route.route_batch ~pool engine pairs) in
+    let w, _ =
+      Harness.best_of ~reps (fun () -> Route.route_batch ~pool engine pairs)
+    in
     float_of_int queries /. max 1e-9 w
   in
   Pool.shutdown pool;
@@ -153,107 +146,60 @@ let run_case ~reps ~jobs name g =
     (if c.stuck = 0 && c.drawing_ok then "ok" else "FAIL");
   c
 
-(* Workloads ---------------------------------------------------------- *)
+(* JSON and driver ------------------------------------------------------ *)
 
-let cases quick =
-  let mp = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
-  let gr = if quick then [ 22; 50 ] else [ 22; 50; 100; 173 ] in
-  let op = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in
-  let k4 = if quick then [ 80; 333 ] else [ 80; 333; 1333; 5000 ] in
-  List.concat
-    [
-      List.map
-        (fun n ->
-          ( Printf.sprintf "maxplanar-%d" n,
-            Gen.random_maximal_planar ~seed:(42 + n) n ))
-        mp;
-      List.map (fun s -> (Printf.sprintf "grid-%dx%d" s s, Gen.grid s s)) gr;
-      List.map
-        (fun n ->
-          ( Printf.sprintf "outerplanar-%d" n,
-            Gen.random_outerplanar ~seed:(7 + n) ~n ~chord_prob:0.5 ))
-        op;
-      List.map
-        (fun s -> (Printf.sprintf "k4-subdiv-%d" s, Gen.k4_subdivision s))
-        k4;
-    ]
-
-(* JSON ---------------------------------------------------------------- *)
-
-let json_of_cases jobs cases =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"routing-throughput-stretch\",\n";
-  Buffer.add_string b
-    "  \"unit\": { \"wall\": \"seconds\", \"throughput\": \"queries/s\" },\n";
-  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" jobs);
-  Buffer.add_string b "  \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": %S, \"n\": %d, \"m\": %d, \"grid_side\": %d, \
-            \"virtual_edges\": %d,\n\
-           \      \"build_wall_s\": %.6f, \"queries\": %d, \"delivered\": \
-            %d, \"unreachable\": %d, \"stuck\": %d,\n\
-           \      \"qps_serial\": %.0f, \"qps_pooled\": %.0f, \"jobs\": %d,\n\
-           \      \"mean_stretch\": %.3f, \"max_stretch\": %.2f, \
-            \"mean_hops\": %.2f, \"recoveries\": %d, \"drawing_ok\": %b }%s\n"
-           c.name c.n c.m c.grid_side c.virtual_edges c.build_wall c.queries
-           c.delivered c.unreachable c.stuck c.qps_serial c.qps_pooled c.jobs
-           c.mean_stretch c.max_stretch c.mean_hops c.recoveries c.drawing_ok
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* Driver -------------------------------------------------------------- *)
+let json_of_case (c : case) =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.name); ("n", Int c.n); ("m", Int c.m);
+        ("grid_side", Int c.grid_side); ("virtual_edges", Int c.virtual_edges);
+        ("build_wall_s", secs c.build_wall); ("queries", Int c.queries);
+        ("delivered", Int c.delivered); ("unreachable", Int c.unreachable);
+        ("stuck", Int c.stuck); ("qps_serial", Num (0, c.qps_serial));
+        ("qps_pooled", Num (0, c.qps_pooled)); ("jobs", Int c.jobs);
+        ("mean_stretch", Num (3, c.mean_stretch));
+        ("max_stretch", Num (2, c.max_stretch));
+        ("mean_hops", Num (2, c.mean_hops)); ("recoveries", Int c.recoveries);
+        ("drawing_ok", Bool c.drawing_ok);
+      ])
 
 let () =
-  let quick = ref false in
-  let out = ref "BENCH_routing.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | [ "--out" ] ->
-        prerr_endline "routing: --out expects a file name";
-        exit 2
-    | arg :: _ ->
-        Printf.eprintf "routing: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let reps = if !quick then 2 else 3 in
+  let cli = Harness.args "routing" ~out:"BENCH_routing.json" in
+  let reps = if cli.quick then 2 else 3 in
   let jobs = Pool.default_jobs () in
   Printf.printf
     "routing tier: Schnyder drawing + greedy-face-greedy queries (%d \
      domains)%s\n\n"
     jobs
-    (if !quick then " [--quick]" else "");
+    (if cli.quick then " [--quick]" else "");
   let results =
-    List.map (fun (name, g) -> run_case ~reps ~jobs name g) (cases !quick)
+    List.map
+      (fun (name, g) -> run_case ~reps ~jobs name g)
+      (Harness.planar_families cli.quick)
   in
-  let oc = open_out !out in
-  output_string oc (json_of_cases jobs results);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !out;
   (* Gates: a single stuck query, an invalid drawing, or an undelivered
      same-component pair poisons the run. *)
-  let bad =
-    List.filter
+  let failures =
+    List.filter_map
       (fun c ->
-        c.stuck > 0 || (not c.drawing_ok)
-        || c.delivered + c.unreachable <> c.queries)
+        if
+          c.stuck > 0 || (not c.drawing_ok)
+          || c.delivered + c.unreachable <> c.queries
+        then
+          Some
+            (Printf.sprintf
+               "gate failed on %s (delivered=%d/%d stuck=%d drawing_ok=%b)"
+               c.name c.delivered c.queries c.stuck c.drawing_ok)
+        else None)
       results
   in
-  List.iter
-    (fun c ->
-      Printf.eprintf
-        "routing: gate failed on %s (delivered=%d/%d stuck=%d drawing_ok=%b)\n"
-        c.name c.delivered c.queries c.stuck c.drawing_ok)
-    bad;
-  if bad <> [] then exit 1
+  Harness.(
+    finish cli
+      (document "routing-throughput-stretch"
+         [
+           ( "unit",
+             Obj [ ("wall", Str "seconds"); ("throughput", Str "queries/s") ] );
+           ("cases", List (List.map json_of_case results));
+         ])
+      failures)

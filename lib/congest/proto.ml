@@ -173,6 +173,18 @@ let wave_protocol g ~parent =
                   };
                 wave := true
               end
+              else if
+                root = b.leader && d + 1 = b.dist
+                && Network.Inbox.src inbox i < b.parent
+              then
+                (* Another neighbour one layer closer: the smaller one is
+                   the parent, whatever order faults delivered them in.
+                   Nothing changes for the neighbours, so no announce. *)
+                st :=
+                  {
+                    s with
+                    bfs = { b with parent = Network.Inbox.src inbox i };
+                  }
         done;
         let s = !st in
         if !wave then to_all offs nbr v (Wave (s.bfs.leader, s.bfs.dist)) send;

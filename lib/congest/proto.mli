@@ -47,7 +47,9 @@ val leader_bfs : ?config:Network.Config.t -> Gr.t -> bfs_state array
       max; the root sends a one-word token carrying [n] down that path
       to [M]; [M] starts a BFS wave of [(leader, dist)] messages with
       the max-id flood's relax rule (adopt a larger leader, or the same
-      leader at a smaller distance). The wave reaches a node at
+      leader at a smaller distance), plus a tie-break: at the same
+      leader and distance, take the smaller sender as parent, without
+      re-announcing. The wave reaches a node at
       distance [d] from [M] in one inbox from its whole previous layer,
       in ascending sender order, so the parent is the smallest-id such
       neighbor — exactly the state a max-id flood leaves. Takes
@@ -66,10 +68,12 @@ val leader_bfs : ?config:Network.Config.t -> Gr.t -> bfs_state array
     25.0 M messages, now about 0.1 M). An id layout built against the
     mix, with rank growing along the graph, still costs [O(m·D)].
 
-    Under a fault plan both runs are {!Reliable}-wrapped: [leader] and
-    [dist] still come out exact (both relax rules converge under
-    delayed delivery), while the parent may be any neighbor one layer
-    closer. *)
+    Under a fault plan both runs are {!Reliable}-wrapped and the states
+    still equal the clean run's: [leader] and [dist] because both relax
+    rules converge under delayed delivery, and [parent] because every
+    neighbor one layer closer announces its final state to the node, and
+    the tie-break keeps the smallest of them whatever order they arrive
+    in. *)
 
 val elect : ?config:Network.Config.t -> Gr.t -> bfs_state array * int
 (** {!leader_bfs} together with the node count [n], which [M] learns

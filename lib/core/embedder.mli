@@ -74,9 +74,9 @@ val run :
     A fault plan in the config ({!Fault.plan}) subjects the run's real
     message-passing — phase 1's two election runs — to the plan's
     drops, duplicates, reordering, delays and crash-restarts, with the
-    protocols {!Reliable}-wrapped so the leader and every BFS distance
-    are still exact (a BFS parent may be another neighbor one layer
-    closer than in the clean run, and the rotation follows the tree);
+    protocols {!Reliable}-wrapped so the leader, every BFS distance and
+    every BFS parent (the smallest-id neighbor one layer closer, as in
+    the clean run) are still exact, and so is the rotation;
     the recursion's cost-model phases are orchestrated, not
     message-passing, and proceed unchanged. Rounds and fault events land
     on the same metrics/trace timeline as the clean run ([distplanar
