@@ -4,12 +4,13 @@
 
    Three sections, all seeded and reproducible:
 
-     overhead   Reliable.exec with an all-zero fault plan vs a raw
-                Network.exec of the same protocol — the price of the
-                fault policy (every live node steps every round, and a
-                grace tail of quiet rounds) plus sequence numbers, acks
-                and the retransmission machinery when nothing ever goes
-                wrong.
+     overhead   one flood three ways: a clean Network.exec, the same
+                exec under an all-zero fault plan (the "policy" run:
+                every live node steps every round, and a grace tail of
+                quiet rounds) and Reliable.exec under that plan, which
+                adds sequence numbers, acks and the retransmission
+                machinery when nothing ever goes wrong. The reliable
+                run's allocation is reported per node-step.
      sweep      Embedder.run ~faults across drop rates on grid and
                 cycle networks: rounds-to-completion vs loss, with the
                 Euler verdict checked on every run.
@@ -19,25 +20,26 @@
 
    Results go to BENCH_chaos.json and stdout, with the host's core
    count ("cores") and OCaml version. Walls are monotonic wall-clock
-   seconds. Every engine run here uses one domain; --jobs only fans the
-   sweep's independent runs out.
+   seconds, the median of 5 runs. Every engine run here uses one
+   domain; --jobs only fans the sweep's independent runs out.
 
      dune exec bench/chaos.exe              # full sweep
      dune exec bench/chaos.exe -- --quick   # CI smoke: small cases,
                                             # exit 1 on any wrong result
      dune exec bench/chaos.exe -- --out F   # write the JSON to F *)
 
-let to_all g v msg =
-  Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, msg) :: acc)
-
 (* Max-id flood — dense traffic, a fixpoint every node can verify. *)
 let flood =
-  Network.of_lists {
-    Network.init = (fun g v -> (v, to_all g v v));
+  {
+    Network.init =
+      (fun g v send ->
+        Gr.iter_neighbors g v (fun w -> send w v);
+        v);
     round =
-      (fun g v best inbox ->
-        let best' = List.fold_left (fun acc (_, x) -> max acc x) best inbox in
-        if best' = best then (best, []) else (best', to_all g v best'));
+      (fun g v best inbox send ->
+        let best' = Network.Inbox.fold (fun acc _ x -> max acc x) best inbox in
+        if best' <> best then Gr.iter_neighbors g v (fun w -> send w best');
+        best');
     msg_bits = (fun _ -> 20);
   }
 
@@ -53,44 +55,70 @@ type overhead = {
   clean_rounds : int;
   reliable_rounds : int;
   clean_wall : float;
+  policy_wall : float;
   reliable_wall : float;
+  policy_words_per_node_step : float;
+  words_per_node_step : float;
   retransmits : int;
   o_ok : bool;
 }
 
+(* One counted run (its result and allocated words), then the median
+   wall of five more. *)
+let measure f =
+  let x, _, words = Harness.counted f in
+  let _, wall = Harness.median_of ~reps:5 f in
+  (x, wall, words)
+
 let run_overhead name g =
-  let clean, clean_wall =
-    Harness.time (fun () ->
-        Network.exec ~config:(Network.Config.make ~bandwidth:4096 ()) g flood)
+  let exec faults =
+    let config = Network.Config.make ~bandwidth:4096 ?faults () in
+    Network.exec ~config g flood
   in
-  let stats = Reliable.counters () in
-  let reliable, reliable_wall =
-    Harness.time (fun () ->
-        Reliable.exec ~bandwidth:4096 ~faults:(zero_plan ~seed:1) ~stats g flood)
+  let clean, clean_wall, _ = measure (fun () -> exec None) in
+  let policy, policy_wall, policy_words =
+    measure (fun () -> exec (Some (zero_plan ~seed:1)))
   in
+  let (reliable, stats), reliable_wall, words =
+    measure (fun () ->
+        let stats = Reliable.counters () in
+        ( Reliable.exec ~bandwidth:4096 ~faults:(zero_plan ~seed:1) ~stats g
+            flood,
+          stats ))
+  in
+  let n = Gr.n g in
   let c =
     {
       o_name = name;
-      o_n = Gr.n g;
+      o_n = n;
       clean_rounds = clean.Network.rounds;
       reliable_rounds = reliable.Network.rounds;
       clean_wall;
+      policy_wall;
       reliable_wall;
+      (* Under a plan every live node steps every round. *)
+      policy_words_per_node_step =
+        policy_words /. float_of_int (max 1 (n * policy.Network.rounds));
+      words_per_node_step =
+        words /. float_of_int (max 1 (n * reliable.Network.rounds));
       retransmits = stats.Reliable.retransmits;
-      (* With zero faults nothing is ever lost: the reliable run must
-         reach the same fixpoint and never retransmit. *)
+      (* With zero faults nothing is ever lost: both faulted runs must
+         reach the clean fixpoint, and the reliable one never
+         retransmits. *)
       o_ok =
-        reliable.Network.states = clean.Network.states
+        policy.Network.states = clean.Network.states
+        && reliable.Network.states = clean.Network.states
         && stats.Reliable.retransmits = 0;
     }
   in
   Printf.printf
-    "overhead %-16s n=%-6d clean %4d rounds %7.3fs   reliable %4d rounds \
-     %7.3fs   (x%.2f rounds, %d retransmits)  %s\n%!"
-    c.o_name c.o_n c.clean_rounds c.clean_wall c.reliable_rounds
+    "overhead %-16s n=%-6d clean %4d rounds %7.3fs   policy %7.3fs   \
+     reliable %4d rounds %7.3fs (x%.2f policy, %.1f words/node-step, %d \
+     retransmits)  %s\n%!"
+    c.o_name c.o_n c.clean_rounds c.clean_wall c.policy_wall c.reliable_rounds
     c.reliable_wall
-    (float_of_int c.reliable_rounds /. float_of_int (max 1 c.clean_rounds))
-    c.retransmits
+    (c.reliable_wall /. max 1e-9 c.policy_wall)
+    c.words_per_node_step c.retransmits
     (if c.o_ok then "ok" else "WRONG RESULT");
   c
 
@@ -239,7 +267,10 @@ let json_of_overhead c =
         ("reliable_rounds", Int c.reliable_rounds);
         ("round_ratio", ratio c.reliable_rounds c.clean_rounds);
         ("clean_wall_s", secs c.clean_wall);
+        ("policy_wall_s", secs c.policy_wall);
         ("reliable_wall_s", secs c.reliable_wall);
+        ("policy_words_per_node_step", Num (1, c.policy_words_per_node_step));
+        ("words_per_node_step", Num (1, c.words_per_node_step));
         ("retransmits", Int c.retransmits); ("ok", Bool c.o_ok);
       ])
 
@@ -283,6 +314,8 @@ let () =
     else begin
       let o1 = run_overhead "grid-32x32" (Gen.grid 32 32) in
       let o2 = run_overhead "cycle-1k" (Gen.cycle 1_000) in
+      let o3 = run_overhead "star-2k" (Gen.star 2_000) in
+      let o4 = run_overhead "star-8k" (Gen.star 8_000) in
       let s1 = run_sweep ~jobs "grid-24x24" (Gen.grid 24 24) ~drops ~seed:11 in
       let s2 = run_sweep ~jobs "cycle-128" (Gen.cycle 128) ~drops ~seed:11 in
       let s3 =
@@ -294,7 +327,7 @@ let () =
       let c2 =
         run_crash "grid-16x16" (Gen.grid 16 16) ~node:17 ~at:3 ~restart:20
       in
-      ([ o1; o2 ], s1 @ s2 @ s3, [ c1; c2 ])
+      ([ o1; o2; o3; o4 ], s1 @ s2 @ s3, [ c1; c2 ])
     end
   in
   (* CI gate: every fault-injected run must still compute the right
@@ -308,7 +341,7 @@ let () =
     finish cli
       (document "congest-chaos"
          [
-           ("unit", Obj [ ("wall", Str "seconds") ]);
+           ("unit", Obj [ ("wall", Str "seconds, median of 5 runs") ]);
            ("reliable_overhead", List (List.map json_of_overhead overheads));
            ("drop_sweep", List (List.map json_of_sweep sweeps));
            ("crash_recovery", List (List.map json_of_crash crashes));

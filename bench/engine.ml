@@ -1,9 +1,9 @@
 (* Microbenchmark: the flat-array round engine (Network.exec) on its
    own — wall time, allocated words and words per message of a bare run
    per protocol shape. Each protocol runs twice: natively on the push
-   interface, and in its list-shaped original through Network.of_lists,
-   which is the shape every protocol had before the push interface (the
-   "list" columns). Two identity gates cost nothing to keep honest:
+   interface, and in its list-shaped original through the test-only
+   List_shape.of_lists adapter, which is the shape every protocol had
+   before the push interface (the "list" columns). Two identity gates cost nothing to keep honest:
 
      - observation must be free of behavior: a run observed through a
        metrics sink must end in the same states after the same rounds as
@@ -98,14 +98,14 @@ let token_ring n ttl =
     msg_bits = (fun _ -> 16);
   }
 
-(* The list-shaped originals, run through [Network.of_lists]. *)
+(* The list-shaped originals, run through [List_shape.of_lists]. *)
 let to_all_list g v msg =
   Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, msg) :: acc)
 
 let flood_lists =
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init = (fun g v -> (v, to_all_list g v v));
+      List_shape.init = (fun g v -> (v, to_all_list g v v));
       round =
         (fun g v best inbox ->
           let best' = List.fold_left (fun acc (_, x) -> max acc x) best inbox in
@@ -114,9 +114,9 @@ let flood_lists =
     }
 
 let bfs_wave_lists =
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init =
+      List_shape.init =
         (fun g v -> if v = 0 then (true, to_all_list g v 1) else (false, []));
       round =
         (fun g v reached inbox ->
@@ -126,9 +126,9 @@ let bfs_wave_lists =
     }
 
 let token_ring_lists n ttl =
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init = (fun _g v -> ((), if v = 0 then [ (1, ttl) ] else []));
+      List_shape.init = (fun _g v -> ((), if v = 0 then [ (1, ttl) ] else []));
       round =
         (fun _g v st inbox ->
           match inbox with
@@ -495,7 +495,7 @@ let () =
              Obj
                [
                  ("native", Str "push send + inbox view");
-                 ("list", Str "list original via Network.of_lists");
+                 ("list", Str "list original via List_shape.of_lists");
                ] );
            ("cases", List (List.map json_of_case cases));
            ( "phase1_bound",

@@ -12,10 +12,12 @@
               (rotation, rounds, fault stats) to an untimed d=1 run —
               under faults the domain count changes only wall time.
      tier-b   pool throughput: a seeded chaos sweep (independent
-              fault-injected embedder runs) executed serially and then
-              through Pool.map, results compared run by run. Gated at
-              any core count: the pooled sweep may cost at most 1/0.9
-              of the serial wall (the jobs cap means a 1-core pooled
+              fault-injected embedder runs) executed serially and
+              through Pool.map in [reps] interleaved pairs, the first
+              of each pair alternating, so both sides see the same
+              host load; results compared run by run. Gated at any
+              core count: the pooled median may cost at most 1/0.9 of
+              the serial median (the jobs cap means a 1-core pooled
               sweep is the sequential path plus noise).
 
    Wall-clock time is what parallelism buys, so this bench measures the
@@ -229,8 +231,23 @@ let chaos_sweep name g ~runs ~jobs =
                (fun v -> Rotation.rotation r v))
       | None -> [] )
   in
-  let (serial, serial_wall) = wall (fun () -> Array.init runs one) in
-  let (pooled, pooled_wall) = wall (fun () -> Pool.map ~jobs runs one) in
+  (* Serial and pooled sweeps alternate, each pair starting with the
+     other side, so a neighbour that holds a core for a while slows
+     both about equally instead of deciding the gate. *)
+  let serial () = Array.init runs one and pooled () = Pool.map ~jobs runs one in
+  let pairs =
+    List.init reps (fun i ->
+        if i mod 2 = 0 then
+          let s = Harness.time serial in
+          (s, Harness.time pooled)
+        else
+          let p = Harness.time pooled in
+          (Harness.time serial, p))
+  in
+  let median walls = List.nth (List.sort compare walls) (reps / 2) in
+  let serial, _ = fst (List.hd pairs) and pooled, _ = snd (List.hd pairs) in
+  let serial_wall = median (List.map (fun ((_, w), _) -> w) pairs)
+  and pooled_wall = median (List.map (fun (_, (_, w)) -> w) pairs) in
   let c =
     {
       b_name = name;

@@ -1,7 +1,8 @@
 (* A read-only window [lo, lo + len) onto parallel sender/message
-   arrays the engine owns. The engine points one record at each node's
-   mail in turn and zeroes [len] when the call returns, so a leaked
-   inbox reads as empty and indexing it raises. *)
+   arrays. The engine points one record at each node's mail in turn and
+   zeroes [len] when the call returns; [scoped] does the same for a
+   hand-built inbox. Either way a leaked inbox reads as empty and
+   indexing it raises. *)
 module Inbox = struct
   type 'm t = {
     mutable srcs : int array;
@@ -31,32 +32,16 @@ module Inbox = struct
     done;
     !acc
 
-  let to_list t =
-    let l = ref [] in
-    for i = t.lo + t.len - 1 downto t.lo do
-      l := (t.srcs.(i), t.msgs.(i)) :: !l
-    done;
-    !l
-
-  let of_list l =
-    let len = List.length l in
-    {
-      srcs = Array.of_list (List.map fst l);
-      msgs = Array.of_list (List.map snd l);
-      lo = 0;
-      len;
-    }
+  let scoped ~srcs ~msgs f =
+    if Array.length srcs <> Array.length msgs then
+      invalid_arg "Network.Inbox.scoped: srcs and msgs differ in length";
+    let t = { srcs; msgs; lo = 0; len = Array.length srcs } in
+    Fun.protect ~finally:(fun () -> t.len <- 0) (fun () -> f t)
 
   let empty () = { srcs = [||]; msgs = [||]; lo = 0; len = 0 }
 end
 
 type 'm send = int -> 'm -> unit
-
-type ('s, 'm) list_protocol = {
-  init : Gr.t -> int -> 's * (int * 'm) list;
-  round : Gr.t -> int -> 's -> (int * 'm) list -> 's * (int * 'm) list;
-  msg_bits : 'm -> int;
-}
 
 type ('s, 'm) protocol = {
   init : Gr.t -> int -> 'm send -> 's;
@@ -73,49 +58,6 @@ let discarding call =
   let live = ref true in
   let send _ _ = if not !live then leaked () in
   Fun.protect ~finally:(fun () -> live := false) (fun () -> call send)
-
-(* The list shape as a push protocol: each call's outbox is sent after
-   the call returns, in list order. *)
-let of_lists (p : ('s, 'm) list_protocol) : ('s, 'm) protocol =
-  let emit send out = List.iter (fun (w, m) -> send w m) out in
-  {
-    init =
-      (fun g v send ->
-        let (s, out) = p.init g v in
-        emit send out;
-        s);
-    round =
-      (fun g v s inbox send ->
-        let (s, out) = p.round g v s (Inbox.to_list inbox) in
-        emit send out;
-        s);
-    msg_bits = p.msg_bits;
-  }
-
-(* The converse: run one push call against a collecting [send] and a
-   list inbox. Layers that rewrite another protocol's traffic
-   ({!Reliable}) and the legacy oracle engine work on this shape. *)
-let to_lists (p : ('s, 'm) protocol) : ('s, 'm) list_protocol =
-  let collect ib call =
-    let out = ref [] and live = ref true in
-    let send w m = if !live then out := (w, m) :: !out else leaked () in
-    let s =
-      Fun.protect
-        ~finally:(fun () ->
-          live := false;
-          ib.Inbox.len <- 0)
-        (fun () -> call send)
-    in
-    (s, List.rev !out)
-  in
-  {
-    init = (fun g v -> collect (Inbox.empty ()) (p.init g v));
-    round =
-      (fun g v s inbox ->
-        let ib = Inbox.of_list inbox in
-        collect ib (p.round g v s ib));
-    msg_bits = p.msg_bits;
-  }
 
 exception Bandwidth_exceeded of { round : int; u : int; v : int; bits : int }
 exception No_quiescence of { round : int; active : int; messages : int }

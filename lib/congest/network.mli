@@ -19,10 +19,15 @@
     and each node reads its mail through a reused {!Inbox} view — and
     whose per-round cost is [O(active + messages)] rather than [O(n)].
     Every knob — domain count, bandwidth, round guard, observation
-    sinks, fault plan — travels in one {!Config.t} value. *)
+    sinks, fault plan — travels in one {!Config.t} value.
+
+    A {!protocol} has one shape: it pushes its sends through a [send]
+    function and reads its mail through an {!Inbox}. The list shape of
+    earlier versions (state and outbox lists returned from each call)
+    is kept only as a test oracle, [List_shape] under [test/oracles]. *)
 
 (** A node's mail for one round: a read-only view onto engine-owned
-    arrays.
+    arrays (or, for {!scoped}, the caller's).
 
     {b Delivery order guarantee:} messages are sorted by sender id
     (ascending), and several messages from the same sender arrive in the
@@ -52,12 +57,15 @@ module Inbox : sig
   val fold : ('a -> int -> 'm -> 'a) -> 'a -> 'm t -> 'a
   (** [fold f acc t] folds [f acc src msg] in delivery order. *)
 
-  val to_list : 'm t -> (int * 'm) list
-  (** The [(src, msg)] list in delivery order (allocates). *)
-
-  val of_list : (int * 'm) list -> 'm t
-  (** A standalone inbox holding the given [(src, msg)] messages, for
-      driving a protocol's [round] by hand (tests, wrapping layers). *)
+  val scoped : srcs:int array -> msgs:'m array -> ('m t -> 'a) -> 'a
+  (** [scoped ~srcs ~msgs f] calls [f] with an inbox holding the
+      messages [msgs.(i)] from [srcs.(i)] in index order, and zeroes
+      that inbox when [f] returns or raises, so it keeps the lifetime
+      contract above. The one way to hand a protocol's [round] a
+      hand-built inbox (layers that rewrite another protocol's
+      traffic, such as {!Reliable}, and tests). The caller gives the
+      order; {!exec}'s guarantee is not re-checked.
+      @raise Invalid_argument if [srcs] and [msgs] differ in length. *)
 end
 
 type 'm send = int -> 'm -> unit
@@ -85,16 +93,6 @@ type 'm send = int -> 'm -> unit
     it.
     @raise Invalid_argument if called after that call has returned. *)
 
-type ('s, 'm) list_protocol = {
-  init : Gr.t -> int -> 's * (int * 'm) list;
-  round : Gr.t -> int -> 's -> (int * 'm) list -> 's * (int * 'm) list;
-  msg_bits : 'm -> int;
-}
-(** The list shape of a protocol: [init] returns the initial state and
-    round-0 outbox [(to, msg)]; [round g v state inbox] takes the
-    delivered [(from, msg)] list and returns the new state and outbox.
-    Run it through {!of_lists}. *)
-
 type ('s, 'm) protocol = {
   init : Gr.t -> int -> 'm send -> 's;
       (** initial state of each node, sending its round-0 messages
@@ -110,16 +108,6 @@ type ('s, 'm) protocol = {
 }
 (** A node-level synchronous protocol: what a node does at wake-up and
     in every round in which it receives mail. *)
-
-val of_lists : ('s, 'm) list_protocol -> ('s, 'm) protocol
-(** Adapt a list-shaped protocol: each call's outbox is sent after the
-    call returns, in list order, so states, rounds, reports and
-    observations equal the list protocol's historical run bit for bit. *)
-
-val to_lists : ('s, 'm) protocol -> ('s, 'm) list_protocol
-(** The converse adapter: each call runs against a collecting [send]
-    and an {!Inbox.of_list} inbox, and returns the sends as its outbox.
-    For layers that rewrite another protocol's traffic ({!Reliable}). *)
 
 exception Bandwidth_exceeded of { round : int; u : int; v : int; bits : int }
 (** A node pushed more than [bandwidth] bits over one directed edge in

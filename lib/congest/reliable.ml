@@ -7,11 +7,12 @@ type 'm chan = {
   peer : int;
   (* sender side *)
   mutable next_seq : int;
-  mutable unacked : (int * 'm) list;  (* ascending seq *)
+  unacked : 'm Queue.t;  (* seqs next_seq - length .. next_seq - 1 *)
   mutable ticks : int;  (* rounds since the oldest unacked was (re)sent *)
   (* receiver side *)
   mutable expected : int;  (* next in-order seq *)
   mutable buffered : (int * 'm) list;  (* ascending seq, all > expected *)
+  ready : 'm Queue.t;  (* delivered in order, not yet handed inward *)
   mutable ack_due : bool;
 }
 
@@ -31,174 +32,156 @@ let counters () = { retransmits = 0; dup_discards = 0; out_of_order = 0 }
    from wrapping in any simulated run. *)
 let header_bits = 34
 
+(* Node [v]'s channels are in the order of its sorted neighbour slice,
+   so the channel to [w] is [w]'s slot there: one binary search
+   ({!Gr.dart}), not a scan of the channels. *)
+let chan g v chans w ~missing =
+  match Gr.dart g ~src:w ~dst:v with
+  | d -> chans.(d - (Gr.dart_offsets g).(v))
+  | exception Not_found -> invalid_arg (Printf.sprintf missing w)
+
+(* Unacknowledged seqs are contiguous: they are pushed in order and
+   acknowledged from the front. *)
+let oldest_unacked ch = ch.next_seq - Queue.length ch.unacked
+
+(* Move the in-order prefix newly available on a channel from
+   [buffered] to [ready]. *)
+let rec drain ch =
+  match ch.buffered with
+  | (s, m) :: rest when s = ch.expected ->
+      ch.buffered <- rest;
+      ch.expected <- s + 1;
+      Queue.push m ch.ready;
+      drain ch
+  | _ -> ()
+
 let wrap ?(timeout = 6) ?stats (p : ('s, 'm) Network.protocol) :
     (('s, 'm) state, 'm packet) Network.protocol =
   if timeout < 2 then invalid_arg "Reliable.wrap: timeout must be >= 2";
-  (* The wrapper rewrites the inner traffic, so it drives the inner
-     protocol in list shape and is itself a list protocol. *)
-  let p = Network.to_lists p in
   let count f = match stats with Some c -> f c | None -> () in
-  let chan_of v st =
-    (* Degrees are small in CONGEST practice; a linear probe beats
-       carrying a per-node index structure through the state. *)
-    let rec find i =
-      if i >= Array.length st.chans then
-        invalid_arg
-          (Printf.sprintf "Reliable: node has no link to %d" v)
-      else if st.chans.(i).peer = v then st.chans.(i)
-      else find (i + 1)
-    in
-    find 0
+  (* The [send] the inner protocol sees: number the message on its link,
+     put it on the wire at once and keep it until it is acknowledged.
+     Per-link FIFO is exactly what the receiver reconstructs. *)
+  let post g v chans send w m =
+    let ch = chan g v chans w ~missing:"Reliable: node has no link to %d" in
+    let s = ch.next_seq in
+    send w (Data { seq = s; payload = m });
+    ch.next_seq <- s + 1;
+    if Queue.is_empty ch.unacked then ch.ticks <- 0;
+    Queue.push m ch.unacked
   in
-  (* Assign sequence numbers in outbox order and emit the data packets;
-     per-link FIFO is exactly what the receiver reconstructs. *)
-  let post st outs =
-    List.map
-      (fun (w, m) ->
-        let ch = chan_of w st in
-        let s = ch.next_seq in
-        ch.next_seq <- s + 1;
-        if ch.unacked = [] then ch.ticks <- 0;
-        ch.unacked <- ch.unacked @ [ (s, m) ];
-        (w, Data { seq = s; payload = m }))
-      outs
-  in
-  let init g v =
-    let (s0, out0) = p.init g v in
-    let peers =
-      List.rev (Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> w :: acc))
-    in
+  let init g v send =
+    let offs = Gr.dart_offsets g and nbrs = Gr.dart_sources g in
     let chans =
-      Array.of_list
-        (List.map
-           (fun w ->
-             {
-               peer = w;
-               next_seq = 0;
-               unacked = [];
-               ticks = 0;
-               expected = 0;
-               buffered = [];
-               ack_due = false;
-             })
-           peers)
+      Array.init (Gr.degree g v) (fun i ->
+          {
+            peer = nbrs.(offs.(v) + i);
+            next_seq = 0;
+            unacked = Queue.create ();
+            ticks = 0;
+            expected = 0;
+            buffered = [];
+            ready = Queue.create ();
+            ack_due = false;
+          })
     in
-    let st = { inner = s0; chans } in
-    (st, post st out0)
+    { inner = p.init g v (post g v chans send); chans }
   in
-  let round g v st inbox =
+  let round g v st inbox send =
     (* 1. Sort arrivals into the channels. Arrival order within the
        inbox is irrelevant — sequence numbers carry the order — which is
        precisely why the wrapper is immune to adversarial delivery. *)
-    let delivered = Array.map (fun _ -> ref []) st.chans in
-    let deliver_from idx ch =
-      (* Drain the in-order prefix newly available on this channel. *)
-      let rec drain () =
-        match ch.buffered with
-        | (s, m) :: rest when s = ch.expected ->
-            ch.buffered <- rest;
-            ch.expected <- s + 1;
-            (delivered.(idx) : 'm list ref) := m :: !(delivered.(idx));
-            drain ()
-        | _ -> ()
+    for i = 0 to Network.Inbox.length inbox - 1 do
+      let ch =
+        chan g v st.chans (Network.Inbox.src inbox i)
+          ~missing:"Reliable: packet from non-link %d"
       in
-      drain ()
-    in
-    let chan_index u =
-      let rec find i =
-        if i >= Array.length st.chans then
-          invalid_arg (Printf.sprintf "Reliable: packet from non-link %d" u)
-        else if st.chans.(i).peer = u then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    List.iter
-      (fun (u, pkt) ->
-        let i = chan_index u in
-        let ch = st.chans.(i) in
-        match pkt with
-        | Ack { upto } ->
-            let before = ch.unacked in
-            ch.unacked <- List.filter (fun (s, _) -> s > upto) before;
-            (* Progress restarts the retransmission clock. *)
-            if ch.unacked != before then ch.ticks <- 0
-        | Data { seq; payload } ->
-            ch.ack_due <- true;
-            if seq < ch.expected then count (fun c ->
-                c.dup_discards <- c.dup_discards + 1)
-            else if seq = ch.expected then begin
-              ch.expected <- seq + 1;
-              (delivered.(i) : 'm list ref) := payload :: !(delivered.(i));
-              deliver_from i ch
-            end
-            else begin
-              (* Ahead of the expected seq: buffer once. *)
-              if List.mem_assoc seq ch.buffered then
-                count (fun c -> c.dup_discards <- c.dup_discards + 1)
-              else begin
-                count (fun c -> c.out_of_order <- c.out_of_order + 1);
-                let rec insert = function
-                  | [] -> [ (seq, payload) ]
-                  | (s, _) :: _ as l when seq < s -> (seq, payload) :: l
-                  | kv :: rest -> kv :: insert rest
-                in
-                ch.buffered <- insert ch.buffered
-              end
-            end)
-      inbox;
-    (* 2. Hand the inner protocol its newly deliverable messages, in the
-       documented order: ascending sender id (channel arrays are built
-       from the sorted neighbor slice), per-sender sequence order. *)
-    let inner_inbox =
-      Array.to_list st.chans
-      |> List.mapi (fun i ch ->
-             List.rev_map (fun m -> (ch.peer, m)) !(delivered.(i)))
-      |> List.concat
-    in
-    let outs =
-      if inner_inbox = [] then []
-      else begin
-        let (s', outs) = p.round g v st.inner inner_inbox in
-        st.inner <- s';
-        outs
-      end
-    in
-    let data = post st outs in
-    (* 3. Retransmission timers: the engine steps every live node every
-       round under a fault plan, so [ticks] is a real clock. Only the
-       oldest unacknowledged packet per link is retransmitted —
-       cumulative acks make anything the receiver already buffered
-       collapse the moment the gap closes. *)
-    let retrans = ref [] in
-    Array.iter
-      (fun ch ->
-        if ch.unacked <> [] then begin
-          ch.ticks <- ch.ticks + 1;
-          if ch.ticks >= timeout then begin
-            let (s, m) = List.hd ch.unacked in
-            count (fun c -> c.retransmits <- c.retransmits + 1);
-            ch.ticks <- 0;
-            retrans := (ch.peer, Data { seq = s; payload = m }) :: !retrans
+      match Network.Inbox.msg inbox i with
+      | Ack { upto } ->
+          (* Any ack on a link with data outstanding restarts the
+             retransmission clock, whether or not it acknowledges
+             anything new. *)
+          if not (Queue.is_empty ch.unacked) then ch.ticks <- 0;
+          while
+            (not (Queue.is_empty ch.unacked)) && oldest_unacked ch <= upto
+          do
+            ignore (Queue.pop ch.unacked)
+          done
+      | Data { seq; payload } ->
+          ch.ack_due <- true;
+          if seq < ch.expected then
+            count (fun c -> c.dup_discards <- c.dup_discards + 1)
+          else if seq = ch.expected then begin
+            ch.expected <- seq + 1;
+            Queue.push payload ch.ready;
+            drain ch
           end
-        end)
-      st.chans;
-    (* 4. One cumulative ack per link that received data this round. *)
-    let acks = ref [] in
-    Array.iter
-      (fun ch ->
-        if ch.ack_due then begin
-          ch.ack_due <- false;
-          acks := (ch.peer, Ack { upto = ch.expected - 1 }) :: !acks
-        end)
-      st.chans;
-    (st, data @ List.rev !retrans @ List.rev !acks)
+          else if List.mem_assoc seq ch.buffered then
+            (* Ahead of the expected seq: buffer once. *)
+            count (fun c -> c.dup_discards <- c.dup_discards + 1)
+          else begin
+            count (fun c -> c.out_of_order <- c.out_of_order + 1);
+            let rec insert = function
+              | [] -> [ (seq, payload) ]
+              | (s, _) :: _ as l when seq < s -> (seq, payload) :: l
+              | kv :: rest -> kv :: insert rest
+            in
+            ch.buffered <- insert ch.buffered
+          end
+    done;
+    (* 2. Hand the inner protocol its newly deliverable messages, in the
+       documented order: ascending sender id (the channels' order),
+       per-sender sequence order. Its sends go out as it makes them. *)
+    let ready =
+      Array.fold_left (fun k ch -> k + Queue.length ch.ready) 0 st.chans
+    in
+    if ready > 0 then begin
+      let c = ref 0 in
+      let srcs = Array.make ready 0 in
+      let msgs =
+        Array.init ready (fun i ->
+            while Queue.is_empty st.chans.(!c).ready do incr c done;
+            let ch = st.chans.(!c) in
+            srcs.(i) <- ch.peer;
+            Queue.pop ch.ready)
+      in
+      st.inner <-
+        Network.Inbox.scoped ~srcs ~msgs (fun ib ->
+            p.round g v st.inner ib (post g v st.chans send))
+    end;
+    (* 3. Retransmission timers, in channel order: the engine steps
+       every live node every round under a fault plan, so [ticks] is a
+       real clock. Only the oldest unacknowledged packet per link is
+       retransmitted — cumulative acks make anything the receiver
+       already buffered collapse the moment the gap closes. *)
+    for i = 0 to Array.length st.chans - 1 do
+      let ch = st.chans.(i) in
+      if not (Queue.is_empty ch.unacked) then begin
+        ch.ticks <- ch.ticks + 1;
+        if ch.ticks >= timeout then begin
+          count (fun c -> c.retransmits <- c.retransmits + 1);
+          ch.ticks <- 0;
+          send ch.peer
+            (Data { seq = oldest_unacked ch; payload = Queue.peek ch.unacked })
+        end
+      end
+    done;
+    (* 4. Then one cumulative ack per link that received data this
+       round, in channel order. *)
+    for i = 0 to Array.length st.chans - 1 do
+      let ch = st.chans.(i) in
+      if ch.ack_due then begin
+        ch.ack_due <- false;
+        send ch.peer (Ack { upto = ch.expected - 1 })
+      end
+    done;
+    st
   in
   let msg_bits = function
     | Data { payload; _ } -> header_bits + p.msg_bits payload
     | Ack _ -> header_bits
   in
-  Network.of_lists { Network.init; round; msg_bits }
+  { Network.init; round; msg_bits }
 
 let exec ?domains ?bandwidth ?max_rounds ?observe ?faults ?timeout ?stats g p =
   let base =

@@ -6,7 +6,7 @@
    livelock by [Failure] rather than [Network.No_quiescence]. *)
 
 let run ?bandwidth ?max_rounds ?metrics ?trace g proto =
-  let proto = Network.to_lists proto in
+  let proto = List_shape.to_lists proto in
   let n = Gr.n g in
   let bandwidth =
     match bandwidth with Some b -> b | None -> Network.default_bandwidth g

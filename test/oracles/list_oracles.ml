@@ -2,7 +2,7 @@
    natively on the push interface: Proto's primitives and the
    certificate verifier, as they stood before the port (only the record
    and module qualifiers changed). The differential suite runs them
-   through [Network.of_lists] and demands bit-identical runs from the
+   through [List_shape.of_lists] and demands bit-identical runs from the
    native versions.
 
    The max-id flood sits here in both shapes: [max_id_flood] natively
@@ -18,9 +18,9 @@ let leader_bfs g =
       (Gr.fold_neighbors g v ~init:[] ~f:(fun acc w ->
            (w, (st.Proto.leader, st.Proto.dist)) :: acc))
   in
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init =
+      List_shape.init =
         (fun g v ->
           let st = { Proto.leader = v; dist = 0; parent = v } in
           (st, announce g v st));
@@ -96,9 +96,9 @@ let children_counts n parent root =
 let convergecast g ~parent ~root ~values ~op ~value_bits =
   let n = Gr.n g in
   let kids = children_counts n parent root in
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init =
+      List_shape.init =
         (fun _g v ->
           let st = { Proto.pending = kids.(v); acc = values.(v); done_ = false } in
           if st.Proto.pending = 0 && v <> root then
@@ -124,9 +124,9 @@ let subtree_sizes g ~parent ~root =
   let n = Gr.n g in
   let word = word_of g in
   let kids = children_counts n parent root in
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init =
+      List_shape.init =
         (fun _g v ->
           let st = { Proto.pending = kids.(v); acc = 1; done_ = false } in
           if st.Proto.pending = 0 && v <> root then
@@ -152,9 +152,9 @@ let broadcast g ~parent ~root ~value ~value_bits =
   let n = Gr.n g in
   let kids = Array.make n [] in
   Array.iteri (fun v p -> if v <> root then kids.(p) <- v :: kids.(p)) parent;
-  Network.of_lists
+  List_shape.of_lists
     {
-      Network.init =
+      List_shape.init =
         (fun _g v ->
           if v = root then (Some value, List.map (fun c -> (c, value)) kids.(v))
           else (None, []));
@@ -284,9 +284,9 @@ let certify r (certs : Certify.t) =
     then b := flag !b 6;
     { st with bad = !b; settled = true }
   in
-  Network.of_lists
+  List_shape.of_lists
   {
-    Network.init =
+    List_shape.init =
       (fun g v ->
         let rot_v = Rotation.rotation r v in
         let deg = Array.length rot_v in

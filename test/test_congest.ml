@@ -13,8 +13,8 @@ let cfg = Network.Config.make
 
 (* A one-shot protocol: every node sends its id to every neighbor once. *)
 let hello_proto bits =
-  Network.of_lists {
-    Network.init =
+  List_shape.of_lists {
+    List_shape.init =
       (fun g v ->
         ((), Array.to_list (Array.map (fun w -> (w, v)) (Gr.neighbors g v))));
     round = (fun _g _v st _inbox -> (st, []));
@@ -75,8 +75,8 @@ let test_bandwidth_cumulative () =
      16-bit budget. *)
   let g = Gen.path 2 in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), [ (1 - v, 0); (1 - v, 1) ]));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), [ (1 - v, 0); (1 - v, 1) ]));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 10);
     }
@@ -89,8 +89,8 @@ let test_bandwidth_cumulative () =
 let test_non_neighbor_rejected () =
   let g = Gr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), if v = 0 then [ (2, 0) ] else []));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), if v = 0 then [ (2, 0) ] else []));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 1);
     }
@@ -104,8 +104,8 @@ let test_livelock_guard () =
   (* A protocol that ping-pongs forever must hit max_rounds. *)
   let g = Gen.path 2 in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), [ (1 - v, 0) ]));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), [ (1 - v, 0) ]));
       round = (fun _g v st _inbox -> (st, [ (1 - v, 0) ]));
       msg_bits = (fun _ -> 1);
     }

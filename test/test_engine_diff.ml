@@ -23,16 +23,16 @@ let to_all g v msg =
 
 (* One spontaneous burst, then silence. *)
 let hello =
-  Network.of_lists {
-    Network.init = (fun g v -> (v, to_all g v v));
+  List_shape.of_lists {
+    List_shape.init = (fun g v -> (v, to_all g v v));
     round = (fun _g _v st _inbox -> (st, []));
     msg_bits = (fun _ -> 8);
   }
 
 (* Max-id flood: multi-round, quiesces in O(D). *)
 let flood =
-  Network.of_lists {
-    Network.init = (fun g v -> (v, to_all g v v));
+  List_shape.of_lists {
+    List_shape.init = (fun g v -> (v, to_all g v v));
     round =
       (fun g v best inbox ->
         let best' = List.fold_left (fun acc (_, x) -> max acc x) best inbox in
@@ -45,8 +45,8 @@ let flood =
    divergence in inbox ordering between the engines shows up in the final
    hashes. *)
 let order_hash ttl =
-  Network.of_lists {
-    Network.init = (fun g v -> ((v, ttl), to_all g v v));
+  List_shape.of_lists {
+    List_shape.init = (fun g v -> ((v, ttl), to_all g v v));
     round =
       (fun g v (h, t) inbox ->
         let h' =
@@ -62,8 +62,8 @@ let order_hash ttl =
 (* Several messages per edge per round: exercises per-sender outbox order
    and the cumulative per-edge load accounting. *)
 let double_talk rounds_left =
-  Network.of_lists {
-    Network.init =
+  List_shape.of_lists {
+    List_shape.init =
       (fun g v ->
         ( rounds_left,
           Gr.fold_neighbors g v ~init:[] ~f:(fun acc w ->
@@ -299,8 +299,8 @@ let test_bandwidth_parity () =
      engines must blame the same edge at the same cumulative count. *)
   let g = Gen.path 2 in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), [ (1 - v, 0); (1 - v, 1) ]));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), [ (1 - v, 0); (1 - v, 1) ]));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 10);
     }
@@ -343,8 +343,8 @@ let test_deep_oversend_parity () =
   let n = 24 and boom = 10 in
   let g = Gen.path n in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), if v = 0 then [ (1, 1) ] else []));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), if v = 0 then [ (1, 1) ] else []));
       round =
         (fun _g v st inbox ->
           match inbox with
@@ -383,8 +383,8 @@ let test_deep_oversend_parity () =
 let test_non_neighbor_parity () =
   let g = Gr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), if v = 0 then [ (2, 0) ] else []));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), if v = 0 then [ (2, 0) ] else []));
       round = (fun _g _v st _inbox -> (st, []));
       msg_bits = (fun _ -> 1);
     }
@@ -420,8 +420,8 @@ let test_sharded_error_observation () =
   (* Node [bad] over-sends to neighbor [dst] at init; every other node
      sends one legal message to each neighbor. *)
   let proto bad dst =
-    Network.of_lists {
-      Network.init =
+    List_shape.of_lists {
+      List_shape.init =
         (fun g v ->
           if v = bad then ((), [ (dst, 0); (dst, 1) ])
           else ((), to_all g v v));
@@ -461,8 +461,8 @@ let test_sharded_error_observation () =
      non-neighbor. A sequential sweep stops at node 1, so its
      [Bandwidth_exceeded] must win at every domain count. *)
   let both =
-    Network.of_lists {
-      Network.init =
+    List_shape.of_lists {
+      List_shape.init =
         (fun _g v ->
           if v = 1 then ((), [ (2, 0); (2, 1) ])
           else if v = 3 then ((), [ (0, 0) ])
@@ -507,8 +507,8 @@ let test_livelock_contracts () =
      No_quiescence from the new engine. *)
   let g = Gen.path 2 in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), [ (1 - v, 0) ]));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), [ (1 - v, 0) ]));
       round = (fun _g v st _inbox -> (st, [ (1 - v, 0) ]));
       msg_bits = (fun _ -> 1);
     }
@@ -562,8 +562,8 @@ let token_ring_words ?(config = Network.Config.default) n ttl =
   let g = Gen.cycle n in
   let next v src = if (v + 1) mod n = src then (v + n - 1) mod n else (v + 1) mod n in
   let proto =
-    Network.of_lists {
-      Network.init = (fun _g v -> ((), if v = 0 then [ (1, ttl) ] else []));
+    List_shape.of_lists {
+      List_shape.init = (fun _g v -> ((), if v = 0 then [ (1, ttl) ] else []));
       round =
         (fun _g v st inbox ->
           match inbox with

@@ -17,8 +17,8 @@ let to_all g v msg =
    delivery schedule in which every message (or a retransmission of its
    content) eventually arrives. *)
 let flood =
-  Network.of_lists {
-    Network.init = (fun g v -> (v, to_all g v v));
+  List_shape.of_lists {
+    List_shape.init = (fun g v -> (v, to_all g v v));
     round =
       (fun g v best inbox ->
         let best' = List.fold_left (fun acc (_, x) -> max acc x) best inbox in
@@ -30,8 +30,8 @@ let flood =
    outbox; receivers accumulate (sender, value) in delivery order.
    Exposes exactly-once and per-sender-FIFO violations directly. *)
 let streamer k =
-  Network.of_lists {
-    Network.init =
+  List_shape.of_lists {
+    List_shape.init =
       (fun g v ->
         let outs =
           Gr.fold_neighbors g v ~init:[] ~f:(fun acc w ->
@@ -305,20 +305,37 @@ let test_reliable_exactly_once_in_order () =
             (got = List.init k (fun i -> i + 1))))
     r.Network.states
 
+(* Phase 1 and a plain flood, each through the reliable layer, end
+   where the clean runs do. The star and the wheel put a hub with one
+   channel per node through it. *)
 let test_leader_bfs_over_lossy_links () =
   List.iter
     (fun (name, g) ->
-      let plan = Fault.make ~spec:lossy_spec ~seed:23 () in
-      let faulty = Proto.leader_bfs ~config:(cfg ~faults:plan ()) g in
       let clean = Proto.leader_bfs g in
-      check_bool
-        (name ^ ": leader election + BFS identical over lossy links")
-        true (faulty = clean))
+      let clean_flood = (Network.exec g flood).Network.states in
+      List.iter
+        (fun domains ->
+          let name = Printf.sprintf "%s, domains=%d" name domains in
+          let plan () = Fault.make ~spec:lossy_spec ~seed:23 () in
+          let faulty =
+            Proto.leader_bfs ~config:(cfg ~faults:(plan ()) ~domains ()) g
+          in
+          check_bool
+            (name ^ ": leader election + BFS identical over lossy links")
+            true (faulty = clean);
+          let r = Reliable.exec ~domains ~faults:(plan ()) g flood in
+          check_bool
+            (name ^ ": reliable flood reaches the clean states")
+            true
+            (r.Network.states = clean_flood))
+        [ 1; 3 ])
     [
       ("grid 6x5", Gen.grid 6 5);
       ("cycle 20", Gen.cycle 20);
       ("random tree", Gen.random_tree ~seed:4 30);
       ("maximal planar", Gen.random_maximal_planar ~seed:5 30);
+      ("star 40", Gen.star 40);
+      ("wheel 40", Gen.wheel 40);
     ]
 
 let embed_families =
@@ -456,9 +473,9 @@ let test_tiny_graphs () =
      it must not call any init when there is no node 0. Each node's
      silent init reads its adjacency, as real protocols do. *)
   let silent =
-    Network.of_lists
+    List_shape.of_lists
       {
-        Network.init = (fun g v -> (Gr.degree g v, []));
+        List_shape.init = (fun g v -> (Gr.degree g v, []));
         round = (fun _g _v st _inbox -> (st, []));
         msg_bits = (fun _ -> 1);
       }
@@ -721,6 +738,27 @@ let erring bad =
     msg_bits = (fun _ -> 12);
   }
 
+(* An inner protocol that addresses a non-neighbour gets the wrapper's
+   own Invalid_argument, with or without a plan and at any domain
+   count: the channel lookup never leaks a Not_found. *)
+let test_reliable_non_link () =
+  let g = Gen.grid 6 7 in
+  List.iter
+    (fun (pname, faults) ->
+      List.iter
+        (fun domains ->
+          let name = Printf.sprintf "%s, domains=%d" pname domains in
+          match Reliable.exec ~domains ?faults g (erring `Neighbor) with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+          | exception Invalid_argument msg ->
+              Alcotest.(check string)
+                name "Reliable: node has no link to 30" msg)
+        [ 1; 3 ])
+    [
+      ("no plan", None);
+      ("lossy plan", Some (Fault.make ~spec:lossy_spec ~seed:3 ()));
+    ]
+
 let golden_failures =
   let grid = Gen.grid 6 7 in
   let exec proto config =
@@ -851,6 +889,8 @@ let () =
           Alcotest.test_case "permanent crash blocks reliable" `Quick
             test_permanent_crash_blocks_reliable;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
+          Alcotest.test_case "reliable: send to a non-link" `Quick
+            test_reliable_non_link;
           Alcotest.test_case "crash node outside the network" `Quick
             test_crash_node_outside_network;
           Alcotest.test_case "huge max_delay stays small" `Quick

@@ -3,7 +3,7 @@
    Every protocol the library runs natively (Proto's tree primitives
    and the certificate verifier), and the native max-id flood oracle,
    keeps its pre-port list version in List_oracles. Here the two run side by side, the oracle through
-   [Network.of_lists], and must agree bit for bit: final states, rounds,
+   [List_shape.of_lists], and must agree bit for bit: final states, rounds,
    the engine's report, the metrics sink (round log, per-directed-edge
    bits and bursts) and the message-level trace — on every generator
    family, at every domain count, and under a seeded fault
@@ -339,9 +339,9 @@ let outcome config g proto =
 (* On a path 0-1-2-3 under a 16-bit budget, node 2 over-sends to
    node 1 in round 1, twice ([`Bandwidth]), or node 3 sends to a
    non-neighbor in round 1 ([`Neighbor]). *)
-let erring_lists ~bad : (unit, int) Network.list_protocol =
+let erring_lists ~bad : (unit, int) List_shape.t =
   {
-    Network.init =
+    List_shape.init =
       (fun g v ->
         ((), Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, v) :: acc)));
     round =
@@ -395,7 +395,7 @@ let test_error_parity () =
           let config = Network.Config.make ~bandwidth:16 ~domains () in
           let (e_n, m_n, b_n, t_n) = outcome config g (erring_native ~bad ()) in
           let (e_l, m_l, b_l, t_l) =
-            outcome config g (Network.of_lists (erring_lists ~bad))
+            outcome config g (List_shape.of_lists (erring_lists ~bad))
           in
           Alcotest.(check string) (name ^ ": payload") e_l e_n;
           check_bool (name ^ ": raised") true (e_n <> "no error");

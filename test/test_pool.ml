@@ -74,8 +74,8 @@ let test_runs_in_pool () =
   (* The advertised use: independent simulations in pool tasks, each
      with its own sinks — results identical to the serial sweep. *)
   let flood g =
-    Network.of_lists {
-      Network.init =
+    List_shape.of_lists {
+      List_shape.init =
         (fun g v ->
           (v, Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, v) :: acc)));
       round =

@@ -216,8 +216,8 @@ let test_quiescence () =
    records its inbox verbatim. The documented guarantee says the inbox
    arrives sorted by sender id. *)
 let collect_inbox_protocol =
-  Network.of_lists {
-    Network.init =
+  List_shape.of_lists {
+    List_shape.init =
       (fun _g v -> ([], if v = 0 then [] else [ (0, v) ]));
     round = (fun _g _v st inbox -> (st @ inbox, []));
     msg_bits = (fun _ -> 8);
@@ -238,8 +238,8 @@ let test_inbox_sorted_by_sender () =
 let test_same_sender_order () =
   let g = Gen.path 2 in
   let proto =
-    Network.of_lists {
-      Network.init =
+    List_shape.of_lists {
+      List_shape.init =
         (fun _g v -> ([], if v = 0 then [ (1, 10); (1, 20); (1, 30) ] else []));
       round = (fun _g _v st inbox -> (st @ inbox, []));
       msg_bits = (fun _ -> 8);
@@ -258,8 +258,8 @@ let test_same_sender_order () =
 let test_order_observing_deterministic () =
   let g = Gen.grid 5 5 in
   let proto =
-    Network.of_lists {
-      Network.init =
+    List_shape.of_lists {
+      List_shape.init =
         (fun g v ->
           (v, List.map (fun u -> (u, v)) (Array.to_list (Gr.neighbors g v))));
       round =
