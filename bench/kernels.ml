@@ -1,5 +1,7 @@
 (* Planarity-kernel benchmark: the left-right production kernel (Lr)
-   against the DMP oracle, wall-clock and allocated words per embed.
+   against the DMP oracle, wall-clock and allocated words per embed; and
+   the kernel's biggest client, the distributed embedder, whose part
+   installs each run one constrained embed.
 
    Every case is verified before it is timed: both kernels run once,
    their verdicts must agree, and an accepted LR rotation must pass the
@@ -14,8 +16,8 @@
      dune exec bench/kernels.exe -- --out F   # write the JSON to F
 
    Results go to BENCH_kernels.json and stdout. Every kernel run is
-   single-threaded; the JSON records the host's core count and OCaml
-   version. *)
+   single-threaded, and the embedder runs at one domain; the JSON records
+   the host's core count and OCaml version. *)
 
 type case = {
   name : string;
@@ -101,6 +103,74 @@ let cases quick =
         (Printf.sprintf "nonplanar-torus-%dx%d" s s, Gen.toroidal_grid s s))
       torus
 
+(* The embedder's part installs --------------------------------------- *)
+
+(* One [Embedder.run] per row, verified (planar, rotation genus 0) before
+   it is timed: the run's wall and allocated words, the wall of its phase
+   1 alone ([Proto.elect], the rest being the recursion and its
+   installs), and how many parts the run installed over how many
+   vertices in all. *)
+type embed_case = {
+  ename : string;
+  en : int;
+  em : int;
+  embed_wall : float;
+  embed_words : float;
+  elect_wall : float;
+  installs : int;
+  install_vertices : int;
+  rotation_ok : bool;
+}
+
+let embedder_cases quick =
+  let all =
+    [
+      ("grid-40x40", fun () -> Gen.grid 40 40);
+      ("maxplanar-2000", fun () -> Gen.random_maximal_planar ~seed:2042 2000);
+      ( "outerplanar-5000",
+        fun () -> Gen.random_outerplanar ~seed:5007 ~n:5000 ~chord_prob:0.5 );
+      ("path-20k", fun () -> Gen.path 20000);
+      ("star-20k", fun () -> Gen.star 20000);
+    ]
+  in
+  if quick then List.filteri (fun i _ -> i < 2) all else all
+
+let run_embed_case ~reps (name, make) =
+  let g = make () in
+  let config = Network.Config.with_domains 1 Network.Config.default in
+  let o = Embedder.run ~config g in
+  let rotation_ok =
+    match o.Embedder.rotation with
+    | Some r -> Rotation.is_planar_embedding r
+    | None -> false
+  in
+  let embed_wall, embed_words =
+    Harness.best_of ~reps (fun () -> Embedder.run ~config g)
+  in
+  let elect_wall, _ = Harness.best_of ~reps (fun () -> Proto.elect ~config g) in
+  let r = o.Embedder.report in
+  let c =
+    {
+      ename = name;
+      en = Gr.n g;
+      em = Gr.m g;
+      embed_wall;
+      embed_words;
+      elect_wall;
+      installs = r.Embedder.installs;
+      install_vertices = r.Embedder.install_vertices;
+      rotation_ok;
+    }
+  in
+  Printf.printf
+    "%-18s n=%-6d m=%-6d  embedder %8.4fs %11.0fw   elect %8.4fs   \
+     installs %6d  sum|part| %8d (%.1f n)  %s\n%!"
+    c.ename c.en c.em c.embed_wall c.embed_words c.elect_wall c.installs
+    c.install_vertices
+    (float_of_int c.install_vertices /. float_of_int c.en)
+    (if c.rotation_ok then "ok" else "BAD ROTATION");
+  c
+
 (* JSON and driver ------------------------------------------------------ *)
 
 let json_of_case (c : case) =
@@ -117,6 +187,18 @@ let json_of_case (c : case) =
         ("agree", Bool c.agree); ("euler_ok", Bool c.euler_ok);
       ])
 
+let json_of_embed_case c =
+  Harness.(
+    Obj
+      [
+        ("name", Str c.ename); ("n", Int c.en); ("m", Int c.em);
+        ("embed_wall_s", secs c.embed_wall);
+        ("embed_alloc_words", Num (0, c.embed_words));
+        ("elect_wall_s", secs c.elect_wall); ("installs", Int c.installs);
+        ("install_vertices", Int c.install_vertices);
+        ("rotation_ok", Bool c.rotation_ok);
+      ])
+
 let () =
   let cli = Harness.args "kernels" ~out:"BENCH_kernels.json" in
   let reps = if cli.quick then 2 else 3 in
@@ -126,6 +208,8 @@ let () =
   let results =
     List.map (fun (name, g) -> run_case ~reps name g) (cases cli.quick)
   in
+  Printf.printf "\nembedder part installs (Embedder.run, one domain)\n\n";
+  let embeds = List.map (run_embed_case ~reps) (embedder_cases cli.quick) in
   let verify_failure c =
     if not c.agree then Some "verdict disagreement"
     else if not c.euler_ok then Some "invalid rotation"
@@ -139,6 +223,11 @@ let () =
         Option.map (Printf.sprintf "verification failed on %s (%s)" c.name)
           (verify_failure c))
       results
+    @ List.filter_map
+        (fun c ->
+          if c.rotation_ok then None
+          else Some (Printf.sprintf "embedder failed on %s" c.ename))
+        embeds
     (* LR must never lose to DMP once the instance is non-trivial. *)
     @ List.filter_map
         (fun c ->
@@ -155,5 +244,6 @@ let () =
          [
            ("unit", Obj [ ("wall", Str "seconds"); ("alloc", Str "words") ]);
            ("cases", List (List.map json_of_case results));
+           ("embedder", List (List.map json_of_embed_case embeds));
          ])
       failures)

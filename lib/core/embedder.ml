@@ -18,6 +18,8 @@ type report = {
   retired_parts : int;
   safety_checks : int;
   iface_bits_shipped : int;
+  installs : int;
+  install_vertices : int;
   metrics : Metrics.t;
 }
 
@@ -39,11 +41,13 @@ let tree_of_states g states =
   Array.sort (fun a b -> compare dist.(a) dist.(b)) order;
   { Traverse.root; parent; dist; order }
 
+(* [List.map f xs] with the branches charged in parallel; each result
+   lands in its branch's slot, so collecting them is linear. *)
 let branch_max_map cost f xs =
-  let out = ref [] in
+  let out = Array.make (List.length xs) None in
   Costmodel.branch_max cost
-    (List.map (fun x () -> out := (x, f x) :: !out) xs);
-  List.map (fun x -> List.assq x !out) xs
+    (List.mapi (fun i x () -> out.(i) <- Some (f x)) xs);
+  Array.to_list (Array.map Option.get out)
 
 let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
     ?(checks = false) ?base_size g =
@@ -131,23 +135,13 @@ let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
           ();
         part
       in
-      let top =
-        Costmodel.phase cost "recursive-embedding" (fun () ->
-            process 0 rec_tree)
-      in
-      let final = Merge.part st top in
-      (* Extract the rotation every node now holds. In Economy mode the
-         final embedding is computed once here (the paper's nodes held it
-         all along; only this extraction is mode-dependent). *)
-      let emb =
-        match final.Part.emb with
-        | Some e -> e
-        | None -> (
-            match Constrained.embed g ~part:final.Part.vertices ~half:[] with
-            | Some e -> e
-            | None -> raise (Part.Nonplanar_detected "final embedding failed"))
-      in
-      Some (Constrained.rotation_of_full emb g)
+      ignore
+        (Costmodel.phase cost "recursive-embedding" (fun () ->
+             process 0 rec_tree));
+      (* The rotation every node now holds: the ring of the part covering
+         the network, read at its install ([None] when Economy mode finds
+         it non-planar there, the only embed that mode runs). *)
+      st.Merge.full
     with Part.Nonplanar_detected _ -> None
   in
   Metrics.add_rounds metrics (Costmodel.clock cost);
@@ -173,6 +167,8 @@ let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
       retired_parts = s.Merge.retired;
       safety_checks = s.Merge.safety_checks;
       iface_bits_shipped = s.Merge.iface_bits_shipped;
+      installs = s.Merge.installs;
+      install_vertices = s.Merge.install_vertices;
       metrics;
     }
   in

@@ -43,6 +43,10 @@ type report = {
   retired_parts : int;
   safety_checks : int;  (** E8: validated merges (checks mode only). *)
   iface_bits_shipped : int;
+  installs : int;  (** parts installed, fresh or merged. *)
+  install_vertices : int;
+      (** Σ|part| over those installs: the vertices the install workspace
+          loaded. *)
   metrics : Metrics.t;
       (** the run's full accounting — per-round records, per-directed-edge
           loads and bursts, the largest single message — for the {!Bounds}

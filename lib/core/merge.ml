@@ -10,6 +10,8 @@ type stats = {
   mutable calls : int;
   mutable final_parts_max : int;
   mutable iface_bits_shipped : int;
+  mutable installs : int;
+  mutable install_vertices : int;
 }
 
 type t = {
@@ -21,6 +23,8 @@ type t = {
   parts : (int, Part.t) Hashtbl.t;
   mutable next_id : int;
   stats : stats;
+  ws : Part.workspace;
+  mutable full : Rotation.t option;
 }
 
 let create g ~mode ~checks ~cost =
@@ -43,7 +47,11 @@ let create g ~mode ~checks ~cost =
         calls = 0;
         final_parts_max = 0;
         iface_bits_shipped = 0;
+        installs = 0;
+        install_vertices = 0;
       };
+    ws = Part.workspace g;
+    full = None;
   }
 
 let part t id =
@@ -84,7 +92,19 @@ let install t ?(anchors = []) vertices =
          [] vertices)
   in
   let classify v = t.part_of.(v) in
-  let p = Part.create t.g ~mode:t.mode ~classify ~half ~id ~vertices ~anchors in
+  let p =
+    Part.create t.g t.ws ~mode:t.mode ~classify ~half ~id ~vertices ~anchors
+  in
+  t.stats.installs <- t.stats.installs + 1;
+  t.stats.install_vertices <- t.stats.install_vertices + List.length vertices;
+  (* In a connected network only the part covering it has no half edges.
+     Its embedding is the run's rotation: [Faithful] mode has just built
+     it, [Economy] mode builds it here, its only embed. *)
+  if half = [] then begin
+    let ws = Part.embedding t.ws in
+    let embedded = t.mode = Part.Faithful || Constrained.embed_loaded ws in
+    t.full <- (if embedded then Some (Constrained.rotation ws) else None)
+  end;
   Hashtbl.replace t.parts id p;
   run_checks t p;
   id

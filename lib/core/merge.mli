@@ -26,6 +26,8 @@ type stats = {
   mutable final_parts_max : int;
       (** most parts entering any restricted path-coordinated merge. *)
   mutable iface_bits_shipped : int;
+  mutable installs : int;  (** parts installed (fresh or merged). *)
+  mutable install_vertices : int;  (** Σ|part| over those installs. *)
 }
 
 type t = {
@@ -37,6 +39,11 @@ type t = {
   parts : (int, Part.t) Hashtbl.t;  (** alive parts. *)
   mutable next_id : int;
   stats : stats;
+  ws : Part.workspace;  (** the install workspace every part loads into. *)
+  mutable full : Rotation.t option;
+      (** the network's rotation, set by the install of the part covering
+          it ([None] before that, or if [Economy] mode finds that part
+          non-planar). *)
 }
 
 val create : Gr.t -> mode:Part.mode -> checks:bool -> cost:Costmodel.t -> t

@@ -10,7 +10,6 @@ type t = {
   trivial : bool;
   n_bicon : int;
   half : (int * int) list;
-  emb : Constrained.t option;
   iface_bits : int;
 }
 
@@ -32,57 +31,85 @@ let cyclic_runs classify = function
       done;
       max 1 !transitions
 
-let create g ~mode ~classify ~half ~id ~vertices ~anchors =
+(* [span] stamps the vertices of the current install's spanning tree
+   (install number [spans]); [tree] holds their BFS parents. *)
+type workspace = {
+  embedding : Constrained.workspace;
+  span : int array;
+  tree : int array;
+  mutable spans : int;
+}
+
+let workspace g =
+  {
+    embedding = Constrained.workspace g;
+    span = Array.make (Gr.n g) 0;
+    tree = Array.make (Gr.n g) 0;
+    spans = 0;
+  }
+
+let embedding ws = ws.embedding
+
+let create g ws ~mode ~classify ~half ~id ~vertices ~anchors =
   let leader = List.fold_left max (List.hd vertices) vertices in
   (* Spanning tree over the part plus its anchors (the "split-off copies"
      of P0 coordinators), rooted at the leader: a BFS over [g] limited to
-     the span set. Span vertices start with parent -1 (unreached). The
-     visiting order matches a BFS of the induced subgraph on the sorted
-     span set, whose CSR slices are [g]'s slices filtered, in order. *)
-  let span_set = List.sort_uniq compare (anchors @ vertices) in
-  let tree_parent = Hashtbl.create (List.length span_set) in
-  List.iter (fun v -> Hashtbl.replace tree_parent v (-1)) span_set;
-  Hashtbl.replace tree_parent leader leader;
+     the stamped span set, parents -1 while unreached. The visiting order
+     matches a BFS of the induced subgraph on the sorted span set, whose
+     CSR slices are [g]'s slices filtered, in order. *)
+  ws.spans <- ws.spans + 1;
+  let stamp = ws.spans and span = ws.span and tree = ws.tree in
+  let size = ref 0 in
+  let enter v =
+    if span.(v) <> stamp then begin
+      span.(v) <- stamp;
+      tree.(v) <- -1;
+      incr size
+    end
+  in
+  List.iter enter anchors;
+  List.iter enter vertices;
+  tree.(leader) <- leader;
   let rec level frontier d =
     let next = ref [] in
     List.iter
       (fun v ->
         Gr.iter_neighbors g v (fun w ->
-            match Hashtbl.find tree_parent w with
-            | -1 ->
-                Hashtbl.replace tree_parent w v;
-                next := w :: !next
-            | _ | (exception Not_found) -> ()))
+            if span.(w) = stamp && tree.(w) = -1 then begin
+              tree.(w) <- v;
+              next := w :: !next
+            end))
       frontier;
     if !next = [] then d else level (List.rev !next) (d + 1)
   in
   let depth = level [ leader ] 0 in
-  List.iter
-    (fun v ->
-      if Hashtbl.find tree_parent v < 0 then
-        invalid_arg
-          (Printf.sprintf "Part.create: part %d is not connected (vertex %d)" id v))
-    span_set;
-  (* The induced subgraph proper (without anchors), built once for the
-     structure and the constrained embedding. *)
-  let induced = Gr.induced g vertices in
-  let (sub, _, _) = induced in
-  let trivial = Gr.m sub = List.length vertices - 1 in
-  let dec = Bicon.decompose sub in
-  let n_bicon = dec.Bicon.n_components in
-  let emb =
+  let tree_parent = Hashtbl.create !size in
+  let keep v =
+    if tree.(v) < 0 then
+      invalid_arg
+        (Printf.sprintf "Part.create: part %d is not connected (vertex %d)" id v);
+    Hashtbl.replace tree_parent v tree.(v)
+  in
+  List.iter keep anchors;
+  List.iter keep vertices;
+  (* The induced subgraph proper (without anchors), loaded once into the
+     install workspace for the structure and the constrained embedding. *)
+  let cw = ws.embedding in
+  Constrained.load cw ~part:vertices ~half;
+  let trivial = Constrained.induced_edges cw = List.length vertices - 1 in
+  let n_bicon = Constrained.blocks cw in
+  let outer =
     match mode with
     | Economy -> None
-    | Faithful -> (
-        match Constrained.embed_induced g ~part:vertices ~half induced with
-        | Some e -> Some e
-        | None ->
-            raise
-              (Nonplanar_detected
-                 (Printf.sprintf
-                    "part %d admits no embedding with its half-embedded \
-                     edges on one face"
-                    id)))
+    | Faithful ->
+        if Constrained.embed_loaded cw then Some (Constrained.outer cw)
+        else
+          raise
+            (Nonplanar_detected
+               (Printf.sprintf
+                  "part %d admits no embedding with its half-embedded edges \
+                   on one face"
+                  id))
   in
   let w = word g in
   let iface_bits =
@@ -92,8 +119,8 @@ let create g ~mode ~classify ~half ~id ~vertices ~anchors =
        outer order is unknown; the number of distinct outside endpoints is
        the run-count estimate. *)
     let runs =
-      match emb with
-      | Some e -> cyclic_runs (fun (_u, v) -> classify v) e.Constrained.outer
+      match outer with
+      | Some outer -> cyclic_runs (fun (_u, v) -> classify v) outer
       | None ->
           List.length
             (List.sort_uniq compare (List.map (fun (_u, v) -> classify v) half))
@@ -110,7 +137,6 @@ let create g ~mode ~classify ~half ~id ~vertices ~anchors =
     trivial;
     n_bicon;
     half;
-    emb;
     iface_bits;
   }
 

@@ -2,11 +2,12 @@
 
     A part is a connected set of vertices together with the distributed
     machinery the algorithm maintains for it: a leader, a low-depth
-    spanning tree used for internal upcasts/downcasts, the current partial
-    embedding (all half-embedded edges on one face, via the apex
-    construction of {!Constrained}), and the size of its compressed
-    interface summary — the number of bits the part ships when it takes
-    part in a merge.
+    spanning tree used for internal upcasts/downcasts, and the size of its
+    compressed interface summary — the number of bits the part ships when
+    it takes part in a merge. Creating a part checks that its partial
+    embedding exists (all half-embedded edges on one face, via the apex
+    construction of {!Constrained}) and reads the realized outer order off
+    it; the embedding itself is not kept.
 
     {e Anchors} implement step 2(e) of the Section 5.3 algorithm: when a
     vertex-coordinated merge around a [P0]-vertex [i] could blow up a
@@ -36,7 +37,6 @@ type t = {
   trivial : bool;  (** induces a tree (Definition preceding Def. 3.1). *)
   n_bicon : int;  (** biconnected components of the induced subgraph. *)
   half : (int * int) list;  (** half-embedded edges at creation time. *)
-  emb : Constrained.t option;  (** partial embedding ([Faithful] mode). *)
   iface_bits : int;  (** compressed interface size in bits. *)
 }
 
@@ -44,8 +44,21 @@ exception Nonplanar_detected of string
 (** Raised as soon as some partial embedding fails — for a safe partition
     this certifies the whole network non-planar. *)
 
+type workspace
+(** The scratch one run's installs share, sized to the network: a
+    constrained-embedding workspace and the stamped arrays of the
+    spanning-tree BFS. Parts are installed one at a time, so each install
+    reuses it and allocates little beyond the part's own record. Not
+    thread-safe: one per run. *)
+
+val workspace : Gr.t -> workspace
+
+val embedding : workspace -> Constrained.workspace
+(** The constrained-embedding workspace every install loads into. *)
+
 val create :
   Gr.t ->
+  workspace ->
   mode:mode ->
   classify:(int -> int) ->
   half:(int * int) list ->
@@ -58,6 +71,8 @@ val create :
     endpoint's current part id): consecutive half-embedded edges of the
     same class collapse into one compressed interface leaf — the paper's
     "only essential degrees of freedom" compression (its Section 7.1.4).
+    The part is loaded into the workspace's [embedding], which holds it
+    (and, in [Faithful] mode, its embedding) until the next install.
     @raise Nonplanar_detected in [Faithful] mode when no embedding places
     all half-embedded edges on one face. *)
 

@@ -31,20 +31,66 @@ type t = {
           the shared face. *)
 }
 
+(** {1 The install workspace}
+
+    The embedder installs thousands of parts per run, each needing only
+    the verdict, the induced edge count, the block count and the outer
+    order. A {!workspace} computes them without building a graph: it
+    names the part's vertices [0 .. p-1] in list order, the stub of the
+    [i]-th half edge [p + i] and the apex [p + k], writes the induced
+    pairs and then the stub and apex pairs straight into one reusable
+    {!Lr.workspace}, and runs {!Lr.embed_pairs}, which keeps the ring
+    permutation check and the Euler check. Local ids are stamped per
+    load, so naming a part costs O(p), and the block count is an
+    array lowpoint DFS over the network's CSR restricted to the part.
+    Every buffer is sized to the network or grows only, so once a
+    workspace has seen its largest part a load allocates nothing per
+    vertex or edge beyond the outputs asked for. A workspace is not
+    thread-safe: give each run its own. *)
+
+type workspace
+
+val workspace : Gr.t -> workspace
+(** An empty workspace over the given network. *)
+
+val load : workspace -> part:int list -> half:(int * int) list -> unit
+(** Name the part and its half edges and write the induced pairs. [half]
+    must list edges of the network with exactly their inside endpoint in
+    [part], and [part] must be duplicate-free;
+    @raise Invalid_argument otherwise. *)
+
+val induced_edges : workspace -> int
+(** Edges of the subgraph the loaded part induces. *)
+
+val blocks : workspace -> int
+(** Biconnected components of the subgraph the loaded part induces —
+    [(Bicon.decompose (Gr.induced g part)).n_components]: every edge in
+    exactly one, none for an isolated vertex. *)
+
+val embed_loaded : workspace -> bool
+(** Embed the loaded part with its half edges on one face: [false] iff
+    the apex-augmented part is not planar. At most once per {!load}.
+    @raise Lr.Embedding_invalid if the kernel's ring fails its checks. *)
+
+val outer : workspace -> (int * int) list
+(** After {!embed_loaded} returned [true]: the half edges
+    [(inside, outside)] in their cyclic order around the shared face,
+    as in {!t}[.outer]. *)
+
+val rotation : workspace -> Rotation.t
+(** After {!embed_loaded} returned [true] on a part that covers the whole
+    network (so it has no half edges): the network's rotation system,
+    through the checked {!Rotation.make}.
+    @raise Invalid_argument if the part does not cover the network. *)
+
+(** {1 One-shot form} *)
+
 val embed : Gr.t -> part:int list -> half:(int * int) list -> t option
 (** [embed g ~part ~half] is [None] iff the apex-augmented part is not
-    planar. [half] must list edges of [g] with exactly their inside
-    endpoint in [part]; @raise Invalid_argument otherwise. *)
-
-val embed_induced :
-  Gr.t ->
-  part:int list ->
-  half:(int * int) list ->
-  Gr.t * int array * (int -> int) ->
-  t option
-(** [embed_induced g ~part ~half (Gr.induced g part)] is
-    [embed g ~part ~half], for callers that already built the part's
-    induced subgraph ({!embed} is this with the triple built for you). *)
+    planar: {!load} and {!embed_loaded} on a fresh {!workspace}, the
+    rings read back into {!t}. [half] must list edges of [g] with
+    exactly their inside endpoint in [part]; @raise Invalid_argument
+    otherwise. *)
 
 val rotation_of_full : t -> Gr.t -> Rotation.t
 (** When the part covers the whole (connected) graph — so there are no

@@ -374,6 +374,106 @@ let test_golden (name, make, want) () =
   | None -> Alcotest.failf "%s: rejected as non-planar" name
   | Some rot -> c "rotation fold" want.rotation (rotation_fold rot)
 
+(* Economy mode's exact numbers on the same three inputs, recorded from
+   the implementation before part installs moved onto the reusable
+   workspace: Economy builds no intermediate embedding, so these pin its
+   interface estimates and its one final embed. *)
+let economy_golden_cases =
+  List.map2
+    (fun (name, make, _) (rounds, total_bits, iface_bits_shipped, rotation) ->
+      (name, make, (rounds, total_bits, iface_bits_shipped, rotation)))
+    golden_cases
+    [
+      (934, 119164, 1532, 66557384905723);
+      (903, 867730, 23308, 50502308317470);
+      (371, 532009, 21490, 32949540848250);
+    ]
+
+let test_economy_golden (name, make, (rounds, total_bits, iface, rotation)) () =
+  let config = Network.Config.with_domains 1 Network.Config.default in
+  let o = Embedder.run ~config ~mode:Part.Economy (make ()) in
+  let r = o.Embedder.report in
+  let c field = check (name ^ ": economy " ^ field) in
+  c "rounds" rounds r.Embedder.rounds;
+  c "total_bits" total_bits r.Embedder.total_bits;
+  c "iface_bits_shipped" iface r.Embedder.iface_bits_shipped;
+  match o.Embedder.rotation with
+  | None -> Alcotest.failf "%s: economy rejected as non-planar" name
+  | Some rot -> c "economy rotation fold" rotation (rotation_fold rot)
+
+(* ------------------------------------------------------------------ *)
+(* Part installs                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let cost_model g = Costmodel.create ~bandwidth:64 g (Metrics.create g)
+
+let test_install_nonplanar_part () =
+  (* K4 inside K5: its half edges to vertex 4 leave no embedding with all
+     of them on one face. Faithful mode refuses the install; Economy mode
+     builds no intermediate embedding and accepts it. *)
+  let g = Gen.k5 () in
+  let st = Merge.create g ~mode:Part.Faithful ~checks:false ~cost:(cost_model g) in
+  (match Merge.fresh_part st [ 0; 1; 2; 3 ] with
+  | _ -> Alcotest.fail "Faithful install accepted a non-planar part"
+  | exception Part.Nonplanar_detected _ -> ());
+  let st = Merge.create g ~mode:Part.Economy ~checks:false ~cost:(cost_model g) in
+  let p = Merge.part st (Merge.fresh_part st [ 0; 1; 2; 3 ]) in
+  check "economy blocks" 1 p.Part.n_bicon;
+  check_bool "no rotation before the covering part" true (st.Merge.full = None)
+
+let prop_install_structure =
+  QCheck.Test.make
+    ~name:"installed parts: blocks, triviality and verdict equal the oracles"
+    ~count:60
+    QCheck.(triple (int_range 0 100000) (int_range 2 50) (int_range 1 50))
+    (fun (seed, n, size) ->
+      let g =
+        if seed mod 2 = 0 then
+          Gen.random_planar ~seed ~n ~m:(max (n - 1) (min ((3 * n) - 6) (2 * n)))
+        else Gen.random_tree ~seed n
+      in
+      (* A connected part: the first [size] vertices of a BFS. Its
+         complement may be disconnected, so the apex construction may
+         refuse it; Faithful mode must then refuse the install. *)
+      let bt = Traverse.bfs g (seed mod n) in
+      let part = Array.to_list (Array.sub bt.Traverse.order 0 (min size n)) in
+      let part_of = Array.make n 1 in
+      List.iter (fun v -> part_of.(v) <- 0) part;
+      let half = Partition.half_edges g ~part_of 0 in
+      let want = Apex.shape g ~part ~half in
+      List.for_all
+        (fun mode ->
+          let st = Merge.create g ~mode ~checks:false ~cost:(cost_model g) in
+          match Merge.part st (Merge.fresh_part st part) with
+          | p ->
+              (mode = Part.Economy || want.Apex.outer <> None)
+              && p.Part.n_bicon = want.Apex.blocks
+              && p.Part.trivial = Partition.is_trivial g part
+              && (st.Merge.full <> None)
+                 = (List.length part = n && want.Apex.outer <> None)
+          | exception Part.Nonplanar_detected _ ->
+              mode = Part.Faithful && want.Apex.outer = None)
+        [ Part.Faithful; Part.Economy ])
+
+(* Allocation gate: installs that build an induced [Gr.t], a [Bicon]
+   decomposition, an apex [Gr.t] and a rotation table per part allocate
+   about 2.9 M words on this input; the install workspace about 1.1 M. *)
+let test_install_allocation () =
+  let g = Gen.random_outerplanar ~seed:1 ~n:600 ~chord_prob:0.5 in
+  let config = Network.Config.with_domains 1 Network.Config.default in
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.full_major ();
+  let w0 = words () in
+  let o = Embedder.run ~config g in
+  let w = words () -. w0 in
+  check_bool "planar" true (o.Embedder.rotation <> None);
+  if w > 1.5e6 then
+    Alcotest.failf "Embedder.run allocated %.0f words (gate 1.5e6)" w
+
 let () =
   Alcotest.run "embedder"
     [
@@ -416,5 +516,16 @@ let () =
         List.map
           (fun ((name, _, _) as case) ->
             Alcotest.test_case name `Quick (test_golden case))
-          golden_cases );
+          golden_cases
+        @ List.map
+            (fun ((name, _, _) as case) ->
+              Alcotest.test_case ("economy " ^ name) `Quick
+                (test_economy_golden case))
+            economy_golden_cases );
+      ( "install",
+        [
+          Alcotest.test_case "non-planar part" `Quick test_install_nonplanar_part;
+          QCheck_alcotest.to_alcotest prop_install_structure;
+          Alcotest.test_case "allocation gate" `Quick test_install_allocation;
+        ] );
     ]

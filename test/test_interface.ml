@@ -213,6 +213,181 @@ let prop_constrained_parts_of_planar_graphs_embed =
           | None -> false
           | Some t -> Constrained.check g ~part ~half t))
 
+(* The install workspace against the graph-building apex oracle: a
+   connected part of [size] vertices grown by BFS from [root], listed in
+   a shuffled order (local ids follow list order), with every edge
+   leaving it as a half edge, also shuffled. *)
+let random_part g ~seed ~root ~size =
+  let rng = Random.State.make [| 0x5eed; seed |] in
+  let n = Gr.n g in
+  let inside = Array.make n false in
+  let order = ref [] and count = ref 0 in
+  let q = Queue.create () in
+  Queue.push root q;
+  inside.(root) <- true;
+  while (not (Queue.is_empty q)) && !count < size do
+    let v = Queue.pop q in
+    order := v :: !order;
+    incr count;
+    Gr.iter_neighbors g v (fun w ->
+        if not inside.(w) then begin
+          inside.(w) <- true;
+          Queue.push w q
+        end)
+  done;
+  let part = !order in
+  let in_part = Array.make n false in
+  List.iter (fun v -> in_part.(v) <- true) part;
+  let half =
+    List.concat_map
+      (fun v ->
+        List.filter_map
+          (fun w -> if in_part.(w) then None else Some (v, w))
+          (Array.to_list (Gr.neighbors g v)))
+      part
+  in
+  let shuffle l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+  in
+  (shuffle part, shuffle half)
+
+(* One load of [ws] compared with the oracle on everything the embedder
+   reads: the induced edge count, the block count, the verdict, the
+   outer order (exactly, not up to rotation) and, for a part covering the
+   graph, the rotation. *)
+let agrees_with_apex ws g ~part ~half =
+  let want = Apex.shape g ~part ~half in
+  Constrained.load ws ~part ~half;
+  let induced = Constrained.induced_edges ws and blocks = Constrained.blocks ws in
+  let outer =
+    if Constrained.embed_loaded ws then Some (Constrained.outer ws) else None
+  in
+  let full =
+    match want.Apex.full with
+    | None -> true
+    | Some rot ->
+        let r = Constrained.rotation ws in
+        Array.for_all Fun.id
+          (Array.mapi (fun v a -> Rotation.rotation r v = a) rot)
+  in
+  induced = want.Apex.induced_edges
+  && blocks = want.Apex.blocks
+  && outer = want.Apex.outer
+  && full
+
+let install_families =
+  [
+    ("planar", fun seed n -> Gen.random_planar ~seed ~n ~m:(min ((3 * n) - 6) (2 * n)));
+    ("tree", fun seed n -> Gen.random_tree ~seed n);
+    ("star", fun _ n -> Gen.star n);
+    ("path", fun _ n -> Gen.path n);
+    ("outerplanar", fun seed n -> Gen.random_outerplanar ~seed ~n ~chord_prob:0.5);
+    ("dense", fun seed n -> Gen.random_connected_graph ~seed ~n ~m:(min (n * (n - 1) / 2) (3 * n)));
+  ]
+
+let prop_workspace_matches_apex_oracle =
+  QCheck.Test.make
+    ~name:"install workspace = apex oracle (counts, verdict, outer order)"
+    ~count:200
+    QCheck.(triple (int_range 0 100000) (int_range 3 40) (int_range 1 40))
+    (fun (seed, n, size) ->
+      let (_, make) =
+        List.nth install_families (seed mod List.length install_families)
+      in
+      let g = make seed n in
+      let root = seed mod Gr.n g in
+      let (part, half) = random_part g ~seed ~root ~size in
+      agrees_with_apex (Constrained.workspace g) g ~part ~half)
+
+let test_workspace_small_parts () =
+  (* Parts of one and two vertices, on a path end, a star's centre and
+     leaves, and a grid corner. *)
+  List.iter
+    (fun (name, g, part) ->
+      let in_part w = List.mem w part in
+      let half =
+        List.concat_map
+          (fun v ->
+            List.filter_map
+              (fun w -> if in_part w then None else Some (v, w))
+              (Array.to_list (Gr.neighbors g v)))
+          part
+      in
+      check_bool name true
+        (agrees_with_apex (Constrained.workspace g) g ~part ~half))
+    [
+      ("path end", Gen.path 5, [ 0 ]);
+      ("path middle pair", Gen.path 5, [ 2; 3 ]);
+      ("star centre", Gen.star 8, [ 0 ]);
+      ("star centre and leaf", Gen.star 8, [ 3; 0 ]);
+      ("star leaf", Gen.star 8, [ 5 ]);
+      ("grid corner pair", Gen.grid 4 4, [ 1; 0 ]);
+      ("single vertex graph", Gen.path 1, [ 0 ]);
+      ("edge graph", Gen.path 2, [ 1; 0 ]);
+    ]
+
+let test_workspace_nonplanar_part () =
+  (* K4 inside K5: the four half edges to vertex 4 close a K5 through the
+     apex, so the workspace refuses it as the oracle does. *)
+  let g = Gen.k5 () in
+  let part = [ 2; 0; 3; 1 ] and half = List.map (fun u -> (u, 4)) [ 0; 1; 2; 3 ] in
+  let ws = Constrained.workspace g in
+  check_bool "oracle refuses" true ((Apex.shape g ~part ~half).Apex.outer = None);
+  check_bool "workspace agrees" true (agrees_with_apex ws g ~part ~half);
+  Constrained.load ws ~part ~half;
+  check_bool "refused" false (Constrained.embed_loaded ws)
+
+let test_workspace_reuse () =
+  (* One workspace over one graph, parts growing and shrinking, each load
+     checked against a fresh oracle; the last covers the graph. *)
+  List.iter
+    (fun (name, g) ->
+      let n = Gr.n g in
+      let ws = Constrained.workspace g in
+      List.iteri
+        (fun i size ->
+          let (part, half) =
+            random_part g ~seed:i ~root:((i * 7919) mod n) ~size
+          in
+          check_bool
+            (Printf.sprintf "%s: load %d (size %d)" name i size)
+            true
+            (agrees_with_apex ws g ~part ~half))
+        [ 1; n / 2; 2; n - 1; 3; n / 3; n; 1; n ])
+    [
+      ("grid 6x6", Gen.grid 6 6);
+      ("maxplanar 50", Gen.random_maximal_planar ~seed:4 50);
+      ("outerplanar 60", Gen.random_outerplanar ~seed:5 ~n:60 ~chord_prob:0.5);
+      ("star 30", Gen.star 30);
+      ("K5", Gen.k5 ());
+    ]
+
+let test_workspace_rejects_bad_loads () =
+  let g = Gen.grid 2 2 in
+  let ws = Constrained.workspace g in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "duplicate vertex" (fun () ->
+      Constrained.load ws ~part:[ 0; 1; 0 ] ~half:[]);
+  raises "out of range" (fun () -> Constrained.load ws ~part:[ 0; 4 ] ~half:[]);
+  raises "not an edge" (fun () ->
+      Constrained.load ws ~part:[ 0; 1 ] ~half:[ (0, 3) ]);
+  raises "inside endpoint outside" (fun () ->
+      Constrained.load ws ~part:[ 0 ] ~half:[ (1, 3) ]);
+  raises "outside endpoint inside" (fun () ->
+      Constrained.load ws ~part:[ 0; 1 ] ~half:[ (0, 1) ]);
+  raises "rotation of a proper part" (fun () ->
+      Constrained.load ws ~part:[ 0; 1 ] ~half:[ (0, 2); (1, 3) ];
+      ignore (Constrained.embed_loaded ws);
+      ignore (Constrained.rotation ws));
+  (* A refused load leaves the workspace usable. *)
+  check_bool "usable after refusals" true
+    (agrees_with_apex ws g ~part:[ 3; 1 ] ~half:[ (3, 2); (1, 0) ])
+
 (* ------------------------------------------------------------------ *)
 (* Iface                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -338,6 +513,14 @@ let () =
             test_constrained_detects_impossible;
           QCheck_alcotest.to_alcotest
             prop_constrained_parts_of_planar_graphs_embed;
+          QCheck_alcotest.to_alcotest prop_workspace_matches_apex_oracle;
+          Alcotest.test_case "workspace: small parts" `Quick
+            test_workspace_small_parts;
+          Alcotest.test_case "workspace: non-planar part" `Quick
+            test_workspace_nonplanar_part;
+          Alcotest.test_case "workspace: reuse" `Quick test_workspace_reuse;
+          Alcotest.test_case "workspace: bad loads" `Quick
+            test_workspace_rejects_bad_loads;
         ] );
       ( "iface",
         [
