@@ -2,7 +2,7 @@
 
    The PODC'16 paper is a theory paper whose evaluation is its theorems;
    DESIGN.md (Section 5) maps each quantitative claim to an experiment id
-   E1..E9 below, plus T0 (Bechamel wall-clock micro-benchmarks of the
+   E1..E11 below, plus T0 (Bechamel wall-clock micro-benchmarks of the
    computational kernels). Running without arguments executes everything:
 
      dune exec bench/main.exe            # all experiments, default sizes
@@ -12,7 +12,8 @@
    Round counts are simulated CONGEST rounds at bandwidth 16·⌈log2 n⌉
    bits/edge/round; "ours" is the recursive embedding algorithm
    (Theorem 1.1), "base" the trivial gather-everything algorithm
-   (footnote 2 of the paper). *)
+   (footnote 2 of the paper). A verify/check column that is not "ok"
+   (or "yes") makes the harness exit 1 after printing every table. *)
 
 let quick = ref false
 let huge = ref false
@@ -46,14 +47,19 @@ let grids () =
 let seglens () =
   if !quick then [ 4; 8; 16; 32 ] else [ 4; 8; 16; 32; 64; 128; 256 ]
 
-let run_ours g = Embedder.run ~mode:Part.Economy g
-let run_base g = Baseline.run g
+let failures = ref 0
 
-let verified o g =
-  ignore g;
+(* A check column's cell; a failed check is counted for the exit code. *)
+let cell ~pass ~fail ok =
+  if not ok then incr failures;
+  if ok then pass else fail
+
+let check ok = cell ~pass:"ok" ~fail:"FAIL" ok
+
+let verified o =
   match o.Embedder.rotation with
-  | Some r -> if Rotation.is_planar_embedding r then "ok" else "BAD"
-  | None -> "REJECTED"
+  | Some r -> cell ~pass:"ok" ~fail:"BAD" (Rotation.is_planar_embedding r)
+  | None -> cell ~pass:"ok" ~fail:"REJECTED" false
 
 (* E1 ----------------------------------------------------------------- *)
 
@@ -68,7 +74,7 @@ let e1 () =
   List.iter
     (fun n ->
       let g = maxplanar n in
-      let o = run_ours g in
+      let o = Embedder.run g in
       let r = o.Embedder.report in
       let d = r.Embedder.bfs_depth + 1 in
       let norm =
@@ -77,7 +83,7 @@ let e1 () =
       in
       row "%8d %8d %5d %7d %10d %14.1f %9s\n" r.Embedder.n r.Embedder.m
         r.Embedder.bfs_depth r.Embedder.recursion_depth r.Embedder.rounds norm
-        (verified o g))
+        (verified o))
     (sizes_maxplanar ())
 
 (* E2 ----------------------------------------------------------------- *)
@@ -92,7 +98,7 @@ let e2 () =
   row "%-14s %8s %5s %10s %10s %9s\n" "family" "n" "D" "ours" "base"
     "ours/base";
   let entry name g =
-    let o = run_ours g and b = run_base g in
+    let o = Embedder.run g and b = Baseline.run g in
     let ro = o.Embedder.report.Embedder.rounds
     and rb = b.Baseline.report.Baseline.rounds in
     row "%-14s %8d %5d %10d %10d %9.2f\n" name (Gr.n g)
@@ -119,7 +125,7 @@ let e3 () =
     (fun s ->
       let g = Gen.k4_subdivision s in
       let d = Traverse.diameter g in
-      let o = run_ours g in
+      let o = Embedder.run g in
       let r = o.Embedder.report in
       assert (r.Embedder.rounds >= d);
       let dd = d + 1 in
@@ -128,7 +134,7 @@ let e3 () =
         (float_of_int r.Embedder.rounds /. float_of_int dd)
         (float_of_int r.Embedder.rounds
         /. float_of_int (dd * min (log2_ceil (Gr.n g)) dd))
-        (verified o g))
+        (verified o))
     (seglens ())
 
 (* E4 ----------------------------------------------------------------- *)
@@ -153,7 +159,7 @@ let e4 () =
     assert (d <= bound);
     row "%-14s %8d %7d %8d %9d %12d %6s\n" name (Gr.n g) d
       (Decompose.count_calls tree) bound (Traverse.depth bt)
-      (if Decompose.check g bt tree then "ok" else "FAIL")
+      (check (Decompose.check g bt tree))
   in
   List.iter (fun n -> entry "maxplanar" (maxplanar n)) (sizes_maxplanar ());
   List.iter (fun (r, c) -> entry "grid" (Gen.grid r c)) (grids ());
@@ -194,7 +200,7 @@ let e5 () =
         (List.length grp.Symmetry.paths)
         (100.0 *. float_of_int (Hashtbl.length grouped) /. float_of_int n)
         (100.0 *. float_of_int !singles /. float_of_int n)
-        (if Symmetry.check g ~colors grp then "ok" else "FAIL"))
+        (check (Symmetry.check g ~colors grp)))
     (if !quick then [ 50; 200; 1000 ] else [ 50; 200; 1000; 5000; 20000 ])
 
 (* E6 ----------------------------------------------------------------- *)
@@ -207,7 +213,7 @@ let e6 () =
      against the call path length (<= D).";
   row "%-14s %8s %5s %10s %12s\n" "family" "n" "D" "max-parts" "parts/(D+1)";
   let entry name g =
-    let o = run_ours g in
+    let o = Embedder.run g in
     let r = o.Embedder.report in
     let d = r.Embedder.bfs_depth + 1 in
     row "%-14s %8d %5d %10d %12.2f\n" name (Gr.n g) r.Embedder.bfs_depth
@@ -232,7 +238,7 @@ let e7 () =
   row "%-14s %8s %5s %14s %15s %12s\n" "family" "n" "D" "max-edge-bits"
     "maxedge/(D+1)B" "total-Mbits";
   let entry name g =
-    let o = run_ours g in
+    let o = Embedder.run g in
     let r = o.Embedder.report in
     let d = r.Embedder.bfs_depth + 1 in
     row "%-14s %8d %5d %14d %15.2f %12.2f\n" name (Gr.n g)
@@ -265,7 +271,7 @@ let e8 () =
       + r.Embedder.merges_vertex + r.Embedder.merges_path
     in
     row "%-14s %8d %8d %8d %8d %9s\n" name (Gr.n g) r.Embedder.safety_checks
-      merges r.Embedder.retired_parts (verified o g)
+      merges r.Embedder.retired_parts (verified o)
   in
   List.iter
     (fun n -> entry "maxplanar" (maxplanar n))
@@ -274,27 +280,6 @@ let e8 () =
   entry "k4-subdiv" (Gen.k4_subdivision 12);
   entry "tree" (Gen.random_tree ~seed:5 400);
   entry "outerplanar" (Gen.random_outerplanar ~seed:9 ~n:300 ~chord_prob:0.6)
-
-(* E9 ----------------------------------------------------------------- *)
-
-let e9 () =
-  header "E9  Ablation: faithful vs economy cost accounting"
-    "The faithful mode re-derives a real partial embedding at every merge\n\
-     (realized interface sizes); economy mode estimates interface sizes\n\
-     from the biconnected structure. Claim: the two cost profiles agree\n\
-     closely, which justifies using economy mode for the large sweeps.";
-  row "%8s %5s %12s %12s %8s\n" "n" "D" "faithful" "economy" "ratio";
-  List.iter
-    (fun n ->
-      let g = maxplanar n in
-      let f = Embedder.run ~mode:Part.Faithful g in
-      let e = Embedder.run ~mode:Part.Economy g in
-      let rf = f.Embedder.report.Embedder.rounds
-      and re = e.Embedder.report.Embedder.rounds in
-      row "%8d %5d %12d %12d %8.2f\n" n f.Embedder.report.Embedder.bfs_depth rf
-        re
-        (float_of_int re /. float_of_int rf))
-    (if !quick then [ 100; 300; 1000 ] else [ 100; 300; 1000; 3000 ])
 
 (* E10 ---------------------------------------------------------------- *)
 
@@ -313,9 +298,8 @@ let e10 () =
       (float_of_int (List.length s.Separator.separator)
       /. sqrt (float_of_int (Gr.n g)))
       s.Separator.balance
-      (if Separator.check g s && s.Separator.balance <= 2.0 /. 3.0 +. 1e-9
-       then "ok"
-       else "FAIL")
+      (check
+         (Separator.check g s && s.Separator.balance <= 2.0 /. 3.0 +. 1e-9))
   in
   List.iter
     (fun n -> entry "maxplanar" (maxplanar n))
@@ -343,7 +327,7 @@ let e11 () =
     in
     row "%-14s %8d %5d %8d %10d %8s\n" name (Gr.n g)
       (Traverse.diameter g) rep.Mst.boruvka_phases rep.Mst.rounds
-      (if same then "yes" else "NO")
+      (cell ~pass:"yes" ~fail:"NO" same)
   in
   List.iter
     (fun n -> entry "maxplanar" (maxplanar n))
@@ -375,8 +359,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Proto.leader_bfs grid)));
       Test.make ~name:"symmetry-outerplanar400"
         (Staged.stage (fun () -> ignore (Symmetry.compute outer ~colors)));
-      Test.make ~name:"embedder-economy-grid20x20"
-        (Staged.stage (fun () -> ignore (Embedder.run ~mode:Part.Economy grid)));
+      Test.make ~name:"embedder-grid20x20"
+        (Staged.stage (fun () -> ignore (Embedder.run grid)));
       Test.make ~name:"baseline-grid20x20"
         (Staged.stage (fun () -> ignore (Baseline.run grid)));
     ]
@@ -424,7 +408,7 @@ let trace_run file =
   let o =
     Embedder.run
       ~config:(Network.Config.make ~observe:(Observe.of_trace tr) ())
-      ~mode:Part.Economy g
+      g
   in
   let r = o.Embedder.report in
   let d = Traverse.diameter g in
@@ -446,7 +430,7 @@ let trace_run file =
   Format.printf "%a@.@." Trace.pp_summary tr;
   Format.printf "%a@.@." Bounds.pp
     (Bounds.check ~n:r.Embedder.n ~d r.Embedder.metrics);
-  Printf.printf "verify: %s — JSON journal written to %s\n" (verified o g) file
+  Printf.printf "verify: %s — JSON journal written to %s\n" (verified o) file
 
 (* Driver -------------------------------------------------------------- *)
 
@@ -460,7 +444,6 @@ let all_experiments =
     ("e6", e6);
     ("e7", e7);
     ("e8", e8);
-    ("e9", e9);
     ("e10", e10);
     ("e11", e11);
     ("micro", micro);
@@ -509,4 +492,8 @@ let () =
      PODC 2016 (see DESIGN.md section 5 and EXPERIMENTS.md)%s\n"
     (if !quick then " [--quick sizes]" else "");
   (match !trace_file with Some file -> trace_run file | None -> ());
-  List.iter (fun (_name, f) -> f ()) chosen
+  List.iter (fun (_name, f) -> f ()) chosen;
+  if !failures > 0 then begin
+    Printf.eprintf "bench/main: %d verify/check cells failed\n" !failures;
+    exit 1
+  end

@@ -10,7 +10,7 @@
 
    Example:
      distplanar embed --family grid --rows 4 --cols 5 --rotations
-     distplanar embed --family maxplanar -n 2000 --mode economy
+     distplanar embed --family maxplanar -n 2000
      distplanar baseline --family k4subdiv --seglen 64 *)
 
 open Cmdliner
@@ -73,12 +73,6 @@ let m_t =
 let chord_t =
   Arg.(value & opt float 0.5 & info [ "chord-prob" ] ~doc:"Outerplanar chord probability.")
 
-let mode_t =
-  let mode_conv =
-    Arg.enum [ ("faithful", Part.Faithful); ("economy", Part.Economy) ]
-  in
-  Arg.(value & opt mode_conv Part.Faithful & info [ "mode" ] ~doc:"faithful | economy.")
-
 let checks_t =
   Arg.(value & flag & info [ "checks" ] ~doc:"Validate safety invariants at every merge.")
 
@@ -101,17 +95,23 @@ let print_rotation r =
     Printf.printf "  %4d : (%s)\n" v order
   done
 
-let graph_summary g =
+(* The diameter line costs two linear BFS sweeps; a caller that needs
+   the exact diameter anyway (trace's bound checks) passes it in. *)
+let graph_summary ?diameter g =
   Printf.printf "graph            : n=%d m=%d%s\n" (Gr.n g) (Gr.m g)
-    (if Traverse.is_connected g then
-       Printf.sprintf " diameter=%d" (Traverse.diameter g)
-     else " (disconnected)")
+    (match diameter with
+    | Some d -> Printf.sprintf " diameter=%d" d
+    | None when Traverse.is_connected g -> (
+        match Traverse.diameter_bracket g with
+        | lo, hi when lo = hi -> Printf.sprintf " diameter=%d (two BFS sweeps)" lo
+        | lo, hi -> Printf.sprintf " diameter in [%d, %d] (two BFS sweeps)" lo hi)
+    | None -> " (disconnected)")
 
 let embed_cmd =
-  let run family n rows cols seglen seed m chord mode checks rotations =
+  let run family n rows cols seglen seed m chord checks rotations =
     let g = make_graph family n rows cols seglen seed m chord in
     graph_summary g;
-    let o = Embedder.run ~mode ~checks g in
+    let o = Embedder.run ~checks g in
     let r = o.Embedder.report in
     Printf.printf "algorithm        : distributed recursive embedding (Theorem 1.1)\n";
     Printf.printf "bandwidth        : %d bits/edge/round\n" r.Embedder.bandwidth;
@@ -142,7 +142,7 @@ let embed_cmd =
   let term =
     Term.(
       const run $ family_t $ n_t $ rows_t $ cols_t $ seglen_t $ seed_t $ m_t
-      $ chord_t $ mode_t $ checks_t $ rotations_t)
+      $ chord_t $ checks_t $ rotations_t)
   in
   Cmd.v (Cmd.info "embed" ~doc:"Run the distributed planar embedding algorithm.") term
 
@@ -255,16 +255,16 @@ let trace_cmd =
       & info [ "keep-messages" ]
           ~doc:"Record every individual message in the journal (heavy).")
   in
-  let run family n rows cols seglen seed m chord mode json keep_messages =
+  let run family n rows cols seglen seed m chord json keep_messages =
     let g = make_graph family n rows cols seglen seed m chord in
-    graph_summary g;
     let d = Traverse.diameter g in
+    graph_summary ~diameter:d g;
     let tr = Trace.create ~keep_messages () in
     let o =
       try
         Embedder.run
           ~config:(Network.Config.make ~observe:(Observe.of_trace tr) ())
-          ~mode g
+          g
       with Network.No_quiescence { round; active; messages } ->
         (* A protocol that never goes quiet: say where it was stuck, not
            just that it was — the innermost still-open span is the
@@ -348,7 +348,7 @@ let trace_cmd =
   let term =
     Term.(
       const run $ family_t $ n_t $ rows_t $ cols_t $ seglen_t $ seed_t $ m_t
-      $ chord_t $ mode_t $ json_t $ keep_messages_t)
+      $ chord_t $ json_t $ keep_messages_t)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -440,7 +440,7 @@ let chaos_cmd =
         | _ -> fail ())
     | _ -> fail ()
   in
-  let run family n rows cols seglen seed m chord mode drop dup reorder delay
+  let run family n rows cols seglen seed m chord drop dup reorder delay
       max_delay adversarial crash_specs grace runs jobs domains =
     (* The quickstart says `--family grid --n 1024`: for the grid families,
        an explicit --n with the rows/cols left at their defaults means a
@@ -482,7 +482,7 @@ let chaos_cmd =
       (if adversarial then "yes" else "no")
       (List.length crashes) grace;
     ignore plan;
-    let clean = Embedder.run ~mode g in
+    let clean = Embedder.run g in
     let clean_rounds = clean.Embedder.report.Embedder.rounds in
     Printf.printf "clean baseline   : %d rounds\n" clean_rounds;
     (* Each seed's run builds its own plan, runs, and returns a record;
@@ -496,7 +496,7 @@ let chaos_cmd =
         match
           Embedder.run
             ~config:(Network.Config.make ~faults:plan ~domains ())
-            ~mode g
+            g
         with
         | o -> (
             let r = o.Embedder.report.Embedder.rounds in
@@ -538,7 +538,7 @@ let chaos_cmd =
   let term =
     Term.(
       const run $ family_t $ n_t $ rows_t $ cols_t $ seglen_t $ seed_t $ m_t
-      $ chord_t $ mode_t $ drop_t $ dup_t $ reorder_t $ delay_t $ max_delay_t
+      $ chord_t $ drop_t $ dup_t $ reorder_t $ delay_t $ max_delay_t
       $ adversarial_t $ crash_t $ grace_t $ runs_t $ jobs_t $ domains_t)
   in
   Cmd.v

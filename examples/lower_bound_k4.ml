@@ -39,7 +39,7 @@ let () =
     (fun seglen ->
       let g = Gen.k4_subdivision seglen in
       let d = Traverse.diameter g in
-      let o = Embedder.run ~mode:Part.Economy g in
+      let o = Embedder.run g in
       let rounds = o.Embedder.report.Embedder.rounds in
       assert (rounds >= d);
       Printf.printf "%8d %8d %6d %10d %10.1f\n" seglen (Gr.n g) d rounds

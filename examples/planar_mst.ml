@@ -22,7 +22,7 @@ let () =
 
   (* Part I: the planar embedding (each node learns its clockwise link
      order; usable afterwards for face routing, duals, separators...). *)
-  let emb = Embedder.run ~mode:Part.Economy g in
+  let emb = Embedder.run g in
   (match emb.Embedder.rotation with
   | Some r -> assert (Rotation.is_planar_embedding r)
   | None -> failwith "planar input rejected");

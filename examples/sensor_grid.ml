@@ -43,7 +43,7 @@ let () =
   Printf.printf "sensor mesh: %dx%d grid, %d/%d links up, diameter %d\n\n"
     rows cols (Gr.m g) (Gr.m full) (Traverse.diameter g);
 
-  let ours = Embedder.run ~mode:Part.Economy g in
+  let ours = Embedder.run g in
   let base = Baseline.run g in
   Printf.printf "distributed embedding : %6d rounds\n"
     ours.Embedder.report.Embedder.rounds;

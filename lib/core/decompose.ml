@@ -34,18 +34,13 @@ let subtree_vertices children root =
   done;
   !out
 
-let recursion_tree ?(base_size = 2) g bt =
-  (* Base calls reuse their whole subtree as P0, which must be a path; a
-     subtree of at most two vertices always is. *)
-  let base_size = min base_size 2 in
-  let n = Array.length bt.Traverse.parent in
+let recursion_tree g bt =
   let kids_arr = Traverse.children bt in
   let children v = kids_arr.(v) in
   (* Global subtree sizes: within any subtree T_s, a vertex's subtree size
      equals its global one. *)
   let sizes_arr = Traverse.subtree_sizes g bt in
   let sizes v = sizes_arr.(v) in
-  ignore n;
   let rec build level root =
     let vertices = subtree_vertices children root in
     let total = List.length vertices in
@@ -54,9 +49,9 @@ let recursion_tree ?(base_size = 2) g bt =
         (fun acc v -> max acc (bt.Traverse.dist.(v) - bt.Traverse.dist.(root)))
         0 vertices
     in
-    if total <= base_size then
-      (* Base case: the whole subtree is the (path or single-vertex) P0,
-         ordered from the root down. *)
+    if total <= 2 then
+      (* Base case: the whole subtree is the P0, ordered from the root
+         down; a subtree of at most two vertices is always a path. *)
       let p0 =
         List.sort
           (fun a b -> compare bt.Traverse.dist.(a) bt.Traverse.dist.(b))

@@ -30,10 +30,9 @@ val splitter_of_subtree :
     certainly [2·total/3] — vertices. [sizes] gives subtree sizes within
     [T_s]. *)
 
-val recursion_tree : ?base_size:int -> Gr.t -> Traverse.bfs_tree -> call
+val recursion_tree : Gr.t -> Traverse.bfs_tree -> call
 (** Build the whole recursion tree below the BFS root. Calls with at most
-    [base_size] (default 2) vertices become leaves whose [p0] covers the
-    entire subtree. *)
+    two vertices become leaves whose [p0] covers the entire subtree. *)
 
 val depth : call -> int
 (** Maximum [level] in the tree. *)

@@ -49,8 +49,7 @@ let branch_max_map cost f xs =
     (List.mapi (fun i x () -> out.(i) <- Some (f x)) xs);
   Array.to_list (Array.map Option.get out)
 
-let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
-    ?(checks = false) ?base_size g =
+let run ?(config = Network.Config.default) ?(checks = false) g =
   if Gr.n g = 0 then invalid_arg "Embedder.run: empty network";
   if not (Traverse.is_connected g) then
     invalid_arg "Embedder.run: the network must be connected";
@@ -95,8 +94,8 @@ let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
     Costmodel.create ~bandwidth ?trace ~round_base:(Metrics.rounds metrics) g
       metrics
   in
-  let st = Merge.create g ~mode ~checks ~cost in
-  let rec_tree = Decompose.recursion_tree ?base_size g bt in
+  let st = Merge.create g ~checks ~cost in
+  let rec_tree = Decompose.recursion_tree g bt in
   Costmodel.note cost "recursion-depth" (Decompose.depth rec_tree);
   Costmodel.note cost "recursion-calls" (Decompose.count_calls rec_tree);
   let rotation =
@@ -139,8 +138,7 @@ let run ?(config = Network.Config.default) ?(mode = Part.Faithful)
         (Costmodel.phase cost "recursive-embedding" (fun () ->
              process 0 rec_tree));
       (* The rotation every node now holds: the ring of the part covering
-         the network, read at its install ([None] when Economy mode finds
-         it non-planar there, the only embed that mode runs). *)
+         the network, read at its install. *)
       st.Merge.full
     with Part.Nonplanar_detected _ -> None
   in

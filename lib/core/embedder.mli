@@ -60,14 +60,12 @@ type outcome = {
 
 val run :
   ?config:Network.Config.t ->
-  ?mode:Part.mode ->
   ?checks:bool ->
-  ?base_size:int ->
   Gr.t ->
   outcome
 (** @raise Invalid_argument on an empty or disconnected network.
-    [mode] defaults to [Faithful]; [checks] (default off) validates every
-    merge against the safety invariants.
+    [checks] (default off) validates every merge against the safety
+    invariants.
 
     Every engine knob rides in [config] ({!Network.Config.t}, default
     {!Network.Config.default}) and is forwarded to the phase-1 protocol

@@ -16,7 +16,6 @@ type stats = {
 
 type t = {
   g : Gr.t;
-  mode : Part.mode;
   checks : bool;
   cost : Costmodel.t;
   part_of : int array;
@@ -27,10 +26,9 @@ type t = {
   mutable full : Rotation.t option;
 }
 
-let create g ~mode ~checks ~cost =
+let create g ~checks ~cost =
   {
     g;
-    mode;
     checks;
     cost;
     part_of = Array.make (Gr.n g) (-1);
@@ -92,19 +90,13 @@ let install t ?(anchors = []) vertices =
          [] vertices)
   in
   let classify v = t.part_of.(v) in
-  let p =
-    Part.create t.g t.ws ~mode:t.mode ~classify ~half ~id ~vertices ~anchors
-  in
+  let p = Part.create t.g t.ws ~classify ~half ~id ~vertices ~anchors in
   t.stats.installs <- t.stats.installs + 1;
   t.stats.install_vertices <- t.stats.install_vertices + List.length vertices;
-  (* In a connected network only the part covering it has no half edges.
-     Its embedding is the run's rotation: [Faithful] mode has just built
-     it, [Economy] mode builds it here, its only embed. *)
-  if half = [] then begin
-    let ws = Part.embedding t.ws in
-    let embedded = t.mode = Part.Faithful || Constrained.embed_loaded ws in
-    t.full <- (if embedded then Some (Constrained.rotation ws) else None)
-  end;
+  (* In a connected network only the part covering it has no half edges;
+     the ring its install just built is the run's rotation. *)
+  if half = [] then
+    t.full <- Some (Constrained.rotation (Part.embedding t.ws));
   Hashtbl.replace t.parts id p;
   run_checks t p;
   id

@@ -32,7 +32,6 @@ type stats = {
 
 type t = {
   g : Gr.t;
-  mode : Part.mode;
   checks : bool;
   cost : Costmodel.t;
   part_of : int array;  (** vertex -> part id; [-1] before assignment. *)
@@ -42,11 +41,10 @@ type t = {
   ws : Part.workspace;  (** the install workspace every part loads into. *)
   mutable full : Rotation.t option;
       (** the network's rotation, set by the install of the part covering
-          it ([None] before that, or if [Economy] mode finds that part
-          non-planar). *)
+          it ([None] before that). *)
 }
 
-val create : Gr.t -> mode:Part.mode -> checks:bool -> cost:Costmodel.t -> t
+val create : Gr.t -> checks:bool -> cost:Costmodel.t -> t
 val part : t -> int -> Part.t
 
 val half_of : t -> int -> (int * int) list

@@ -1,5 +1,3 @@
-type mode = Faithful | Economy
-
 type t = {
   id : int;
   vertices : int list;
@@ -50,7 +48,7 @@ let workspace g =
 
 let embedding ws = ws.embedding
 
-let create g ws ~mode ~classify ~half ~id ~vertices ~anchors =
+let create g ws ~classify ~half ~id ~vertices ~anchors =
   let leader = List.fold_left max (List.hd vertices) vertices in
   (* Spanning tree over the part plus its anchors (the "split-off copies"
      of P0 coordinators), rooted at the leader: a BFS over [g] limited to
@@ -98,33 +96,20 @@ let create g ws ~mode ~classify ~half ~id ~vertices ~anchors =
   Constrained.load cw ~part:vertices ~half;
   let trivial = Constrained.induced_edges cw = List.length vertices - 1 in
   let n_bicon = Constrained.blocks cw in
-  let outer =
-    match mode with
-    | Economy -> None
-    | Faithful ->
-        if Constrained.embed_loaded cw then Some (Constrained.outer cw)
-        else
-          raise
-            (Nonplanar_detected
-               (Printf.sprintf
-                  "part %d admits no embedding with its half-embedded edges \
-                   on one face"
-                  id))
-  in
+  if not (Constrained.embed_loaded cw) then
+    raise
+      (Nonplanar_detected
+         (Printf.sprintf
+            "part %d admits no embedding with its half-embedded edges on one \
+             face"
+            id));
   let w = word g in
   let iface_bits =
     (* Compressed interface: one (class, count) leaf per maximal run of
-       half-embedded edges with the same outside endpoint, plus 2 bits of
-       structure per biconnected component. In Economy mode the realized
-       outer order is unknown; the number of distinct outside endpoints is
-       the run-count estimate. *)
-    let runs =
-      match outer with
-      | Some outer -> cyclic_runs (fun (_u, v) -> classify v) outer
-      | None ->
-          List.length
-            (List.sort_uniq compare (List.map (fun (_u, v) -> classify v) half))
-    in
+       half-embedded edges with the same outside endpoint around the
+       realized outer order, plus 2 bits of structure per biconnected
+       component. *)
+    let runs = cyclic_runs (fun (_u, v) -> classify v) (Constrained.outer cw) in
     2 + (runs * (2 + (2 * w))) + (2 * n_bicon)
   in
   {

@@ -16,15 +16,6 @@
     through [i] (the congestion on [i]'s real edges is charged normally),
     which restores [O(D)] depth exactly as in the paper. *)
 
-type mode =
-  | Faithful
-      (** maintain a real partial embedding at every merge (catches
-          non-planarity early; interface sizes are the realized ones). *)
-  | Economy
-      (** skip intermediate embeddings; interface sizes are estimated from
-          the biconnected structure. For large benchmark sweeps; the
-          ablation experiment compares the two cost profiles. *)
-
 type t = {
   id : int;
   vertices : int list;
@@ -59,7 +50,6 @@ val embedding : workspace -> Constrained.workspace
 val create :
   Gr.t ->
   workspace ->
-  mode:mode ->
   classify:(int -> int) ->
   half:(int * int) list ->
   id:int ->
@@ -72,9 +62,9 @@ val create :
     same class collapse into one compressed interface leaf — the paper's
     "only essential degrees of freedom" compression (its Section 7.1.4).
     The part is loaded into the workspace's [embedding], which holds it
-    (and, in [Faithful] mode, its embedding) until the next install.
-    @raise Nonplanar_detected in [Faithful] mode when no embedding places
-    all half-embedded edges on one face. *)
+    and its embedding until the next install.
+    @raise Nonplanar_detected when no embedding places all half-embedded
+    edges on one face. *)
 
 val size : t -> int
 val mem : t -> int -> bool

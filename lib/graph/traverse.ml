@@ -103,6 +103,19 @@ let diameter g =
   if not (is_connected g) then invalid_arg "Traverse.diameter: disconnected graph";
   Gr.fold_vertices g ~init:0 ~f:(fun acc v -> max acc (eccentricity g v))
 
+let diameter_bracket g =
+  (* Double sweep: with [u] farthest from vertex 0, ecc(u) >= d(u, 0) =
+     ecc(0), and no two vertices are more than 2·ecc(0) apart. *)
+  if Gr.n g = 0 then invalid_arg "Traverse.diameter_bracket: empty graph";
+  let d0 = distances g 0 in
+  let far = ref 0 in
+  Array.iteri
+    (fun v x ->
+      if x < 0 then invalid_arg "Traverse.diameter_bracket: disconnected graph";
+      if x > d0.(!far) then far := v)
+    d0;
+  (eccentricity g !far, 2 * d0.(!far))
+
 type dfs_tree = {
   dfs_root : int;
   dfs_parent : int array;

@@ -38,6 +38,12 @@ val diameter : Gr.t -> int
 (** Exact diameter by all-pairs BFS — O(n·m), meant for test and experiment
     graphs. @raise Invalid_argument if the graph is disconnected. *)
 
+val diameter_bracket : Gr.t -> int * int
+(** [(lo, hi)] with [lo <= diameter g <= hi] from two BFS sweeps, O(n + m):
+    [lo] is the eccentricity of a vertex farthest from vertex 0, [hi]
+    twice vertex 0's eccentricity. @raise Invalid_argument if the graph
+    is empty or disconnected. *)
+
 val distances : Gr.t -> int -> int array
 (** Hop distances from a source; [-1] for unreachable vertices. *)
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Bad command-line input must end in a typed error, never in an uncaught
 # exception (Cmdliner's exit 125). A bad --domains/--jobs count is a
-# usage error: exit 124 before anything reaches stdout. An input the
+# usage error: exit 124 before anything reaches stdout, and so is the
+# removed --mode flag (there is one embedder accounting). An input the
 # library rejects (an empty graph, a zero grid dimension) is one line on
 # stderr and exit 2.
 #
@@ -35,6 +36,9 @@ check 124 0 certify --family grid --rows 3 --cols 3 --domains 0
 check 124 0 chaos --family grid -n 16 --domains 0
 check 124 0 chaos --family grid -n 16 --jobs 0
 check 124 0 route --family grid --rows 3 --cols 3 --random 3@1 --jobs 0
+check 124 0 embed --family grid --rows 3 --cols 3 --mode economy
+check 124 0 trace --family grid --rows 3 --cols 3 --mode economy
+check 124 0 chaos --family grid -n 16 --mode economy
 check 2 1 embed --family path -n 0
 check 2 1 certify --family path -n 0
 check 2 1 baseline --family path -n 0

@@ -104,8 +104,8 @@ let test_splitter_star () =
 (* End-to-end                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let embed_ok ?mode ?checks g =
-  let o = Embedder.run ?mode ?checks g in
+let embed_ok ?checks g =
+  let o = Embedder.run ?checks g in
   match o.Embedder.rotation with
   | None -> Alcotest.fail "embedder rejected a planar graph"
   | Some r ->
@@ -189,22 +189,6 @@ let prop_verdict_matches_dmp =
       let ours = (Embedder.run g).Embedder.rotation <> None in
       ours = Dmp.is_planar g)
 
-let prop_economy_same_verdict_and_costs_close =
-  QCheck.Test.make
-    ~name:"economy mode: same verdict, round counts within 2x of faithful"
-    ~count:15
-    QCheck.(int_range 0 100000)
-    (fun seed ->
-      let g = Gen.random_planar ~seed ~n:60 ~m:110 in
-      let f = Embedder.run ~mode:Part.Faithful g in
-      let e = Embedder.run ~mode:Part.Economy g in
-      (f.Embedder.rotation <> None)
-      = (e.Embedder.rotation <> None)
-      && 2 * e.Embedder.report.Embedder.rounds
-         >= f.Embedder.report.Embedder.rounds
-      && 2 * f.Embedder.report.Embedder.rounds
-         >= e.Embedder.report.Embedder.rounds)
-
 let test_report_sanity () =
   let g = Gen.grid 6 6 in
   let o = embed_ok ~checks:true g in
@@ -229,7 +213,7 @@ let prop_rounds_scale_with_bfs_depth_times_log =
     QCheck.(pair (int_range 0 100000) (int_range 30 200))
     (fun (seed, n) ->
       let g = Gen.random_planar ~seed ~n ~m:(min ((3 * n) - 6) (2 * n)) in
-      let o = Embedder.run ~mode:Part.Economy g in
+      let o = Embedder.run g in
       let d = o.Embedder.report.Embedder.bfs_depth + 1 in
       let logn = int_of_float (ceil (log (float_of_int n) /. log 2.0)) + 1 in
       o.Embedder.report.Embedder.rounds <= 60 * d * min logn (d + 1))
@@ -241,7 +225,7 @@ let prop_lower_bound_rounds_at_least_depth =
     QCheck.(int_range 2 40)
     (fun seglen ->
       let g = Gen.k4_subdivision seglen in
-      let o = Embedder.run ~mode:Part.Economy g in
+      let o = Embedder.run g in
       o.Embedder.report.Embedder.rounds >= o.Embedder.report.Embedder.bfs_depth)
 
 let test_baseline_agrees () =
@@ -374,33 +358,6 @@ let test_golden (name, make, want) () =
   | None -> Alcotest.failf "%s: rejected as non-planar" name
   | Some rot -> c "rotation fold" want.rotation (rotation_fold rot)
 
-(* Economy mode's exact numbers on the same three inputs, recorded from
-   the implementation before part installs moved onto the reusable
-   workspace: Economy builds no intermediate embedding, so these pin its
-   interface estimates and its one final embed. *)
-let economy_golden_cases =
-  List.map2
-    (fun (name, make, _) (rounds, total_bits, iface_bits_shipped, rotation) ->
-      (name, make, (rounds, total_bits, iface_bits_shipped, rotation)))
-    golden_cases
-    [
-      (934, 119164, 1532, 66557384905723);
-      (903, 867730, 23308, 50502308317470);
-      (371, 532009, 21490, 32949540848250);
-    ]
-
-let test_economy_golden (name, make, (rounds, total_bits, iface, rotation)) () =
-  let config = Network.Config.with_domains 1 Network.Config.default in
-  let o = Embedder.run ~config ~mode:Part.Economy (make ()) in
-  let r = o.Embedder.report in
-  let c field = check (name ^ ": economy " ^ field) in
-  c "rounds" rounds r.Embedder.rounds;
-  c "total_bits" total_bits r.Embedder.total_bits;
-  c "iface_bits_shipped" iface r.Embedder.iface_bits_shipped;
-  match o.Embedder.rotation with
-  | None -> Alcotest.failf "%s: economy rejected as non-planar" name
-  | Some rot -> c "economy rotation fold" rotation (rotation_fold rot)
-
 (* ------------------------------------------------------------------ *)
 (* Part installs                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -409,17 +366,12 @@ let cost_model g = Costmodel.create ~bandwidth:64 g (Metrics.create g)
 
 let test_install_nonplanar_part () =
   (* K4 inside K5: its half edges to vertex 4 leave no embedding with all
-     of them on one face. Faithful mode refuses the install; Economy mode
-     builds no intermediate embedding and accepts it. *)
+     of them on one face, so the install is refused. *)
   let g = Gen.k5 () in
-  let st = Merge.create g ~mode:Part.Faithful ~checks:false ~cost:(cost_model g) in
-  (match Merge.fresh_part st [ 0; 1; 2; 3 ] with
-  | _ -> Alcotest.fail "Faithful install accepted a non-planar part"
-  | exception Part.Nonplanar_detected _ -> ());
-  let st = Merge.create g ~mode:Part.Economy ~checks:false ~cost:(cost_model g) in
-  let p = Merge.part st (Merge.fresh_part st [ 0; 1; 2; 3 ]) in
-  check "economy blocks" 1 p.Part.n_bicon;
-  check_bool "no rotation before the covering part" true (st.Merge.full = None)
+  let st = Merge.create g ~checks:false ~cost:(cost_model g) in
+  match Merge.fresh_part st [ 0; 1; 2; 3 ] with
+  | _ -> Alcotest.fail "install accepted a non-planar part"
+  | exception Part.Nonplanar_detected _ -> ()
 
 let prop_install_structure =
   QCheck.Test.make
@@ -434,26 +386,21 @@ let prop_install_structure =
       in
       (* A connected part: the first [size] vertices of a BFS. Its
          complement may be disconnected, so the apex construction may
-         refuse it; Faithful mode must then refuse the install. *)
+         refuse it; the install must then be refused. *)
       let bt = Traverse.bfs g (seed mod n) in
       let part = Array.to_list (Array.sub bt.Traverse.order 0 (min size n)) in
       let part_of = Array.make n 1 in
       List.iter (fun v -> part_of.(v) <- 0) part;
       let half = Partition.half_edges g ~part_of 0 in
       let want = Apex.shape g ~part ~half in
-      List.for_all
-        (fun mode ->
-          let st = Merge.create g ~mode ~checks:false ~cost:(cost_model g) in
-          match Merge.part st (Merge.fresh_part st part) with
-          | p ->
-              (mode = Part.Economy || want.Apex.outer <> None)
-              && p.Part.n_bicon = want.Apex.blocks
-              && p.Part.trivial = Partition.is_trivial g part
-              && (st.Merge.full <> None)
-                 = (List.length part = n && want.Apex.outer <> None)
-          | exception Part.Nonplanar_detected _ ->
-              mode = Part.Faithful && want.Apex.outer = None)
-        [ Part.Faithful; Part.Economy ])
+      let st = Merge.create g ~checks:false ~cost:(cost_model g) in
+      match Merge.part st (Merge.fresh_part st part) with
+      | p ->
+          want.Apex.outer <> None
+          && p.Part.n_bicon = want.Apex.blocks
+          && p.Part.trivial = Partition.is_trivial g part
+          && (st.Merge.full <> None) = (List.length part = n)
+      | exception Part.Nonplanar_detected _ -> want.Apex.outer = None)
 
 (* Allocation gate: installs that build an induced [Gr.t], a [Bicon]
    decomposition, an apex [Gr.t] and a rotation table per part allocate
@@ -501,7 +448,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_planar_end_to_end;
           QCheck_alcotest.to_alcotest prop_random_nonplanar_rejected;
           QCheck_alcotest.to_alcotest prop_verdict_matches_dmp;
-          QCheck_alcotest.to_alcotest prop_economy_same_verdict_and_costs_close;
           Alcotest.test_case "report sanity" `Quick test_report_sanity;
           Alcotest.test_case "relabeling" `Quick test_relabeling_invariance;
         ] );
@@ -516,12 +462,7 @@ let () =
         List.map
           (fun ((name, _, _) as case) ->
             Alcotest.test_case name `Quick (test_golden case))
-          golden_cases
-        @ List.map
-            (fun ((name, _, _) as case) ->
-              Alcotest.test_case ("economy " ^ name) `Quick
-                (test_economy_golden case))
-            economy_golden_cases );
+          golden_cases );
       ( "install",
         [
           Alcotest.test_case "non-planar part" `Quick test_install_nonplanar_part;

@@ -320,6 +320,30 @@ let test_diameter_k4_subdivision () =
   let d9 = Traverse.diameter (Gen.k4_subdivision 9) in
   check_bool "linear growth" true (d9 >= (2 * d3) + 2)
 
+let prop_diameter_bracket =
+  QCheck.Test.make ~name:"diameter_bracket: lo <= diameter <= hi <= 2 lo"
+    ~count:100
+    QCheck.(pair (int_range 0 100000) (int_range 3 60))
+    (fun (seed, n) ->
+      let g =
+        match seed mod 3 with
+        | 0 -> Gen.random_tree ~seed n
+        | 1 -> Gen.random_outerplanar ~seed ~n ~chord_prob:0.3
+        | _ -> Gen.random_maximal_planar ~seed n
+      in
+      let lo, hi = Traverse.diameter_bracket g in
+      let d = Traverse.diameter g in
+      lo <= d && d <= hi && hi <= 2 * lo)
+
+let test_diameter_bracket_errors () =
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Traverse.diameter_bracket: empty graph") (fun () ->
+      ignore (Traverse.diameter_bracket (Gr.empty 0)));
+  Alcotest.check_raises "disconnected"
+    (Invalid_argument "Traverse.diameter_bracket: disconnected graph")
+    (fun () ->
+      ignore (Traverse.diameter_bracket (Gr.of_edges ~n:4 [ (0, 1); (2, 3) ])))
+
 let test_dfs_path () =
   let g = Gen.path 5 in
   let t = Traverse.dfs g 0 in
@@ -791,6 +815,9 @@ let () =
           Alcotest.test_case "diameter" `Quick test_diameter_cycle;
           Alcotest.test_case "k4 subdivision diameter" `Quick
             test_diameter_k4_subdivision;
+          QCheck_alcotest.to_alcotest prop_diameter_bracket;
+          Alcotest.test_case "diameter bracket errors" `Quick
+            test_diameter_bracket_errors;
           QCheck_alcotest.to_alcotest prop_bfs_dist_triangle;
         ] );
       ( "bicon",

@@ -8,7 +8,7 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let embed_verified g =
-  match (Embedder.run ~mode:Part.Economy g).Embedder.rotation with
+  match (Embedder.run g).Embedder.rotation with
   | None -> Alcotest.fail "planar input rejected"
   | Some r ->
       check_bool "genus 0" true (Rotation.is_planar_embedding r);
@@ -52,7 +52,7 @@ let test_large_nonplanar_rejected () =
   let off = Gr.n g in
   let k5 = List.map (fun (u, v) -> (u + off, v + off)) (Gr.edges (Gen.k5 ())) in
   let bad = Gr.of_edges ~n:(off + 5) (((0, off) :: k5) @ Gr.edges g) in
-  check_bool "rejected" true ((Embedder.run ~mode:Part.Economy bad).Embedder.rotation = None)
+  check_bool "rejected" true ((Embedder.run bad).Embedder.rotation = None)
 
 (* ------------------------------------------------------------------ *)
 (* Bandwidth limits                                                    *)
@@ -100,8 +100,7 @@ let test_deterministic () =
   let g = Gen.random_maximal_planar ~seed:77 300 in
   let r1 = embed_verified g and r2 = embed_verified g in
   check_bool "same rotations" true (rotations_equal r1 r2 g);
-  let o1 = Embedder.run ~mode:Part.Economy g
-  and o2 = Embedder.run ~mode:Part.Economy g in
+  let o1 = Embedder.run g and o2 = Embedder.run g in
   check "same rounds" o1.Embedder.report.Embedder.rounds
     o2.Embedder.report.Embedder.rounds
 
@@ -135,13 +134,13 @@ let test_mst_negative_weights () =
     (List.sort compare mst = List.sort compare (Mst.kruskal ~weight g))
 
 (* ------------------------------------------------------------------ *)
-(* Faithful mode at depth                                              *)
+(* Checks at depth                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_faithful_with_checks_medium () =
   (* The most heavily instrumented configuration on a non-toy input. *)
   let g = Gen.random_planar ~seed:3 ~n:250 ~m:480 in
-  let o = Embedder.run ~mode:Part.Faithful ~checks:true g in
+  let o = Embedder.run ~checks:true g in
   (match o.Embedder.rotation with
   | Some r -> check_bool "genus 0" true (Rotation.is_planar_embedding r)
   | None -> Alcotest.fail "rejected planar input");

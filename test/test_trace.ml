@@ -172,7 +172,7 @@ let arr_len = function
 let c_rounds = 12
 
 let assert_bounds name g ~d =
-  let o = Embedder.run ~mode:Part.Economy g in
+  let o = Embedder.run g in
   let r = o.Embedder.report in
   check_bool (name ^ " planar") true (o.Embedder.rotation <> None);
   let v =
@@ -223,7 +223,7 @@ let traced_run g =
   let o =
     Embedder.run
       ~config:(Network.Config.make ~observe:(Observe.of_trace tr) ())
-      ~mode:Part.Economy g
+      g
   in
   (tr, o)
 
@@ -337,7 +337,7 @@ let test_json_well_formed () =
   let o =
     Embedder.run
       ~config:(Network.Config.make ~observe:(Observe.of_trace tr) ())
-      ~mode:Part.Economy g
+      g
   in
   let r = o.Embedder.report in
   let s =
