@@ -98,15 +98,17 @@ let wrap ?(timeout = 6) ?stats (p : ('s, 'm) Network.protocol) :
       in
       match Network.Inbox.msg inbox i with
       | Ack { upto } ->
-          (* Any ack on a link with data outstanding restarts the
-             retransmission clock, whether or not it acknowledges
-             anything new. *)
-          if not (Queue.is_empty ch.unacked) then ch.ticks <- 0;
-          while
-            (not (Queue.is_empty ch.unacked)) && oldest_unacked ch <= upto
-          do
-            ignore (Queue.pop ch.unacked)
-          done
+          (* Only progress restarts the retransmission clock: a stale or
+             duplicated ack acknowledges nothing and leaves it running. *)
+          if (not (Queue.is_empty ch.unacked)) && oldest_unacked ch <= upto
+          then begin
+            ch.ticks <- 0;
+            while
+              (not (Queue.is_empty ch.unacked)) && oldest_unacked ch <= upto
+            do
+              ignore (Queue.pop ch.unacked)
+            done
+          end
       | Data { seq; payload } ->
           ch.ack_due <- true;
           if seq < ch.expected then

@@ -598,7 +598,11 @@ let test_chaos_sweep_jobs_identical () =
    messages and phase list are part of every embedder digest. The three
    grid 6x6 embedder digests were re-recorded when the wave began to
    keep the smallest-id parent whatever the delivery order: their
-   rotation is now the clean run's (Petersen's already was). *)
+   rotation is now the clean run's (Petersen's already was). Every
+   Reliable-wrapped digest (the reliable flood, the permanent crash and
+   the six embedder runs, whose phase 1 is wrapped) was re-recorded when
+   a stale or duplicated ack stopped restarting the retransmission
+   clock; the native digests did not change. *)
 let digest v =
   Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
@@ -759,6 +763,41 @@ let test_reliable_non_link () =
       ("lossy plan", Some (Fault.make ~spec:lossy_spec ~seed:3 ()));
     ]
 
+(* Only progress restarts a link's retransmission clock. Node 0 of a
+   2-path sends two messages at init; node 1's ack for the first
+   arrives, then the same ack again every round (a duplicate, or a
+   stale one overtaken by loss). The second message must still be
+   resent [timeout] rounds after the ack that made progress. *)
+let test_reliable_stale_ack_keeps_timer () =
+  let g = Gen.path 2 and timeout = 4 in
+  let inner =
+    {
+      Network.init =
+        (fun _ v send ->
+          if v = 0 then List.iter (send 1) [ 10; 11 ];
+          ());
+      round = (fun _ _ () _ _ -> ());
+      msg_bits = (fun _ -> 8);
+    }
+  in
+  let p = Reliable.wrap ~timeout inner in
+  let sent = ref [] in
+  let send _ m = sent := m :: !sent in
+  let resent seq =
+    List.length
+      (List.filter (function Reliable.Data d -> d.seq = seq | Ack _ -> false) !sent)
+    - 1
+  in
+  let st = ref (p.Network.init g 0 send) in
+  for _ = 1 to timeout do
+    st :=
+      Network.Inbox.scoped ~srcs:[| 1 |]
+        ~msgs:[| Reliable.Ack { upto = 0 } |]
+        (fun ib -> p.Network.round g 0 !st ib send)
+  done;
+  check "acknowledged message not resent" 0 (resent 0);
+  check "outstanding message resent on time" 1 (resent 1)
+
 let golden_failures =
   let grid = Gen.grid 6 7 in
   let exec proto config =
@@ -800,22 +839,22 @@ let golden_failures =
 
 let recorded =
   [
-    ("adversarial, embedder, grid 6x6", "4ce7dfeeecc6f11ce10cdd47f7e946bc");
-    ("adversarial, embedder, petersen", "f16469d2b17e01db64b97716644bfbd9");
+    ("adversarial, embedder, grid 6x6", "17e3cf178bf5c7bd92085e23a3c751c8");
+    ("adversarial, embedder, petersen", "ae2259e139949b167ed877301d2c976f");
     ("adversarial, native flood, grid 6x7", "855c43d4f24c880f06a7b754bdc90cad");
-    ("adversarial, reliable flood, grid 6x7", "e8b8033b78e30054eab30a308f305662");
+    ("adversarial, reliable flood, grid 6x7", "3709f2e23111ed34f88b288896734025");
     ("bandwidth error", "c7ecda8cfef09adf1fbd963d2577eec5");
-    ("crash, embedder, grid 6x6", "7ab8852905128166e3a120a290a8b30d");
-    ("crash, embedder, petersen", "6633e63db0adf6241104e89b5d40be85");
+    ("crash, embedder, grid 6x6", "a8d561c25b7e81abe5080093403a5e64");
+    ("crash, embedder, petersen", "6a526a5282f8b627d986ae2eb675d9e7");
     ("crash, native flood, grid 6x7", "e6eca9331d4877c1e12298edeabc3435");
-    ("crash, reliable flood, grid 6x7", "9cb3fb514f28d5dcbf79d0af7424567f");
-    ("lossy, embedder, grid 6x6", "20f48715d9b731ae6d4fe8dff6f43629");
-    ("lossy, embedder, petersen", "2a08009a30c89f42c69c2dc980a97093");
+    ("crash, reliable flood, grid 6x7", "be0e6d47fef324759297884c459bd439");
+    ("lossy, embedder, grid 6x6", "77e233ace7e6ad8f148f2c4a2a83c534");
+    ("lossy, embedder, petersen", "2e35d40136077ebdf9a4c607b8598697");
     ("lossy, native flood, grid 6x7", "c46287bbec9332a9cf6564b9de9d0de5");
-    ("lossy, reliable flood, grid 6x7", "554f069dff17dc09b36953e2cb11f4df");
+    ("lossy, reliable flood, grid 6x7", "8b1aee035bcdaf291de99a8e2a3318e3");
     ("max_delay 1e9", "6c34d4328b18c986dfd5d2a54ec9122e");
     ("non-neighbor error", "246127775b8d00c13cf3128185ab1be3");
-    ("permanent crash, reliable", "22e343590264c61827f698817d54d59e");
+    ("permanent crash, reliable", "1e4e03592afd546974641d65d9ff7965");
   ]
 
 let test_golden_digests () =
@@ -891,6 +930,8 @@ let () =
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
           Alcotest.test_case "reliable: send to a non-link" `Quick
             test_reliable_non_link;
+          Alcotest.test_case "reliable: stale acks keep the timer" `Quick
+            test_reliable_stale_ack_keeps_timer;
           Alcotest.test_case "crash node outside the network" `Quick
             test_crash_node_outside_network;
           Alcotest.test_case "huge max_delay stays small" `Quick
