@@ -137,7 +137,7 @@ let test_mst_negative_weights () =
 (* Checks at depth                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_faithful_with_checks_medium () =
+let test_checks_medium () =
   (* The most heavily instrumented configuration on a non-toy input. *)
   let g = Gen.random_planar ~seed:3 ~n:250 ~m:480 in
   let o = Embedder.run ~checks:true g in
@@ -185,6 +185,6 @@ let () =
       ( "instrumented",
         [
           Alcotest.test_case "faithful+checks" `Quick
-            test_faithful_with_checks_medium;
+            test_checks_medium;
         ] );
     ]
