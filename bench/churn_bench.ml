@@ -3,11 +3,14 @@
 
    Each case replays a within-pool trace (Churn.make, fresh_prob = 0, so
    no update is ever rejected) through Incremental and reports
-   updates/sec. The from-scratch baseline is sampled honestly rather
-   than replayed: a handful of snapshots of the evolving edge set are
-   re-embedded with Planarity.embed and the mean wall gives the cost a
-   full re-run would pay per update ("scratch_sampled" records how many
-   snapshots were timed). The final state is Euler-validated and the
+   updates/sec, how many slow-path inserts a region decided and how many
+   the whole scope, and the median and 99th percentile of the deciding
+   kernel run's edges (the [Reembedded k] of each slow insert). The
+   from-scratch baseline is sampled honestly rather than replayed: a
+   handful of snapshots of the evolving edge set are re-embedded with
+   Planarity.embed and the mean wall gives the cost a full re-run would
+   pay per update ("scratch_sampled" records how many snapshots were
+   timed). The final state is Euler-validated and the
    trace must produce zero rejections — a violation poisons the run.
 
      dune exec bench/churn_bench.exe              # full sweep, up to n = 100k
@@ -38,10 +41,37 @@ type case = {
   reembedded : int;
   rejected : int;
   rescopes : int;
+  regional : int;  (* slow inserts a region decided *)
+  deciding_p50 : int;  (* edges of the deciding kernel run, median *)
+  deciding_p99 : int;
   kernel_edges : int;
   face_steps : int;
   valid : bool;
 }
+
+(* Apply every op; returns the deciding kernel run's edge count of each
+   slow-path insert, sorted. *)
+let replay inc tr =
+  let deciding = Array.make (Array.length tr.Churn.ops) 0 and k = ref 0 in
+  Array.iter
+    (function
+      | Churn.Insert (u, v) -> (
+          match Incremental.insert inc u v with
+          | Incremental.Reembedded e ->
+              deciding.(!k) <- e;
+              incr k
+          | _ -> ())
+      | Churn.Delete (u, v) -> ignore (Incremental.delete inc u v))
+    tr.Churn.ops;
+  let d = Array.sub deciding 0 !k in
+  Array.sort compare d;
+  d
+
+(* Nearest-rank percentile of a sorted array; 0 when empty. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0
+  else sorted.(max 0 (min (n - 1) ((p * n + 99) / 100 - 1)))
 
 let snapshot_walls tr samples =
   (* Edge sets at evenly spaced points of the trace, each embedded from
@@ -84,16 +114,17 @@ let run_case ~samples name family insert_pct mk =
      baseline. *)
   let g = mk () in
   let n = Gr.n g and m_pool = Gr.m g in
-  (* At the 100k tier a slow-path re-embed scopes a block within a
-     constant of the whole graph, so per-update cost grows with n; cap
-     the trace there to keep the full sweep's wall sane. *)
+  (* At the 100k tier a slow-path insert that no region decides
+     re-embeds a block within a constant of the whole graph, so the
+     worst per-update cost grows with n; cap the trace there to keep the
+     full sweep's wall sane. *)
   let updates =
     max 2000 (min (m_pool / 2) (if n >= 50000 then 8000 else 20000))
   in
   let tr = Churn.make ~seed:(77 + n + insert_pct) ~updates ~insert_pct g in
   let g0 = Churn.initial_graph tr in
   let inc = Incremental.create g0 in
-  let (), inc_wall = Harness.time (fun () -> Churn.replay inc tr) in
+  let deciding, inc_wall = Harness.time (fun () -> replay inc tr) in
   let valid = Incremental.validate inc in
   let s = Incremental.stats inc in
   let walls = snapshot_walls tr samples in
@@ -120,6 +151,9 @@ let run_case ~samples name family insert_pct mk =
       reembedded = s.Incremental.reembedded;
       rejected = s.Incremental.rejected;
       rescopes = s.Incremental.rescopes;
+      regional = s.Incremental.regional;
+      deciding_p50 = percentile deciding 50;
+      deciding_p99 = percentile deciding 99;
       kernel_edges = s.Incremental.kernel_edges;
       face_steps = s.Incremental.face_steps;
       valid;
@@ -127,10 +161,12 @@ let run_case ~samples name family insert_pct mk =
   in
   Printf.printf
     "%-22s n=%-7d m=%-7d upd=%-6d %3d%%ins  %9.0f up/s  scratch %8.4fs/emb  \
-     %7.1fx  fast=%-6d reemb=%-4d resc=%-3d fsteps=%-8d %s\n\
+     %7.1fx  fast=%-6d reemb=%-4d (region %-4d) decide p50/p99=%d/%d \
+     resc=%-3d fsteps=%-8d %s\n\
      %!"
     c.name c.n c.m_pool c.updates c.insert_pct c.ups c.scratch_wall c.speedup
-    c.fast c.reembedded c.rescopes c.face_steps
+    c.fast c.reembedded c.regional c.deciding_p50 c.deciding_p99 c.rescopes
+    c.face_steps
     (if c.valid && c.rejected = 0 then "ok" else "FAIL");
   c
 
@@ -173,9 +209,20 @@ let cases quick =
                 fun () -> Gen.random_outerplanar ~seed:(7 + n) ~n ~chord_prob:0.5 ))
             mixes)
         ops;
-      (* One delete-heavy mix to exercise the rescope machinery at scale. *)
+      (* Delete-heavy mixes. The grid's one block sheds a quarter of its
+         edges at 25% inserts, too few to re-tighten its record; the
+         outerplanar graph's many small blocks at 10% inserts rescope
+         dozens of times. *)
       (if quick then []
-       else [ ("grid-100x100-i25", "grid", 25, fun () -> Gen.grid 100 100) ]);
+       else
+         [
+           ("grid-100x100-i25", "grid", 25, fun () -> Gen.grid 100 100);
+           ( "outerplanar-20000-i10",
+             "outerplanar",
+             10,
+             fun () ->
+               Gen.random_outerplanar ~seed:(7 + 20000) ~n:20000 ~chord_prob:0.5 );
+         ]);
     ]
 
 (* JSON and driver ------------------------------------------------------ *)
@@ -193,6 +240,10 @@ let json_of_case (c : case) =
         ("speedup", Num (1, c.speedup)); ("fast", Int c.fast);
         ("linked", Int c.linked); ("reembedded", Int c.reembedded);
         ("rejected", Int c.rejected); ("rescopes", Int c.rescopes);
+        ("region_decided", Int c.regional);
+        ("scope_decided", Int (c.reembedded - c.regional));
+        ("deciding_edges_p50", Int c.deciding_p50);
+        ("deciding_edges_p99", Int c.deciding_p99);
         ("kernel_edges", Int c.kernel_edges); ("face_steps", Int c.face_steps);
         ("valid", Bool c.valid);
       ])

@@ -99,9 +99,62 @@ let eccentricity g v =
       else max acc x)
     0 d
 
+(* Eccentricity of [v] in a connected graph, on caller scratch: [dist]
+   is all -1 on entry and again on return, [queue] holds n vertices. *)
+let eccentricity_into g dist queue v =
+  dist.(v) <- 0;
+  queue.(0) <- v;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    Gr.iter_neighbors g x (fun y ->
+        if dist.(y) < 0 then begin
+          dist.(y) <- dist.(x) + 1;
+          queue.(!tail) <- y;
+          incr tail
+        end)
+  done;
+  let e = dist.(queue.(!tail - 1)) in
+  for j = 0 to !tail - 1 do
+    dist.(queue.(j)) <- -1
+  done;
+  e
+
 let diameter g =
-  if not (is_connected g) then invalid_arg "Traverse.diameter: disconnected graph";
-  Gr.fold_vertices g ~init:0 ~f:(fun acc v -> max acc (eccentricity g v))
+  (* iFUB: a double sweep from vertex 0 gives a lower bound [lb] (the
+     eccentricity of a vertex [a] farthest from 0) and a root [r] halfway
+     along a longest shortest path from [a]. Then the eccentricities of
+     [r]'s BFS levels are taken from the deepest level up: any two
+     vertices at levels <= l are at most 2l apart, so once [lb] reaches
+     2l, [lb] is the diameter. *)
+  let n = Gr.n g in
+  if n = 0 then 0
+  else begin
+    let t0 = bfs g 0 in
+    if Array.length t0.order < n then
+      invalid_arg "Traverse.diameter: disconnected graph";
+    let ta = bfs g t0.order.(n - 1) in
+    let b = ta.order.(n - 1) in
+    let lb = ref ta.dist.(b) in
+    let r = ref b in
+    for _ = 1 to !lb / 2 do
+      r := ta.parent.(!r)
+    done;
+    let tr = bfs g !r in
+    let dist = Array.make n (-1) and queue = Array.make n 0 in
+    let i = ref (n - 1) and answer = ref (-1) in
+    while !answer < 0 do
+      let l = tr.dist.(tr.order.(!i)) in
+      if !lb >= 2 * l then answer := !lb
+      else
+        while !i >= 0 && tr.dist.(tr.order.(!i)) = l do
+          lb := max !lb (eccentricity_into g dist queue tr.order.(!i));
+          decr i
+        done
+    done;
+    !answer
+  end
 
 let diameter_bracket g =
   (* Double sweep: with [u] farthest from vertex 0, ecc(u) >= d(u, 0) =

@@ -35,8 +35,12 @@ val eccentricity : Gr.t -> int -> int
     graph is disconnected. *)
 
 val diameter : Gr.t -> int
-(** Exact diameter by all-pairs BFS — O(n·m), meant for test and experiment
-    graphs. @raise Invalid_argument if the graph is disconnected. *)
+(** Exact diameter by iFUB: a double sweep, then BFS eccentricities from
+    the deepest BFS levels of a central root up, stopping once the lower
+    bound reaches twice the next level. A few BFS runs on most graphs;
+    O(n·m) at worst (every vertex on the root's deepest level).
+    [diameter (Gr.empty 0) = 0].
+    @raise Invalid_argument if the graph is disconnected. *)
 
 val diameter_bracket : Gr.t -> int * int
 (** [(lo, hi)] with [lo <= diameter g <= hi] from two BFS sweeps, O(n + m):

@@ -15,11 +15,14 @@
      kernel never runs.
    - insert, slow path: otherwise the affected biconnected components
      (everything along one endpoint-to-endpoint path, by the maintained
-     conservative component records) are re-fed through the planarity
-     kernel as one small graph; on acceptance the component's fresh
-     rotation is merged back into the global rings in place (non-scope
-     darts keep their relative cyclic order, the scope's darts take the
-     kernel's), on rejection the state is untouched.
+     conservative component records) form the scope. Regions of the
+     scope around the path go through the planarity kernel first, the
+     rest of the scope standing in as wheels of its boundary; then, if
+     no region was accepted, the whole scope. On acceptance the fresh
+     rotation of the re-embedded vertices is merged back into the global
+     rings in place (non-scope darts keep their relative cyclic order,
+     the scope's darts take the kernel's); on rejection, which only the
+     whole-scope run decides, the state is untouched.
    - delete: O(degree) unsplicing — removing an edge from a plane
      embedding merges its two sides and stays plane, so no kernel run is
      needed for correctness. What deletion does break is the component
@@ -47,6 +50,7 @@ type stats = {
   mutable deletes : int;
   mutable missing : int;
   mutable rescopes : int;
+  mutable regional : int;
   mutable kernel_edges : int;
   mutable face_steps : int;
 }
@@ -81,6 +85,9 @@ type t = {
   mutable scope : int array;  (* the scope's slots *)
   local : int array;  (* n: global vertex of each local id *)
   others : int array;  (* n: a ring's non-scope darts during merge-back *)
+  cmark : int array;  (* n: stamp of the region attempt that met a vertex *)
+  mutable bd : int array;  (* boundary darts of the wheels, in walk order *)
+  mutable wheels : int array;  (* start of each wheel's run in [bd] *)
   stats : stats;
 }
 
@@ -98,6 +105,7 @@ let fresh_stats () =
     deletes = 0;
     missing = 0;
     rescopes = 0;
+    regional = 0;
     kernel_edges = 0;
     face_steps = 0;
   }
@@ -238,6 +246,9 @@ let of_rotation r =
       scope = [||];
       local = Array.make (max 1 n) 0;
       others = Array.make (max 1 n) 0;
+      cmark = Array.make (max 1 n) 0;
+      bd = Array.make 16 0;
+      wheels = Array.make 4 0;
       stats = fresh_stats ();
     }
   in
@@ -507,28 +518,378 @@ let bfs_reaches t u v =
   done;
   !found
 
-(* Slow path: scope = the union of the (conservative) component records
-   along one u-v path, re-fed through the kernel together with the new
-   edge. On acceptance the fresh rotation replaces the scope's darts in
-   the global rings (non-scope darts keep their old cyclic order behind
-   them — gluing whole blocks into one corner preserves genus 0); the
-   component records are re-minted exactly. On rejection nothing has
-   been written. The scope graph is assembled, embedded and read back
-   in the maintainer's kernel workspace: no graph, rotation or list is
-   built per re-embed. *)
+(* --- slow path --------------------------------------------------------- *)
+
+(* The slow path re-embeds within the scope S: the union of the
+   (conservative) component records along one u-v path, plus the new
+   edge. It first tries regions R of S around the path, in each of which
+   the rest of S is kept as it is and stands in the kernel's instance as
+   wheels (DESIGN §15); only once a region's instance would exceed half
+   of S does it re-embed S whole, and only that last run can reject the
+   insert. While a slow insert runs, the scope's slots carry the dart
+   stamp [s] on their even dart, and the region's vertices carry the
+   vertex stamp [sr] with their local id in [vdata]. *)
+
+let in_scope t s d = t.dart_stamp.(d land lnot 1) = s
+
+(* The first scope dart after the scope dart [d] in its source's ring
+   ([d] itself if it is the only one). *)
+let next_scope t s d =
+  let d = ref t.rnext.(d) in
+  while not (in_scope t s !d) do
+    d := t.rnext.(!d)
+  done;
+  !d
+
+(* Number into the region every vertex joined by a scope dart to
+   [t.local.(lo .. hi-1)]; returns the new region size, from [nr]. *)
+let grow_layer t s sr lo hi nr =
+  let k = ref nr in
+  for i = lo to hi - 1 do
+    let d0 = t.first_out.(t.local.(i)) in
+    let d = ref d0 in
+    let continue = ref true in
+    while !continue do
+      if in_scope t s !d then k := number_vertex t sr !k t.dst.(!d);
+      d := t.rnext.(!d);
+      if !d = d0 then continue := false
+    done
+  done;
+  !k
+
+(* BFS over scope darts from [x] (outside the region), stamping [sc] and
+   queueing into [t.queue]: the size of [x]'s component of S - R, or -1
+   as soon as it exceeds [cap]. *)
+let component_size t s sr sc x cap =
+  t.cmark.(x) <- sc;
+  t.queue.(0) <- x;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail && !tail <= cap do
+    let d0 = t.first_out.(t.queue.(!head)) in
+    incr head;
+    let d = ref d0 in
+    let continue = ref true in
+    while !continue do
+      (if in_scope t s !d then
+         let y = t.dst.(!d) in
+         if t.vmark.(y) <> sr && t.cmark.(y) <> sc then begin
+           t.cmark.(y) <- sc;
+           t.queue.(!tail) <- y;
+           incr tail
+         end);
+      d := t.rnext.(!d);
+      if !d = d0 then continue := false
+    done
+  done;
+  if !tail <= cap then !tail else -1
+
+(* [a] with [x] stored at [i], its first [i] entries kept; doubles [a]
+   when full. *)
+let push a i x =
+  let a =
+    if i < Array.length a then a
+    else begin
+      let b = Array.make (2 * i) 0 in
+      Array.blit a 0 b 0 i;
+      b
+    end
+  in
+  a.(i) <- x;
+  a
+
+(* Walk the face that contains the region of the component beyond the
+   boundary dart [d0] (region -> component), each boundary edge ending
+   in a stub of its own: the walk bounces at region vertices, so it
+   meets every boundary dart of the component once. Appends them to
+   [t.bd] from [nb] in walk order, stamps the component vertices it
+   passes with [sc], and returns the new boundary count. *)
+let walk_boundary t s sr sc d0 nb =
+  let nb = ref nb and d = ref d0 and continue = ref true in
+  while !continue do
+    t.bd <- push t.bd !nb !d;
+    incr nb;
+    t.cmark.(t.dst.(!d)) <- sc;
+    let e = ref (next_scope t s (!d lxor 1)) in
+    while t.vmark.(t.dst.(!e)) <> sr do
+      t.cmark.(t.dst.(!e)) <- sc;
+      e := next_scope t s (!e lxor 1)
+    done;
+    d := !e lxor 1;
+    if !d = d0 then continue := false
+  done;
+  !nb
+
+type attempt =
+  | Over  (** the instance would exceed the budget *)
+  | Failed of int  (** not accepted; the region's size after absorption *)
+  | Accepted of { nr : int; nb : int; edges : int; mirror : bool }
+
+(* One region attempt on the region [t.local.(0 .. nr0-1)]. Components
+   of S - R with at most [nr0] vertices join the region; each larger one
+   becomes a wheel: one stub per boundary dart in walk order, a rim
+   through the stubs (K >= 3) and a hub (K >= 2). The instance is R's
+   scope edges, the new edge and the wheels: local ids [0, nr) are the
+   region, [nr, nr + nb) the stubs, then the hubs. Accepted when the
+   kernel embeds it and every rigid wheel (K >= 3) asks for the same
+   orientation: a hub that lists its stubs in decreasing walk order means
+   the region's kernel rings must be mirrored. *)
+let region_attempt t s sr nr0 u v budget =
+  t.vstamp <- t.vstamp + 1;
+  let sc = t.vstamp in
+  let nr = ref nr0 and nb = ref 0 and nw = ref 0 and inner = ref 0 in
+  let i = ref 0 in
+  while !i < !nr && !nr <= budget do
+    let d0 = t.first_out.(t.local.(!i)) in
+    let d = ref d0 in
+    let continue = ref true in
+    while !continue do
+      (if in_scope t s !d then
+         let x = t.dst.(!d) in
+         if t.vmark.(x) = sr then incr inner
+         else if t.cmark.(x) <> sc then begin
+           let size = component_size t s sr sc x nr0 in
+           if size >= 0 then begin
+             for j = 0 to size - 1 do
+               nr := number_vertex t sr !nr t.queue.(j)
+             done;
+             incr inner
+           end
+           else begin
+             t.wheels <- push t.wheels !nw !nb;
+             incr nw;
+             nb := walk_boundary t s sr sc !d !nb
+           end
+         end);
+      d := t.rnext.(!d);
+      if !d = d0 then continue := false
+    done;
+    incr i
+  done;
+  let nr = !nr and nb = !nb and nw = !nw in
+  let wheel_end w = if w + 1 < nw then t.wheels.(w + 1) else nb in
+  let frame = ref 0 in
+  for w = 0 to nw - 1 do
+    let k = wheel_end w - t.wheels.(w) in
+    if k >= 2 then frame := !frame + k;
+    if k >= 3 then frame := !frame + k
+  done;
+  let edges = (!inner / 2) + 1 + nb + !frame in
+  if nr > budget || edges > budget then Over
+  else begin
+    let lo, hi = Lr.pairs t.lr ~m:edges in
+    let k = ref 0 in
+    let pair a b =
+      lo.(!k) <- a;
+      hi.(!k) <- b;
+      incr k
+    in
+    for i = 0 to nr - 1 do
+      let d0 = t.first_out.(t.local.(i)) in
+      let d = ref d0 in
+      let continue = ref true in
+      while !continue do
+        let x = t.dst.(!d) in
+        if !d land 1 = 0 && in_scope t s !d && t.vmark.(x) = sr then
+          pair i t.vdata.(x);
+        d := t.rnext.(!d);
+        if !d = d0 then continue := false
+      done
+    done;
+    pair t.vdata.(u) t.vdata.(v);
+    for j = 0 to nb - 1 do
+      pair t.vdata.(dart_src t t.bd.(j)) (nr + j)
+    done;
+    let hub = ref (nr + nb) in
+    for w = 0 to nw - 1 do
+      let a = t.wheels.(w) and b = wheel_end w in
+      if b - a >= 2 then begin
+        for j = a to b - 1 do
+          pair !hub (nr + j)
+        done;
+        incr hub
+      end;
+      if b - a >= 3 then
+        for j = a to b - 1 do
+          pair (nr + j) (nr + if j + 1 = b then a else j + 1)
+        done
+    done;
+    let planar = Lr.embed_pairs t.lr ~n:!hub ~m:!k in
+    t.stats.kernel_edges <- t.stats.kernel_edges + Lr.edges t.lr;
+    if not planar then Failed nr
+    else begin
+      let off = Lr.offsets t.lr and src = Lr.sources t.lr and ring = Lr.ring t.lr in
+      let dir = ref 0 and agree = ref true and hub = ref (nr + nb) in
+      for w = 0 to nw - 1 do
+        let a = t.wheels.(w) and b = wheel_end w in
+        let k = b - a in
+        if k >= 3 then begin
+          let x0 = src.(ring.(off.(!hub))) - nr - a
+          and x1 = src.(ring.(off.(!hub) + 1)) - nr - a in
+          let d =
+            if x1 = (x0 + 1) mod k then 1
+            else if x0 = (x1 + 1) mod k then -1
+            else raise (Lr.Embedding_invalid "wheel hub does not follow its rim")
+          in
+          if !dir = 0 then dir := d else if !dir <> d then agree := false
+        end;
+        if k >= 2 then incr hub
+      done;
+      if !agree then Accepted { nr; nb; edges = Lr.edges t.lr; mirror = !dir < 0 }
+      else Failed nr
+    end
+  end
+
+(* Regions of radius 0, 1, 2, 4, ... around the path [t.local.(0 ..
+   np-1)], grown by BFS layers over scope darts, until one is accepted
+   or its instance would exceed half of the scope's [scope_m] edges
+   ([Over]). *)
+let try_regions t s sr np u v scope_m =
+  let budget = scope_m / 2 in
+  let rec go nr lo radius =
+    match region_attempt t s sr nr u v budget with
+    | (Over | Accepted _) as a -> a
+    | Failed nr' ->
+        let step = max 1 radius in
+        let lo = ref lo and hi = ref nr' in
+        for _ = 1 to step do
+          let k = grow_layer t s sr !lo !hi !hi in
+          lo := !hi;
+          hi := k
+        done;
+        if !hi = nr' then Over else go !hi !lo (radius + step)
+  in
+  go np 0 0
+
+(* The merged component record: the path roots' payloads unioned, plus
+   the new edge [e]. Adding (u, v) merges exactly the biconnected
+   components along the path, so the record is as exact as its inputs —
+   the interval sets are unioned in O(runs) with no re-decomposition
+   (delete-staleness is inherited and repaired by the rescope
+   trigger). *)
+let merge_records t scope_n e =
+  let acc = ref None and scoured = ref 0 in
+  Hashtbl.iter
+    (fun r () ->
+      let pl = Relations.get t.comps r in
+      scoured := !scoured + pl.scoured;
+      (match !acc with
+      | None -> acc := Some pl.edges
+      | Some dst -> Intervalset.union_into ~dst ~src:pl.edges);
+      Relations.abandon t.comps r)
+    t.roots;
+  let es =
+    match !acc with
+    | Some es -> es
+    | None -> raise (Lr.Embedding_invalid "slow-path insert with no path")
+  in
+  Intervalset.add es e;
+  let node = Relations.fresh t.comps { edges = es; scoured = !scoured } in
+  for i = 0 to scope_n - 1 do
+    t.slot_comp.(t.scope.(i)) <- node
+  done;
+  t.slot_comp.(e) <- node
+
+(* Merge the workspace ring back into the rings of local vertices
+   [0, nv): each ring becomes the kernel order of its scope darts
+   (reversed if [mirror]), then its other darts in their old order. A
+   local id in [nv, nv + nb) is a stub, standing for the boundary dart
+   [t.bd.(id - nv)]. The ring walk that separates scope darts from the
+   rest also caches each scope dart under its head vertex (stamped
+   scratch), so the kernel-ordered pass resolves neighbor -> dart
+   without hashing. *)
+let merge_rings t s ~nv ~nb ~mirror u v e =
+  let off = Lr.offsets t.lr and src = Lr.sources t.lr and ring = Lr.ring t.lr in
+  for i = 0 to nv - 1 do
+    let w = t.local.(i) in
+    t.vstamp <- t.vstamp + 1;
+    let vs = t.vstamp in
+    let n_scope = ref 0 and n_others = ref 0 in
+    let d0 = t.first_out.(w) in
+    if d0 >= 0 then begin
+      let d = ref d0 in
+      let continue = ref true in
+      while !continue do
+        if in_scope t s !d then begin
+          let x = t.dst.(!d) in
+          t.vmark.(x) <- vs;
+          t.vdata.(x) <- !d;
+          incr n_scope
+        end
+        else begin
+          t.others.(!n_others) <- !d;
+          incr n_others
+        end;
+        d := t.rnext.(!d);
+        if !d = d0 then continue := false
+      done
+    end;
+    (* The new edge's darts are allocated but not yet in any ring. *)
+    if w = u then begin
+      t.vmark.(v) <- vs;
+      t.vdata.(v) <- 2 * e;
+      incr n_scope
+    end
+    else if w = v then begin
+      t.vmark.(u) <- vs;
+      t.vdata.(u) <- (2 * e) + 1;
+      incr n_scope
+    end;
+    let lo = off.(i) and hi = off.(i + 1) in
+    if hi - lo <> !n_scope then
+      raise
+        (Lr.Embedding_invalid
+           "scope ring and maintained ring disagree on a vertex's degree");
+    let prev = ref (-1) in
+    for j = 0 to hi - lo - 1 do
+      let x = src.(ring.(if mirror then hi - 1 - j else lo + j)) in
+      let d =
+        if x < nv then begin
+          let y = t.local.(x) in
+          if t.vmark.(y) <> vs then
+            raise
+              (Lr.Embedding_invalid
+                 "scope ring names a neighbor outside the maintained scope");
+          t.vdata.(y)
+        end
+        else if x < nv + nb && dart_src t t.bd.(x - nv) = w then t.bd.(x - nv)
+        else raise (Lr.Embedding_invalid "region ring names a foreign stub")
+      in
+      prev := ring_link t w !prev d
+    done;
+    for j = 0 to !n_others - 1 do
+      prev := ring_link t w !prev t.others.(j)
+    done;
+    t.rnext.(!prev) <- t.first_out.(w);
+    t.rprev.(t.first_out.(w)) <- !prev
+  done
+
+(* Slow path: scope assembly, the region attempts, then (if none was
+   accepted) the whole scope through the kernel. On acceptance the
+   re-embedded vertices' rings are rewritten in place (non-scope darts
+   keep their old cyclic order behind the scope's — gluing whole blocks
+   into one corner preserves genus 0) and the path's component records
+   merge. On rejection nothing has been written. Everything is assembled,
+   embedded and read back in the maintainer's kernel workspace and
+   scratch arrays: no graph, rotation or list is built per re-embed. *)
 let reembed_scope t u v =
-  (* Path roots from the BFS parent darts. The table is reset, not
-     recreated: its iteration order, which fixes the scope order and so
-     the local numbering, is that of a fresh table. *)
+  (* Path roots from the BFS parent darts, and the path's vertices as
+     the region's first local ids. The table is reset, not recreated:
+     its iteration order, which fixes the scope order and so the local
+     numbering, is that of a fresh table. *)
   let roots = t.roots in
   Hashtbl.reset roots;
+  t.vstamp <- t.vstamp + 1;
+  let sr = t.vstamp in
+  let np = ref 0 in
   let x = ref v in
   while !x <> u do
     let d = t.vdata.(!x) in
     let r = Relations.find t.comps t.slot_comp.(d / 2) in
     if not (Hashtbl.mem roots r) then Hashtbl.replace roots r ();
+    np := number_vertex t sr !np !x;
     x := dart_src t d
   done;
+  let np = number_vertex t sr !np u in
   let scope_n =
     Hashtbl.fold
       (fun r () acc -> acc + Intervalset.cardinal (Relations.get t.comps r).edges)
@@ -542,117 +903,36 @@ let reembed_scope t u v =
           t.scope.(!i) <- sl;
           incr i))
     roots;
-  let lo, hi = Lr.pairs t.lr ~m:(scope_n + 1) in
-  let nloc = load_scope t scope_n ~eu:u ~ev:v lo hi in
-  let planar = Lr.embed_pairs t.lr ~n:nloc ~m:(scope_n + 1) in
-  t.stats.kernel_edges <- t.stats.kernel_edges + Lr.edges t.lr;
-  if not planar then begin
-    t.stats.rejected <- t.stats.rejected + 1;
-    Rejected
-  end
-  else begin
+  t.stamp <- t.stamp + 1;
+  let s = t.stamp in
+  for i = 0 to scope_n - 1 do
+    t.dart_stamp.(2 * t.scope.(i)) <- s
+  done;
+  let accept ~nv ~nb ~mirror =
     let e = alloc_slot t u v in
-    (* Mark the scope's slots (including the new edge). *)
-    t.stamp <- t.stamp + 1;
-    let s = t.stamp in
-    for i = 0 to scope_n - 1 do
-      t.dart_stamp.(2 * t.scope.(i)) <- s
-    done;
-    t.dart_stamp.(2 * e) <- s;
-    (* Adding (u, v) merges exactly the biconnected components along
-       the path, so the merged record scope + e is as exact as its
-       inputs — the interval sets are unioned in O(runs) with no
-       re-decomposition (delete-staleness is inherited and repaired by
-       the rescope trigger). *)
-    let acc = ref None and scoured = ref 0 in
-    Hashtbl.iter
-      (fun r () ->
-        let pl = Relations.get t.comps r in
-        scoured := !scoured + pl.scoured;
-        (match !acc with
-        | None -> acc := Some pl.edges
-        | Some dst -> Intervalset.union_into ~dst ~src:pl.edges);
-        Relations.abandon t.comps r)
-      roots;
-    let es =
-      match !acc with
-      | Some es -> es
-      | None -> raise (Lr.Embedding_invalid "slow-path insert with no path")
-    in
-    Intervalset.add es e;
-    let node = Relations.fresh t.comps { edges = es; scoured = !scoured } in
-    for i = 0 to scope_n - 1 do
-      t.slot_comp.(t.scope.(i)) <- node
-    done;
-    t.slot_comp.(e) <- node;
-    (* Merge the workspace ring back into the rings in place. The ring
-       walk that separates scope darts from the rest also caches each
-       scope dart under its head vertex (stamped scratch), so the
-       kernel-ordered pass resolves neighbor -> dart without hashing. *)
-    let off = Lr.offsets t.lr
-    and src = Lr.sources t.lr
-    and ring = Lr.ring t.lr in
-    for i = 0 to nloc - 1 do
-      let w = t.local.(i) in
-      t.vstamp <- t.vstamp + 1;
-      let vs = t.vstamp in
-      let n_scope = ref 0 and n_others = ref 0 in
-      let d0 = t.first_out.(w) in
-      if d0 >= 0 then begin
-        let d = ref d0 in
-        let continue = ref true in
-        while !continue do
-          if t.dart_stamp.(2 * (!d / 2)) = s then begin
-            let x = t.dst.(!d) in
-            t.vmark.(x) <- vs;
-            t.vdata.(x) <- !d;
-            incr n_scope
-          end
-          else begin
-            t.others.(!n_others) <- !d;
-            incr n_others
-          end;
-          d := t.rnext.(!d);
-          if !d = d0 then continue := false
-        done
-      end;
-      (* The new edge's darts are allocated but not yet in any ring. *)
-      if w = u then begin
-        t.vmark.(v) <- vs;
-        t.vdata.(v) <- 2 * e;
-        incr n_scope
-      end
-      else if w = v then begin
-        t.vmark.(u) <- vs;
-        t.vdata.(u) <- (2 * e) + 1;
-        incr n_scope
-      end;
-      let lo = off.(i) and hi = off.(i + 1) in
-      if hi - lo <> !n_scope then
-        raise
-          (Lr.Embedding_invalid
-             "scope ring and maintained ring disagree on a vertex's degree");
-      (* The ring is the kernel order of the scope darts, then the
-         others in their old order. *)
-      let prev = ref (-1) in
-      for j = lo to hi - 1 do
-        let x = t.local.(src.(ring.(j))) in
-        if t.vmark.(x) <> vs then
-          raise
-            (Lr.Embedding_invalid
-               "scope ring names a neighbor outside the maintained scope");
-        prev := ring_link t w !prev t.vdata.(x)
-      done;
-      for j = 0 to !n_others - 1 do
-        prev := ring_link t w !prev t.others.(j)
-      done;
-      t.rnext.(!prev) <- t.first_out.(w);
-      t.rprev.(t.first_out.(w)) <- !prev
-    done;
+    merge_records t scope_n e;
+    merge_rings t s ~nv ~nb ~mirror u v e;
     ignore (Unionfind.union t.conn u v);
-    t.stats.reembedded <- t.stats.reembedded + 1;
-    Reembedded (scope_n + 1)
-  end
+    t.stats.reembedded <- t.stats.reembedded + 1
+  in
+  match try_regions t s sr np u v (scope_n + 1) with
+  | Accepted a ->
+      accept ~nv:a.nr ~nb:a.nb ~mirror:a.mirror;
+      t.stats.regional <- t.stats.regional + 1;
+      Reembedded a.edges
+  | Over | Failed _ ->
+      let lo, hi = Lr.pairs t.lr ~m:(scope_n + 1) in
+      let nloc = load_scope t scope_n ~eu:u ~ev:v lo hi in
+      let planar = Lr.embed_pairs t.lr ~n:nloc ~m:(scope_n + 1) in
+      t.stats.kernel_edges <- t.stats.kernel_edges + Lr.edges t.lr;
+      if not planar then begin
+        t.stats.rejected <- t.stats.rejected + 1;
+        Rejected
+      end
+      else begin
+        accept ~nv:nloc ~nb:0 ~mirror:false;
+        Reembedded (scope_n + 1)
+      end
 
 let insert t u v =
   if u < 0 || u >= t.n || v < 0 || v >= t.n || u = v then
@@ -702,7 +982,7 @@ let delete t u v =
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>inserts: %d fast, %d linked, %d reembedded, %d rejected, %d \
-     duplicate@ deletes: %d (%d missing)@ rescopes: %d@ kernel edges: %d@ \
-     face-walk steps: %d@]"
-    s.fast s.linked s.reembedded s.rejected s.duplicates s.deletes s.missing
-    s.rescopes s.kernel_edges s.face_steps
+     duplicate@ regions: %d of the reembedded@ deletes: %d (%d missing)@ \
+     rescopes: %d@ kernel edges: %d@ face-walk steps: %d@]"
+    s.fast s.linked s.reembedded s.rejected s.duplicates s.regional s.deletes
+    s.missing s.rescopes s.kernel_edges s.face_steps

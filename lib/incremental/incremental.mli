@@ -8,14 +8,23 @@
       current embedding, the new edge is spliced into that face in time
       proportional to the faces around the smaller-degree endpoint — no
       kernel run at all.
-    - {b insert, slow path}: otherwise only the affected biconnected
-      components (tracked conservatively in a union-find-with-relations
-      over edge slots) are re-fed through the LR kernel as one small
-      graph, assembled and embedded in a kernel workspace the maintainer
-      keeps ({!Lr.embed_pairs}), and the workspace's checked ring is
-      merged back in place. Rejection (the edge would make the graph
-      non-planar) leaves the state untouched. Once the workspace has
-      grown to the largest scope, a re-embed allocates almost nothing.
+    - {b insert, slow path}: otherwise the scope is the union of the
+      biconnected components along one endpoint-to-endpoint path
+      (tracked conservatively in a union-find-with-relations over edge
+      slots), plus the new edge. The maintainer first re-embeds regions
+      around the path: the path grown by radius 0, 1, 2, 4, ... over
+      the scope's edges, with every small component of the rest
+      absorbed and every large one kept as it is and stood in for by a
+      wheel of its boundary. An accepted region rewrites only its own
+      vertices' rings. A region the kernel refuses is never a verdict;
+      once a region's instance would exceed half of the scope, the
+      whole scope goes through the kernel, and only that run can reject
+      the insert. Every run is assembled and embedded in a kernel
+      workspace the maintainer keeps ({!Lr.embed_pairs}), and its
+      checked ring is merged back in place. Rejection (the edge would
+      make the graph non-planar) leaves the state untouched. Once the
+      workspace has grown to the largest scope, a re-embed allocates
+      almost nothing.
     - {b delete}: O(degree) unsplicing — a plane embedding minus an edge
       is still plane. Component records go stale-conservative and are
       re-tightened by scoped re-decomposition, amortized O(1) per
@@ -31,7 +40,8 @@ type update =
   | Fast  (** spliced into a shared face; no kernel run *)
   | Linked  (** endpoints were in different connected components *)
   | Reembedded of int
-      (** scoped kernel re-run over this many edges, accepted *)
+      (** accepted by a slow-path kernel run over this many edges (the
+          deciding run: a region's instance, or the whole scope) *)
   | Rejected  (** edge would break planarity; state unchanged *)
   | Duplicate  (** edge already present; state unchanged *)
 
@@ -44,7 +54,11 @@ type stats = {
   mutable deletes : int;
   mutable missing : int;  (** deletes of absent edges *)
   mutable rescopes : int;  (** scoped re-decompositions after deletes *)
-  mutable kernel_edges : int;  (** edges fed back through the kernel *)
+  mutable regional : int;
+      (** slow-path inserts a region decided (a subset of [reembedded]) *)
+  mutable kernel_edges : int;
+      (** edges fed through the kernel, over every run: failed regions,
+          the deciding run and rejections *)
   mutable face_steps : int;  (** darts visited by fast-path face walks *)
 }
 

@@ -320,6 +320,67 @@ let test_diameter_k4_subdivision () =
   let d9 = Traverse.diameter (Gen.k4_subdivision 9) in
   check_bool "linear growth" true (d9 >= (2 * d3) + 2)
 
+(* iFUB against the all-pairs oracle: every generator family (the
+   connected ones whole, the disconnected random graph by component),
+   paths, stars and n in {1, 2}. *)
+let test_diameter_ifub_vs_all_pairs () =
+  let connected =
+    [
+      ("n=1", Gr.empty 1);
+      ("n=2", Gen.path 2);
+      ("path 1", Gen.path 1);
+      ("path 57", Gen.path 57);
+      ("star 2", Gen.star 2);
+      ("star 40", Gen.star 40);
+      ("cycle 31", Gen.cycle 31);
+      ("complete 6", Gen.complete 6);
+      ("k3,5", Gen.complete_bipartite 3 5);
+      ("wheel 20", Gen.wheel 20);
+      ("ladder 25", Gen.ladder 25);
+      ("fan 18", Gen.fan 18);
+      ("grid 9x13", Gen.grid 9 13);
+      ("trigrid 8x11", Gen.triangular_grid 8 11);
+      ("torus 6x7", Gen.toroidal_grid 6 7);
+      ("binary tree 6", Gen.binary_tree 6);
+      ("k5", Gen.k5 ());
+      ("k33", Gen.k33 ());
+      ("petersen", Gen.petersen ());
+      ("k4 subdivision 7", Gen.k4_subdivision 7);
+      ("subdivided wheel", Gen.subdivide (Gen.wheel 9) 3);
+    ]
+  in
+  let random =
+    List.concat_map
+      (fun seed ->
+        [
+          ("tree", Gen.random_tree ~seed 90);
+          ("maxplanar", Gen.random_maximal_planar ~seed 120);
+          ("planar", Gen.random_planar ~seed ~n:100 ~m:160);
+          ("outerplanar", Gen.random_outerplanar ~seed ~n:110 ~chord_prob:0.3);
+          ("connected", Gen.random_connected_graph ~seed ~n:80 ~m:100);
+        ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  let sparse =
+    List.concat_map
+      (fun seed ->
+        let g = Gen.random_graph ~seed ~n:90 ~m:80 in
+        List.map
+          (fun vs ->
+            let c, _, _ = Gr.induced g vs in
+            ("random component", c))
+          (Traverse.components g))
+      [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (name, g) ->
+      check name (All_pairs.diameter g) (Traverse.diameter g))
+    (connected @ random @ sparse);
+  check "empty graph" 0 (Traverse.diameter (Gr.empty 0));
+  Alcotest.check_raises "disconnected"
+    (Invalid_argument "Traverse.diameter: disconnected graph") (fun () ->
+      ignore (Traverse.diameter (Gr.of_edges ~n:4 [ (0, 1); (2, 3) ])))
+
 let prop_diameter_bracket =
   QCheck.Test.make ~name:"diameter_bracket: lo <= diameter <= hi <= 2 lo"
     ~count:100
@@ -813,6 +874,8 @@ let () =
           Alcotest.test_case "components linear in n" `Quick
             test_components_linear;
           Alcotest.test_case "diameter" `Quick test_diameter_cycle;
+          Alcotest.test_case "diameter: iFUB equals all-pairs" `Quick
+            test_diameter_ifub_vs_all_pairs;
           Alcotest.test_case "k4 subdivision diameter" `Quick
             test_diameter_k4_subdivision;
           QCheck_alcotest.to_alcotest prop_diameter_bracket;

@@ -159,6 +159,13 @@ let face_sharing_pairs r vs =
     (fun u -> List.filter_map (fun v -> if u < v && share u v then Some (u, v) else None) vs)
     vs
 
+let update_name = function
+  | Incremental.Fast -> "Fast"
+  | Incremental.Linked -> "Linked"
+  | Incremental.Reembedded k -> Printf.sprintf "Reembedded %d" k
+  | Incremental.Rejected -> "Rejected"
+  | Incremental.Duplicate -> "Duplicate"
+
 let test_reembed_path () =
   let inc = Incremental.create (theta4 ()) in
   let middles = [ 2; 3; 4; 5 ] in
@@ -175,14 +182,7 @@ let test_reembed_path () =
   let u, v = List.hd non_sharing in
   (match Incremental.insert inc u v with
   | Incremental.Reembedded k -> check_bool "scope is non-trivial" true (k >= 9)
-  | other ->
-      Alcotest.failf "expected Reembedded, got %s"
-        (match other with
-        | Incremental.Fast -> "Fast"
-        | Incremental.Linked -> "Linked"
-        | Incremental.Rejected -> "Rejected"
-        | Incremental.Duplicate -> "Duplicate"
-        | Incremental.Reembedded _ -> assert false));
+  | other -> Alcotest.failf "expected Reembedded, got %s" (update_name other));
   check "reembed counted once" 1 (Incremental.stats inc).reembedded;
   check_bool "still a plane embedding" true (Incremental.validate inc);
   check_bool "new edge present" true (Incremental.mem inc u v);
@@ -294,6 +294,74 @@ let test_of_rotation_roundtrip () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Region slow path                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Insert (u, v), which must take the slow path and be decided by the
+   first region attempt (radius 0): one kernel run, over the instance
+   [Reembedded k] reports, smaller than the whole scope would be. *)
+let expect_radius0 name inc u v =
+  let st = Incremental.stats inc in
+  let k0 = st.kernel_edges and r0 = st.regional in
+  (match Incremental.insert inc u v with
+  | Incremental.Reembedded k ->
+      check (name ^ ": one kernel run, the deciding one") k (st.kernel_edges - k0);
+      check_bool (name ^ ": smaller than the scope") true (k <= Incremental.m inc / 2)
+  | other -> Alcotest.failf "%s: expected Reembedded, got %s" name (update_name other));
+  check (name ^ ": decided by a region") (r0 + 1) st.regional;
+  check_bool (name ^ ": plane embedding") true (Incremental.validate inc);
+  check_bool (name ^ ": edge present") true (Incremental.mem inc u v)
+
+(* On this graph's kernel embedding, 5 and 23 share no face; the u-v
+   BFS path alone, with the rest of the block as one wheel, embeds. *)
+let test_region_radius0 () =
+  let g = Gen.random_planar ~seed:23 ~n:24 ~m:36 in
+  let inc = Incremental.create g in
+  let m0 = Incremental.m inc in
+  expect_radius0 "planar-24 (5,23)" inc 5 23;
+  check "one more edge" (m0 + 1) (Incremental.m inc)
+
+(* The same radius-0 insert into an embedding and into its mirror image.
+   Mirroring reverses the boundary walk, so the kernel's wheel hub comes
+   out in increasing walk order in one run and decreasing in the other:
+   one of the two merges keeps the kernel order and the other mirrors it
+   (an orientation rule that is wrong either way makes one of the two
+   embeddings non-planar). *)
+let test_region_mirror () =
+  let g = Gen.random_planar ~seed:7 ~n:24 ~m:36 in
+  let r = Planarity.embed_exn g in
+  expect_radius0 "as embedded" (Incremental.of_rotation r) 6 7;
+  expect_radius0 "mirrored" (Incremental.of_rotation (Rotation.mirror r)) 6 7
+
+(* A grid is a subdivided 3-connected graph: an insert between two
+   vertices with no common face is non-planar. The region attempts run
+   first and fail; only the whole-scope run rejects, and the state is
+   untouched. *)
+let test_region_reject_leaves_state () =
+  let g = Gen.grid 10 10 in
+  let inc = Incremental.create g in
+  let before = Incremental.rotation inc in
+  let st = Incremental.stats inc in
+  let u = 11 and v = 44 in
+  check_bool "no common face" true
+    (not (List.mem (u, v) (face_sharing_pairs before [ u; v ])));
+  check_bool "rejected" true (Incremental.insert inc u v = Incremental.Rejected);
+  check_bool "regions ran before the whole scope" true
+    (st.kernel_edges > Gr.m g + 1);
+  check "no region decided" 0 st.regional;
+  check "rejection counted" 1 st.rejected;
+  check "edge count unchanged" (Gr.m g) (Incremental.m inc);
+  let after = Incremental.rotation inc in
+  for w = 0 to Gr.n g - 1 do
+    Alcotest.(check (array int))
+      (Printf.sprintf "ring of %d unchanged" w)
+      (Rotation.rotation before w) (Rotation.rotation after w)
+  done;
+  (* and the maintainer goes on: a face-sharing chord is a fast insert *)
+  check_bool "then a fast insert" true (Incremental.insert inc 11 22 = Incremental.Fast);
+  check_bool "valid" true (Incremental.validate inc)
+
+(* ------------------------------------------------------------------ *)
 (* Intervalset / Relations units                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -384,10 +452,12 @@ let test_relations_payloads () =
 (* ------------------------------------------------------------------ *)
 
 (* MD5 of the maintained rotation after a full replay plus every stats
-   counter: the slow path's scope graph and kernel output must stay
+   counter: the slow path's instances and kernel output must stay
    bit-identical across construction rewrites, and the counters pin
-   which path each update took. Recorded from the maintainer before the
-   scope graph moved onto the generic edge-list constructor. *)
+   which path each update took. Re-recorded when the slow path began
+   with regions (the region merges give different rotations). The
+   replay also Euler-checks the maintained embedding after every
+   slow-path insert, region-decided or whole-scope. *)
 let rotation_digest r =
   let g = Rotation.graph r in
   let b = Buffer.create 4096 in
@@ -406,40 +476,52 @@ let test_golden_replays () =
     (fun (name, g, want_digest, want_stats) ->
       let tr = Churn.make ~seed:1 ~updates:3000 ~insert_pct:50 ~hold:0.3 g in
       let inc = Incremental.create (Churn.initial_graph tr) in
-      Churn.replay inc tr;
+      Array.iteri
+        (fun i op ->
+          match op with
+          | Churn.Insert (u, v) -> (
+              match Incremental.insert inc u v with
+              | Incremental.Reembedded _ ->
+                  if not (Incremental.validate inc) then
+                    Alcotest.failf "%s op %d: slow insert (%d,%d) left a \
+                                    non-planar embedding" name i u v
+              | _ -> ())
+          | Churn.Delete _ -> Churn.apply inc op)
+        tr.Churn.ops;
       let s = Incremental.stats inc in
       Alcotest.(check string) (name ^ ": rotation digest") want_digest
         (rotation_digest (Incremental.rotation inc));
       Alcotest.(check (list int))
-        (name ^ ": fast/linked/reembedded/rejected/duplicates/deletes/\
-                 missing/rescopes/kernel_edges/face_steps")
+        (name ^ ": fast/linked/reembedded/regional/rejected/duplicates/\
+                 deletes/missing/rescopes/kernel_edges/face_steps")
         want_stats
         [
-          s.fast; s.linked; s.reembedded; s.rejected; s.duplicates;
-          s.deletes; s.missing; s.rescopes; s.kernel_edges; s.face_steps;
+          s.fast; s.linked; s.reembedded; s.regional; s.rejected;
+          s.duplicates; s.deletes; s.missing; s.rescopes; s.kernel_edges;
+          s.face_steps;
         ])
     [
       ( "grid 12x12",
         Gen.grid 12 12,
-        "caaedd1c5807dcb16a86c1190466f44d",
-        [ 1256; 59; 189; 0; 0; 1496; 0; 6; 37888; 37602 ] );
+        "c0f69a4e8ee4eafa0bb98d92e4615475",
+        [ 1379; 59; 66; 66; 0; 0; 1496; 0; 6; 2151; 44158 ] );
       ( "maxplanar-400",
         Gen.random_maximal_planar ~seed:1 400,
         "6a4c94cf1fa57431c27ac664836dab68",
-        [ 951; 57; 478; 0; 0; 1514; 0; 1; 404256; 14470 ] );
+        [ 978; 57; 451; 384; 0; 0; 1514; 0; 1; 127625; 14317 ] );
       ( "outerplanar-600",
         Gen.random_outerplanar ~seed:1 ~n:600 ~chord_prob:0.5,
-        "75692202fb8792423ec0e8a97b3cbc7c",
-        [ 707; 611; 184; 0; 0; 1498; 0; 2; 93318; 41184 ] );
+        "2138610d2adc8e7ab381347eea260d65",
+        [ 758; 611; 133; 122; 0; 0; 1498; 0; 2; 4209; 65621 ] );
     ]
 
-(* The slow path reuses one kernel workspace, so once it has grown to
-   the largest scope a re-embed allocates next to nothing. Allocation
-   counts are deterministic: the whole maxplanar-400 replay (478 scoped
-   re-embeds over 404,256 kernel edges, the fast and linked inserts and
-   the deletes included) must allocate at most 10 words per kernel
-   edge, where a fresh graph, rotation and kernel per re-embed cost
-   about 96. *)
+(* The slow path reuses one kernel workspace and the maintainer's
+   scratch arrays, so once they have grown to the largest instance a
+   re-embed allocates next to nothing. Allocation counts are
+   deterministic: the whole maxplanar-400 replay (the region attempts,
+   the whole-scope re-embeds, the fast and linked inserts and the
+   deletes) must allocate at most 10 words per kernel edge, where a
+   fresh graph, rotation and kernel per re-embed cost about 96. *)
 let test_replay_allocation () =
   let tr =
     Churn.make ~seed:1 ~updates:3000 ~insert_pct:50 ~hold:0.3
@@ -451,7 +533,7 @@ let test_replay_allocation () =
   let minor1, promoted1, major1 = Gc.counters () in
   let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
   let kernel_edges = (Incremental.stats inc).kernel_edges in
-  Alcotest.(check int) "kernel edges" 404256 kernel_edges;
+  Alcotest.(check int) "kernel edges" 127625 kernel_edges;
   let per_edge = words /. float_of_int kernel_edges in
   if per_edge > 10. then
     Alcotest.failf "replay allocated %.1f words per kernel edge (gate: 10)"
@@ -484,6 +566,15 @@ let () =
             test_rescope_triggers;
           Alcotest.test_case "of_rotation keeps embedding" `Quick
             test_of_rotation_roundtrip;
+        ] );
+      ( "regions",
+        [
+          Alcotest.test_case "insert decided at radius 0" `Quick
+            test_region_radius0;
+          Alcotest.test_case "embedding and mirror both merge" `Quick
+            test_region_mirror;
+          Alcotest.test_case "failed regions, then rejection, state untouched"
+            `Quick test_region_reject_leaves_state;
         ] );
       ( "golden",
         [
