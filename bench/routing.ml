@@ -1,5 +1,6 @@
 (* Routing-tier benchmark: query throughput and stretch versus n across
-   the generator families.
+   the generator families, with the routing layer split into greedy and
+   face-recovery hops and the words the serial batch allocates per hop.
 
    Every case is validated before it is timed: the Schnyder drawing must
    lie on the grid with distinct points (plus the exhaustive O(m²)
@@ -34,6 +35,9 @@ type case = {
   mean_stretch : float;
   max_stretch : float;
   mean_hops : float;
+  greedy_hops : int;
+  face_hops : int;
+  words_per_hop : float;
   recoveries : int;
   drawing_ok : bool;
 }
@@ -68,6 +72,7 @@ let run_case ~reps ~jobs name g =
   let outs = Route.route_batch engine pairs in
   let delivered = ref 0 and unreachable = ref 0 and stuck = ref 0 in
   let hops_total = ref 0 and recoveries = ref 0 in
+  let greedy_hops = ref 0 and face_hops = ref 0 in
   let sum_stretch = ref 0.0 and max_stretch = ref 0.0 and n_stretch = ref 0 in
   let dist_cache = Hashtbl.create 64 in
   let dist s d =
@@ -85,9 +90,12 @@ let run_case ~reps ~jobs name g =
     (fun i o ->
       let s, d = pairs.(i) in
       match o with
-      | Route.Delivered { hops; recoveries = rc; _ } ->
+      | Route.Delivered { hops; recoveries = rc; greedy_hops = gh; face_hops = fh; _ }
+        ->
           incr delivered;
           hops_total := !hops_total + hops;
+          greedy_hops := !greedy_hops + gh;
+          face_hops := !face_hops + fh;
           recoveries := !recoveries + rc;
           if hops > 0 then begin
             let bfs = dist s d in
@@ -101,11 +109,11 @@ let run_case ~reps ~jobs name g =
       | Route.Unreachable -> incr unreachable
       | Route.Stuck _ -> incr stuck)
     outs;
-  let qps_serial =
-    let w, _ =
+  let qps_serial, words =
+    let w, words =
       Harness.best_of ~reps (fun () -> Route.route_batch engine pairs)
     in
-    float_of_int queries /. max 1e-9 w
+    (float_of_int queries /. max 1e-9 w, words)
   in
   let pool = Pool.create ~domains:jobs () in
   let qps_pooled =
@@ -133,16 +141,21 @@ let run_case ~reps ~jobs name g =
       mean_stretch = !sum_stretch /. float_of_int (max 1 !n_stretch);
       max_stretch = !max_stretch;
       mean_hops = float_of_int !hops_total /. float_of_int (max 1 !delivered);
+      greedy_hops = !greedy_hops;
+      face_hops = !face_hops;
+      words_per_hop = words /. float_of_int (max 1 !hops_total);
       recoveries = !recoveries;
       drawing_ok;
     }
   in
   Printf.printf
     "%-18s n=%-6d m=%-6d build %7.3fs  q=%-5d del=%-5d stuck=%d  %9.0f q/s \
-     serial %9.0f q/s x%d  stretch %5.2f (max %7.2f)  %s\n\
+     serial %9.0f q/s x%d  stretch %5.2f (max %7.2f)  hops %d greedy + %d \
+     face  %.2f words/hop  %s\n\
      %!"
     c.name c.n c.m c.build_wall c.queries c.delivered c.stuck c.qps_serial
-    c.qps_pooled c.jobs c.mean_stretch c.max_stretch
+    c.qps_pooled c.jobs c.mean_stretch c.max_stretch c.greedy_hops c.face_hops
+    c.words_per_hop
     (if c.stuck = 0 && c.drawing_ok then "ok" else "FAIL");
   c
 
@@ -160,7 +173,10 @@ let json_of_case (c : case) =
         ("qps_pooled", Num (0, c.qps_pooled)); ("jobs", Int c.jobs);
         ("mean_stretch", Num (3, c.mean_stretch));
         ("max_stretch", Num (2, c.max_stretch));
-        ("mean_hops", Num (2, c.mean_hops)); ("recoveries", Int c.recoveries);
+        ("mean_hops", Num (2, c.mean_hops));
+        ("greedy_hops", Int c.greedy_hops); ("face_hops", Int c.face_hops);
+        ("words_per_hop", Num (2, c.words_per_hop));
+        ("recoveries", Int c.recoveries);
         ("drawing_ok", Bool c.drawing_ok);
       ])
 

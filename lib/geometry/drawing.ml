@@ -2,12 +2,15 @@
 
    Coordinates are grid integers bounded by n - 2 <= ~30k in every
    workload this repo generates, so cross products stay below ~2^34 and
-   native int arithmetic is exact. Nothing here allocates on the hot
-   predicates. *)
+   native int arithmetic is exact. The predicates take unpacked ints;
+   the tuple forms are thin wrappers for the O(m^2) oracle. Nothing here
+   allocates on the hot predicates. *)
 
-let orient (ax, ay) (bx, by) (cx, cy) =
+let orient_xy ax ay bx by cx cy =
   let v = ((bx - ax) * (cy - ay)) - ((by - ay) * (cx - ax)) in
   compare v 0
+
+let orient (ax, ay) (bx, by) (cx, cy) = orient_xy ax ay bx by cx cy
 
 let on_segment (px, py) (ax, ay) (bx, by) =
   orient (ax, ay) (bx, by) (px, py) = 0
@@ -16,10 +19,12 @@ let on_segment (px, py) (ax, ay) (bx, by) =
   && min ay by <= py
   && py <= max ay by
 
-let proper_cross p q a b =
-  let d1 = orient a b p and d2 = orient a b q in
-  let d3 = orient p q a and d4 = orient p q b in
-  d1 * d2 < 0 && d3 * d4 < 0
+let proper_cross_xy px py qx qy ax ay bx by =
+  orient_xy ax ay bx by px py * orient_xy ax ay bx by qx qy < 0
+  && orient_xy px py qx qy ax ay * orient_xy px py qx qy bx by < 0
+
+let proper_cross (px, py) (qx, qy) (ax, ay) (bx, by) =
+  proper_cross_xy px py qx qy ax ay bx by
 
 let segments_conflict p q a b =
   proper_cross p q a b
@@ -63,30 +68,57 @@ let first_crossing g ~x ~y =
    with Exit -> ());
   !found
 
-let valid_triangulation_drawing r ~x ~y =
-  let pt v = (x.(v), y.(v)) in
-  let pos = ref 0 and neg = ref 0 and zero = ref 0 and other = ref 0 in
-  List.iter
-    (fun face ->
-      match face with
-      | [ (a, _); (b, _); (c, _) ] -> (
-          match orient (pt a) (pt b) (pt c) with
-          | 0 -> incr zero
-          | s when s > 0 -> incr pos
-          | _ -> incr neg)
-      | _ -> incr other)
-    (Rotation.faces r);
-  !other = 0 && !zero = 0 && ((!pos = 1 && !neg > 0) || (!neg = 1 && !pos > 0))
+type census = { ccw : int; cw : int; flat : int; other : int }
 
+(* One walk of the face permutation on dart ids; a face d0 -> d1 -> d2
+   -> d0 is the triangle (src d0, src d1, src d2). *)
+let face_census r ~x ~y =
+  let g = Rotation.graph r in
+  let darts = Gr.darts g and srcs = Gr.dart_sources g in
+  let seen = Bytes.make darts '\000' in
+  let ccw = ref 0 and cw = ref 0 and flat = ref 0 and other = ref 0 in
+  for d0 = 0 to darts - 1 do
+    if Bytes.get seen d0 = '\000' then begin
+      let len = ref 0 and d = ref d0 in
+      while Bytes.get seen !d = '\000' do
+        Bytes.set seen !d '\001';
+        incr len;
+        d := Rotation.face_next r !d
+      done;
+      if !len <> 3 then incr other
+      else begin
+        let d1 = Rotation.face_next r d0 in
+        let a = srcs.(d0) and b = srcs.(d1)
+        and c = srcs.(Rotation.face_next r d1) in
+        let o = orient_xy x.(a) y.(a) x.(b) y.(b) x.(c) y.(c) in
+        if o > 0 then incr ccw else if o < 0 then incr cw else incr flat
+      end
+    end
+  done;
+  { ccw = !ccw; cw = !cw; flat = !flat; other = !other }
+
+let valid_triangulation_drawing r ~x ~y =
+  let c = face_census r ~x ~y in
+  c.other = 0 && c.flat = 0
+  && ((c.ccw = 1 && c.cw > 0) || (c.cw = 1 && c.ccw > 0))
+
+(* Points are packed as (x - x0) * h + (y - y0) over their bounding box
+   of height h, so a plain int sort finds duplicates. *)
 let distinct ~x ~y =
   let n = Array.length x in
   if n <= 1 then true
   else begin
-    let pts = Array.init n (fun i -> (x.(i), y.(i))) in
-    Array.sort compare pts;
+    let x0 = Array.fold_left min max_int x
+    and y0 = Array.fold_left min max_int y in
+    let w = Array.fold_left max min_int x - x0 + 1
+    and h = Array.fold_left max min_int y - y0 + 1 in
+    if w <= 0 || h <= 0 || w > max_int / h then
+      invalid_arg "Drawing.distinct: coordinate box too large";
+    let keys = Array.init n (fun i -> ((x.(i) - x0) * h) + (y.(i) - y0)) in
+    Array.sort (fun (a : int) b -> compare a b) keys;
     let ok = ref true in
     for i = 0 to n - 2 do
-      if pts.(i) = pts.(i + 1) then ok := false
+      if keys.(i) = keys.(i + 1) then ok := false
     done;
     !ok
   end

@@ -23,22 +23,29 @@
       triangulation restricts to a plane drawing of any subgraph, so it
       also certifies the drawing of the embedded input graph. *)
 
+val orient_xy : int -> int -> int -> int -> int -> int -> int
+(** [orient_xy ax ay bx by cx cy] is the sign of the cross product
+    [(b - a) × (c - a)]: [1] when the triangle [a b c] turns
+    counterclockwise (in the usual y-up orientation), [-1] when
+    clockwise, [0] when collinear. Allocates nothing. *)
+
 val orient : int * int -> int * int -> int * int -> int
-(** [orient a b c] is the sign of the cross product
-    [(b - a) × (c - a)]: positive when the triangle [a b c] turns
-    counterclockwise (in the usual y-up orientation), negative when
-    clockwise, [0] when collinear. The magnitude is the doubled triangle
-    area; callers that only branch on the sign should compare to 0. *)
+(** {!orient_xy} on coordinate pairs. *)
 
 val on_segment : int * int -> int * int -> int * int -> bool
 (** [on_segment p a b] is [true] iff [p] lies on the closed segment
     [[a, b]] (collinear and within the bounding box). *)
 
+val proper_cross_xy :
+  int -> int -> int -> int -> int -> int -> int -> int -> bool
+(** [proper_cross_xy px py qx qy ax ay bx by] is [true] iff the open
+    segments [(p, q)] and [(a, b)] intersect in exactly one point
+    interior to both — the strict crossing test face recovery uses to
+    pick its exit edge. Allocates nothing. *)
+
 val proper_cross :
   int * int -> int * int -> int * int -> int * int -> bool
-(** [proper_cross p q a b] is [true] iff the open segments [(p, q)] and
-    [(a, b)] intersect in exactly one point interior to both — the
-    strict crossing test face recovery uses to pick its exit edge. *)
+(** {!proper_cross_xy} on coordinate pairs. *)
 
 val segments_conflict :
   int * int -> int * int -> int * int -> int * int -> bool
@@ -53,6 +60,18 @@ val first_crossing :
     intersect anywhere except at a common endpoint, or [None] if the
     drawing is plane. O(m²) — intended for small graphs in tests. *)
 
+type census = {
+  ccw : int;  (** triangular faces drawn counterclockwise *)
+  cw : int;  (** triangular faces drawn clockwise *)
+  flat : int;  (** triangular faces drawn with zero area *)
+  other : int;  (** faces that are not triangles *)
+}
+
+val face_census : Rotation.t -> x:int array -> y:int array -> census
+(** The orientation of every face of a rotation system's drawing, from
+    one walk of its face permutation ({!Rotation.face_next}): no face
+    lists, no point tuples. *)
+
 val valid_triangulation_drawing :
   Rotation.t -> x:int array -> y:int array -> bool
 (** O(n) plane-drawing check for a rotation system whose faces are all
@@ -62,7 +81,10 @@ val valid_triangulation_drawing :
     drawing being plane. *)
 
 val distinct : x:int array -> y:int array -> bool
-(** [true] iff all coordinate pairs are pairwise distinct. *)
+(** [true] iff all coordinate pairs are pairwise distinct. The pairs
+    are packed into single ints over their bounding box and sorted.
+    @raise Invalid_argument if that box has more than [max_int] points,
+    far beyond the range where {!orient_xy} is exact. *)
 
 val within_grid : x:int array -> y:int array -> side:int -> bool
 (** [true] iff every coordinate lies in [[0, side]] (both axes). *)

@@ -3,16 +3,23 @@
    All geometry is exact: distances are squared integers, face-crossing
    parameters are fractions compared by 128-bit cross multiplication
    (products of two ~2^35 cross products overflow 63-bit ints, so each
-   product is carried as hi * 2^20 + lo). *)
+   product is carried as hi * 2^20 + lo).
+
+   The engine is flat. The rotation is a CSR table over the graph's own
+   dart offsets, darts are the graph's dense dart ids, face successors
+   come from the rotation's face permutation, and a query's state is one
+   mutable record: a hop allocates nothing but its path cell. *)
 
 type t = {
   sch : Schnyder.t;
   g : Gr.t;
+  rot : Rotation.t; (* the real graph's rotation: its face permutation *)
   x : int array;
   y : int array;
-  rot : int array array; (* neighbor cycle per vertex, real graph *)
-  fnext : int array; (* dart -> face-successor dart *)
-  dhead : int array; (* dart -> head vertex *)
+  off : int array; (* v's rotation is slots off.(v) .. off.(v+1) - 1 *)
+  nbr : int array; (* slot -> neighbour, in rotation order *)
+  out : int array; (* slot of u at v -> the dart v -> u *)
+  srcs : int array; (* dart -> source vertex *)
   comp : int array; (* component id per vertex *)
   ccw : bool; (* drawing chirality: rotations counterclockwise? *)
 }
@@ -28,28 +35,28 @@ type outcome =
   | Unreachable
   | Stuck of { at : int; hops : int }
 
-(* Dart ids: edge e spawns darts 2e (min -> max) and 2e + 1 (max -> min). *)
-let did g u v =
-  let e = Gr.edge_index g u v in
-  if u < v then 2 * e else (2 * e) + 1
-
 let make sch =
   let tri = Schnyder.triangulation sch in
-  let src_rot = Triangulate.source tri in
-  let g = Rotation.graph src_rot in
-  let n = Gr.n g and m = Gr.m g in
+  let rot = Triangulate.source tri in
+  let g = Rotation.graph rot in
+  let n = Gr.n g in
   let x, y = Schnyder.coords sch in
-  let rot = Array.init n (fun v -> Rotation.rotation src_rot v) in
-  let fnext = Array.make (max 1 (2 * m)) (-1) in
-  let dhead = Array.make (max 1 (2 * m)) (-1) in
+  let off = Gr.dart_offsets g
+  and srcs = Gr.dart_sources g
+  and rev = Gr.dart_reversals g in
+  let nbr = Array.make (max 1 (Gr.darts g)) (-1) in
+  let out = Array.make (max 1 (Gr.darts g)) (-1) in
+  (* [slot.(u)] is the in-dart u -> v of the vertex v being filled; its
+     reversal is the out-dart v -> u. *)
+  let slot = Array.make (max 1 n) (-1) in
   for v = 0 to n - 1 do
-    let r = rot.(v) in
-    let deg = Array.length r in
-    for i = 0 to deg - 1 do
-      let u = r.(i) and w = r.((i + 1) mod deg) in
-      (* face-next of (u -> v) is (v -> succ_v u) *)
-      fnext.(did g u v) <- did g v w;
-      dhead.(did g u v) <- v
+    for d = off.(v) to off.(v + 1) - 1 do
+      slot.(srcs.(d)) <- d
+    done;
+    let r = Rotation.rotation rot v in
+    for i = 0 to Array.length r - 1 do
+      nbr.(off.(v) + i) <- r.(i);
+      out.(off.(v) + i) <- rev.(slot.(r.(i)))
     done
   done;
   let comp = Array.make (max 1 n) (-1) in
@@ -60,79 +67,53 @@ let make sch =
      orientation sign (only the outer face differs). When rotations run
      counterclockwise in the drawing, the face orbit of a dart lies to
      its right and is traced clockwise — negative orientation — so a
-     negative majority means counterclockwise rotations. *)
-  let ccw =
-    let pos = ref 0 and neg = ref 0 in
-    List.iter
-      (fun f ->
-        match f with
-        | [ (a, _); (b, _); (c, _) ] ->
-            let o =
-              Drawing.orient (x.(a), y.(a)) (x.(b), y.(b)) (x.(c), y.(c))
-            in
-            if o > 0 then incr pos else if o < 0 then incr neg
-        | _ -> ())
-      (Rotation.faces (Triangulate.rotation tri));
-    !pos < !neg
-  in
-  { sch; g; x; y; rot; fnext; dhead; comp; ccw }
+     clockwise majority means counterclockwise rotations. *)
+  let census = Drawing.face_census (Triangulate.rotation tri) ~x ~y in
+  let ccw = census.ccw < census.cw in
+  { sch; g; rot; x; y; off; nbr; out; srcs; comp; ccw }
 
 let graph t = t.g
 let schnyder t = t.sch
 
 (* ---- exact arithmetic helpers ---------------------------------------- *)
 
-let d2 t u (tx, ty) =
+let d2 t u tx ty =
   let dx = t.x.(u) - tx and dy = t.y.(u) - ty in
   (dx * dx) + (dy * dy)
 
-(* Cross product of (b - a) and (c - a), chirality-adjusted so that
-   "left of" means the same thing whichever way the drawing is mirrored. *)
-let cross_raw (ax, ay) (bx, by) (cx, cy) =
-  ((bx - ax) * (cy - ay)) - ((by - ay) * (cx - ax))
-
 (* a * b as hi * 2^20 + lo for 0 <= a, b < 2^40: exact 128-bit-ish carry. *)
-let mulsplit a b =
-  let ah = a asr 20 and al = a land 0xFFFFF in
-  let low = al * b in
-  ((ah * b) + (low asr 20), low land 0xFFFFF)
+let mul_hi a b = ((a asr 20) * b) + (((a land 0xFFFFF) * b) asr 20)
+let mul_lo a b = ((a land 0xFFFFF) * b) land 0xFFFFF
 
 (* Compare n1/d1 vs n2/d2 with all components >= 0, d > 0. *)
-let frac_cmp (n1, d1) (n2, d2) =
-  let h1, l1 = mulsplit n1 d2 and h2, l2 = mulsplit n2 d1 in
-  if h1 <> h2 then compare h1 h2 else compare l1 l2
+let frac_cmp n1 d1 n2 d2 =
+  let h1 = mul_hi n1 d2 and h2 = mul_hi n2 d1 in
+  if h1 <> h2 then compare h1 h2 else compare (mul_lo n1 d2) (mul_lo n2 d1)
 
-(* Crossing parameter of segment (p, t) with edge (a, b), as a
-   nonnegative fraction along p -> t. Caller guarantees a proper cross,
-   so the denominator is nonzero. *)
-let cross_param pp tt aa bb =
-  let px, py = pp and tx, ty = tt in
-  let ax, ay = aa and bx, by = bb in
-  let den = ((tx - px) * (by - ay)) - ((ty - py) * (bx - ax)) in
-  let num = ((ax - px) * (by - ay)) - ((ay - py) * (bx - ax)) in
-  if den < 0 then (-num, -den) else (num, den)
+(* Orientation of (o, p, q), chirality-adjusted so that "left of" means
+   the same thing whichever way the drawing is mirrored. *)
+let turn t ox oy px py qx qy =
+  let s = Drawing.orient_xy ox oy px py qx qy in
+  if t.ccw then s else -s
+
+let dot ox oy ax ay bx by = ((ax - ox) * (bx - ox)) + ((ay - oy) * (by - oy))
 
 (* Does the ray u -> r lie in the angular sector from neighbor va to
    neighbor vb (in rotation order)? Sector is inclusive at va, exclusive
    at vb; collinear-opposite and full-circle (degree-1) cases handled. *)
-let in_wedge t u va vb (rx, ry) =
-  let o = (t.x.(u), t.y.(u)) in
-  let pa = (t.x.(va), t.y.(va)) and pb = (t.x.(vb), t.y.(vb)) in
-  let cross a b c =
-    let v = cross_raw a b c in
-    if t.ccw then v else -v
-  in
-  let dot (axx, ayy) (bxx, byy) =
-    let ox, oy = o in
-    ((axx - ox) * (bxx - ox)) + ((ayy - oy) * (byy - oy))
-  in
-  let r = (rx, ry) in
-  let c1 = cross o pa r and c2 = cross o r pb and c0 = cross o pa pb in
-  if c1 = 0 && dot pa r > 0 then true (* on the opening ray *)
-  else if c2 = 0 && dot pb r > 0 then false (* next sector's opening *)
+let in_wedge t u va vb rx ry =
+  let ox = t.x.(u) and oy = t.y.(u) in
+  let ax = t.x.(va) and ay = t.y.(va) in
+  let bx = t.x.(vb) and by = t.y.(vb) in
+  let c1 = turn t ox oy ax ay rx ry
+  and c2 = turn t ox oy rx ry bx by
+  and c0 = turn t ox oy ax ay bx by in
+  if c1 = 0 && dot ox oy ax ay rx ry > 0 then true (* on the opening ray *)
+  else if c2 = 0 && dot ox oy bx by rx ry > 0 then false
+    (* next sector's opening *)
   else if c0 > 0 then c1 > 0 && c2 > 0
   else if c0 < 0 then c1 > 0 || c2 > 0
-  else if dot pa pb > 0 then true (* degree-1 vertex: full circle *)
+  else if dot ox oy ax ay bx by > 0 then true (* degree-1 vertex: full circle *)
   else c1 > 0 (* straight angle: the left half-plane *)
 
 (* The dart at [u] opening the face whose sector contains the ray to
@@ -140,17 +121,144 @@ let in_wedge t u va vb (rx, ry) =
    the orbit lying to the right of dart (u -> b) for counterclockwise
    rotations, and its mirror image otherwise — is the orbit through
    (u -> b) in both chiralities. *)
-let entry_dart t u (rx, ry) =
-  let r = t.rot.(u) in
-  let deg = Array.length r in
-  let rec go i =
-    if i >= deg then
-      failwith "Route: internal error: no face sector contains the target"
+let entry_dart t u rx ry =
+  let lo = t.off.(u) and deg = t.off.(u + 1) - t.off.(u) in
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 do
+    if !i >= deg then
+      failwith "Route: internal error: no face sector contains the target";
+    let j = if !i + 1 = deg then 0 else !i + 1 in
+    if in_wedge t u t.nbr.(lo + !i) t.nbr.(lo + j) rx ry then
+      found := t.out.(lo + j)
+    else incr i
+  done;
+  !found
+
+(* ---- one query --------------------------------------------------------- *)
+
+type query = {
+  tx : int;
+  ty : int;
+  budget : int;
+  mutable cur : int;
+  mutable path : int list; (* reversed *)
+  mutable hops : int;
+  mutable greedy_hops : int;
+  mutable face_hops : int;
+  mutable recoveries : int;
+  mutable stuck : bool;
+}
+
+let step q ~face v =
+  q.hops <- q.hops + 1;
+  if face then q.face_hops <- q.face_hops + 1
+  else q.greedy_hops <- q.greedy_hops + 1;
+  q.path <- v :: q.path;
+  q.cur <- v;
+  if q.hops > q.budget then q.stuck <- true
+
+(* One greedy hop: the strictly closest neighbor, if any improves. *)
+let greedy_next t q =
+  let best = ref (-1) and bestd = ref (d2 t q.cur q.tx q.ty) in
+  for k = t.off.(q.cur) to t.off.(q.cur + 1) - 1 do
+    let w = t.nbr.(k) in
+    let dw = d2 t w q.tx q.ty in
+    if dw < !bestd then begin
+      bestd := dw;
+      best := w
+    end
+  done;
+  !best
+
+(* Walk [count] darts of a face from [d], one face hop per dart head;
+   returns the dart after the last one walked. Stops hopping (but not
+   counting) once the budget is spent. *)
+let walk t q d count =
+  let d = ref d in
+  for _ = 1 to count do
+    if not q.stuck then begin
+      let nd = Rotation.face_next t.rot !d in
+      step q ~face:true t.srcs.(nd);
+      d := nd
+    end
+  done;
+  !d
+
+(* Face recovery episode: anchored at p, walk stabbed faces until a
+   vertex strictly closer than p turns up. *)
+let recover t q =
+  q.recoveries <- q.recoveries + 1;
+  let p = q.cur and tx = q.tx and ty = q.ty in
+  let px = t.x.(p) and py = t.y.(p) in
+  let anchor_d = d2 t p tx ty in
+  (* The crossing parameter reached so far, as a fraction. *)
+  let tau_n = ref 0 and tau_d = ref 1 in
+  let d0 = ref (entry_dart t p tx ty) in
+  let episode_done = ref false in
+  while (not !episode_done) && not q.stuck do
+    (* Scan the whole face orbit of !d0: the first strictly closer
+       vertex (by walk order), else the crossing furthest along the
+       segment and strictly beyond the entry point. The scan starts at
+       the vertex we stand at, so each dart's source is the vertex the
+       walk would be at. *)
+    let closer_at = ref (-1) in
+    let best_at = ref (-1) and best_n = ref 0 and best_d = ref 0 in
+    let d = ref !d0 and k = ref 0 in
+    let guard = ref (4 * Gr.m t.g) in
+    let continue = ref true in
+    while !continue do
+      let nd = Rotation.face_next t.rot !d in
+      let a = t.srcs.(!d) and b = t.srcs.(nd) in
+      if !closer_at < 0 && d2 t b tx ty < anchor_d then begin
+        closer_at := !k;
+        continue := false
+      end;
+      let ax = t.x.(a) and ay = t.y.(a) and bx = t.x.(b) and by = t.y.(b) in
+      if
+        !closer_at < 0 && Drawing.proper_cross_xy ax ay bx by px py tx ty
+      then begin
+        (* Where the segment p -> t crosses edge (a, b), as a
+           nonnegative fraction along it; a proper cross makes the
+           denominator nonzero. *)
+        let den = ((tx - px) * (by - ay)) - ((ty - py) * (bx - ax)) in
+        let num = ((ax - px) * (by - ay)) - ((ay - py) * (bx - ax)) in
+        let cn = if den < 0 then -num else num in
+        let cd = if den < 0 then -den else den in
+        if
+          frac_cmp cn cd !tau_n !tau_d > 0
+          && (!best_at < 0 || frac_cmp cn cd !best_n !best_d > 0)
+        then begin
+          best_at := !k;
+          best_n := cn;
+          best_d := cd
+        end
+      end;
+      d := nd;
+      incr k;
+      decr guard;
+      if !d = !d0 || !guard <= 0 then continue := false
+    done;
+    if !guard <= 0 then q.stuck <- true
+    else if !closer_at >= 0 then begin
+      (* Walk along the face to the closer vertex, resume greedy. *)
+      ignore (walk t q !d0 (!closer_at + 1));
+      episode_done := true
+    end
+    else if !best_at >= 0 then begin
+      (* Walk to the source of the crossing dart (alpha -> beta), hop
+         over the edge combinatorially (stay at alpha, switch faces)
+         and scan the face on its far side from beta -> alpha's
+         successor. *)
+      let cross = walk t q !d0 !best_at in
+      tau_n := !best_n;
+      tau_d := !best_d;
+      d0 := Rotation.face_next t.rot (Gr.dart_rev t.g cross)
+    end
     else
-      let a = r.(i) and b = r.((i + 1) mod deg) in
-      if in_wedge t u a b (rx, ry) then did t.g u b else go (i + 1)
-  in
-  go 0
+      (* No closer vertex and no forward crossing: the invariants of a
+         plane drawing exclude this. *)
+      q.stuck <- true
+  done
 
 let route t src dst =
   let n = Gr.n t.g in
@@ -161,130 +269,33 @@ let route t src dst =
       { path = [ src ]; hops = 0; greedy_hops = 0; face_hops = 0; recoveries = 0 }
   else if t.comp.(src) <> t.comp.(dst) then Unreachable
   else begin
-    let tt = (t.x.(dst), t.y.(dst)) in
-    let budget = (16 * n) + 64 in
-    let path = ref [ src ] in
-    let hops = ref 0 and greedy_hops = ref 0 and face_hops = ref 0 in
-    let recoveries = ref 0 in
-    let cur = ref src in
-    let stuck = ref false in
-    let step ~face v =
-      incr hops;
-      if face then incr face_hops else incr greedy_hops;
-      path := v :: !path;
-      cur := v;
-      if !hops > budget then stuck := true
+    let q =
+      {
+        tx = t.x.(dst);
+        ty = t.y.(dst);
+        budget = (16 * n) + 64;
+        cur = src;
+        path = [ src ];
+        hops = 0;
+        greedy_hops = 0;
+        face_hops = 0;
+        recoveries = 0;
+        stuck = false;
+      }
     in
-    (* One greedy hop: the strictly closest neighbor, if any improves. *)
-    let greedy_next () =
-      let best = ref (-1) and bestd = ref (d2 t !cur tt) in
-      Array.iter
-        (fun w ->
-          let dw = d2 t w tt in
-          if dw < !bestd then begin
-            bestd := dw;
-            best := w
-          end)
-        t.rot.(!cur);
-      !best
-    in
-    (* Face recovery episode: anchored at p, walk stabbed faces until a
-       vertex strictly closer than p turns up. *)
-    let recover () =
-      incr recoveries;
-      let p = !cur in
-      let pp = (t.x.(p), t.y.(p)) in
-      let anchor_d = d2 t p tt in
-      let pt v = (t.x.(v), t.y.(v)) in
-      let tau = ref (0, 1) in
-      let d0 = ref (entry_dart t p tt) in
-      let episode_done = ref false in
-      while (not !episode_done) && not !stuck do
-        (* Scan the whole face orbit of !d0: the first strictly closer
-           vertex (by walk order), else the crossing furthest along the
-           segment and strictly beyond the entry point. *)
-        let closer_at = ref (-1) in
-        let best_cross_at = ref (-1) and best_tau = ref (0, 0) in
-        let d = ref !d0 and k = ref 0 in
-        let guard = ref (4 * Gr.m t.g) in
-        let continue = ref true in
-        (* Source of the scan's start dart: the vertex we stand at —
-           the anchor in the first scan, the crossing dart's source in
-           every later one. *)
-        let prev_src = ref !cur in
-        while !continue do
-          let head = t.dhead.(!d) in
-          if !closer_at < 0 && d2 t head tt < anchor_d then begin
-            closer_at := !k;
-            continue := false
-          end;
-          let a = !prev_src and b = head in
-          if
-            !closer_at < 0
-            && Drawing.proper_cross (pt a) (pt b) pp tt
-          then begin
-            let tau_c = cross_param pp tt (pt a) (pt b) in
-            if
-              frac_cmp tau_c !tau > 0
-              && (!best_cross_at < 0 || frac_cmp tau_c !best_tau > 0)
-            then begin
-              best_cross_at := !k;
-              best_tau := tau_c
-            end
-          end;
-          prev_src := head;
-          d := t.fnext.(!d);
-          incr k;
-          decr guard;
-          if !d = !d0 || !guard <= 0 then continue := false
-        done;
-        if !guard <= 0 then stuck := true
-        else if !closer_at >= 0 then begin
-          (* Walk along the face to the closer vertex, resume greedy. *)
-          let d = ref !d0 in
-          for _ = 0 to !closer_at do
-            if not !stuck then begin
-              step ~face:true t.dhead.(!d);
-              d := t.fnext.(!d)
-            end
-          done;
-          episode_done := true
-        end
-        else if !best_cross_at >= 0 then begin
-          (* Walk to the source of the crossing dart, hop over the edge
-             combinatorially (stay at the same vertex, switch faces). *)
-          let d = ref !d0 in
-          for _ = 1 to !best_cross_at do
-            if not !stuck then begin
-              step ~face:true t.dhead.(!d);
-              d := t.fnext.(!d)
-            end
-          done;
-          (* !d is the crossing dart (alpha -> beta); continue scanning
-             the face on its far side, from alpha. *)
-          let alpha = !cur and beta = t.dhead.(!d) in
-          tau := !best_tau;
-          d0 := t.fnext.(did t.g beta alpha)
-        end
-        else
-          (* No closer vertex and no forward crossing: the invariants of
-             a plane drawing exclude this. *)
-          stuck := true
-      done
-    in
-    while (not !stuck) && !cur <> dst do
-      let nxt = greedy_next () in
-      if nxt >= 0 then step ~face:false nxt else recover ()
+    while (not q.stuck) && q.cur <> dst do
+      let nxt = greedy_next t q in
+      if nxt >= 0 then step q ~face:false nxt else recover t q
     done;
-    if !stuck then Stuck { at = !cur; hops = !hops }
+    if q.stuck then Stuck { at = q.cur; hops = q.hops }
     else
       Delivered
         {
-          path = List.rev !path;
-          hops = !hops;
-          greedy_hops = !greedy_hops;
-          face_hops = !face_hops;
-          recoveries = !recoveries;
+          path = List.rev q.path;
+          hops = q.hops;
+          greedy_hops = q.greedy_hops;
+          face_hops = q.face_hops;
+          recoveries = q.recoveries;
         }
   end
 

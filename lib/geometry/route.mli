@@ -27,11 +27,14 @@
     exhausting it yields {!Stuck} rather than a wrong route.
 
     Queries are read-only on the engine, so batches parallelize over a
-    {!Pool} with plain array slots per query. *)
+    {!Pool} with plain array slots per query. A query's state is one
+    record of its own; past that, a hop allocates only its path cell. *)
 
 type t
-(** A routing engine: coordinates, rotation, face-successor tables and
-    component ids, built once per graph. *)
+(** A routing engine, built once per graph in O(n + m): coordinates,
+    the rotation as CSR slices over the graph's dart offsets with an
+    out-dart per slot, the rotation's face permutation on the graph's
+    dart ids ({!Rotation.face_next}) and component ids. Immutable. *)
 
 type outcome =
   | Delivered of {

@@ -43,6 +43,11 @@ val faces : t -> (int * int) list list
 (** Faces as orbits of directed darts under [next (u, v) = (v, succ v u)].
     Every dart appears in exactly one face. *)
 
+val face_next : t -> int -> int
+(** [face_next r d] is the successor of dart [d] (a {!Gr} dart id) on
+    its face: the dart [v -> succ r v u] for [d = u -> v]. O(1), no
+    allocation. *)
+
 val face_count : t -> int
 
 val genus : t -> int
