@@ -72,5 +72,10 @@ val virtual_mask : t -> bool array
     virtual fill edges. The array is owned by [t]; callers must not
     mutate it. *)
 
+val iter_virtual : t -> (int -> int -> unit) -> unit
+(** [iter_virtual t f] calls [f u v] on each virtual edge in the order
+    the passes added it, oriented as it was added ([u] is the corner the
+    chord was split off at, or the connected side of a bridge). *)
+
 val pp : Format.formatter -> t -> unit
 (** One-line human summary: vertex, edge and virtual-edge counts. *)
