@@ -11,9 +11,12 @@ type t = {
   is_cut : bool array;
 }
 
-(* Iterative Tarjan lowpoint algorithm with an explicit edge stack. Each
-   DFS frame records the vertex, its DFS parent and the index of the next
-   neighbor to examine, so deep graphs never overflow the OCaml stack. *)
+(* Iterative Tarjan lowpoint algorithm with an explicit edge stack, on
+   flat int arrays. A DFS frame is one slot of [fv] (the vertex), [fe]
+   (the dense id of its tree edge, -1 at a root) and [fnext] (the next
+   slot of its CSR slice to examine), so deep graphs never overflow the
+   OCaml stack. Edges are pushed as dense ids read from [Gr.dart_edges],
+   and a component pops down to the id of the tree edge that closed it. *)
 let decompose g =
   let n = Gr.n g in
   let m = Gr.m g in
@@ -24,52 +27,66 @@ let decompose g =
   let n_components = ref 0 in
   let time = ref 0 in
   (* Neighbors in increasing order: u's CSR slice. *)
-  let off = Gr.dart_offsets g and src = Gr.dart_sources g in
-  let edge_stack = Stack.create () in
-  let pop_component u w =
-    (* Pop edges down to and including (u, w); they form one component. *)
-    let continue = ref true in
-    while !continue do
-      let (a, b) = Stack.pop edge_stack in
-      comp_of_edge.(Gr.edge_index g a b) <- !n_components;
-      if (a, b) = Gr.normalize_edge u w then continue := false
-    done;
-    incr n_components
-  in
+  let off = Gr.dart_offsets g
+  and src = Gr.dart_sources g
+  and dedge = Gr.dart_edges g in
+  let fv = Array.make (max 1 n) 0
+  and fe = Array.make (max 1 n) 0
+  and fnext = Array.make (max 1 n) 0 in
+  let estack = Array.make (max 1 m) 0 in
+  let esp = ref 0 in
   for start = 0 to n - 1 do
     if disc.(start) < 0 then begin
       let root_children = ref 0 in
-      (* Frame: (vertex, dfs parent, mutable next-neighbor index). *)
-      let frames = Stack.create () in
       disc.(start) <- !time;
       low.(start) <- !time;
       incr time;
-      Stack.push (start, -1, ref 0) frames;
-      while not (Stack.is_empty frames) do
-        let (u, parent, next) = Stack.top frames in
-        if off.(u) + !next < off.(u + 1) then begin
-          let w = src.(off.(u) + !next) in
-          incr next;
+      fv.(0) <- start;
+      fe.(0) <- -1;
+      fnext.(0) <- off.(start);
+      let sp = ref 1 in
+      while !sp > 0 do
+        let top = !sp - 1 in
+        let u = fv.(top) in
+        let i = fnext.(top) in
+        if i < off.(u + 1) then begin
+          let w = src.(i) in
+          fnext.(top) <- i + 1;
           if disc.(w) < 0 then begin
-            Stack.push (Gr.normalize_edge u w) edge_stack;
+            estack.(!esp) <- dedge.(i);
+            incr esp;
             if u = start then incr root_children;
             disc.(w) <- !time;
             low.(w) <- !time;
             incr time;
-            Stack.push (w, u, ref 0) frames
+            fv.(!sp) <- w;
+            fe.(!sp) <- dedge.(i);
+            fnext.(!sp) <- off.(w);
+            incr sp
           end
-          else if w <> parent && disc.(w) < disc.(u) then begin
-            Stack.push (Gr.normalize_edge u w) edge_stack;
+          else if (top = 0 || w <> fv.(top - 1)) && disc.(w) < disc.(u) then begin
+            estack.(!esp) <- dedge.(i);
+            incr esp;
             if disc.(w) < low.(u) then low.(u) <- disc.(w)
           end
         end
         else begin
-          ignore (Stack.pop frames);
-          if parent >= 0 then begin
+          sp := top;
+          if top > 0 then begin
+            let parent = fv.(top - 1) in
             if low.(u) < low.(parent) then low.(parent) <- low.(u);
             if low.(u) >= disc.(parent) then begin
               if parent <> start then is_cut.(parent) <- true;
-              pop_component parent u
+              (* Pop edges down to and including the tree edge
+                 parent - u; they form one component. *)
+              let tree_edge = fe.(top) in
+              let e = ref (-1) in
+              while !e <> tree_edge do
+                decr esp;
+                e := estack.(!esp);
+                comp_of_edge.(!e) <- !n_components
+              done;
+              incr n_components
             end
           end
         end
@@ -94,32 +111,35 @@ let decompose g =
     fill.(c) <- fill.(c) + 1
   done;
   (* Vertex -> components, duplicate-free, via a last-seen-vertex stamp
-     per component (each edge is scanned from both endpoints). *)
+     per component (each edge is scanned from both endpoints): one pass
+     counts, the second fills. *)
   let stamp = Array.make (max 1 k) (-1) in
   let vertex_comp_offsets = Array.make (n + 1) 0 in
-  let count_by_vertex pass_list =
-    Array.fill stamp 0 (max 1 k) (-1);
-    for v = 0 to n - 1 do
-      Gr.iter_neighbors g v (fun u ->
-          let c = comp_of_edge.(Gr.edge_index g v u) in
-          if stamp.(c) <> v then begin
-            stamp.(c) <- v;
-            match pass_list with
-            | None ->
-                vertex_comp_offsets.(v + 1) <- vertex_comp_offsets.(v + 1) + 1
-            | Some (fill, list) ->
-                list.(fill.(v)) <- c;
-                fill.(v) <- fill.(v) + 1
-          end)
+  for v = 0 to n - 1 do
+    for d = off.(v) to off.(v + 1) - 1 do
+      let c = comp_of_edge.(dedge.(d)) in
+      if stamp.(c) <> v then begin
+        stamp.(c) <- v;
+        vertex_comp_offsets.(v + 1) <- vertex_comp_offsets.(v + 1) + 1
+      end
     done
-  in
-  count_by_vertex None;
+  done;
   for v = 1 to n do
     vertex_comp_offsets.(v) <- vertex_comp_offsets.(v) + vertex_comp_offsets.(v - 1)
   done;
   let vertex_comp_list = Array.make vertex_comp_offsets.(n) (-1) in
-  let vfill = Array.copy vertex_comp_offsets in
-  count_by_vertex (Some (vfill, vertex_comp_list));
+  Array.fill stamp 0 (max 1 k) (-1);
+  for v = 0 to n - 1 do
+    let fill = ref vertex_comp_offsets.(v) in
+    for d = off.(v) to off.(v + 1) - 1 do
+      let c = comp_of_edge.(dedge.(d)) in
+      if stamp.(c) <> v then begin
+        stamp.(c) <- v;
+        vertex_comp_list.(!fill) <- c;
+        incr fill
+      end
+    done
+  done;
   (* Component -> vertices: invert the vertex -> component table. *)
   let comp_vertex_offsets = Array.make (k + 1) 0 in
   Array.iter

@@ -119,6 +119,16 @@ let sort_pairs_into ~n ~m lo hi ~lo1 ~hi1 ~start =
   done;
   !k
 
+let of_pairs ~n lo hi =
+  let m0 = Array.length lo in
+  if Array.length hi <> m0 then invalid_arg "Gr.of_pairs: length mismatch";
+  let m =
+    sort_pairs_into ~n ~m:m0 lo hi ~lo1:(Array.make m0 0)
+      ~hi1:(Array.make m0 0) ~start:(Array.make (n + 1) 0)
+  in
+  let trim a = if m = m0 then a else Array.sub a 0 m in
+  of_sorted_pairs ~n (trim lo) (trim hi)
+
 let of_edges ~n edges =
   let m0 = List.length edges in
   let lo = Array.make m0 0 and hi = Array.make m0 0 in
@@ -127,12 +137,7 @@ let of_edges ~n edges =
       lo.(i) <- u;
       hi.(i) <- v)
     edges;
-  let m =
-    sort_pairs_into ~n ~m:m0 lo hi ~lo1:(Array.make m0 0)
-      ~hi1:(Array.make m0 0) ~start:(Array.make (n + 1) 0)
-  in
-  let trim a = if m = m0 then a else Array.sub a 0 m in
-  of_sorted_pairs ~n (trim lo) (trim hi)
+  of_pairs ~n lo hi
 
 let empty n = of_edges ~n []
 let n t = t.n

@@ -26,6 +26,13 @@ val of_edges : n:int -> (int * int) list -> t
     are put in lexicographic order by two stable counting passes.
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 
+val of_pairs : n:int -> int array -> int array -> t
+(** [of_pairs ~n lo hi] is [of_edges ~n] of the pairs
+    [(lo.(i), hi.(i))], with no list: the same edge ids and dart slots.
+    The graph takes ownership of both arrays, which are normalized and
+    sorted in place. @raise Invalid_argument on arrays of different
+    lengths, self-loops or out-of-range endpoints. *)
+
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] vertices. *)
 

@@ -61,6 +61,7 @@ let make g rot =
 let rotation t v = t.rot.(v)
 let graph t = t.g
 let face_next t d = t.face_next.(d)
+let pos t d = t.pos.(d)
 
 let succ t v u =
   let d = Gr.dart t.g ~src:u ~dst:v in

@@ -48,6 +48,12 @@ val face_next : t -> int -> int
     its face: the dart [v -> succ r v u] for [d = u -> v]. O(1), no
     allocation. *)
 
+val pos : t -> int -> int
+(** [pos r d] is the index of dart [d]'s source in the rotation of its
+    head: for [d = u -> v], [(rotation r v).(pos r d) = u]. So rotation
+    entry [i] of [v] is the dart of [v]'s CSR slice whose [pos] is [i].
+    O(1), no allocation. *)
+
 val face_count : t -> int
 
 val genus : t -> int
