@@ -241,7 +241,7 @@ let of_triangulation tri =
     (* Outer face: the face orbit of the first edge's dart, walked in
        the rotation's face order so the boundary orientation matches the
        embedding's handedness. *)
-    let u0, v0 = List.hd (Gr.edges g) in
+    let u0, v0 = Gr.edge_of_index g 0 in
     let face = Rotation.face_of_dart rot (u0, v0) in
     let a0, b0, c0 =
       match face with
