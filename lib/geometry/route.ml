@@ -8,7 +8,9 @@
    The engine is flat. The rotation is a CSR table over the graph's own
    dart offsets, darts are the graph's dense dart ids, face successors
    come from the rotation's face permutation, and a query's state is one
-   mutable record: a hop allocates nothing but its path cell. *)
+   mutable record: a hop allocates nothing. Hops are recorded in a
+   per-domain int buffer, and a delivered path is consed once from its
+   end, so its cells are the only words a hop costs. *)
 
 type t = {
   sch : Schnyder.t;
@@ -141,7 +143,7 @@ type query = {
   ty : int;
   budget : int;
   mutable cur : int;
-  mutable path : int list; (* reversed *)
+  mutable buf : int array; (* the path so far: buf.(0 .. hops) *)
   mutable hops : int;
   mutable greedy_hops : int;
   mutable face_hops : int;
@@ -153,7 +155,12 @@ let step q ~face v =
   q.hops <- q.hops + 1;
   if face then q.face_hops <- q.face_hops + 1
   else q.greedy_hops <- q.greedy_hops + 1;
-  q.path <- v :: q.path;
+  if q.hops = Array.length q.buf then begin
+    let b = Array.make (2 * q.hops) 0 in
+    Array.blit q.buf 0 b 0 q.hops;
+    q.buf <- b
+  end;
+  q.buf.(q.hops) <- v;
   q.cur <- v;
   if q.hops > q.budget then q.stuck <- true
 
@@ -260,6 +267,11 @@ let recover t q =
       q.stuck <- true
   done
 
+(* Each domain's path buffer, kept across its queries (it grows to the
+   longest path the domain has routed), so [route_batch ~pool] shares no
+   mutable state between domains. *)
+let path_buf = Domain.DLS.new_key (fun () -> ref (Array.make 256 0))
+
 let route t src dst =
   let n = Gr.n t.g in
   if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -269,13 +281,14 @@ let route t src dst =
       { path = [ src ]; hops = 0; greedy_hops = 0; face_hops = 0; recoveries = 0 }
   else if t.comp.(src) <> t.comp.(dst) then Unreachable
   else begin
+    let cell = Domain.DLS.get path_buf in
     let q =
       {
         tx = t.x.(dst);
         ty = t.y.(dst);
         budget = (16 * n) + 64;
         cur = src;
-        path = [ src ];
+        buf = !cell;
         hops = 0;
         greedy_hops = 0;
         face_hops = 0;
@@ -283,20 +296,27 @@ let route t src dst =
         stuck = false;
       }
     in
+    q.buf.(0) <- src;
     while (not q.stuck) && q.cur <> dst do
       let nxt = greedy_next t q in
       if nxt >= 0 then step q ~face:false nxt else recover t q
     done;
+    cell := q.buf;
     if q.stuck then Stuck { at = q.cur; hops = q.hops }
-    else
+    else begin
+      let path = ref [] in
+      for i = q.hops downto 0 do
+        path := q.buf.(i) :: !path
+      done;
       Delivered
         {
-          path = List.rev q.path;
+          path = !path;
           hops = q.hops;
           greedy_hops = q.greedy_hops;
           face_hops = q.face_hops;
           recoveries = q.recoveries;
         }
+    end
   end
 
 let route_batch ?pool t pairs =
