@@ -69,5 +69,5 @@ val route : t -> int -> int -> outcome
 val route_batch : ?pool:Pool.t -> t -> (int * int) array -> outcome array
 (** Answer a batch of queries; result slot [i] answers query [i].
     With [?pool] the queries are spread across the pool's domains (the
-    engine is immutable, so this is safe); results are identical to the
-    serial run. *)
+    engine is immutable and each domain records hops in its own buffer,
+    so this is safe); results are identical to the serial run. *)
