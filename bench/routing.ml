@@ -1,6 +1,9 @@
 (* Routing-tier benchmark: query throughput and stretch versus n across
    the generator families, with the routing layer split into greedy and
-   face-recovery hops and the words the serial batch allocates per hop.
+   face-recovery hops and the words the serial batch allocates per hop,
+   and the build split into its three layers (Triangulate.make,
+   Schnyder.of_triangulation, Route.make; median of 5 runs each, and
+   build_wall_s is their sum).
 
    Every case is validated before it is timed: the Schnyder drawing must
    lie on the grid with distinct points (plus the exhaustive O(m²)
@@ -25,6 +28,9 @@ type case = {
   grid_side : int;
   virtual_edges : int;
   build_wall : float;
+  triangulate_wall : float;
+  schnyder_wall : float;
+  route_make_wall : float;
   queries : int;
   delivered : int;
   unreachable : int;
@@ -51,11 +57,11 @@ let run_case ~reps ~jobs name g =
         Printf.eprintf "routing bench: %s is not planar\n" name;
         exit 2
   in
-  let (sch, engine), build_wall =
-    Harness.time (fun () ->
-        let sch = Schnyder.draw r in
-        (sch, Route.make sch))
-  in
+  let layer f = Harness.median_of ~reps:5 f in
+  let tri, triangulate_wall = layer (fun () -> Triangulate.make r) in
+  let sch, schnyder_wall = layer (fun () -> Schnyder.of_triangulation tri) in
+  let engine, route_make_wall = layer (fun () -> Route.make sch) in
+  let build_wall = triangulate_wall +. schnyder_wall +. route_make_wall in
   (* Drawing gate before any timing. *)
   let x, y = Schnyder.coords sch in
   let drawing_ok =
@@ -131,6 +137,9 @@ let run_case ~reps ~jobs name g =
       grid_side = Schnyder.grid_side sch;
       virtual_edges = Triangulate.virtual_count (Schnyder.triangulation sch);
       build_wall;
+      triangulate_wall;
+      schnyder_wall;
+      route_make_wall;
       queries;
       delivered = !delivered;
       unreachable = !unreachable;
@@ -149,11 +158,13 @@ let run_case ~reps ~jobs name g =
     }
   in
   Printf.printf
-    "%-18s n=%-6d m=%-6d build %7.3fs  q=%-5d del=%-5d stuck=%d  %9.0f q/s \
+    "%-18s n=%-6d m=%-6d build %7.3fs (tri %.3f + schnyder %.3f + make \
+     %.3f)  q=%-5d del=%-5d stuck=%d  %9.0f q/s \
      serial %9.0f q/s x%d  stretch %5.2f (max %7.2f)  hops %d greedy + %d \
      face  %.2f words/hop  %s\n\
      %!"
-    c.name c.n c.m c.build_wall c.queries c.delivered c.stuck c.qps_serial
+    c.name c.n c.m c.build_wall c.triangulate_wall c.schnyder_wall
+    c.route_make_wall c.queries c.delivered c.stuck c.qps_serial
     c.qps_pooled c.jobs c.mean_stretch c.max_stretch c.greedy_hops c.face_hops
     c.words_per_hop
     (if c.stuck = 0 && c.drawing_ok then "ok" else "FAIL");
@@ -167,7 +178,10 @@ let json_of_case (c : case) =
       [
         ("name", Str c.name); ("n", Int c.n); ("m", Int c.m);
         ("grid_side", Int c.grid_side); ("virtual_edges", Int c.virtual_edges);
-        ("build_wall_s", secs c.build_wall); ("queries", Int c.queries);
+        ("build_wall_s", secs c.build_wall);
+        ("triangulate_s", secs c.triangulate_wall);
+        ("schnyder_s", secs c.schnyder_wall);
+        ("route_make_s", secs c.route_make_wall); ("queries", Int c.queries);
         ("delivered", Int c.delivered); ("unreachable", Int c.unreachable);
         ("stuck", Int c.stuck); ("qps_serial", Num (0, c.qps_serial));
         ("qps_pooled", Num (0, c.qps_pooled)); ("jobs", Int c.jobs);
