@@ -81,29 +81,16 @@ let planar_families ?(grids = [ 22; 50; 100; 173 ]) quick =
 (* Seconds on the monotonic wall clock. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* Words allocated so far on either heap. OCaml 5 folds minor-heap
-   allocation into [quick_stat] only at a minor collection, and words
-   promoted since the last major slice into [major_words] only at the
-   next slice, so both are forced first. Without them a small run reads
-   as 0 words, and a run whose result survives misses the words that
-   result was promoted with (a 2,000-query routing batch read 84,053
-   words, not 156,085). *)
-let words_now () =
-  Gc.minor ();
-  ignore (Gc.major_slice 1);
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
 (* One run of [f] after a full major collection: its result, the time it
    took on [clock] (the wall clock unless the caller asks for CPU time
    with [Sys.time]) and the words it allocated. *)
 let counted ?(clock = now) f =
   Gc.full_major ();
-  let w0 = words_now () in
+  let w0 = Words.now () in
   let t0 = clock () in
   let x = f () in
   let t = clock () -. t0 in
-  (x, t, words_now () -. w0)
+  (x, t, Words.now () -. w0)
 
 let time f =
   let x, t, _ = counted f in

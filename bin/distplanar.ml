@@ -67,6 +67,15 @@ let positive_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* A K@SEED option value with K >= min_k; anything else is one stderr
+   line naming the subcommand and the flag, and exit 2. *)
+let parse_k_at_seed ~cmd ~flag ~min_k s =
+  match List.map int_of_string_opt (String.split_on_char '@' s) with
+  | [ Some k; Some seed ] when k >= min_k -> (k, seed)
+  | _ ->
+      Printf.eprintf "%s: cannot parse --%s %S (want K@SEED)\n" cmd flag s;
+      exit 2
+
 let m_t =
   Arg.(value & opt int 0 & info [ "m" ] ~doc:"Edge count for --family planar (0 = default).")
 
@@ -574,18 +583,6 @@ let certify_cmd =
       value & opt positive_int 1
       & info [ "domains" ] ~doc:"Run the verification round on this many domains.")
   in
-  let parse_corrupt s =
-    match String.split_on_char '@' s with
-    | [ k; seed ] -> (
-        match (int_of_string_opt k, int_of_string_opt seed) with
-        | (Some k, Some seed) when k >= 0 -> (k, seed)
-        | _ ->
-            Printf.eprintf "certify: cannot parse --corrupt %S (want K@SEED)\n" s;
-            exit 2)
-    | _ ->
-        Printf.eprintf "certify: cannot parse --corrupt %S (want K@SEED)\n" s;
-        exit 2
-  in
   let run family n rows cols seglen seed m chord via corrupt domains =
     let g = make_graph family n rows cols seglen seed m chord in
     graph_summary g;
@@ -607,7 +604,11 @@ let certify_cmd =
               exit 1)
     in
     let certs = Certify.prove rotation in
-    let corrupted = Option.map parse_corrupt corrupt in
+    let corrupted =
+      Option.map
+        (parse_k_at_seed ~cmd:"certify" ~flag:"corrupt" ~min_k:0)
+        corrupt
+    in
     let certs =
       match corrupted with
       | None -> certs
@@ -709,18 +710,6 @@ let route_cmd =
   let path_t =
     Arg.(value & flag & info [ "path" ] ~doc:"Print the full route of each query.")
   in
-  let parse_random s =
-    match String.split_on_char '@' s with
-    | [ k; seed ] -> (
-        match (int_of_string_opt k, int_of_string_opt seed) with
-        | (Some k, Some seed) when k > 0 -> (k, seed)
-        | _ ->
-            Printf.eprintf "route: cannot parse --random %S (want K@SEED)\n" s;
-            exit 2)
-    | _ ->
-        Printf.eprintf "route: cannot parse --random %S (want K@SEED)\n" s;
-        exit 2
-  in
   let parse_batch n file =
     let ic =
       try open_in file
@@ -777,7 +766,9 @@ let route_cmd =
       match (batch, random) with
       | Some file, _ -> parse_batch nv file
       | None, Some spec ->
-          let k, rseed = parse_random spec in
+          let k, rseed =
+            parse_k_at_seed ~cmd:"route" ~flag:"random" ~min_k:1 spec
+          in
           let rng = Random.State.make [| rseed; nv |] in
           Array.init k (fun _ ->
               (Random.State.int rng nv, Random.State.int rng nv))

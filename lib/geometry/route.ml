@@ -23,7 +23,6 @@ type t = {
   out : int array; (* slot of u at v -> the dart v -> u *)
   srcs : int array; (* dart -> source vertex *)
   comp : int array; (* component id per vertex *)
-  ccw : bool; (* drawing chirality: rotations counterclockwise? *)
 }
 
 type outcome =
@@ -48,31 +47,20 @@ let make sch =
   and rev = Gr.dart_reversals g in
   let nbr = Array.make (max 1 (Gr.darts g)) (-1) in
   let out = Array.make (max 1 (Gr.darts g)) (-1) in
-  (* [slot.(u)] is the in-dart u -> v of the vertex v being filled; its
-     reversal is the out-dart v -> u. *)
-  let slot = Array.make (max 1 n) (-1) in
+  (* The in-dart u -> v is rotation entry [pos] of v; its reversal is the
+     out-dart v -> u. *)
   for v = 0 to n - 1 do
     for d = off.(v) to off.(v + 1) - 1 do
-      slot.(srcs.(d)) <- d
-    done;
-    let r = Rotation.rotation rot v in
-    for i = 0 to Array.length r - 1 do
-      nbr.(off.(v) + i) <- r.(i);
-      out.(off.(v) + i) <- rev.(slot.(r.(i)))
+      let k = off.(v) + Rotation.pos rot d in
+      nbr.(k) <- srcs.(d);
+      out.(k) <- rev.(d)
     done
   done;
   let comp = Array.make (max 1 n) (-1) in
   List.iteri
     (fun i vs -> List.iter (fun v -> comp.(v) <- i) vs)
     (Traverse.components g);
-  (* Chirality: the triangulation's interior faces all share one
-     orientation sign (only the outer face differs). When rotations run
-     counterclockwise in the drawing, the face orbit of a dart lies to
-     its right and is traced clockwise — negative orientation — so a
-     clockwise majority means counterclockwise rotations. *)
-  let census = Drawing.face_census (Triangulate.rotation tri) ~x ~y in
-  let ccw = census.ccw < census.cw in
-  { sch; g; rot; x; y; off; nbr; out; srcs; comp; ccw }
+  { sch; g; rot; x; y; off; nbr; out; srcs; comp }
 
 let graph t = t.g
 let schnyder t = t.sch
@@ -92,24 +80,19 @@ let frac_cmp n1 d1 n2 d2 =
   let h1 = mul_hi n1 d2 and h2 = mul_hi n2 d1 in
   if h1 <> h2 then compare h1 h2 else compare (mul_lo n1 d2) (mul_lo n2 d1)
 
-(* Orientation of (o, p, q), chirality-adjusted so that "left of" means
-   the same thing whichever way the drawing is mirrored. *)
-let turn t ox oy px py qx qy =
-  let s = Drawing.orient_xy ox oy px py qx qy in
-  if t.ccw then s else -s
-
 let dot ox oy ax ay bx by = ((ax - ox) * (bx - ox)) + ((ay - oy) * (by - oy))
 
-(* Does the ray u -> r lie in the angular sector from neighbor va to
-   neighbor vb (in rotation order)? Sector is inclusive at va, exclusive
+(* Does the ray u -> r lie in the angular sector from neighbor va
+   counterclockwise to neighbor vb (rotations run counterclockwise in
+   every Schnyder drawing)? Sector is inclusive at va, exclusive
    at vb; collinear-opposite and full-circle (degree-1) cases handled. *)
 let in_wedge t u va vb rx ry =
   let ox = t.x.(u) and oy = t.y.(u) in
   let ax = t.x.(va) and ay = t.y.(va) in
   let bx = t.x.(vb) and by = t.y.(vb) in
-  let c1 = turn t ox oy ax ay rx ry
-  and c2 = turn t ox oy rx ry bx by
-  and c0 = turn t ox oy ax ay bx by in
+  let c1 = Drawing.orient_xy ox oy ax ay rx ry
+  and c2 = Drawing.orient_xy ox oy rx ry bx by
+  and c0 = Drawing.orient_xy ox oy ax ay bx by in
   if c1 = 0 && dot ox oy ax ay rx ry > 0 then true (* on the opening ray *)
   else if c2 = 0 && dot ox oy bx by rx ry > 0 then false
     (* next sector's opening *)
@@ -119,10 +102,9 @@ let in_wedge t u va vb rx ry =
   else c1 > 0 (* straight angle: the left half-plane *)
 
 (* The dart at [u] opening the face whose sector contains the ray to
-   (rx, ry): the face between consecutive neighbors (a, b = succ a) —
-   the orbit lying to the right of dart (u -> b) for counterclockwise
-   rotations, and its mirror image otherwise — is the orbit through
-   (u -> b) in both chiralities. *)
+   (rx, ry): the face between consecutive neighbors (a, b = succ a) is
+   the orbit lying to the right of dart (u -> b), the orbit through
+   (u -> b). *)
 let entry_dart t u rx ry =
   let lo = t.off.(u) and deg = t.off.(u + 1) - t.off.(u) in
   let i = ref 0 and found = ref (-1) in

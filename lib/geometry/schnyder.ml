@@ -4,10 +4,10 @@
    Boundary of the shrinking triangulation is a doubly-linked cycle
    (cnext / cprev). The invariant cnext.(a) = b holds throughout — the
    edge (a, b) of the outer face never leaves the boundary — which is
-   what makes left-parent chains end at b and right-parent chains end
-   at a. Chord counts per boundary vertex are maintained incrementally;
-   a stack holds chord-free candidates (possibly stale — entries are
-   revalidated when popped). *)
+   what makes predecessor-parent chains end at b and successor-parent
+   chains end at a. Chord counts per boundary vertex are maintained
+   incrementally; a stack holds chord-free candidates (possibly stale —
+   entries are revalidated when popped). *)
 
 type t = {
   tri : Triangulate.t;
@@ -17,7 +17,9 @@ type t = {
   par : int array array; (* par.(i).(v): parent in tree i, -1 if none *)
 }
 
-let canonical rot n (a, b, c) =
+let canonical rot (a, b, c) =
+  let g = Rotation.graph rot in
+  let n = Gr.n g in
   let removed = Array.make n false in
   let on_outer = Array.make n false in
   let cnext = Array.make n (-1) and cprev = Array.make n (-1) in
@@ -37,44 +39,32 @@ let canonical rot n (a, b, c) =
   cprev.(c) <- b;
   cprev.(a) <- c;
   (* The unremoved neighbors of a boundary vertex form one contiguous arc
-     of its rotation running from cprev to cnext (the region below the
-     boundary is internally triangulated); extract it in order, trying
-     both rotation directions. *)
+     of its rotation (the region below the boundary is internally
+     triangulated). Rotations run counterclockwise and the boundary
+     cycle runs counterclockwise around the unremoved vertices, so the
+     arc runs backward through x's rotation from cprev to cnext; the
+     rest of the rotation must be removed. *)
   let path_of x cl cr =
     let nb = Rotation.rotation rot x in
     let deg = Array.length nb in
-    let ucnt = ref 0 in
-    Array.iter (fun w -> if not removed.(w) then incr ucnt) nb;
-    let pos = ref (-1) in
-    Array.iteri (fun i w -> if w = cl then pos := i) nb;
-    if !pos < 0 then failwith "Schnyder: internal error: cprev not adjacent";
-    let try_dir step =
-      let acc = ref [ cl ] and cnt = ref 1 in
-      let i = ref !pos and reached = ref false in
-      (try
-         for _ = 1 to deg do
-           i := (!i + step + deg) mod deg;
-           let w = nb.(!i) in
-           if w = cr then begin
-             acc := cr :: !acc;
-             incr cnt;
-             reached := true;
-             raise Exit
-           end
-           else if not removed.(w) then begin
-             acc := w :: !acc;
-             incr cnt
-           end
-         done
-       with Exit -> ());
-      if !reached && !cnt = !ucnt then Some (List.rev !acc) else None
+    let prev i = if i = 0 then deg - 1 else i - 1 in
+    let rec arc i acc =
+      let i = prev i in
+      let w = nb.(i) in
+      if w = cr then (i, cr :: acc)
+      else arc i (if removed.(w) then acc else w :: acc)
     in
-    match try_dir 1 with
-    | Some p -> p
-    | None -> (
-        match try_dir (-1) with
-        | Some p -> p
-        | None -> failwith "Schnyder: internal error: boundary arc split")
+    let rec rest i =
+      let i = prev i in
+      if nb.(i) <> cl then begin
+        if not removed.(nb.(i)) then
+          failwith "Schnyder: internal error: boundary arc split";
+        rest i
+      end
+    in
+    let i, acc = arc (Rotation.pos rot (Gr.dart g ~src:cl ~dst:x)) [ cl ] in
+    rest i;
+    List.rev acc
   in
   for step = 1 to n - 2 do
     (* Pop a valid candidate: still on the boundary, chord-free, not a
@@ -92,11 +82,14 @@ let canonical rot n (a, b, c) =
     let path = path_of x cl cr in
     removed.(x) <- true;
     on_outer.(x) <- false;
-    (* The first removal is c itself: an outer vertex, so its two outer
+    (* Tree 1 takes the successor as parent (chains end at a), tree 2
+       the predecessor (chains end at b): the assignment under which
+       region_coords draws every rotation counterclockwise.
+       The first removal is c itself: an outer vertex, so its two outer
        edges (c, a) and (c, b) belong to no tree. *)
     if step > 1 then begin
-      par1.(x) <- cl;
-      par2.(x) <- cr
+      par1.(x) <- cr;
+      par2.(x) <- cl
     end;
     let interior =
       match path with
@@ -248,54 +241,42 @@ let of_triangulation tri =
       | [ (p, _); (q, _); (s, _) ] -> (p, q, s)
       | _ -> failwith "Schnyder: internal error: non-triangular face"
     in
-    let par0 = canonical rot n (a0, b0, c0) in
+    let par = canonical rot (a0, b0, c0) in
     let side = n - 2 in
-    (* The chirality of the input rotation (which of the two boundary
-       trees plays "left") is not observable combinatorially, so build
-       the drawing for one handedness, validate it exactly, and fall
-       back to the mirror if needed — never emit unvalidated geometry. *)
-    let attempt mirror =
-      let par, r0_, r1_, r2_ =
-        if mirror then ([| par0.(0); par0.(2); par0.(1) |], c0, a0, b0)
-        else ([| par0.(0); par0.(1); par0.(2) |], c0, b0, a0)
-      in
-      let p, t, r = region_coords n par (r0_, r1_, r2_) in
-      let x = Array.make n 0 and y = Array.make n 0 in
-      for v = 0 to n - 1 do
-        if v <> r0_ && v <> r1_ && v <> r2_ then begin
-          (* R̄_j(v) = path sums of t_j minus the doubly counted t_j(v);
-             the coordinate is the region count minus one path length. *)
-          x.(v) <- r.(0).(v) - t.(0).(v) - p.(2).(v);
-          y.(v) <- r.(1).(v) - t.(1).(v) - p.(0).(v)
-        end
-      done;
-      (* Corners: extreme grid points, cyclically shifted by one so no
-         interior vertex can land on the outer edges. *)
-      x.(r0_) <- side;
-      y.(r0_) <- 1;
-      x.(r1_) <- 0;
-      y.(r1_) <- side;
-      x.(r2_) <- 1;
-      y.(r2_) <- 0;
-      if n = 3 then begin
-        x.(r0_) <- 1;
-        y.(r0_) <- 1
-      end;
-      let ok =
-        Drawing.within_grid ~x ~y ~side
+    let r0 = c0 and r1 = a0 and r2 = b0 in
+    let p, t, r = region_coords n par (r0, r1, r2) in
+    let x = Array.make n 0 and y = Array.make n 0 in
+    for v = 0 to n - 1 do
+      if v <> r0 && v <> r1 && v <> r2 then begin
+        (* R̄_j(v) = path sums of t_j minus the doubly counted t_j(v);
+           the coordinate is the region count minus one path length. *)
+        x.(v) <- r.(0).(v) - t.(0).(v) - p.(2).(v);
+        y.(v) <- r.(1).(v) - t.(1).(v) - p.(0).(v)
+      end
+    done;
+    (* Corners: extreme grid points, cyclically shifted by one so no
+       interior vertex can land on the outer edges. *)
+    x.(r0) <- side;
+    y.(r0) <- 1;
+    x.(r1) <- 0;
+    y.(r1) <- side;
+    x.(r2) <- 1;
+    y.(r2) <- 0;
+    if n = 3 then begin
+      x.(r0) <- 1;
+      y.(r0) <- 1
+    end;
+    (* Never emit unvalidated geometry: a plane drawing on the grid whose
+       rotations run counterclockwise — every interior face clockwise,
+       the outer face alone counterclockwise. *)
+    let c = Drawing.face_census rot ~x ~y in
+    if
+      not
+        (Drawing.within_grid ~x ~y ~side
         && Drawing.distinct ~x ~y
-        && Drawing.valid_triangulation_drawing rot ~x ~y
-      in
-      (ok, par, (r0_, r1_, r2_), x, y)
-    in
-    let ok, par, roots, x, y =
-      match attempt true with
-      | (true, _, _, _, _) as res -> res
-      | _ -> attempt false
-    in
-    if not ok then
-      failwith "Schnyder: internal error: drawing failed validation";
-    { tri; roots; x; y; par }
+        && c.other = 0 && c.flat = 0 && c.ccw = 1 && c.cw > 0)
+    then failwith "Schnyder: internal error: drawing failed validation";
+    { tri; roots = (r0, r1, r2); x; y; par }
   end
 
 let draw r = of_triangulation (Triangulate.make r)

@@ -15,11 +15,11 @@
     + a {e canonical ordering} is peeled off the triangulation
       decrementally: starting from an outer face [(a, b, c)], the
       vertex [c] and then repeatedly any boundary vertex incident to no
-      chord of the current boundary cycle is removed; the removed
-      vertex's boundary predecessor becomes its parent in the left tree
-      (rooted at [b]), its successor the parent in the right tree
-      (rooted at [a]), and it becomes the up-tree parent (rooted at
-      [c]) of every interior vertex it uncovers. Chord counts are
+      chord of the current boundary cycle [a → b → … → a] is removed;
+      the removed vertex's boundary successor becomes its parent in
+      tree 1 (rooted at [a]), its predecessor the parent in tree 2
+      (rooted at [b]), and it becomes the tree-0 (up) parent (rooted
+      at [c]) of every interior vertex it uncovers. Chord counts are
       maintained incrementally, so the whole ordering is linear time up
       to the union of vertex degrees.
     + coordinates come from the region-count trick: per tree, the depth
@@ -30,6 +30,14 @@
       pinned to corners of the grid. All traversals are iterative —
       deep triangulations (paths, trees) must not blow the stack.
 
+    {b Orientation.} The outer face [(a, b, c)] is the face orbit
+    ({!Rotation.face_next}) of the first edge's dart. With the tree
+    assignment above, every rotation runs counterclockwise in the
+    drawing (y up): each interior face orbit is drawn clockwise and the
+    outer face counterclockwise. {!Route} relies on this. Every drawing
+    is checked before it is returned — grid bounds, distinct points,
+    and that face orientation, which also proves it plane.
+
     The result is deterministic for a given rotation system. *)
 
 type t
@@ -39,7 +47,8 @@ type t
 val of_triangulation : Triangulate.t -> t
 (** Compute the wood and the coordinates. For [n <= 2] the degenerate
     drawing places the vertices at distinct points of the unit grid and
-    the tree structure is empty. *)
+    the tree structure is empty.
+    @raise Failure if the drawing fails its check (an internal error). *)
 
 val draw : Rotation.t -> t
 (** [draw r] is [of_triangulation (Triangulate.make r)] — the one-call
@@ -61,11 +70,12 @@ val grid_side : t -> int
     equals [max 1 (n - 2)]. *)
 
 val roots : t -> int * int * int
-(** [(r0, r1, r2)]: the outer vertices used as roots of the up, left
-    and right trees respectively (meaningless placeholders when
+(** [(r0, r1, r2)] = [(c, a, b)]: the outer vertices used as roots of
+    trees 0, 1 and 2 respectively (meaningless placeholders when
     [n <= 2]). *)
 
 val parent : t -> int -> int -> int
-(** [parent t i v] is the parent of [v] in tree [i] ([0] up, [1] left,
-    [2] right), or [-1] when [v] is the root of that tree or not a
-    member (each tree spans the interior vertices plus its own root). *)
+(** [parent t i v] is the parent of [v] in tree [i] ([0] up, [1]
+    successor, [2] predecessor), or [-1] when [v] is the root of that
+    tree or not a member (each tree spans the interior vertices plus
+    its own root). *)

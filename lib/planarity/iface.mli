@@ -10,7 +10,7 @@
 
     The distributed algorithm never ships a part's vertices — only this
     summary (in compressed form, {!Pqtree.compress}) travels to merge
-    coordinators; its {!Pqtree.bits} size is what the cost model charges. *)
+    coordinators. *)
 
 val of_part :
   Gr.t -> part:int list -> half:(int * int) list -> (int * int) Pqtree.t option

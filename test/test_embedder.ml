@@ -408,15 +408,8 @@ let prop_install_structure =
 let test_install_allocation () =
   let g = Gen.random_outerplanar ~seed:1 ~n:600 ~chord_prob:0.5 in
   let config = Network.Config.with_domains 1 Network.Config.default in
-  let words () =
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
   Gc.full_major ();
-  let w0 = words () in
-  let o = Embedder.run ~config g in
-  let w = words () -. w0 in
+  let o, w = Words.of_call (fun () -> Embedder.run ~config g) in
   check_bool "planar" true (o.Embedder.rotation <> None);
   if w > 1.5e6 then
     Alcotest.failf "Embedder.run allocated %.0f words (gate 1.5e6)" w

@@ -545,14 +545,6 @@ let test_livelock_contracts () =
 (* Allocation regression                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* OCaml 5 folds minor-heap allocation into [quick_stat] only at a minor
-   collection, so one is forced first; otherwise a reading lags by up to
-   a whole minor heap, depending on where the last collection fell. *)
-let words_now () =
-  Gc.minor ();
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
 (* A single token circling a large ring: exactly one active node and one
    message per round. If the round loop allocated O(n) per round (the old
    engine's fresh inbox array and whole-network scans), the words-per-
@@ -572,15 +564,14 @@ let token_ring_words ?(config = Network.Config.default) n ttl =
       msg_bits = (fun _ -> 16);
     }
   in
-  let before = words_now () in
-  let r =
-    Network.exec
-      ~config:(Network.Config.with_max_rounds (ttl + 8) config)
-      g proto
+  let r, words =
+    Words.of_call (fun () ->
+        Network.exec
+          ~config:(Network.Config.with_max_rounds (ttl + 8) config)
+          g proto)
   in
-  let after = words_now () in
   check "token ran out" (ttl + 1) r.Network.rounds;
-  after -. before
+  words
 
 let per_round_words config n =
   ignore (token_ring_words ~config n 16);
@@ -650,9 +641,9 @@ let test_sharded_words_per_message () =
     (fun domains ->
       let config = Network.Config.make ~domains ~bandwidth:4096 () in
       ignore (Network.exec ~config g native_flood);
-      let before = words_now () in
-      let r = Network.exec ~config g native_flood in
-      let words = words_now () -. before in
+      let r, words =
+        Words.of_call (fun () -> Network.exec ~config g native_flood)
+      in
       let wpm = words /. float r.Network.report.Network.messages in
       check_bool
         (Printf.sprintf "native flood [domains=%d]: %.3f words/message <= 1"

@@ -185,28 +185,41 @@ let test_triangulate_golden () =
 (* Schnyder drawing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_drawing_families () =
-  List.iter
+(* Every family's embedding and its mirror: the drawing's orientation
+   must not depend on the handedness of the input rotation. *)
+let embedded_with_mirrors =
+  List.concat_map
     (fun (name, g) ->
       let r = embed_exn g in
+      [ (name, r); (name ^ " mirrored", Rotation.mirror r) ])
+    (("two-grids", disconnected) :: families)
+
+let test_drawing_families () =
+  List.iter
+    (fun (name, r) ->
+      let g = Rotation.graph r in
       let sch = Schnyder.draw r in
       let x, y = Schnyder.coords sch in
       let n = Gr.n g in
       let side = Schnyder.grid_side sch in
+      let tr = Triangulate.rotation (Schnyder.triangulation sch) in
       if n >= 3 then check (name ^ ": grid side") (n - 2) side;
       check_bool (name ^ ": within grid") true (Drawing.within_grid ~x ~y ~side);
       check_bool (name ^ ": distinct points") true (Drawing.distinct ~x ~y);
       if n >= 3 then
         check_bool (name ^ ": orientation-valid") true
-          (Drawing.valid_triangulation_drawing
-             (Triangulate.rotation (Schnyder.triangulation sch))
-             ~x ~y);
+          (Drawing.valid_triangulation_drawing tr ~x ~y);
+      (* Rotations run counterclockwise: the outer face is the one face
+         drawn counterclockwise. *)
+      if n >= 4 then
+        check (name ^ ": counterclockwise rotations") 1
+          (Drawing.face_census tr ~x ~y).ccw;
       (* The exhaustive O(m^2) oracle on the real graph's drawing: a
          sub-drawing of a plane drawing is plane. *)
       if Gr.m g <= 200 then
         check_bool (name ^ ": no crossings (exhaustive)") true
           (Drawing.first_crossing g ~x ~y = None))
-    (("two-grids", disconnected) :: families)
+    embedded_with_mirrors
 
 (* The validity checks must also say no: duplicate points (negative
    coordinates included, which the packed keys shift away), flat faces
@@ -226,7 +239,7 @@ let test_drawing_rejects () =
   check_bool "K4 drawing valid" true (Drawing.valid_triangulation_drawing r ~x ~y);
   let c = Drawing.face_census r ~x ~y in
   check "K4: four triangles" 4 (c.ccw + c.cw);
-  check "K4: one outer face" 1 (min c.ccw c.cw);
+  check "K4: the outer face alone counterclockwise" 1 c.ccw;
   check_bool "collinear points" false
     (Drawing.valid_triangulation_drawing r ~x:[| 0; 1; 2; 3 |] ~y:[| 0; 0; 0; 0 |]);
   check_bool "faces that are not triangles" false
@@ -293,8 +306,9 @@ let valid_path g src dst path =
 
 let test_routing_delivers () =
   List.iter
-    (fun (name, g) ->
-      let e = Route.make (Schnyder.draw (embed_exn g)) in
+    (fun (name, r) ->
+      let g = Rotation.graph r in
+      let e = Route.make (Schnyder.draw r) in
       let n = Gr.n g in
       let rng = Random.State.make [| 97; n |] in
       for _ = 1 to 60 do
@@ -315,7 +329,7 @@ let test_routing_delivers () =
               (Printf.sprintf "%s: stuck %d->%d at %d after %d hops" name src
                  dst at hops)
       done)
-    (("two-grids", disconnected) :: families)
+    embedded_with_mirrors
 
 let test_routing_edge_cases () =
   let g = Gen.grid 5 5 in
@@ -437,17 +451,6 @@ let test_golden_families () =
         (golden_digest g (all_pairs (Gr.n g))))
     (("two-grids", disconnected) :: families)
 
-(* Words allocated by [f ()], counted as in the incremental suite's
-   replay gate, plus a minor collection on each side: it folds the minor
-   heap into the counters, which makes the count exact and repeatable. *)
-let words_of f =
-  Gc.minor ();
-  let minor0, promoted0, major0 = Gc.counters () in
-  let r = f () in
-  Gc.minor ();
-  let minor1, promoted1, major1 = Gc.counters () in
-  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-
 (* A routed batch allocates its path cells (3 words a hop, consed once
    from the end of a per-domain hop buffer) and a few records per query;
    nothing else per hop. [Route.make] is linear in the graph: its tables
@@ -456,13 +459,13 @@ let test_route_allocation () =
   List.iter
     (fun (name, g) ->
       let sch = Schnyder.draw (embed_exn g) in
-      let e, make_words = words_of (fun () -> Route.make sch) in
+      let e, make_words = Words.of_call (fun () -> Route.make sch) in
       let size = Gr.n g + Gr.m g in
       if make_words > 16. *. float_of_int size then
         Alcotest.failf "%s: Route.make allocated %.0f words for n + m = %d \
                         (gate: 16 per)" name make_words size;
       let pairs = golden_pairs ~seed:26 (Gr.n g) 2000 in
-      let outs, words = words_of (fun () -> Route.route_batch e pairs) in
+      let outs, words = Words.of_call (fun () -> Route.route_batch e pairs) in
       let hops =
         Array.fold_left
           (fun a -> function Route.Delivered { hops; _ } -> a + hops | _ -> a)
@@ -491,8 +494,8 @@ let test_build_linear () =
           name what (w /. float_of_int (Gr.m g)) limit
     in
     let r = embed_exn g in
-    let _, wb = words_of (fun () -> Bicon.decompose g) in
-    let _, wt = words_of (fun () -> Triangulate.make r) in
+    let _, wb = Words.of_call (fun () -> Bicon.decompose g) in
+    let _, wt = Words.of_call (fun () -> Triangulate.make r) in
     per_edge "Bicon.decompose" wb 24.;
     per_edge "Triangulate.make" wt 160.;
     (r, wb, wt)

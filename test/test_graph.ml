@@ -23,19 +23,6 @@ let test_out_of_range_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
-(* Words allocated by [f] on either heap. The runtime folds the major
-   heap's direct allocations into [quick_stat] only at a collection, so
-   a minor collection brackets the call. *)
-let allocated_words f =
-  let total () =
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  let before = total () in
-  ignore (Sys.opaque_identity (f ()));
-  total () -. before
-
 (* Random edge lists over [0, n) with duplicates and reversed pairs
    mixed in; [of_edges] must agree with the obvious sort-and-dedup. *)
 let random_edge_list rng n len =
@@ -90,8 +77,8 @@ let test_of_edges_linear () =
   List.iter
     (fun (name, edges) ->
       let l1 = edges k and l4 = edges (4 * k) in
-      let w1 = allocated_words (fun () -> Gr.of_edges ~n:k l1) in
-      let w4 = allocated_words (fun () -> Gr.of_edges ~n:(4 * k) l4) in
+      let _, w1 = Words.of_call (fun () -> Gr.of_edges ~n:k l1) in
+      let _, w4 = Words.of_call (fun () -> Gr.of_edges ~n:(4 * k) l4) in
       if w4 > 5. *. w1 then
         Alcotest.failf
           "of_edges on a %s: allocation grew %.1fx (%.0f -> %.0f words) at 4n"
@@ -301,8 +288,8 @@ let test_components_linear () =
   let k = 2000 in
   let g1 = many_components k and g4 = many_components (4 * k) in
   check "components at n" (2 * k) (List.length (Traverse.components g1));
-  let w1 = allocated_words (fun () -> Traverse.components g1) in
-  let w4 = allocated_words (fun () -> Traverse.components g4) in
+  let _, w1 = Words.of_call (fun () -> Traverse.components g1) in
+  let _, w4 = Words.of_call (fun () -> Traverse.components g4) in
   if w4 > 5. *. w1 then
     Alcotest.failf "components allocation grew %.1fx (%.0f -> %.0f words) at 4n"
       (w4 /. w1) w1 w4

@@ -528,10 +528,7 @@ let test_replay_allocation () =
       (Gen.random_maximal_planar ~seed:1 400)
   in
   let inc = Incremental.create (Churn.initial_graph tr) in
-  let minor0, promoted0, major0 = Gc.counters () in
-  Churn.replay inc tr;
-  let minor1, promoted1, major1 = Gc.counters () in
-  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let (), words = Words.of_call (fun () -> Churn.replay inc tr) in
   let kernel_edges = (Incremental.stats inc).kernel_edges in
   Alcotest.(check int) "kernel edges" 127625 kernel_edges;
   let per_edge = words /. float_of_int kernel_edges in

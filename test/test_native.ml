@@ -188,19 +188,10 @@ let test_fault_plan () =
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* OCaml 5 folds minor-heap allocation into [quick_stat] only at a minor
-   collection, so one is forced first. *)
-let words_now () =
-  Gc.minor ();
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
 let words_per_message g proto =
   ignore (Network.exec g proto);
-  let before = words_now () in
-  let r = Network.exec g proto in
-  let after = words_now () in
-  (after -. before) /. float r.Network.report.Network.messages
+  let r, words = Words.of_call (fun () -> Network.exec g proto) in
+  words /. float r.Network.report.Network.messages
 
 (* The max-id flood on the pipeline bench's grid: the native port
    shares one message per announce and the engine allocates nothing per
