@@ -1,7 +1,8 @@
 (* Scratch for one tree charge, indexed by the child end [v] of a tree
    edge [v -> parent v]. An entry is live for the current charge iff
    [stamp.(v) = cur]; a new charge bumps [cur] instead of clearing.
-   [dist.(v)] memoises v's distance to the root ([-1] while unknown);
+   [slot.(v)] is the edge's directed metrics slot, [dist.(v)] memoises
+   v's distance to the root ([-1] while unknown);
    [touched.(0 .. ntouched-1)] lists the live children, and [path] holds
    the vertices of the walk in progress. *)
 type scratch = {
@@ -9,11 +10,14 @@ type scratch = {
   mutable cur : int;
   load : int array;
   par : int array;
+  slot : int array;
   dist : int array;
   touched : int array;
   mutable ntouched : int;
   path : int array;
 }
+
+type plan = { slots : int array; depth : int }
 
 type t = {
   g : Gr.t;
@@ -36,6 +40,7 @@ let create ?bandwidth ?trace ?(round_base = 0) g metrics =
       cur = 0;
       load = Array.make n 0;
       par = Array.make n 0;
+      slot = Array.make n 0;
       dist = Array.make n 0;
       touched = Array.make n 0;
       ntouched = 0;
@@ -129,10 +134,12 @@ let tree_loads t ~root ~parent ~members ~bits_of ~combining =
         else begin
           let p = parent c in
           if p = c then broken ();
-          if not (Gr.mem_edge t.g c p) then raise Not_found;
+          (* [Gr.dart] raises [Not_found] off the graph. *)
+          let d = Gr.dart t.g ~src:c ~dst:p in
           s.stamp.(c) <- cur;
           s.load.(c) <- bits;
           s.par.(c) <- p;
+          s.slot.(c) <- Metrics.dart_dir t.g d ~dst:p;
           s.dist.(c) <- -1;
           s.touched.(s.ntouched) <- c;
           s.ntouched <- s.ntouched + 1;
@@ -152,30 +159,38 @@ let tree_loads t ~root ~parent ~members ~bits_of ~combining =
     members;
   !depth
 
-let commit_loads t =
+let charge_tree t ~root ~parent ~members ~bits_of =
+  let depth = tree_loads t ~root ~parent ~members ~bits_of ~combining:false in
   let s = t.scratch in
   let max_load = ref 0 in
   for i = 0 to s.ntouched - 1 do
     let c = s.touched.(i) in
     let l = s.load.(c) in
-    Metrics.add_dir_bits t.metrics ~u:c ~v:s.par.(c) ~bits:l;
+    Metrics.add_dir_bits_at t.metrics ~dir:s.slot.(c) ~bits:l;
     if l > !max_load then max_load := l
   done;
-  !max_load
+  if !max_load > 0 || depth > 0 then
+    t.clock <- t.clock + depth + ceil_div !max_load t.bandwidth
 
-let charge_tree t ~root ~parent ~members ~bits_of =
-  let depth = tree_loads t ~root ~parent ~members ~bits_of ~combining:false in
-  let max_load = commit_loads t in
-  if max_load > 0 || depth > 0 then
-    t.clock <- t.clock + depth + ceil_div max_load t.bandwidth
+(* With one payload for every member, the combining walk's live edges
+   are the union of the member-root paths, whatever the payload. *)
+let aggregate_plan t ~root ~parent ~members =
+  let depth =
+    tree_loads t ~root ~parent ~members ~bits_of:(fun _ -> 0) ~combining:true
+  in
+  let s = t.scratch in
+  { slots = Array.init s.ntouched (fun i -> s.slot.(s.touched.(i))); depth }
+
+let charge_plan t plan ~bits =
+  let slots = plan.slots in
+  for i = 0 to Array.length slots - 1 do
+    Metrics.add_dir_bits_at t.metrics ~dir:slots.(i) ~bits
+  done;
+  if plan.depth > 0 || bits > 0 then
+    t.clock <- t.clock + plan.depth + max 0 (ceil_div bits t.bandwidth - 1)
 
 let charge_aggregate t ~root ~parent ~members ~bits =
-  let depth =
-    tree_loads t ~root ~parent ~members ~bits_of:(fun _ -> bits) ~combining:true
-  in
-  ignore (commit_loads t : int);
-  if depth > 0 || bits > 0 then
-    t.clock <- t.clock + depth + max 0 (ceil_div bits t.bandwidth - 1)
+  charge_plan t (aggregate_plan t ~root ~parent ~members) ~bits
 
 let note_edge_bits t e bits = Metrics.add_edge_bits_by_index t.metrics e bits
 let note_dir_bits t ~u ~v bits = Metrics.add_dir_bits t.metrics ~u ~v ~bits

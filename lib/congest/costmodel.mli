@@ -71,10 +71,32 @@ val charge_tree : t -> root:int -> parent:(int -> int) -> members:int list -> bi
     tree edge between [v] and the root. Covers both directions — the
     formula is symmetric. *)
 
-val charge_aggregate : t -> root:int -> parent:(int -> int) -> members:int list -> bits:int -> unit
+type plan = {
+  slots : int array;
+      (** the directed metrics slots ({!Metrics.add_dir_bits_at}) of the
+          tree edges on the member-root paths, each once. *)
+  depth : int;  (** the deepest member's distance to the root. *)
+}
+(** A combining aggregation's charge, fixed by its tree and members alone:
+    a tree that does not change (a part's, a recursion call's) is walked
+    once and charged from its plan thereafter. *)
+
+val aggregate_plan :
+  t -> root:int -> parent:(int -> int) -> members:int list -> plan
+(** Walk the members' paths to [root] over the tree given by [parent]
+    and collect their plan. Charges nothing.
+    @raise Not_found when a parent is not a neighbour in the graph.
+    @raise Invalid_argument ["Costmodel: broken tree"] when a walk loops
+    or reaches a vertex that is its own parent before [root]. *)
+
+val charge_plan : t -> plan -> bits:int -> unit
 (** Combining aggregation (convergecast of a fold, or a broadcast of one
-    value): every tree edge on a member-root path carries [bits] once;
-    takes [depth + ⌈bits/B⌉ - 1] rounds (pipelined in chunks). *)
+    value) over a plan's edges: every edge carries [bits] once; takes
+    [depth + ⌈bits/B⌉ - 1] rounds (pipelined in chunks). *)
+
+val charge_aggregate : t -> root:int -> parent:(int -> int) -> members:int list -> bits:int -> unit
+(** {!charge_plan} of the {!aggregate_plan}: the errors are the walk's,
+    raised before anything is charged. *)
 
 val note_edge_bits : t -> int -> int -> unit
 (** [note_edge_bits t e bits] adds [bits] to the per-edge tally of the

@@ -52,6 +52,9 @@ let dir_index t u v =
   let e = Gr.edge_index t.g u v in
   (2 * e) + if u < v then 0 else 1
 
+let dart_dir g d ~dst =
+  (2 * Gr.dart_edge g d) + if Gr.dart_src g d < dst then 0 else 1
+
 let iter_dir t f =
   for e = 0 to Gr.m t.g - 1 do
     let (u, v) = Gr.edge_of_index t.g e in
@@ -69,10 +72,11 @@ let add_edge_bits_by_index t i bits =
   t.edge_bits.(i) <- t.edge_bits.(i) + bits;
   t.total_bits <- t.total_bits + bits
 
-let add_dir_bits t ~u ~v ~bits =
-  let d = dir_index t u v in
-  t.dir_bits.(d) <- t.dir_bits.(d) + bits;
-  add_edge_bits_by_index t (d / 2) bits
+let add_dir_bits_at t ~dir ~bits =
+  t.dir_bits.(dir) <- t.dir_bits.(dir) + bits;
+  add_edge_bits_by_index t (dir / 2) bits
+
+let add_dir_bits t ~u ~v ~bits = add_dir_bits_at t ~dir:(dir_index t u v) ~bits
 
 let add_message_at t ~dir ~bits =
   t.messages <- t.messages + 1;

@@ -13,7 +13,8 @@
       ({!add_message_at}), the per-round totals ({!record_round}) and the
       per-edge-per-round bursts ({!note_round_edge_at});
     - {!Costmodel} records charged (pipelined) shipments via
-      {!add_dir_bits} / {!add_edge_bits_by_index} — those are spread over
+      {!add_dir_bits} / {!add_dir_bits_at} / {!add_edge_bits_by_index} —
+      those are spread over
       many rounds by construction, so they contribute to totals but not
       to single-round bursts or the round log. *)
 
@@ -89,6 +90,11 @@ val add_message_at : t -> dir:int -> bits:int -> unit
     derives [dir] from the dart tables in O(1) instead of re-resolving
     the edge per message. *)
 
+val dart_dir : Gr.t -> int -> dst:int -> int
+(** [dart_dir g d ~dst] is the directed slot (see {!add_message_at}) of
+    the dart [d] of [g], whose head is [dst] — the slot the CSR slice of
+    [dst] reaches it by, with no edge search. *)
+
 val add_edge_bits_by_index : t -> int -> int -> unit
 (** Low-level variant used by the cost model when the direction is
     unknown: adds to the undirected tallies only. *)
@@ -97,6 +103,10 @@ val add_dir_bits : t -> u:int -> v:int -> bits:int -> unit
 (** Charge [bits] shipped from [u] to [v] (cost-model layer: updates the
     directed and undirected totals, but neither message counts nor
     bursts — charged shipments are pipelined over many rounds). *)
+
+val add_dir_bits_at : t -> dir:int -> bits:int -> unit
+(** {!add_dir_bits} by precomputed directed slot (see {!add_message_at}):
+    the cost model's stored charge plans hold these slots. *)
 
 val record_round : t -> round:int -> active:int -> messages:int -> bits:int -> unit
 (** Append one per-round activity record ({!Network.exec} calls this for

@@ -96,6 +96,16 @@ let run ?(config = Network.Config.default) ?(checks = false) g =
   in
   let st = Merge.create g ~checks ~cost in
   let rec_tree = Decompose.recursion_tree g bt in
+  (* A call's vertex set is a whole subtree of the BFS tree, so its
+     decomposition aggregate loads each non-root vertex's parent edge
+     once, over the subtree's depth: read those edges' metrics slots
+     from one per-run table. *)
+  let up_slot =
+    Array.mapi
+      (fun v p ->
+        if p = v then -1 else Metrics.dart_dir g (Gr.dart g ~src:v ~dst:p) ~dst:p)
+      bt.Traverse.parent
+  in
   Costmodel.note cost "recursion-depth" (Decompose.depth rec_tree);
   Costmodel.note cost "recursion-calls" (Decompose.count_calls rec_tree);
   let rotation =
@@ -105,22 +115,30 @@ let run ?(config = Network.Config.default) ?(checks = false) g =
            (convergecast), the splitter walk and the P0 numbering, all on
            the subtree's own tree edges. *)
         Costmodel.span_open cost (Printf.sprintf "recurse.d%d" level);
-        Costmodel.charge_aggregate cost ~root:call.Decompose.root
-          ~parent:(fun v -> bt.Traverse.parent.(v))
-          ~members:call.Decompose.vertices ~bits:word;
+        let root = call.Decompose.root in
+        let slots =
+          Array.make (List.length call.Decompose.vertices - 1) 0
+        in
+        let k = ref 0 in
+        List.iter
+          (fun v ->
+            if v <> root then begin
+              slots.(!k) <- up_slot.(v);
+              incr k
+            end)
+          call.Decompose.vertices;
+        Costmodel.charge_plan cost
+          { Costmodel.slots; depth = call.Decompose.subtree_depth }
+          ~bits:word;
         Costmodel.advance cost call.Decompose.subtree_depth;
         let part =
           match call.Decompose.hanging with
           | [] -> Merge.fresh_part st call.Decompose.p0
           | hanging ->
-              let in_sub = Hashtbl.create (List.length call.Decompose.vertices) in
-              List.iter
-                (fun v -> Hashtbl.replace in_sub v ())
-                call.Decompose.vertices;
               let child_ids = branch_max_map cost (process (level + 1)) hanging in
               let outcome =
                 Schedule.run st ~p0:call.Decompose.p0 ~hanging:child_ids
-                  ~in_subtree:(Hashtbl.mem in_sub)
+                  ~subtree:call.Decompose.vertices
               in
               outcome.Schedule.final_part
         in

@@ -24,6 +24,10 @@ type t = {
   stats : stats;
   ws : Part.workspace;
   mutable full : Rotation.t option;
+  in_call : int array;
+  p0_pos : int array;
+  seen : int array;
+  mutable seen_stamp : int;
 }
 
 let create g ~checks ~cost =
@@ -50,18 +54,16 @@ let create g ~checks ~cost =
       };
     ws = Part.workspace g;
     full = None;
+    in_call = Array.make (Gr.n g) 0;
+    p0_pos = Array.make (Gr.n g) 0;
+    seen = Array.make (Gr.n g) 0;
+    seen_stamp = 0;
   }
 
 let part t id =
   match Hashtbl.find_opt t.parts id with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Merge.part: no alive part %d" id)
-
-(* A part's vertex set never changes and [part_of] is written only at
-   install, so the install-time half edges are still the current ones;
-   the filter keeps that an explicit invariant rather than an assumption. *)
-let half_of t id =
-  List.filter (fun (_, w) -> t.part_of.(w) <> id) (part t id).Part.half
 
 let run_checks t p =
   if t.checks then begin
@@ -151,8 +153,7 @@ let ship_to_vertex t ~from_part x =
   let p = part t from_part in
   let bits = p.Part.iface_bits in
   t.stats.iface_bits_shipped <- t.stats.iface_bits_shipped + bits;
-  Costmodel.charge_aggregate t.cost ~root:p.Part.leader
-    ~parent:(Part.parent_fn p) ~members:p.Part.vertices ~bits;
+  Costmodel.charge_plan t.cost p.Part.plan ~bits;
   let u = member_adjacent_to t from_part x in
   let down = List.rev (Part.path_to_leader p u) in
   Costmodel.charge_path t.cost (down @ [ x ]) ~bits
@@ -161,8 +162,7 @@ let ship_between t ~from_part ~to_part =
   let p = part t from_part and q = part t to_part in
   let bits = p.Part.iface_bits in
   t.stats.iface_bits_shipped <- t.stats.iface_bits_shipped + bits;
-  Costmodel.charge_aggregate t.cost ~root:p.Part.leader
-    ~parent:(Part.parent_fn p) ~members:p.Part.vertices ~bits;
+  Costmodel.charge_plan t.cost p.Part.plan ~bits;
   let (u, v) = connecting_edge t ~from_part ~to_part in
   let down = List.rev (Part.path_to_leader p u) in
   let up = Part.path_to_leader q v in
@@ -186,8 +186,7 @@ let merge t ?(anchors = []) ~kind ids =
      instruction list is proportional to the interface summary, not to the
      part size; it is disseminated over the part tree. *)
   let word = Part.word t.g in
-  Costmodel.charge_aggregate t.cost ~root:p.Part.leader
-    ~parent:(Part.parent_fn p) ~members:p.Part.vertices
+  Costmodel.charge_plan t.cost p.Part.plan
     ~bits:((2 * word) + p.Part.iface_bits);
   let s = t.stats in
   (match kind with

@@ -42,14 +42,19 @@ type t = {
   mutable full : Rotation.t option;
       (** the network's rotation, set by the install of the part covering
           it ([None] before that). *)
+  in_call : int array;
+      (** [stats.calls] on the vertices of the current recursion call's
+          subtree ({!Schedule.run} stamps it). *)
+  p0_pos : int array;
+      (** a subtree vertex's position on the call's [P0], [-1] off it. *)
+  seen : int array;
+      (** a stamped vertex set, [seen_stamp] marking members, for
+          {!Schedule.run}'s per-part scans. *)
+  mutable seen_stamp : int;
 }
 
 val create : Gr.t -> checks:bool -> cost:Costmodel.t -> t
 val part : t -> int -> Part.t
-
-val half_of : t -> int -> (int * int) list
-(** Current half-embedded edges of a part: its install-time
-    [Part.half], filtered by [part_of]. *)
 
 val fresh_part : t -> ?anchors:int list -> int list -> int
 (** Turn unassigned vertices into a new part; returns its id. *)

@@ -4,31 +4,38 @@ type outcome = {
   retired_parts : int;
 }
 
-(* Classification of a part's current connections within one call:
-   which P0 positions it touches, which other alive parts, and whether it
-   has edges leaving the call's subtree (G \ H). *)
-type conn = { positions : int list; others : int list; gh : bool }
+(* Classification of a part's current connections within one call: how
+   many distinct P0 positions it touches and the lowest and highest of
+   them, whether it touches another alive part, and whether it has edges
+   leaving the call's subtree (G \ H). An install-time half edge whose
+   far end has since joined the part is no longer one. *)
+type conn = { npos : int; low : int; high : int; others : bool; gh : bool }
 
-let classify st ~p0_pos ~in_subtree id =
-  let half = Merge.half_of st id in
-  let pos = Hashtbl.create 4 and oth = Hashtbl.create 4 in
-  let gh = ref false in
+let classify st id =
+  let part_of = st.Merge.part_of
+  and in_call = st.Merge.in_call
+  and p0_pos = st.Merge.p0_pos
+  and seen = st.Merge.seen in
+  st.Merge.seen_stamp <- st.Merge.seen_stamp + 1;
+  let stamp = st.Merge.seen_stamp and call = st.Merge.stats.Merge.calls in
+  let npos = ref 0 and low = ref max_int and high = ref (-1) in
+  let others = ref false and gh = ref false in
   List.iter
     (fun (_u, v) ->
-      match Hashtbl.find_opt p0_pos v with
-      | Some i -> Hashtbl.replace pos i ()
-      | None ->
-          if not (in_subtree v) then gh := true
-          else begin
-            let q = st.Merge.part_of.(v) in
-            if q >= 0 then Hashtbl.replace oth q ()
-          end)
-    half;
-  {
-    positions = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) pos []);
-    others = Hashtbl.fold (fun q () acc -> q :: acc) oth [];
-    gh = !gh;
-  }
+      if part_of.(v) <> id then
+        if in_call.(v) <> call then gh := true
+        else begin
+          let i = p0_pos.(v) in
+          if i < 0 then (if part_of.(v) >= 0 then others := true)
+          else if seen.(v) <> stamp then begin
+            seen.(v) <- stamp;
+            incr npos;
+            if i < !low then low := i;
+            if i > !high then high := i
+          end
+        end)
+    (Merge.part st id).Part.half;
+  { npos = !npos; low = !low; high = !high; others = !others; gh = !gh }
 
 (* Combined pipelined shipping of several interface payloads, each along
    its own path: the routes run concurrently, so the round cost is the
@@ -61,17 +68,22 @@ let charge_concurrent st shipments =
   if !longest > 0 || max_load > 0 then
     Costmodel.advance cost (!longest + ((max_load + b - 1) / b))
 
-let run st ~p0 ~hanging ~in_subtree =
+let run st ~p0 ~hanging ~subtree =
   let cost = st.Merge.cost in
   let word = Part.word st.Merge.g in
   st.Merge.stats.Merge.calls <- st.Merge.stats.Merge.calls + 1;
+  let call = st.Merge.stats.Merge.calls in
+  List.iter
+    (fun v ->
+      st.Merge.in_call.(v) <- call;
+      st.Merge.p0_pos.(v) <- -1)
+    subtree;
+  List.iteri (fun i v -> st.Merge.p0_pos.(v) <- i) p0;
   Costmodel.span_open cost "schedule.merge";
   (* Step 0/1: create the trivial P0 part and number its vertices (the
      numbering travels down the path). *)
   let p0_part = Merge.fresh_part st p0 in
   Costmodel.charge_path cost p0 ~bits:word;
-  let p0_pos = Hashtbl.create (List.length p0) in
-  List.iteri (fun i v -> Hashtbl.replace p0_pos v i) p0;
   let p0_arr = Array.of_list p0 in
   let alive = Hashtbl.create (List.length hanging) in
   List.iter (fun id -> Hashtbl.replace alive id ()) hanging;
@@ -97,18 +109,16 @@ let run st ~p0 ~hanging ~in_subtree =
       Costmodel.branch_max cost
         (List.map
            (fun id () ->
-             let p = Merge.part st id in
-             Costmodel.charge_aggregate cost ~root:p.Part.leader
-               ~parent:(Part.parent_fn p) ~members:p.Part.vertices ~bits:word)
+             Costmodel.charge_plan cost (Merge.part st id).Part.plan ~bits:word)
            participants);
       let low = Hashtbl.create 16 in
       List.iter
         (fun id ->
-          match (classify st ~p0_pos ~in_subtree id).positions with
-          | i :: _ -> Hashtbl.replace low id i
-          | [] ->
-              (* A hanging part always touches P0 through its tree edge. *)
-              invalid_arg "Schedule.run: hanging part without P0 connection")
+          let c = classify st id in
+          (* A hanging part always touches P0 through its tree edge. *)
+          if c.npos = 0 then
+            invalid_arg "Schedule.run: hanging part without P0 connection";
+          Hashtbl.replace low id c.low)
         participants;
       (* (b) vertex-coordinated merges of same-color connected clusters. *)
       let by_color = Hashtbl.create 16 in
@@ -170,12 +180,11 @@ let run st ~p0 ~hanging ~in_subtree =
       List.iter
         (fun id ->
           if Hashtbl.mem alive id then begin
-            let c = classify st ~p0_pos ~in_subtree id in
-            match c.positions, c.others with
-            | [ i ], [] ->
-                Merge.ship_to_vertex st ~from_part:id p0_arr.(i);
-                retire id
-            | _ -> ()
+            let c = classify st id in
+            if c.npos = 1 && not c.others then begin
+              Merge.ship_to_vertex st ~from_part:id p0_arr.(c.low);
+              retire id
+            end
           end)
         (alive_ids ());
       (* (f) symmetry breaking on the inter-part graph, colored by low
@@ -201,9 +210,10 @@ let run st ~p0 ~hanging ~in_subtree =
         let colors =
           Array.map
             (fun id ->
-              match (classify st ~p0_pos ~in_subtree id).positions with
-              | i :: _ -> i
-              | [] -> invalid_arg "Schedule.run: part lost its P0 connection")
+              let c = classify st id in
+              if c.npos = 0 then
+                invalid_arg "Schedule.run: part lost its P0 connection";
+              c.low)
             arr
         in
         Costmodel.note cost "part-depth-max" (max_depth participants);
@@ -259,12 +269,12 @@ let run st ~p0 ~hanging ~in_subtree =
   let by_pair = Hashtbl.create 8 in
   List.iter
     (fun id ->
-      let c = classify st ~p0_pos ~in_subtree id in
-      match c.positions, c.others, c.gh with
-      | [ i; j ], [], false ->
-          let prev = try Hashtbl.find by_pair (i, j) with Not_found -> [] in
-          Hashtbl.replace by_pair (i, j) (id :: prev)
-      | _ -> ())
+      let c = classify st id in
+      if c.npos = 2 && not (c.others || c.gh) then begin
+        let key = (c.low, c.high) in
+        let prev = try Hashtbl.find by_pair key with Not_found -> [] in
+        Hashtbl.replace by_pair key (id :: prev)
+      end)
     (alive_ids ());
   Hashtbl.iter
     (fun (i, j) ids ->
@@ -293,12 +303,10 @@ let run st ~p0 ~hanging ~in_subtree =
     List.map
       (fun id ->
         let p = Merge.part st id in
-        let c = classify st ~p0_pos ~in_subtree id in
-        let i = match c.positions with i :: _ -> i | [] -> 0 in
+        let c = classify st id in
+        let i = if c.npos = 0 then 0 else c.low in
         (* Aggregate internally first. *)
-        Costmodel.charge_aggregate cost ~root:p.Part.leader
-          ~parent:(Part.parent_fn p) ~members:p.Part.vertices
-          ~bits:p.Part.iface_bits;
+        Costmodel.charge_plan cost p.Part.plan ~bits:p.Part.iface_bits;
         let u = ref p.Part.leader in
         (try
            List.iter

@@ -36,5 +36,8 @@ val run :
   Merge.t ->
   p0:int list ->
   hanging:int list ->
-  in_subtree:(int -> bool) ->
+  subtree:int list ->
   outcome
+(** [subtree] is the call's whole vertex set: [p0] and the hanging parts'
+    members. Its edges to the rest of the network are the call's [G∖H]
+    connections. *)

@@ -282,7 +282,20 @@ let test_charge_aggregate () =
     ~members:[ 1; 2; 3 ] ~bits:8;
   (* Combining: every edge carries 8 bits once; depth 3 + ceil(8/4)-1. *)
   check "edge 0-1" 8 (Metrics.edge_bits m (Gr.edge_index g 0 1));
-  check "rounds" 4 (Costmodel.clock c)
+  check "rounds" 4 (Costmodel.clock c);
+  (* The same aggregate from its plan, charged twice more. *)
+  let plan =
+    Costmodel.aggregate_plan c ~root:0
+      ~parent:(fun v -> bt.Traverse.parent.(v))
+      ~members:[ 2; 3; 1 ]
+  in
+  check "plan edges" 3 (Array.length plan.Costmodel.slots);
+  check "plan depth" 3 plan.Costmodel.depth;
+  check "collecting charges nothing" 4 (Costmodel.clock c);
+  Costmodel.charge_plan c plan ~bits:8;
+  Costmodel.charge_plan c plan ~bits:8;
+  check "edge 0-1, three times" 24 (Metrics.edge_bits m (Gr.edge_index g 0 1));
+  check "rounds, three times" 12 (Costmodel.clock c)
 
 let test_branch_max () =
   let g = Gen.path 6 in
@@ -459,6 +472,20 @@ let test_costmodel_error_paths () =
       Costmodel.charge_tree c ~root:0
         ~parent:(fun v -> if v = 2 then 2 else chain v)
         ~members:[ 1; 4 ] ~bits_of:(fun _ -> 8));
+  (* A plan's walk fails the same way, and charges nothing either. *)
+  Alcotest.check_raises "non-edge (plan)" Not_found (fun () ->
+      ignore
+        (Costmodel.aggregate_plan c ~root:0
+           ~parent:(fun v -> if v = 3 then 1 else chain v)
+           ~members:[ 4 ]
+          : Costmodel.plan));
+  Alcotest.check_raises "broken tree (plan)"
+    (Invalid_argument "Costmodel: broken tree") (fun () ->
+      ignore
+        (Costmodel.aggregate_plan c ~root:0
+           ~parent:(fun v -> if v = 2 then 2 else chain v)
+           ~members:[ 1; 4 ]
+          : Costmodel.plan));
   check "failed charges leave the clock" 0 (Costmodel.clock c);
   check "failed charges leave the tallies" 0 (Metrics.total_bits m);
   Costmodel.charge_aggregate c ~root:0 ~parent:chain ~members:[ 4; 2 ] ~bits:8;
