@@ -294,7 +294,16 @@ let live_edges t =
     t.edge_tbl []
 
 let rotation t =
-  let g = Gr.of_edges ~n:t.n (live_edges t) in
+  let lo = Array.make t.live 0 and hi = Array.make t.live 0 in
+  let k = ref 0 in
+  for e = 0 to t.next_slot - 1 do
+    if t.dst.(2 * e) >= 0 then begin
+      lo.(!k) <- t.dst.((2 * e) + 1);
+      hi.(!k) <- t.dst.(2 * e);
+      incr k
+    end
+  done;
+  let g = Gr.of_pairs ~n:t.n lo hi in
   let rot =
     Array.init t.n (fun v ->
         let deg = t.deg.(v) in
