@@ -59,15 +59,16 @@ let () =
 
   (* Figure 1: the partial embedding with all half-embedded edges on one
      face, via the apex construction. *)
-  (match Constrained.embed g ~part ~half with
-  | None -> failwith "safe part of a planar graph must embed"
-  | Some emb ->
-      Format.printf
-        "partial embedding of P (Figure 1): cyclic order of half-embedded@ \
-         edges around the shared face:@.  %s@.@."
-        (String.concat " "
-           (List.map (fun (u, v) -> Printf.sprintf "%d~%d" u v)
-              emb.Constrained.outer)));
+  let ws = Constrained.workspace g in
+  Constrained.load ws ~part ~half;
+  if not (Constrained.embed_loaded ws) then
+    failwith "safe part of a planar graph must embed";
+  Format.printf
+    "partial embedding of P (Figure 1): cyclic order of half-embedded@ \
+     edges around the shared face:@.  %s@.@."
+    (String.concat " "
+       (List.map (fun (u, v) -> Printf.sprintf "%d~%d" u v)
+          (Constrained.outer ws)));
 
   (* Observation 3.2: the interface as a PQ-tree. *)
   match Iface.of_part g ~part ~half with

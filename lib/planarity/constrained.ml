@@ -1,11 +1,3 @@
-type item = Internal of int | Half of int * int
-
-type t = {
-  part : int list;
-  rot : (int, item array) Hashtbl.t;
-  outer : (int * int) list;
-}
-
 (* A loaded part names its vertices 0 .. p-1 in list order, the stub of
    its i-th half edge p + i and the apex p + k. [stamp] marks which
    entries of [local] belong to the current load, so naming a part costs
@@ -120,11 +112,11 @@ let load ws ~part ~half =
   List.iteri
     (fun i ((u, v) as e) ->
       if not (Gr.mem_edge g u v) then
-        invalid_arg "Constrained.embed: half edge is not a graph edge";
+        invalid_arg "Constrained.load: half edge is not a graph edge";
       if not (in_load ws u) then
-        invalid_arg "Constrained.embed: half edge inside endpoint not in part";
+        invalid_arg "Constrained.load: half edge inside endpoint not in part";
       if in_load ws v then
-        invalid_arg "Constrained.embed: half edge outside endpoint in part";
+        invalid_arg "Constrained.load: half edge outside endpoint in part";
       ws.half.(i) <- e)
     half;
   (* Each induced edge is counted twice in [deg], so this reserves room
@@ -181,80 +173,3 @@ let rotation ws =
     invalid_arg "Constrained.rotation: the part does not cover the graph";
   Rotation.make ws.g
     (Array.init n (fun v -> ring_map ws ws.local.(v) (fun s -> ws.global.(s))))
-
-let embed g ~part ~half =
-  let ws = workspace g in
-  load ws ~part ~half;
-  if not (embed_loaded ws) then None
-  else begin
-    let p = ws.p in
-    let item s =
-      if s < p then Internal ws.global.(s)
-      else
-        let (u, v) = ws.half.(s - p) in
-        Half (u, v)
-    in
-    let rot = Hashtbl.create p in
-    for i = 0 to p - 1 do
-      Hashtbl.replace rot ws.global.(i) (ring_map ws i item)
-    done;
-    Some { part; rot; outer = outer ws }
-  end
-
-let rotation_of_full t g =
-  let n = Gr.n g in
-  if List.length t.part <> n then
-    invalid_arg "Constrained.rotation_of_full: part does not cover the graph";
-  let rot =
-    Array.init n (fun v ->
-        match Hashtbl.find_opt t.rot v with
-        | None -> invalid_arg "Constrained.rotation_of_full: missing vertex"
-        | Some items ->
-            Array.map
-              (function
-                | Internal w -> w
-                | Half _ ->
-                    invalid_arg
-                      "Constrained.rotation_of_full: residual half edge")
-              items)
-  in
-  Rotation.make g rot
-
-let check g ~part ~half t =
-  let in_part = Hashtbl.create (List.length part) in
-  List.iter (fun v -> Hashtbl.replace in_part v ()) part;
-  let half_set = Hashtbl.create (List.length half) in
-  List.iter (fun e -> Hashtbl.replace half_set e ()) half;
-  let ok = ref (List.sort compare t.part = List.sort compare part) in
-  (* Outer must be a permutation of half. *)
-  if List.sort compare t.outer <> List.sort compare half then ok := false;
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.rot v with
-      | None -> ok := false
-      | Some items ->
-          let internal = ref [] and halves = ref [] in
-          Array.iter
-            (function
-              | Internal w ->
-                  if not (Gr.mem_edge g v w && Hashtbl.mem in_part w) then
-                    ok := false;
-                  internal := w :: !internal
-              | Half (u, w) ->
-                  if u <> v || not (Hashtbl.mem half_set (u, w)) then ok := false;
-                  halves := (u, w) :: !halves)
-            items;
-          (* Items must cover exactly the internal neighbors and this
-             vertex's half edges, each once. *)
-          let expected_internal =
-            List.sort compare
-              (List.filter (Hashtbl.mem in_part)
-                 (Array.to_list (Gr.neighbors g v)))
-          in
-          if List.sort compare !internal <> expected_internal then ok := false;
-          let expected_halves =
-            List.sort compare (List.filter (fun (u, _) -> u = v) half)
-          in
-          if List.sort compare !halves <> expected_halves then ok := false)
-    part;
-  !ok

@@ -8,28 +8,15 @@
     node preserves planarity, and in any planar embedding of [P] all
     half-embedded edges must reach a single face.
 
-    [embed] realizes this: it embeds the subgraph induced by [P], augmented
-    with one {e stub} vertex per half-embedded edge and an apex adjacent to
-    all stubs. The result is a partial embedding of [P] with every
-    half-embedded edge on one (outer) face, together with the realized
-    cyclic order of the half-embedded edges around that face — the part's
-    realized {e interface} order. If the augmented graph is not planar then
-    (for a safe partition) the whole network is not planar. *)
-
-type item =
-  | Internal of int
-      (** an embedded edge to the given part vertex (global id). *)
-  | Half of int * int
-      (** a half-embedded edge [(inside, outside)] in global ids. *)
-
-type t = {
-  part : int list;  (** the part's vertices, global ids. *)
-  rot : (int, item array) Hashtbl.t;
-      (** clockwise cyclic order of items around each part vertex. *)
-  outer : (int * int) list;
-      (** cyclic order of half-embedded edges [(inside, outside)] around
-          the shared face. *)
-}
+    The {!workspace} realizes this: it embeds the subgraph induced by
+    [P], augmented with one {e stub} vertex per half-embedded edge and an
+    apex adjacent to all stubs. The result is a partial embedding of [P]
+    with every half-embedded edge on one (outer) face, together with the
+    realized cyclic order of the half-embedded edges around that face —
+    the part's realized {e interface} order. If the augmented graph is
+    not planar then (for a safe partition) the whole network is not
+    planar. The graph-building form of the same construction is the
+    test oracle [Apex]. *)
 
 (** {1 The install workspace}
 
@@ -56,7 +43,7 @@ val workspace : Gr.t -> workspace
 val load : workspace -> part:int list -> half:(int * int) list -> unit
 (** Name the part and its half edges and write the induced pairs. [half]
     must list edges of the network with exactly their inside endpoint in
-    [part], and [part] must be duplicate-free;
+    [part], and [part] must list vertices of the network, each once;
     @raise Invalid_argument otherwise. *)
 
 val induced_edges : workspace -> int
@@ -74,30 +61,10 @@ val embed_loaded : workspace -> bool
 
 val outer : workspace -> (int * int) list
 (** After {!embed_loaded} returned [true]: the half edges
-    [(inside, outside)] in their cyclic order around the shared face,
-    as in {!t}[.outer]. *)
+    [(inside, outside)] in their cyclic order around the shared face. *)
 
 val rotation : workspace -> Rotation.t
 (** After {!embed_loaded} returned [true] on a part that covers the whole
     network (so it has no half edges): the network's rotation system,
     through the checked {!Rotation.make}.
     @raise Invalid_argument if the part does not cover the network. *)
-
-(** {1 One-shot form} *)
-
-val embed : Gr.t -> part:int list -> half:(int * int) list -> t option
-(** [embed g ~part ~half] is [None] iff the apex-augmented part is not
-    planar: {!load} and {!embed_loaded} on a fresh {!workspace}, the
-    rings read back into {!t}. [half] must list edges of [g] with
-    exactly their inside endpoint in [part]; @raise Invalid_argument
-    otherwise. *)
-
-val rotation_of_full : t -> Gr.t -> Rotation.t
-(** When the part covers the whole (connected) graph — so there are no
-    half-embedded edges — extract the plain rotation system.
-    @raise Invalid_argument if some half-embedded edges remain. *)
-
-val check : Gr.t -> part:int list -> half:(int * int) list -> t -> bool
-(** Structural validation used by the test-suite: rotations cover exactly
-    the internal edges plus the given half-edges, and [outer] is a
-    permutation of [half]. *)
