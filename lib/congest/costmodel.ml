@@ -50,9 +50,6 @@ let create ?bandwidth ?trace ?(round_base = 0) g metrics =
   { g; bandwidth; metrics; trace; round_base; clock = 0; scratch }
 
 let bandwidth t = t.bandwidth
-
-let word t = Gr.id_bits t.g
-
 let clock t = t.clock
 let now t = t.round_base + t.clock
 let advance t r = t.clock <- t.clock + r
@@ -67,17 +64,6 @@ let span_close t ?attrs () =
   match t.trace with
   | Some tr -> Trace.span_close tr ?attrs ~round:(now t) ()
   | None -> ()
-
-let span t name f =
-  span_open t name;
-  let result =
-    try f ()
-    with e ->
-      span_close t ();
-      raise e
-  in
-  span_close t ();
-  result
 
 let note t name value =
   match t.trace with
@@ -100,15 +86,14 @@ let charge_path t path ~bits =
 let broken () = invalid_arg "Costmodel: broken tree"
 
 (* Accumulate per-directed-edge (child -> parent) loads into the scratch
-   by walking each member towards the root; returns the depth. Without
-   [combining] every walk runs to the root, adding the member's bits to
-   each edge. With [combining] an edge's load is the largest payload
-   through it, so a walk stops at the first live edge already carrying
-   at least its bits: every edge above it carries at least as much, and
-   the memoised distance completes the depth. The parent and adjacency
-   checks run once per tree edge, when the edge first goes live; a walk
-   longer than n edges (a cycle in [parent]) is a broken tree. *)
-let tree_loads t ~root ~parent ~members ~bits_of ~combining =
+   by walking each member towards the root, adding the member's bits to
+   each edge; returns the depth. A walk whose payload is 0 stops at the
+   first live edge: adding 0 above it changes nothing, every edge above it
+   is live already, and the memoised distance completes the depth. The
+   parent and adjacency checks run once per tree edge, when the edge
+   first goes live; a walk longer than n edges (a cycle in [parent]) is a
+   broken tree. *)
+let tree_loads t ~root ~parent ~members ~bits_of =
   let s = t.scratch in
   s.cur <- s.cur + 1;
   s.ntouched <- 0;
@@ -123,9 +108,9 @@ let tree_loads t ~root ~parent ~members ~bits_of ~combining =
       while (not !stop) && !v <> root do
         let c = !v in
         if c >= 0 && c < n && s.stamp.(c) = cur then begin
-          if combining && s.load.(c) >= bits then stop := true
+          if bits = 0 then stop := true
           else begin
-            s.load.(c) <- (if combining then bits else s.load.(c) + bits);
+            s.load.(c) <- s.load.(c) + bits;
             s.path.(!k) <- c;
             incr k;
             v := s.par.(c)
@@ -160,7 +145,7 @@ let tree_loads t ~root ~parent ~members ~bits_of ~combining =
   !depth
 
 let charge_tree t ~root ~parent ~members ~bits_of =
-  let depth = tree_loads t ~root ~parent ~members ~bits_of ~combining:false in
+  let depth = tree_loads t ~root ~parent ~members ~bits_of in
   let s = t.scratch in
   let max_load = ref 0 in
   for i = 0 to s.ntouched - 1 do
@@ -172,12 +157,10 @@ let charge_tree t ~root ~parent ~members ~bits_of =
   if !max_load > 0 || depth > 0 then
     t.clock <- t.clock + depth + ceil_div !max_load t.bandwidth
 
-(* With one payload for every member, the combining walk's live edges
-   are the union of the member-root paths, whatever the payload. *)
+(* The live edges of a walk are the union of the member-root paths,
+   whatever the payload, so the cheapest one, 0, collects them. *)
 let aggregate_plan t ~root ~parent ~members =
-  let depth =
-    tree_loads t ~root ~parent ~members ~bits_of:(fun _ -> 0) ~combining:true
-  in
+  let depth = tree_loads t ~root ~parent ~members ~bits_of:(fun _ -> 0) in
   let s = t.scratch in
   { slots = Array.init s.ntouched (fun i -> s.slot.(s.touched.(i))); depth }
 
@@ -192,7 +175,6 @@ let charge_plan t plan ~bits =
 let charge_aggregate t ~root ~parent ~members ~bits =
   charge_plan t (aggregate_plan t ~root ~parent ~members) ~bits
 
-let note_edge_bits t e bits = Metrics.add_edge_bits_by_index t.metrics e bits
 let note_dir_bits t ~u ~v bits = Metrics.add_dir_bits t.metrics ~u ~v ~bits
 
 let branch_max t branches =

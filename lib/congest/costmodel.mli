@@ -27,33 +27,25 @@ val create :
   ?bandwidth:int -> ?trace:Trace.t -> ?round_base:int -> Gr.t -> Metrics.t -> t
 (** The metrics object receives every charge. Default bandwidth:
     {!Network.default_bandwidth}. When a [trace] is given, {!phase},
-    {!span} and {!note} append span/note events to it, with round numbers
-    offset by [round_base] (default 0) — the rounds the run had already
-    consumed before this cost model took over the clock. *)
+    {!span_open}/{!span_close} and {!note} append span/note events to
+    it, with round numbers offset by [round_base] (default 0) — the
+    rounds the run had already consumed before this cost model took over
+    the clock. *)
 
 val bandwidth : t -> int
 (** The per-edge bits-per-round budget every charge is computed under. *)
 
-val word : t -> int
-(** Bits of one vertex id: [⌈log2 n⌉]. *)
-
 val clock : t -> int
 (** Rounds elapsed so far in charged phases. *)
 
-val now : t -> int
-(** [round_base + clock]: the position on the run's unified timeline. *)
-
-val span : t -> string -> (unit -> 'a) -> 'a
-(** Wrap the thunk in a trace span on the unified timeline (a no-op
-    without a trace). The span closes even if the thunk raises. *)
-
 val span_open : t -> string -> unit
-(** Open a named trace span at the current round (see {!span_close}). *)
+(** Open a named trace span at the current round (see {!span_close}),
+    a no-op without a trace. The round is [round_base + clock], the
+    position on the run's unified timeline. *)
 
 val span_close : t -> ?attrs:(string * int) list -> unit -> unit
-(** Close the innermost open span. The open/close pair is the explicit
-    variant of {!span}, for callers whose closing attributes are only
-    known at the end (e.g. the merge schedule's survivor counts). *)
+(** Close the innermost open span, with attributes known only at the end
+    (e.g. the merge schedule's survivor counts). *)
 
 val note : t -> string -> int -> unit
 (** Record a named scalar observation at the current round. *)
@@ -98,15 +90,11 @@ val charge_aggregate : t -> root:int -> parent:(int -> int) -> members:int list 
 (** {!charge_plan} of the {!aggregate_plan}: the errors are the walk's,
     raised before anything is charged. *)
 
-val note_edge_bits : t -> int -> int -> unit
-(** [note_edge_bits t e bits] adds [bits] to the per-edge tally of the
-    edge with dense index [e] without advancing the clock — for callers
-    that schedule several concurrent shipments and account rounds
-    themselves (e.g. the restricted path-coordinated merge). *)
-
 val note_dir_bits : t -> u:int -> v:int -> int -> unit
-(** Direction-aware variant of {!note_edge_bits}: charges [u -> v], so
-    the per-directed-edge tallies see it too. *)
+(** [note_dir_bits t ~u ~v bits] adds [bits] to the tally of the directed
+    edge [u -> v] without advancing the clock — for callers that schedule
+    several concurrent shipments and account rounds themselves (e.g. the
+    restricted path-coordinated merge). *)
 
 val branch_max : t -> (unit -> unit) list -> unit
 (** Run the branch thunks as parallel phases: each starts at the current

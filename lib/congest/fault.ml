@@ -102,7 +102,6 @@ let make ?(spec = default) ~seed () =
   { spec; seed; pos = mix seed; stats = zero_stats; by_node; horizon }
 
 let spec p = p.spec
-let seed p = p.seed
 let stats p = p.stats
 let horizon p = p.horizon
 let grace p = p.spec.grace

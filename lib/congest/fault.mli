@@ -80,7 +80,6 @@ val make : ?spec:spec -> seed:int -> unit -> plan
     [restart <= at]. *)
 
 val spec : plan -> spec
-val seed : plan -> int
 
 val reset : plan -> unit
 (** Rewind the random stream to the seed and zero the {!stats} — the

@@ -32,7 +32,6 @@ let create g =
     fault_counts = [];
   }
 
-let graph t = t.g
 let rounds t = t.rounds
 let messages t = t.messages
 let total_bits t = t.total_bits
@@ -108,41 +107,3 @@ let note_fault t ~kind =
   t.fault_counts <- bump t.fault_counts
 
 let faults t = t.fault_counts
-
-let merge_into ~dst ~src =
-  if Gr.n dst.g <> Gr.n src.g || Gr.m dst.g <> Gr.m src.g then
-    invalid_arg "Metrics.merge_into: different graphs";
-  dst.rounds <- dst.rounds + src.rounds;
-  dst.messages <- dst.messages + src.messages;
-  Array.iteri (fun i b -> add_edge_bits_by_index dst i b) src.edge_bits;
-  Array.iteri (fun d b -> dst.dir_bits.(d) <- dst.dir_bits.(d) + b) src.dir_bits;
-  Array.iteri (fun d c -> dst.dir_msgs.(d) <- dst.dir_msgs.(d) + c) src.dir_msgs;
-  Array.iteri
-    (fun d b -> if b > dst.dir_burst.(d) then dst.dir_burst.(d) <- b)
-    src.dir_burst;
-  if src.max_message_bits > dst.max_message_bits then
-    dst.max_message_bits <- src.max_message_bits;
-  dst.round_log_rev <- src.round_log_rev @ dst.round_log_rev;
-  dst.phases <- List.rev_append (List.rev src.phases) dst.phases;
-  List.iter
-    (fun (kind, c) ->
-      let rec add = function
-        | [] -> [ (kind, c) ]
-        | (k, c0) :: rest when k = kind -> (k, c0 + c) :: rest
-        | kv :: rest -> kv :: add rest
-      in
-      dst.fault_counts <- add dst.fault_counts)
-    src.fault_counts
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>rounds=%d messages=%d total_bits=%d max_edge_bits=%d \
-     max_message_bits=%d max_round_edge_bits=%d"
-    t.rounds t.messages t.total_bits (max_edge_bits t) t.max_message_bits
-    (max_round_edge_bits t);
-  List.iter (fun (name, r) -> Format.fprintf ppf "@   %-28s %6d rounds" name r)
-    (phases t);
-  List.iter
-    (fun (kind, c) -> Format.fprintf ppf "@   faults: %-20s %6d" kind c)
-    t.fault_counts;
-  Format.fprintf ppf "@]"

@@ -13,10 +13,9 @@
       ({!add_message_at}), the per-round totals ({!record_round}) and the
       per-edge-per-round bursts ({!note_round_edge_at});
     - {!Costmodel} records charged (pipelined) shipments via
-      {!add_dir_bits} / {!add_dir_bits_at} / {!add_edge_bits_by_index} —
-      those are spread over
-      many rounds by construction, so they contribute to totals but not
-      to single-round bursts or the round log. *)
+      {!add_dir_bits} / {!add_dir_bits_at} — those are spread over many
+      rounds by construction, so they contribute to totals but not to
+      single-round bursts or the round log. *)
 
 type round_record = {
   round : int;  (** position on the run's unified round timeline. *)
@@ -31,9 +30,6 @@ type t
 
 val create : Gr.t -> t
 (** A fresh, all-zero accumulator for runs on the given graph. *)
-
-val graph : t -> Gr.t
-(** The graph the accumulator was created for. *)
 
 val rounds : t -> int
 (** Rounds accumulated so far (real and cost-charged). *)
@@ -95,10 +91,6 @@ val dart_dir : Gr.t -> int -> dst:int -> int
     the dart [d] of [g], whose head is [dst] — the slot the CSR slice of
     [dst] reaches it by, with no edge search. *)
 
-val add_edge_bits_by_index : t -> int -> int -> unit
-(** Low-level variant used by the cost model when the direction is
-    unknown: adds to the undirected tallies only. *)
-
 val add_dir_bits : t -> u:int -> v:int -> bits:int -> unit
 (** Charge [bits] shipped from [u] to [v] (cost-model layer: updates the
     directed and undirected totals, but neither message counts nor
@@ -136,13 +128,3 @@ val note_fault : t -> kind:string -> unit
 val faults : t -> (string * int) list
 (** Per-kind injected-fault counts, in order of first appearance —
     empty for a clean run. *)
-
-val merge_into : dst:t -> src:t -> unit
-(** Fold [src]'s counters into [dst] (same underlying graph required):
-    rounds add up, edge loads add up, bursts and message maxima combine
-    by max, round logs concatenate. Used to combine the real simulator
-    runs of phase 1 with the cost-charged recursion phases. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable summary: rounds, messages, bits, maxima, per-phase
-    rounds and fault counts (when any were injected). *)

@@ -20,11 +20,6 @@ module Inbox = struct
   let src t i = t.srcs.(index t i)
   let msg t i = t.msgs.(index t i)
 
-  let iter f t =
-    for i = t.lo to t.lo + t.len - 1 do
-      f t.srcs.(i) t.msgs.(i)
-    done
-
   let fold f acc t =
     let acc = ref acc in
     for i = t.lo to t.lo + t.len - 1 do
@@ -96,7 +91,6 @@ module Config = struct
   let with_bandwidth b c = { c with bandwidth = Some b }
   let with_max_rounds r c = { c with max_rounds = Some r }
   let with_observe observe c = { c with observe }
-  let with_faults p c = { c with faults = Some p }
 end
 
 (* In-place ascending heapsort of a.(0 .. k-1): the engine's worklists

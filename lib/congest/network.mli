@@ -51,9 +51,6 @@ module Inbox : sig
   (** [msg t i] is the [i]-th message.
       @raise Invalid_argument unless [0 <= i < length t]. *)
 
-  val iter : (int -> 'm -> unit) -> 'm t -> unit
-  (** [iter f t] applies [f src msg] to every message in delivery order. *)
-
   val fold : ('a -> int -> 'm -> 'a) -> 'a -> 'm t -> 'a
   (** [fold f acc t] folds [f acc src msg] in delivery order. *)
 
@@ -167,7 +164,6 @@ module Config : sig
   val with_bandwidth : int -> t -> t
   val with_max_rounds : int -> t -> t
   val with_observe : Observe.t -> t -> t
-  val with_faults : Fault.plan -> t -> t
 
   val make :
     ?domains:int ->

@@ -14,4 +14,3 @@ let bounds_spec ?c_rounds ?c_bits ~d () = { d; c_rounds; c_bits }
 let metrics t = t.metrics
 let trace t = t.trace
 let bounds t = t.bounds
-let sinks t = make ?metrics:t.metrics ?trace:t.trace ()

@@ -55,8 +55,3 @@ val trace : t -> Trace.t option
 
 val bounds : t -> bounds option
 (** The bounds request, if one was made. *)
-
-val sinks : t -> t
-(** The observer with any bounds request dropped — for layers (e.g. the
-    embedder) that thread the metrics/trace sinks through many protocol
-    runs and check bounds once, post-hoc, on the combined timeline. *)

@@ -39,10 +39,6 @@ type ('s, 'm) state
 (** The wrapped per-node state: the inner state plus one send/receive
     channel per incident link. *)
 
-val inner_state : ('s, 'm) state -> 's
-(** The inner protocol's current state (e.g. to read final results out
-    of a raw {!Network.exec} run on a wrapped protocol). *)
-
 type counters = {
   mutable retransmits : int;  (** timed-out packets sent again. *)
   mutable dup_discards : int;  (** received copies discarded as already
@@ -68,14 +64,11 @@ val wrap :
     but chatty) retransmissions occur. All [stats] updates across all
     nodes accumulate into the one record given.
 
-    Overhead per message: a {!packet} header of {!header_bits} on every
-    payload, one cumulative ack per received inbox, plus retransmissions
+    Overhead per message: a {!packet} header (sequence number plus tag:
+    an [Ack] costs exactly the header, a [Data] the header plus its
+    payload) on every payload, one cumulative ack per received inbox, plus retransmissions
     under loss — budget bandwidth accordingly (or use {!exec}, which
     does). @raise Invalid_argument if [timeout < 2]. *)
-
-val header_bits : int
-(** Bits charged for a packet header (sequence number plus tag); an
-    [Ack] costs exactly this, a [Data] costs this plus its payload. *)
 
 val exec :
   ?domains:int ->

@@ -22,14 +22,6 @@ type call = {
   level : int;  (** recursion depth of this call (root call = 0). *)
 }
 
-val splitter_of_subtree :
-  sizes:(int -> int) -> children:(int -> int list) -> total:int -> int -> int
-(** [splitter_of_subtree ~sizes ~children ~total s] walks from [s] toward
-    the heaviest child until every component of [T_s - v] (children
-    subtrees and the part above [v]) has at most [total / 2] — hence
-    certainly [2·total/3] — vertices. [sizes] gives subtree sizes within
-    [T_s]. *)
-
 val recursion_tree : Gr.t -> Traverse.bfs_tree -> call
 (** Build the whole recursion tree below the BFS root. Calls with at most
     two vertices become leaves whose [p0] covers the entire subtree. *)

@@ -74,7 +74,3 @@ val merge : t -> ?anchors:int list -> kind:kind -> int list -> int
 
 val adjacent_parts : t -> int -> int list
 (** Ids of distinct parts sharing an edge with the given part. *)
-
-val connecting_edge : t -> from_part:int -> to_part:int -> int * int
-(** Some edge [(u, v)] with [u] in [from_part], [v] in [to_part].
-    @raise Not_found if none exists. *)

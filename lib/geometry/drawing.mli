@@ -29,30 +29,12 @@ val orient_xy : int -> int -> int -> int -> int -> int -> int
     counterclockwise (in the usual y-up orientation), [-1] when
     clockwise, [0] when collinear. Allocates nothing. *)
 
-val orient : int * int -> int * int -> int * int -> int
-(** {!orient_xy} on coordinate pairs. *)
-
-val on_segment : int * int -> int * int -> int * int -> bool
-(** [on_segment p a b] is [true] iff [p] lies on the closed segment
-    [[a, b]] (collinear and within the bounding box). *)
-
 val proper_cross_xy :
   int -> int -> int -> int -> int -> int -> int -> int -> bool
 (** [proper_cross_xy px py qx qy ax ay bx by] is [true] iff the open
     segments [(p, q)] and [(a, b)] intersect in exactly one point
     interior to both — the strict crossing test face recovery uses to
     pick its exit edge. Allocates nothing. *)
-
-val proper_cross :
-  int * int -> int * int -> int * int -> int * int -> bool
-(** {!proper_cross_xy} on coordinate pairs. *)
-
-val segments_conflict :
-  int * int -> int * int -> int * int -> int * int -> bool
-(** [true] iff the closed segments intersect at all — proper crossing,
-    endpoint touching an interior, or collinear overlap. Callers that
-    allow a shared endpoint must exclude that case themselves (as
-    {!first_crossing} does). *)
 
 val first_crossing :
   Gr.t -> x:int array -> y:int array -> ((int * int) * (int * int)) option

@@ -282,7 +282,6 @@ let of_triangulation tri =
 let draw r = of_triangulation (Triangulate.make r)
 let triangulation t = t.tri
 let coords t = (t.x, t.y)
-let coord t v = (t.x.(v), t.y.(v))
 
 let grid_side t =
   let n = Gr.n (Triangulate.graph t.tri) in

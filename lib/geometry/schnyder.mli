@@ -56,14 +56,11 @@ val draw : Rotation.t -> t
     @raise Invalid_argument if [r] is not planar. *)
 
 val triangulation : t -> Triangulate.t
-(** The underlying triangulation (graph, rotation, virtual-edge tags). *)
+(** The underlying triangulation (graph, rotation, fill edges). *)
 
 val coords : t -> int array * int array
 (** [(x, y)] coordinate arrays indexed by vertex. Owned by [t]; callers
     must not mutate them. *)
-
-val coord : t -> int -> int * int
-(** [coord t v] is the grid point of vertex [v]. *)
 
 val grid_side : t -> int
 (** The grid side length: all coordinates lie in [[0, grid_side t]]²;

@@ -16,7 +16,6 @@ type t = {
   graph : Gr.t;
   rotation : Rotation.t;
   source : Rotation.t;
-  vmask : bool array;
   vcount : int;
   fills : int array; (* fill edge i is fills.(2i) -> fills.(2i+1) *)
 }
@@ -310,22 +309,7 @@ let finalize st r =
     failwith "Triangulate: internal error: fill edges broke planarity";
   if n >= 3 && Gr.m g' <> (3 * n) - 6 then
     failwith "Triangulate: internal error: result is not maximal planar";
-  (* An edge of g' is virtual iff it is not in g: merge each vertex's
-     sorted CSR slice in g' with its slice in g (a subset). *)
-  let vmask = Array.make (max 1 (Gr.m g')) false in
-  let off = Gr.dart_offsets g and srcs = Gr.dart_sources g in
-  let off' = Gr.dart_offsets g'
-  and srcs' = Gr.dart_sources g'
-  and dedge' = Gr.dart_edges g' in
-  for v = 0 to n - 1 do
-    let j = ref off.(v) in
-    for d = off'.(v) to off'.(v + 1) - 1 do
-      let u = srcs'.(d) in
-      if !j < off.(v + 1) && srcs.(!j) = u then incr j
-      else vmask.(dedge'.(d)) <- true
-    done
-  done;
-  { graph = g'; rotation = r'; source = r; vmask; vcount = m' - m; fills }
+  { graph = g'; rotation = r'; source = r; vcount = m' - m; fills }
 
 let make r =
   if not (Rotation.is_planar_embedding r) then
@@ -344,17 +328,7 @@ let rotation t = t.rotation
 let source t = t.source
 let virtual_count t = t.vcount
 
-let is_virtual t u v =
-  let e = Gr.edge_index t.graph u v in
-  t.vmask.(e)
-
-let virtual_mask t = t.vmask
-
 let iter_virtual t f =
   for i = 0 to t.vcount - 1 do
     f t.fills.(2 * i) t.fills.((2 * i) + 1)
   done
-
-let pp ppf t =
-  Format.fprintf ppf "triangulation (n=%d, m=%d, %d virtual of %d)"
-    (Gr.n t.graph) (Gr.m t.graph) t.vcount (Gr.m t.graph)

@@ -19,9 +19,9 @@
       face cycle, so at most one of them can be present in a planar graph).
 
     Every edge added by any pass is {e virtual}: it exists so that the
-    triangulation is well-formed, carries no capacity in the original
-    network, and is tagged so that the routing layer ({!Route}) never
-    traverses or reports it. The original graph's edges and the cyclic
+    triangulation is well-formed and carries no capacity in the original
+    network, so the routing layer ({!Route}) walks the {!source} graph
+    and never traverses or reports it. The original graph's edges and the cyclic
     order of its rotation survive verbatim — the input rotation is the
     restriction of the output rotation to the original edges — so a
     straight-line drawing of the triangulation restricts to a straight-line
@@ -32,8 +32,8 @@
     raises rather than silently emitting a bad triangulation. *)
 
 type t
-(** A triangulation of an embedded input graph, with its virtual-edge
-    tags. *)
+(** A triangulation of an embedded input graph, with its virtual edges
+    in the order the passes added them. *)
 
 val make : Rotation.t -> t
 (** [make r] triangulates the embedded graph of [r].
@@ -62,20 +62,7 @@ val virtual_count : t -> int
 (** Number of virtual (added) edges: [Gr.m (graph t) - Gr.m] of the
     input. *)
 
-val is_virtual : t -> int -> int -> bool
-(** [is_virtual t u v] is [true] iff [{u, v}] is an edge of {!graph} that
-    was added by the triangulation (i.e. is not an input edge).
-    @raise Not_found if [{u, v}] is not an edge of {!graph}. *)
-
-val virtual_mask : t -> bool array
-(** Per-edge tags indexed by {!Gr.edge_index} of {!graph}: [true] for
-    virtual fill edges. The array is owned by [t]; callers must not
-    mutate it. *)
-
 val iter_virtual : t -> (int -> int -> unit) -> unit
 (** [iter_virtual t f] calls [f u v] on each virtual edge in the order
     the passes added it, oriented as it was added ([u] is the corner the
     chord was split off at, or the connected side of a bridge). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line human summary: vertex, edge and virtual-edge counts. *)

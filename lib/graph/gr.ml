@@ -253,8 +253,3 @@ let relabel t perm =
     perm;
   of_edges ~n:t.n
     (List.init (m t) (fun e -> (perm.(t.elo.(e)), perm.(t.ehi.(e)))))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d" t.n (m t);
-  iter_edges t (fun u v -> Format.fprintf ppf "@ %d -- %d" u v);
-  Format.fprintf ppf "@]"

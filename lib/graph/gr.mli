@@ -190,5 +190,3 @@ val union_vertices : t -> more:int -> (int * int) list -> t
 val relabel : t -> int array -> t
 (** [relabel g perm] renames vertex [v] to [perm.(v)]; [perm] must be a
     permutation of [0 .. n-1]. *)
-
-val pp : Format.formatter -> t -> unit

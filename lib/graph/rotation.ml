@@ -176,13 +176,3 @@ let face_of_dart t (u, v) =
     if !d = d0 then continue := false
   done;
   List.rev !out
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>rotation system (n=%d, m=%d, f=%d, genus=%d)"
-    (Gr.n t.g) (Gr.m t.g) (face_count t) (genus t);
-  Array.iteri
-    (fun v r ->
-      Format.fprintf ppf "@ %d: (%s)" v
-        (String.concat " " (List.map string_of_int (Array.to_list r))))
-    t.rot;
-  Format.fprintf ppf "@]"

@@ -85,5 +85,3 @@ val is_planar_embedding : t -> bool
 val face_of_dart : t -> int * int -> (int * int) list
 (** The face containing the given directed dart.
     @raise Invalid_argument if the dart is not an edge of the graph. *)
-
-val pp : Format.formatter -> t -> unit

@@ -108,7 +108,3 @@ let apply inc = function
   | Delete (u, v) -> ignore (Incremental.delete inc u v)
 
 let replay inc tr = Array.iter (apply inc) tr.ops
-
-let pp_op ppf = function
-  | Insert (u, v) -> Format.fprintf ppf "+(%d,%d)" u v
-  | Delete (u, v) -> Format.fprintf ppf "-(%d,%d)" u v

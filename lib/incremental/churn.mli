@@ -34,5 +34,3 @@ val apply : Incremental.t -> op -> unit
 val replay : Incremental.t -> trace -> unit
 (** Apply every op in order (results discarded; see
     {!Incremental.stats}). *)
-
-val pp_op : Format.formatter -> op -> unit

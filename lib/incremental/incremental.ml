@@ -91,7 +91,6 @@ type t = {
   stats : stats;
 }
 
-let n t = t.n
 let m t = t.live
 let stats t = t.stats
 

@@ -83,7 +83,6 @@ val delete : t -> int -> int -> bool
 (** [delete t u v] removes the edge if present; [false] if absent. *)
 
 val mem : t -> int -> int -> bool
-val n : t -> int
 
 val m : t -> int
 (** Live edges currently embedded. *)

@@ -19,12 +19,6 @@ let create ?(capacity = 4) () =
   { lo = Array.make capacity 0; hi = Array.make capacity 0; len = 0; card = 0 }
 
 let cardinal t = t.card
-let n_intervals t = t.len
-
-let clear t =
-  t.len <- 0;
-  t.card <- 0
-
 let intervals t = List.init t.len (fun i -> (t.lo.(i), t.hi.(i)))
 
 let iter t f =
@@ -33,11 +27,6 @@ let iter t f =
       f x
     done
   done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun x -> acc := f !acc x);
-  !acc
 
 (* Greatest i with lo.(i) <= x, or -1. *)
 let rank t x =
@@ -154,12 +143,3 @@ let union_into ~dst ~src =
       end
     done
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>{";
-  for i = 0 to t.len - 1 do
-    if i > 0 then Format.fprintf ppf " ";
-    if t.lo.(i) = t.hi.(i) then Format.fprintf ppf "%d" t.lo.(i)
-    else Format.fprintf ppf "%d-%d" t.lo.(i) t.hi.(i)
-  done;
-  Format.fprintf ppf "}@]"

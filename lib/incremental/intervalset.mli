@@ -16,9 +16,6 @@ val create : ?capacity:int -> unit -> t
 val cardinal : t -> int
 (** Number of covered integers, in O(1). *)
 
-val n_intervals : t -> int
-(** Number of stored runs (a fragmentation measure), in O(1). *)
-
 val mem : t -> int -> bool
 (** Membership, in O(log runs). *)
 
@@ -39,8 +36,4 @@ val union_into : dst:t -> src:t -> unit
 val iter : t -> (int -> unit) -> unit
 (** Enumerate elements in increasing order; O(cardinal). *)
 
-val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
-val clear : t -> unit
 val intervals : t -> (int * int) list
-val pp : Format.formatter -> t -> unit

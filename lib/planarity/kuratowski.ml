@@ -1,9 +1,5 @@
 type kind = K5 | K33
 
-let pp_kind ppf = function
-  | K5 -> Format.pp_print_string ppf "K5"
-  | K33 -> Format.pp_print_string ppf "K3,3"
-
 let witness g =
   if Planarity.is_planar g then None
   else begin

@@ -27,5 +27,3 @@ val classify : Gr.t -> Gr.edge list -> kind option
 val witness_exn : Gr.t -> Gr.edge list * kind
 (** @raise Invalid_argument if the graph is planar or the extracted
     witness fails verification (which would indicate a bug). *)
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -728,11 +728,6 @@ let is_planar g =
     | () -> true
     | exception Reject -> false
 
-let embed_exn g =
-  match embed g with
-  | Planar r -> r
-  | Nonplanar -> invalid_arg "Lr.embed_exn: graph is not planar"
-
 (* --- the reusable workspace's pair entry point --- *)
 
 let pairs ws ~m =

@@ -37,9 +37,6 @@ val is_planar : Gr.t -> bool
     extraction): the cheapest verdict, used by deletion loops such as
     {!Kuratowski.witness}. *)
 
-val embed_exn : Gr.t -> Rotation.t
-(** @raise Invalid_argument if the graph is not planar. *)
-
 val is_planar_edges : n:int -> Gr.edge array -> mask:bool array -> bool
 (** [is_planar_edges ~n edges ~mask] tests the graph on [n] vertices
     whose edge set is [edges.(i)] for every [i] with [mask.(i)]. The
