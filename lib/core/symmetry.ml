@@ -20,6 +20,35 @@ let pointer g colors u =
         | Some _ | None -> Some w
       else acc)
 
+(* A maximal pairwise non-adjacent subset of [claimants], taken greedily
+   with the claimants that touch the fewest others first (ties by id).
+   The neighbors of a node of an outerplanar graph induce disjoint paths,
+   and on paths this keeps every other node from each end, a maximum
+   independent set; greedy by id alone can keep one node of three.
+   [mark] is all zeros on entry and on return; the cost is the claimants'
+   total degree. *)
+let independent g mark claimants =
+  List.iter (fun w -> mark.(w) <- 1) claimants;
+  let touching w =
+    Gr.fold_neighbors g w ~init:0 ~f:(fun c x ->
+        if mark.(x) = 1 then c + 1 else c)
+  in
+  let order =
+    List.sort compare (List.map (fun w -> (touching w, w)) claimants)
+  in
+  let kept =
+    List.fold_left
+      (fun kept (_, w) ->
+        if mark.(w) = 2 then kept
+        else begin
+          Gr.iter_neighbors g w (fun x -> if mark.(x) = 1 then mark.(x) <- 2);
+          w :: kept
+        end)
+      [] order
+  in
+  List.iter (fun w -> mark.(w) <- 0) claimants;
+  List.rev kept
+
 let compute g ~colors =
   let n = Gr.n g in
   if Array.length colors <> n then invalid_arg "Symmetry.compute: bad colors";
@@ -30,29 +59,23 @@ let compute g ~colors =
      the group induces a star. *)
   let in_star = Array.make n false in
   let stars = ref [] in
-  for u = 0 to n - 1 do
-    if ptr.(u) = None then begin
-      let claimants =
-        Array.to_list
-          (Array.of_seq
-             (Seq.filter
-                (fun w -> ptr.(w) = Some u)
-                (Array.to_seq (Gr.neighbors g u))))
-      in
-      (* Keep a maximal pairwise non-adjacent subset (greedy by id). *)
-      let leaves =
-        List.fold_left
-          (fun kept w ->
-            if List.exists (fun x -> Gr.mem_edge g x w) kept then kept
-            else w :: kept)
-          [] (List.sort compare claimants)
-      in
-      if leaves <> [] then begin
-        in_star.(u) <- true;
+  let mark = Array.make n 0 in
+  let add_star c claimants =
+    match independent g mark claimants with
+    | [] -> ()
+    | leaves ->
+        in_star.(c) <- true;
         List.iter (fun w -> in_star.(w) <- true) leaves;
-        stars := (u, List.rev leaves) :: !stars
-      end
-    end
+        stars := (c, leaves) :: !stars
+  in
+  for u = 0 to n - 1 do
+    if ptr.(u) = None then
+      add_star u
+        (Array.to_list
+           (Array.of_seq
+              (Seq.filter
+                 (fun w -> ptr.(w) = Some u)
+                 (Array.to_seq (Gr.neighbors g u)))))
   done;
   (* Stage 2 — color-monotone paths over the remaining nodes: recompute
      pointers within the remainder; each node has out-degree <= 1, and
@@ -77,6 +100,30 @@ let compute g ~colors =
                        | None -> true)
                   then Some w
                   else acc)))
+  in
+  (* Stage 2a — a free node that two or more free nodes point at becomes
+     a star center too, its leaves taken from those of its in-pointers
+     that are not centers themselves; keeping one in-pointer for a path
+     would strand the others as singletons. *)
+  let indeg = Array.make n 0 in
+  Array.iter (function Some w -> indeg.(w) <- indeg.(w) + 1 | None -> ()) ptr2;
+  let center w = (not in_star.(w)) && indeg.(w) >= 2 in
+  let claimed = Array.make n [] in
+  for u = n - 1 downto 0 do
+    match ptr2.(u) with
+    | Some w when center w && not (center u) -> claimed.(w) <- u :: claimed.(w)
+    | Some _ | None -> ()
+  done;
+  for w = 0 to n - 1 do
+    if center w then add_star w claimed.(w)
+  done;
+  let ptr2 =
+    Array.mapi
+      (fun u p ->
+        match p with
+        | Some w when not (in_star.(u) || in_star.(w)) -> p
+        | Some _ | None -> None)
+      ptr2
   in
   let chosen_in = Array.make n (-1) in
   for u = 0 to n - 1 do

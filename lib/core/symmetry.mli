@@ -17,7 +17,8 @@
     The PODC extended abstract defers the concrete algorithm to its full
     version; this implementation uses minimum-color pointer forests (each
     node points to its smallest-colored smaller neighbor, so pointer chains
-    are automatically color-monotone) and is validated by the property
+    are automatically color-monotone; local minima, then nodes two or more
+    others point at, become star centers) and is validated by the property
     tests of [test_symmetry.ml] and measured by experiments E5/E6. See
     DESIGN.md, "Substitutions". *)
 

@@ -51,6 +51,38 @@ let test_monotone_path_graph () =
   let grp = Symmetry.compute g ~colors in
   check_bool "valid" true (Symmetry.check g ~colors grp)
 
+(* Nodes of [grp] in a star or in a path of two or more nodes. *)
+let grouped_count grp =
+  List.fold_left
+    (fun acc (_, leaves) -> acc + 1 + List.length leaves)
+    0 grp.Symmetry.stars
+  + List.fold_left
+      (fun acc p -> if List.length p >= 2 then acc + List.length p else acc)
+      0 grp.Symmetry.paths
+
+let test_crowded_pointer_targets () =
+  (* Two 9-node outerplanar graphs (Gen.random_outerplanar, chord
+     probability 0.5, seeds 2580 and 45696) where many nodes point at one
+     node that is no local minimum. Keeping one of them for a path, or
+     the lowest-id claimant of a star, grouped 4 of the 9 nodes. *)
+  List.iter
+    (fun (name, colors, edges) ->
+      let g = Gr.of_edges ~n:9 edges in
+      let grp = Symmetry.compute g ~colors in
+      check_bool (name ^ ": valid") true (Symmetry.check g ~colors grp);
+      check_bool (name ^ ": at least half grouped") true
+        (2 * grouped_count grp >= 9))
+    [
+      ( "seed 2580",
+        [| 8; 4; 5; 0; 1; 6; 3; 7; 2 |],
+        [ (0, 1); (0, 4); (0, 8); (1, 2); (2, 3); (2, 4); (3, 4); (4, 5);
+          (4, 7); (4, 8); (5, 6); (6, 7); (7, 8) ] );
+      ( "seed 45696",
+        [| 8; 3; 6; 4; 7; 0; 1; 2; 5 |],
+        [ (0, 1); (0, 2); (0, 7); (0, 8); (1, 2); (2, 3); (2, 7); (3, 4);
+          (4, 5); (4, 6); (5, 6); (6, 7); (7, 8) ] );
+    ]
+
 let prop_valid_on_outerplanar =
   QCheck.Test.make ~name:"grouping is valid on random outerplanar graphs"
     ~count:120
@@ -129,6 +161,8 @@ let () =
             test_improper_coloring_rejected;
           Alcotest.test_case "star graph" `Quick test_star_graph;
           Alcotest.test_case "monotone path" `Quick test_monotone_path_graph;
+          Alcotest.test_case "crowded pointer targets" `Quick
+            test_crowded_pointer_targets;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
