@@ -155,6 +155,8 @@ let embed_loaded ws =
   done;
   Lr.embed_pairs ws.lr ~n:(if k = 0 then p else apex + 1) ~m:(m0 + (2 * k))
 
+let kernel ws = ws.lr
+
 (* Local vertex [i]'s ring as an array of [f] over its local ids. *)
 let ring_map ws i f =
   let off = Lr.offsets ws.lr and src = Lr.sources ws.lr in

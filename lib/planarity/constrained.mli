@@ -59,6 +59,11 @@ val embed_loaded : workspace -> bool
     the apex-augmented part is not planar. At most once per {!load}.
     @raise Lr.Embedding_invalid if the kernel's ring fails its checks. *)
 
+val kernel : workspace -> Lr.workspace
+(** The kernel workspace {!embed_loaded} runs. After a run that returned
+    [true], its ring is the apex-augmented part's rotation under
+    {!Lr.workspace}'s ring contract: local ids as described above. *)
+
 val outer : workspace -> (int * int) list
 (** After {!embed_loaded} returned [true]: the half edges
     [(inside, outside)] in their cyclic order around the shared face. *)
