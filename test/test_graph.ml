@@ -49,6 +49,46 @@ let prop_of_edges_matches_sort_uniq =
       in
       Gr.edges g = want && Gr.m g = List.length want)
 
+(* The dart table too, duplicates and all: slice [v] lists [v]'s
+   distinct neighbors ascending, each slot carries the index of its pair
+   in [sort_uniq] order, and reversal swaps the two ends' slots. *)
+let prop_of_edges_dart_table =
+  QCheck.Test.make ~name:"of_edges: dart table = sorted adjacency of sort_uniq"
+    ~count:200
+    QCheck.(triple (int_range 0 100000) (int_range 2 40) (int_range 0 120))
+    (fun (seed, n, len) ->
+      let rng = Random.State.make [| seed |] in
+      let l = random_edge_list rng n len in
+      let g = Gr.of_edges ~n l in
+      let want =
+        Array.of_list
+          (List.sort_uniq compare
+             (List.map (fun (u, v) -> (min u v, max u v)) l))
+      in
+      let index = Hashtbl.create 64 in
+      Array.iteri (fun e p -> Hashtbl.replace index p e) want;
+      let off = Gr.dart_offsets g and src = Gr.dart_sources g in
+      let ok = ref (off.(0) = 0 && off.(n) = 2 * Array.length want) in
+      for v = 0 to n - 1 do
+        let nbrs =
+          List.sort compare
+            (Array.to_list want
+            |> List.filter_map (fun (a, b) ->
+                   if a = v then Some b else if b = v then Some a else None))
+        in
+        ok := !ok && Array.to_list (Array.sub src off.(v) (off.(v + 1) - off.(v))) = nbrs;
+        for d = off.(v) to off.(v + 1) - 1 do
+          let w = src.(d) in
+          let r = Gr.dart_rev g d in
+          ok :=
+            !ok
+            && Gr.dart_edge g d = Hashtbl.find index (min v w, max v w)
+            && r >= off.(w) && r < off.(w + 1) && src.(r) = v
+            && Gr.dart_rev g r = d
+        done
+      done;
+      !ok)
+
 let prop_of_edges_rejects_bad_pairs =
   QCheck.Test.make ~name:"of_edges: a bad pair anywhere raises Invalid_argument"
     ~count:100
@@ -897,6 +937,7 @@ let () =
           Alcotest.test_case "self-loop" `Quick test_self_loop_rejected;
           Alcotest.test_case "range" `Quick test_out_of_range_rejected;
           QCheck_alcotest.to_alcotest prop_of_edges_matches_sort_uniq;
+          QCheck_alcotest.to_alcotest prop_of_edges_dart_table;
           QCheck_alcotest.to_alcotest prop_of_edges_rejects_bad_pairs;
           Alcotest.test_case "of_edges allocation is linear" `Quick
             test_of_edges_linear;
