@@ -1,12 +1,15 @@
 (* Planarity-kernel benchmark: the left-right production kernel (Lr)
-   against the DMP oracle, wall-clock and allocated words per embed; and
-   the kernel's biggest client, the distributed embedder, whose part
+   against the DMP oracle, wall-clock and allocated words per embed; the
+   kernel alone on a warm workspace ([Lr.embed_pairs], the form part
+   installs and churn re-embeds call), in ns and words per call; and the
+   kernel's biggest client, the distributed embedder, whose part
    installs each run one constrained embed.
 
    Every case is verified before it is timed: both kernels run once,
-   their verdicts must agree, and an accepted LR rotation must pass the
-   genus-0 Euler check — a case that fails verification poisons the run
-   (nonzero exit) and its timings are not reported.
+   their verdicts must agree (the warm embed_pairs verdict too), and an
+   accepted LR rotation must pass the genus-0 Euler check — a case that
+   fails verification poisons the run (nonzero exit) and its timings are
+   not reported.
 
      dune exec bench/kernels.exe              # full sweep, up to n=30000
      dune exec bench/kernels.exe -- --quick   # CI smoke: n<=2500 tier;
@@ -28,9 +31,42 @@ type case = {
   dmp_wall : float;
   lr_words : float;
   dmp_words : float;
+  warm_ns_per_edge : float;
+  warm_words : float;
   agree : bool;
   euler_ok : bool;
 }
+
+(* [Lr.embed_pairs] on a workspace that has already embedded [g]: the
+   pairs are loaded before each run (the run consumes them) and only the
+   call is timed. Returns the verdict, the 10th percentile of the runs'
+   ns per input edge (the quiet end of a shared host, robust to one
+   lucky run) and the words one warm call allocates. *)
+let warm_embed_pairs g =
+  let n = Gr.n g and m = Gr.m g in
+  let ws = Lr.workspace () in
+  let load () =
+    let lo, hi = Lr.pairs ws ~m in
+    let i = ref 0 in
+    Gr.iter_edges g (fun u v ->
+        lo.(!i) <- u;
+        hi.(!i) <- v;
+        incr i)
+  in
+  load ();
+  let planar = Lr.embed_pairs ws ~n ~m in
+  load ();
+  let _, words = Words.of_call (fun () -> Lr.embed_pairs ws ~n ~m) in
+  let runs = max 20 (min 200 (2_000_000 / max 1 m)) in
+  let ns =
+    Array.init runs (fun _ ->
+        load ();
+        let t0 = Harness.now () in
+        ignore (Lr.embed_pairs ws ~n ~m : bool);
+        (Harness.now () -. t0) *. 1e9 /. float_of_int (max 1 m))
+  in
+  Array.sort compare ns;
+  (planar, ns.(runs / 10), words)
 
 let run_case ~reps name g =
   let n = Gr.n g and m = Gr.m g in
@@ -49,18 +85,21 @@ let run_case ~reps name g =
     | Lr.Planar r -> Rotation.is_planar_embedding r
     | Lr.Nonplanar -> true
   in
+  let warm_planar, warm_ns_per_edge, warm_words = warm_embed_pairs g in
+  let agree = agree && warm_planar = planar in
   let lr_wall, lr_words = Harness.best_of ~reps (fun () -> Lr.embed g) in
   let dmp_wall, dmp_words = Harness.best_of ~reps (fun () -> Dmp.embed g) in
   let c =
-    { name; n; m; planar; lr_wall; dmp_wall; lr_words; dmp_words; agree;
-      euler_ok }
+    { name; n; m; planar; lr_wall; dmp_wall; lr_words; dmp_words;
+      warm_ns_per_edge; warm_words; agree; euler_ok }
   in
   Printf.printf
-    "%-26s n=%-6d m=%-6d %-9s  lr %8.4fs %11.0fw   dmp %8.4fs %11.0fw   \
-     %6.1fx wall %6.1fx words  %s\n%!"
+    "%-26s n=%-6d m=%-6d %-9s  lr %8.4fs %11.0fw   warm %6.1f ns/edge \
+     %4.0fw   dmp %8.4fs %11.0fw   %6.1fx wall %6.1fx words  %s\n%!"
     c.name c.n c.m
     (if c.planar then "planar" else "nonplanar")
-    c.lr_wall c.lr_words c.dmp_wall c.dmp_words
+    c.lr_wall c.lr_words c.warm_ns_per_edge c.warm_words c.dmp_wall
+    c.dmp_words
     (c.dmp_wall /. max 1e-9 c.lr_wall)
     (c.dmp_words /. max 1. c.lr_words)
     (if c.agree && c.euler_ok then "ok"
@@ -184,6 +223,8 @@ let json_of_case (c : case) =
         ("lr_alloc_words", Num (0, c.lr_words));
         ("dmp_alloc_words", Num (0, c.dmp_words));
         ("alloc_ratio", Num (2, c.dmp_words /. max 1. c.lr_words));
+        ("warm_pairs_ns_per_edge", Num (1, c.warm_ns_per_edge));
+        ("warm_pairs_words", Num (0, c.warm_words));
         ("agree", Bool c.agree); ("euler_ok", Bool c.euler_ok);
       ])
 
