@@ -447,6 +447,123 @@ let test_relations_payloads () =
   Relations.set r a 100;
   check "set replaces root payload" 100 (Relations.get r c)
 
+(* The names [Relations] reports are those of a plain union-by-rank
+   forest over the node ids, where [hang] links the folded root under
+   the fresh one: random unions, merged records (a fresh node with the
+   summed payloads of a few roots folded in, as a slow insert makes
+   them) and abandons, checked node by node after every step. *)
+module Plain_forest = struct
+  type t = {
+    parent : int array;
+    rank : int array;
+    pay : int option array;
+    mutable len : int;
+  }
+
+  let create cap =
+    { parent = Array.make cap 0; rank = Array.make cap 0;
+      pay = Array.make cap None; len = 0 }
+
+  let fresh t p =
+    let i = t.len in
+    t.parent.(i) <- i;
+    t.pay.(i) <- Some p;
+    t.len <- i + 1;
+    i
+
+  let rec find t x =
+    let p = t.parent.(x) in
+    if p = x then x
+    else begin
+      let r = find t p in
+      t.parent.(x) <- r;
+      r
+    end
+
+  let union t x y =
+    let rx = find t x and ry = find t y in
+    if rx = ry then rx
+    else begin
+      let rx, ry = if t.rank.(rx) < t.rank.(ry) then (ry, rx) else (rx, ry) in
+      t.parent.(ry) <- rx;
+      if t.rank.(rx) = t.rank.(ry) then t.rank.(rx) <- t.rank.(rx) + 1;
+      t.pay.(rx) <- Some (Option.get t.pay.(rx) + Option.get t.pay.(ry));
+      t.pay.(ry) <- None;
+      rx
+    end
+
+  let hang t x ~root =
+    let rx = find t x in
+    if rx <> root then begin
+      t.parent.(rx) <- root;
+      t.pay.(rx) <- None
+    end
+end
+
+let test_relations_names () =
+  let steps = 1500 in
+  let rng = Random.State.make [| 0x4e4d |] in
+  let r = Relations.create ~capacity:1 ~merge:( + ) () in
+  let o = Plain_forest.create (2 * steps) in
+  (* names of the sets still in use *)
+  let live = Hashtbl.create 64 in
+  let mint p =
+    let a = Relations.fresh r p and b = Plain_forest.fresh o p in
+    check "same node id" b a;
+    Hashtbl.replace live a ()
+  in
+  let pick () =
+    let k = Random.State.int rng (Hashtbl.length live) in
+    let x = ref (-1) and i = ref 0 in
+    Hashtbl.iter (fun y () -> if !i = k then x := y; incr i) live;
+    (* any node of the set will do *)
+    let n = Relations.length r in
+    let node = ref !x in
+    for _ = 1 to 4 do
+      let y = Random.State.int rng n in
+      if Plain_forest.find o y = !x then node := y
+    done;
+    !node
+  in
+  for step = 1 to steps do
+    (match Random.State.int rng 10 with
+    | _ when Hashtbl.length live < 2 -> mint (1 + Random.State.int rng 9)
+    | 0 | 1 | 2 -> mint (1 + Random.State.int rng 9)
+    | 3 | 4 | 5 ->
+        let x = pick () and y = pick () in
+        Hashtbl.remove live (Plain_forest.find o x);
+        Hashtbl.remove live (Plain_forest.find o y);
+        let a = Relations.union r x y and b = Plain_forest.union o x y in
+        check (Printf.sprintf "step %d: union name" step) b a;
+        Hashtbl.replace live a ()
+    | 6 | 7 | 8 ->
+        let roots = List.sort_uniq compare
+            (List.init (1 + Random.State.int rng 3) (fun _ ->
+                 Plain_forest.find o (pick ()))) in
+        let sum = List.fold_left (fun s x -> s + Relations.get r x) 0 roots in
+        mint sum;
+        let node = Relations.length r - 1 in
+        List.iter
+          (fun x ->
+            Relations.hang r x ~root:node;
+            Plain_forest.hang o x ~root:node;
+            Hashtbl.remove live x)
+          roots
+    | _ ->
+        let x = Plain_forest.find o (pick ()) in
+        Relations.abandon r x;
+        o.pay.(x) <- None;
+        Hashtbl.remove live x);
+    for x = 0 to Relations.length r - 1 do
+      let want = Plain_forest.find o x in
+      if Relations.find r x <> want then
+        Alcotest.failf "step %d: node %d is named %d, not %d" step x
+          (Relations.find r x) want;
+      if Hashtbl.mem live want && Relations.get r x <> Option.get o.pay.(want)
+      then Alcotest.failf "step %d: payload of node %d" step x
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Golden replays                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -586,5 +703,7 @@ let () =
             test_intervalset_random;
           Alcotest.test_case "intervalset union" `Quick test_intervalset_union;
           Alcotest.test_case "relations payloads" `Quick test_relations_payloads;
+          Alcotest.test_case "relations names = plain forest" `Quick
+            test_relations_names;
         ] );
     ]
