@@ -18,7 +18,7 @@ type t = {
 (* Head (destination) of a dart: the source of its reversal. *)
 let dart_dst g d = Gr.dart_src g (Gr.dart_rev g d)
 
-let make g rot =
+let make_owned g rot =
   let n = Gr.n g in
   if Array.length rot <> n then invalid_arg "Rotation.make: wrong length";
   let darts = Gr.darts g in
@@ -56,7 +56,9 @@ let make g rot =
       face_next.(slot.(r.(i))) <- rev.(slot.(r.((i + 1) mod deg)))
     done
   done;
-  { g; rot = Array.map Array.copy rot; pos; face_next }
+  { g; rot; pos; face_next }
+
+let make g rot = make_owned g (Array.map Array.copy rot)
 
 let rotation t v = t.rot.(v)
 let graph t = t.g
@@ -69,11 +71,11 @@ let succ t v u =
   r.((t.pos.(d) + 1) mod Array.length r)
 
 let mirror t =
-  make t.g
+  make_owned t.g
     (Array.map (fun r -> Array.of_list (List.rev (Array.to_list r))) t.rot)
 
 let of_sorted_adjacency g =
-  make g (Array.init (Gr.n g) (Gr.neighbors g))
+  make_owned g (Array.init (Gr.n g) (Gr.neighbors g))
 
 (* Iterate the orbits of [face_next]: calls [start d] at the first dart
    of each face and [step d] for every dart (in face order). *)

@@ -20,6 +20,12 @@ val make : Gr.t -> int array array -> t
     resolves to its dart through a per-vertex slot map, with no dart
     search. @raise Invalid_argument otherwise. *)
 
+val make_owned : Gr.t -> int array array -> t
+(** [make_owned g rot] is [make g rot] without the copy: the result
+    takes ownership of [rot] and its rings, which the caller must not
+    touch again. Same validation, same exceptions. For callers that
+    build the rings only to hand them over. *)
+
 val rotation : t -> int -> int array
 (** The cyclic neighbor order at a vertex (starting point arbitrary). *)
 

@@ -319,7 +319,7 @@ let rotation t =
           out
         end)
   in
-  Rotation.make g rot
+  Rotation.make_owned g rot
 
 let validate t = Rotation.is_planar_embedding (rotation t)
 
@@ -406,10 +406,11 @@ let rescope t x =
     Intervalset.iter es (fun sl ->
         t.scope.(!i) <- sl;
         incr i);
-    (* The kernel workspace's pair buffers serve as scratch here. *)
+    (* The kernel workspace's pair buffers serve as scratch here; the
+       graph gets copies, since it sorts the pairs it owns in place. *)
     let lo, hi = Lr.pairs t.lr ~m:len in
     let k = load_scope t len ~eu:(-1) ~ev:(-1) lo hi in
-    let gloc = Gr.of_edges ~n:k (List.init len (fun i -> (lo.(i), hi.(i)))) in
+    let gloc = Gr.of_pairs ~n:k (Array.sub lo 0 len) (Array.sub hi 0 len) in
     refresh_comps t gloc t.local
   end;
   Relations.abandon t.comps x

@@ -173,5 +173,5 @@ let rotation ws =
   let n = Gr.n ws.g in
   if ws.k <> 0 || ws.p <> n then
     invalid_arg "Constrained.rotation: the part does not cover the graph";
-  Rotation.make ws.g
+  Rotation.make_owned ws.g
     (Array.init n (fun v -> ring_map ws ws.local.(v) (fun s -> ws.global.(s))))

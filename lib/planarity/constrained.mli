@@ -71,5 +71,5 @@ val outer : workspace -> (int * int) list
 val rotation : workspace -> Rotation.t
 (** After {!embed_loaded} returned [true] on a part that covers the whole
     network (so it has no half edges): the network's rotation system,
-    through the checked {!Rotation.make}.
+    through the checked {!Rotation.make_owned}.
     @raise Invalid_argument if the part does not cover the network. *)

@@ -19,7 +19,7 @@
    The rotation is produced on the graph's own dart table (one doubly
    linked cyclic list per vertex, entries indexed by dart id) and read
    off into a ring laid out like that table. [embed] packages it through
-   the checked [Rotation.make] and the Euler check; [embed_pairs] checks
+   the checked [Rotation.make_owned] and the Euler check; [embed_pairs] checks
    the raw ring the same two ways ([check_ring]), with the same
    face-tracing function. [Embedding_invalid] signals an internal
    inconsistency and is never raised on any input the test accepts (it
@@ -806,7 +806,7 @@ let embed g =
             r)
       in
       let r =
-        try Rotation.make g rot
+        try Rotation.make_owned g rot
         with Invalid_argument msg -> raise (Embedding_invalid msg)
       in
       if not (Rotation.is_planar_embedding r) then
