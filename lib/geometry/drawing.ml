@@ -102,8 +102,10 @@ let valid_triangulation_drawing r ~x ~y =
   c.other = 0 && c.flat = 0
   && ((c.ccw = 1 && c.cw > 0) || (c.cw = 1 && c.ccw > 0))
 
-(* Points are packed as (x - x0) * h + (y - y0) over their bounding box
-   of height h, so a plain int sort finds duplicates. *)
+(* Points are bucketed by column with a counting pass over the bounding
+   box, then each column's rows are checked against one stamp array
+   (stamp.(row) = the last column that used it): O(n + w + h) for a
+   w × h box, no sort. *)
 let distinct ~x ~y =
   let n = Array.length x in
   if n <= 1 then true
@@ -112,13 +114,33 @@ let distinct ~x ~y =
     and y0 = Array.fold_left min max_int y in
     let w = Array.fold_left max min_int x - x0 + 1
     and h = Array.fold_left max min_int y - y0 + 1 in
-    if w <= 0 || h <= 0 || w > max_int / h then
+    let limit = (4 * n) + 1024 in
+    if w <= 0 || h <= 0 || w > limit || h > limit then
       invalid_arg "Drawing.distinct: coordinate box too large";
-    let keys = Array.init n (fun i -> ((x.(i) - x0) * h) + (y.(i) - y0)) in
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    let ok = ref true in
-    for i = 0 to n - 2 do
-      if keys.(i) = keys.(i + 1) then ok := false
+    (* Inclusive prefix counts leave off.(c) at the end of column c; the
+       fill walks each column back to its start. *)
+    let off = Array.make (w + 1) 0 in
+    for i = 0 to n - 1 do
+      let c = x.(i) - x0 in
+      off.(c) <- off.(c) + 1
+    done;
+    for c = 1 to w do
+      off.(c) <- off.(c) + off.(c - 1)
+    done;
+    let rows = Array.make n 0 in
+    for i = n - 1 downto 0 do
+      let c = x.(i) - x0 in
+      off.(c) <- off.(c) - 1;
+      rows.(off.(c)) <- y.(i) - y0
+    done;
+    let stamp = Array.make h (-1) in
+    let ok = ref true and c = ref 0 in
+    while !ok && !c < w do
+      for k = off.(!c) to off.(!c + 1) - 1 do
+        let r = rows.(k) in
+        if stamp.(r) = !c then ok := false else stamp.(r) <- !c
+      done;
+      incr c
     done;
     !ok
   end

@@ -63,10 +63,13 @@ val valid_triangulation_drawing :
     drawing being plane. *)
 
 val distinct : x:int array -> y:int array -> bool
-(** [true] iff all coordinate pairs are pairwise distinct. The pairs
-    are packed into single ints over their bounding box and sorted.
-    @raise Invalid_argument if that box has more than [max_int] points,
-    far beyond the range where {!orient_xy} is exact. *)
+(** [true] iff all coordinate pairs are pairwise distinct. The points
+    are bucketed by x with a counting pass over their bounding box and
+    each bucket's y values are checked against one stamp array: O(n + w
+    + h) time and words for [n] points in a [w × h] box, no sort.
+    @raise Invalid_argument if [w] or [h] exceeds [4n + 1024] (a drawing
+    on the [(n - 2)]-grid, the only kind this library makes, has both at
+    most [n - 1]). *)
 
 val within_grid : x:int array -> y:int array -> side:int -> bool
 (** [true] iff every coordinate lies in [[0, side]] (both axes). *)
