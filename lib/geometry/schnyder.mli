@@ -21,14 +21,19 @@
       (rooted at [b]), and it becomes the tree-0 (up) parent (rooted
       at [c]) of every interior vertex it uncovers. Chord counts are
       maintained incrementally, so the whole ordering is linear time up
-      to the union of vertex degrees.
-    + coordinates come from the region-count trick: per tree, the depth
-      [p] of every vertex and the subtree size [t]; then a traversal of
-      each tree accumulating path sums of the other trees' subtree
-      sizes yields region counts [r], and [(r0 - p2, r1 - p0)] is the
-      grid point of each interior vertex. The three outer vertices are
-      pinned to corners of the grid. All traversals are iterative —
-      deep triangulations (paths, trees) must not blow the stack.
+      to the union of vertex degrees. It runs on flat arrays: the
+      uncovered boundary arc goes into one reusable int buffer, the
+      chord-free candidates onto an int array stack (fewer than
+      [3n + 1] pushes), and the removed and boundary flags are bytes.
+    + coordinates come from the region-count trick: per tree, a CSR of
+      children built by one counting pass over the parent array and a
+      BFS order over it give the depth [p] of every vertex (top-down)
+      and the subtree size [t] (bottom-up); path sums of the other
+      trees' subtree sizes, top-down along the same orders, yield
+      region counts [r], and [(r0 - p2, r1 - p0)] is the grid point of
+      each interior vertex. The three outer vertices are pinned to
+      corners of the grid. Nothing recurses — deep triangulations
+      (paths, trees) must not blow the stack.
 
     {b Orientation.} The outer face [(a, b, c)] is the face orbit
     ({!Rotation.face_next}) of the first edge's dart. With the tree
